@@ -26,7 +26,9 @@ The base class handles the bookkeeping that is common to every atomic EDB:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import inspect
+from collections import abc
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -52,6 +54,14 @@ __all__ = [
     "QueryResult",
     "EncryptedDatabase",
     "UnsupportedQueryError",
+    "MUTATE",
+    "CALL",
+    "READ",
+    "FACT",
+    "SHARD_SURFACE",
+    "surface_names",
+    "command_args",
+    "derive_surface",
     "resolve_edb_mode",
     "resolve_ciphertext_store",
 ]
@@ -536,8 +546,8 @@ class EncryptedDatabase:
         )
 
     def supports(self, query: Query) -> bool:
-        """Whether the back-end can run ``query``."""
-        return self._cost_model.supports(query)
+        """Whether the back-end can run ``query`` (its cost model's rule)."""
+        return self.cost_model.supports(query)
 
     # -- hooks for subclasses -------------------------------------------------
 
@@ -605,3 +615,105 @@ class EncryptedDatabase:
         )
         self._update_history.append(result)
         return result
+
+
+# -- the shard-facing protocol surface -----------------------------------------
+
+#: Kinds of :data:`SHARD_SURFACE` entries: a ``MUTATE`` command is journaled
+#: for replay, a ``CALL`` mutates nothing, a ``READ`` is fetched on every
+#: access, a ``FACT`` is cached once per shard.
+MUTATE, CALL, READ, FACT = "mutate", "call", "read", "fact"
+
+#: The :class:`EncryptedDatabase` surface a shard serves.  The worker serves
+#: exactly these names, and the worker proxy, supervisor wrapper and router
+#: derive their members from it (:func:`derive_surface`).  ``query`` mutates:
+#: an L-DP back-end draws noise per query, which a rebuilt shard must replay.
+SHARD_SURFACE: dict[str, str] = {
+    "setup": MUTATE,
+    "update": MUTATE,
+    "insert_many": MUTATE,
+    "query": MUTATE,
+    "register_view": MUTATE,
+    "set_view_answering": MUTATE,
+    "rotate_key": MUTATE,
+    "table_size": CALL,
+    "table_dummy_count": CALL,
+    "is_setup": READ,
+    "update_history": READ,
+    "outsourced_count": READ,
+    "dummy_count": READ,
+    "real_count": READ,
+    "storage_bytes": READ,
+    "registered_views": READ,
+    "view_answering": READ,
+    "query_work_seconds": READ,
+    "view_maintenance_seconds": READ,
+    "simulated_work_seconds": READ,
+    "maintained_query_count": READ,
+    "scheme_name": FACT,
+    "edb_mode": FACT,
+    "ciphertext_store": FACT,
+    "cost_model": FACT,
+    "leakage_profile": FACT,
+    "query_executors": FACT,
+}
+
+
+def surface_names(kind: str) -> tuple[str, ...]:
+    """The :data:`SHARD_SURFACE` entries of one kind, in table order."""
+    return tuple(name for name, entry in SHARD_SURFACE.items() if entry == kind)
+
+
+def _signature(name: str) -> inspect.Signature:
+    return inspect.signature(getattr(EncryptedDatabase, name))
+
+
+_PARAMETERS = {
+    name: tuple(_signature(name).parameters.values())[1:]
+    for name in surface_names(MUTATE) + surface_names(CALL)
+}
+
+
+def _detach(value):
+    if isinstance(value, abc.Mapping):
+        return dict(value)
+    if isinstance(value, (list, abc.Iterator)):
+        return list(value)
+    return value
+
+
+def command_args(name: str, args: tuple, kwargs: Mapping) -> tuple:
+    """A ``MUTATE``/``CALL`` command's arguments, positional with defaults
+    filled in and containers copied (iterators drained): the one form the
+    pipe pickles and the replay journal keeps, out of the caller's reach."""
+    parameters = _PARAMETERS[name]
+    if kwargs or len(args) != len(parameters):
+        rest = parameters[len(args) :]
+        tail = tuple(kwargs.get(p.name, p.default) for p in rest)
+        if (
+            len(args) < len(parameters)
+            and len(kwargs) == sum(p.name in kwargs for p in rest)
+            and not any(value is inspect.Parameter.empty for value in tail)
+        ):
+            args += tail
+        else:  # not a valid call: the signature raises the precise TypeError
+            _signature(name).bind(None, *args, **kwargs)
+    return tuple(_detach(value) for value in args)
+
+
+def derive_surface(**makers: Callable[[str], Callable]) -> Callable[[type], type]:
+    """Class decorator adding one member per :data:`SHARD_SURFACE` entry the
+    class body does not define, built by ``makers[kind](name)`` (a property
+    getter for ``READ`` and ``FACT``).  No other name is added."""
+
+    def decorate(cls: type) -> type:
+        for name, kind in SHARD_SURFACE.items():
+            if name in cls.__dict__:
+                continue
+            member = makers[kind](name)
+            member.__name__ = name
+            member.__doc__ = getattr(EncryptedDatabase, name).__doc__
+            setattr(cls, name, property(member) if kind in (READ, FACT) else member)
+        return cls
+
+    return decorate

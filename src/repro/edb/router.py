@@ -59,9 +59,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from repro.edb.base import EncryptedDatabase, QueryResult, UpdateResult
-from repro.edb.cost_model import CostModel, UnsupportedQueryError
-from repro.edb.leakage import LeakageClass, LeakageProfile, update_pattern_observables
+from repro.edb.base import (
+    EncryptedDatabase,
+    QueryResult,
+    UpdateResult,
+    derive_surface,
+)
+from repro.edb.cost_model import UnsupportedQueryError
+from repro.edb.leakage import LeakageClass, update_pattern_observables
 from repro.edb.records import Record
 from repro.edb.shard_worker import ShardWorkerClient
 from repro.query.ast import JoinCountQuery, MultiJoinCountQuery, Query
@@ -219,8 +224,6 @@ class WallClockStats:
     retries: int = 0
     replayed_batches: int = 0
     recovery_seconds: float = 0.0
-    degraded_shards: int = 0
-    dropped_batches: int = 0
 
     @property
     def mean_query_seconds(self) -> float:
@@ -234,38 +237,54 @@ class WallClockStats:
             "retries": self.retries,
             "replayed_batches": self.replayed_batches,
             "recovery_seconds": self.recovery_seconds,
-            "degraded_shards": self.degraded_shards,
-            "dropped_batches": self.dropped_batches,
         }
 
     def reset(self) -> None:
         """Zero all counters (benchmarks reset between phases)."""
-        self.setup_calls = 0
-        self.setup_seconds = 0.0
-        self.update_calls = 0
-        self.update_seconds = 0.0
-        self.query_calls = 0
-        self.query_seconds = 0.0
-        self.per_shard_busy_seconds = {}
-        self.serialization_seconds = 0.0
-        self.worker_commands = 0
-        self.recoveries = 0
-        self.retries = 0
-        self.replayed_batches = 0
-        self.recovery_seconds = 0.0
-        self.degraded_shards = 0
-        self.dropped_batches = 0
+        for name, value in vars(WallClockStats()).items():
+            setattr(self, name, value)
 
 
+def _fan_out(router: "ShardRouter", name: str, *args, **kwargs) -> None:
+    """Send one mutating command to every shard."""
+    try:
+        router._map(lambda shard: getattr(shard, name)(*args, **kwargs), router._shards)
+    finally:
+        router._absorb_worker_stats()
+
+
+def _broadcast(name: str):
+    return lambda self, *args, **kwargs: _fan_out(self, name, *args, **kwargs)
+
+
+def _sum_call(name: str):
+    return lambda self, *args: sum(getattr(s, name)(*args) for s in self._shards)
+
+
+def _sum_read(name: str):
+    return lambda self: sum(getattr(shard, name) for shard in self._shards)
+
+
+def _first_shard_fact(name: str):
+    return lambda self: getattr(self._shards[0], name)
+
+
+@derive_surface(
+    mutate=_broadcast, call=_sum_call, read=_sum_read, fact=_first_shard_fact
+)
 class ShardRouter:
     """Route one logical EDB across K independent back-end shards.
+
+    Shard-surface members (:data:`~repro.edb.base.SHARD_SURFACE`) the body
+    does not define are derived: a mutating command goes to every shard
+    (``rotate_key``: each draws its own key unless one is given), a call or
+    read sums over the shards, a fact is shard 0's.
 
     Parameters
     ----------
     shards:
         The already-constructed back-end shards.  They should be of the same
-        scheme (the router reports shard 0's scheme name, cost model and
-        leakage profile as its own).
+        scheme (the router reports shard 0's facts as its own).
     route_seed:
         Seed folded into the routing hash; two routers with equal seeds and
         shard counts route identically.
@@ -291,8 +310,8 @@ class ShardRouter:
         :class:`~repro.fleet.supervisor.SupervisorConfig`) wraps every
         shard in the self-healing supervision layer: per-command deadlines,
         deterministic retry/backoff, snapshot+replay rebuild of dead
-        workers, and the configured degradation policy.  Recovery is
-        observable-invisible by contract (``tests/test_chaos_recovery.py``).
+        workers.  Recovery is observable-invisible by contract
+        (``tests/test_chaos_recovery.py``).
     faults:
         Deterministic fault schedule (``kind[:shard]@N`` grid syntax, or a
         pre-built :class:`~repro.testing.chaos.FaultSchedule`).  A
@@ -329,6 +348,7 @@ class ShardRouter:
         )
         self._supervisor = None
         self._clients: list = []
+        context = None
         if self._executor == "processes":
             context = preferred_mp_context()
             timeout_s = (
@@ -336,37 +356,25 @@ class ShardRouter:
                 if supervisor_config is not None
                 else None
             )
-            raw_clients = [
+            shards = self._clients = [
                 ShardWorkerClient(shard, index, context, timeout_s=timeout_s)
                 for index, shard in enumerate(shards)
             ]
-            if supervisor_config is not None:
-                from repro.fleet.supervisor import ShardSupervisor
-
-                self._supervisor = ShardSupervisor(
-                    supervisor_config,
-                    fault_schedule,
-                    self._executor,
-                    self.measured,
-                    context=context,
-                )
-                self._clients = self._supervisor.wrap(raw_clients)
-            else:
-                self._clients = raw_clients
-            self._shards: list = list(self._clients)
-        elif supervisor_config is not None:
+        if supervisor_config is not None:
             from repro.fleet.supervisor import ShardSupervisor
 
             self._supervisor = ShardSupervisor(
-                supervisor_config, fault_schedule, self._executor, self.measured
+                supervisor_config,
+                fault_schedule,
+                self._executor,
+                self.measured,
+                context=context,
             )
             #: In-process wrappers report constant (0, 0, 0) worker stats, so
             #: the delta absorption below skips them; they still live in the
             #: resource box so close()/finalize tears down their scratch.
-            self._clients = self._supervisor.wrap(shards)
-            self._shards = list(self._clients)
-        else:
-            self._shards = shards
+            shards = self._clients = self._supervisor.wrap(shards)
+        self._shards: list = list(shards)
         #: Per-client (busy, overhead, commands) snapshots so measured stats
         #: absorb only the *delta* each protocol call produced -- keeping
         #: ``measured.reset()`` meaningful across benchmark phases.
@@ -456,18 +464,6 @@ class ShardRouter:
         """Shut down the fan-out pool and any worker processes (idempotent)."""
         self._pool = None
         _release_router_resources(self._resources)
-
-    def rotate_key(self, new_key: bytes | None = None) -> None:
-        """Re-key every shard in place (fan-out like any protocol call).
-
-        Each shard keeps its own independent record cipher; with the
-        default ``new_key=None`` every shard draws a fresh key of its own,
-        while an explicit key is installed on all shards (single-shard
-        routers and tests).  Arena rows are re-encrypted in place, so all
-        outstanding handles and zero-copy views stay valid.
-        """
-        self._map(lambda shard: shard.rotate_key(new_key), self._shards)
-        self._absorb_worker_stats()
 
     # -- topology -----------------------------------------------------------
 
@@ -581,26 +577,8 @@ class ShardRouter:
                 return self._query_planned(query, time)
             if len(self._shards) == 1:
                 return self._shards[0].query(query, time=time)
-            if not self.is_setup:
-                raise RuntimeError("Query invoked before Setup")
-            if not self.supports(query):
-                raise UnsupportedQueryError(
-                    f"{self.scheme_name} does not support {type(query).__name__}"
-                )
-            if isinstance(query, JoinCountQuery):
-                return self._gather_join(query, time)
-            if isinstance(query, MultiJoinCountQuery):
-                return self._gather_multi_join(query, time)
-            results = self._map(
-                lambda shard: shard.query(query, time=time), self._shards
-            )
-            return QueryResult(
-                query_name=query.name,
-                answer=merge_partial_answers(query, [r.answer for r in results]),
-                qet_seconds=max(r.qet_seconds for r in results),
-                records_scanned=sum(r.records_scanned for r in results),
-                noise_injected=any(r.noise_injected for r in results),
-            )
+            self._check_query(query)
+            return self._gather(query, time)
         finally:
             self.measured.query_calls += 1
             self.measured.query_seconds += _time.perf_counter() - started
@@ -648,17 +626,20 @@ class ShardRouter:
             for index in range(len(self._shards))
         ]
 
-    def _query_planned(self, query: Query, time: int) -> QueryResult:
+    def _check_query(self, query: Query) -> None:
         if not self.is_setup:
             raise RuntimeError("Query invoked before Setup")
         if not self.supports(query):
             raise UnsupportedQueryError(
                 f"{self.scheme_name} does not support {type(query).__name__}"
             )
+
+    def _query_planned(self, query: Query, time: int) -> QueryResult:
+        self._check_query(query)
         # Shards holding none of a query's records still answer on an L-DP
         # back-end -- with a noise draw the gathered sum must include -- so
         # pruning is only sound where answers are exact.
-        executors = tuple(self._shards[0].query_executors)
+        executors = tuple(self.query_executors)
         if self._view_answering and self.views_cover(query):
             # The maintained alternative is enumerated alongside the rescans
             # so explain() shows what answering from view state would cost;
@@ -679,24 +660,40 @@ class ShardRouter:
         return result
 
     def _execute_plan(self, query: Query, plan: QueryPlan, time: int) -> QueryResult:
-        chosen = plan.chosen
         if len(self._shards) == 1:
             # One shard executes the original query directly (joins
             # included); the only planner degree of freedom is the executor.
-            result = self._shards[0].query(query, time=time, executor=chosen.executor)
+            result = self._shards[0].query(
+                query, time=time, executor=plan.chosen.executor
+            )
             plan.executed_qet_seconds = (result.qet_seconds,)
             return result
+        return self._gather(query, time, plan=plan)
+
+    def _targets(self, plan: QueryPlan | None) -> tuple[list[int], str | None]:
+        """Shards to scatter to and their executor: every shard on its
+        default path without a plan, else the plan's choice."""
+        if plan is None:
+            return list(range(len(self._shards))), None
+        return list(plan.chosen.shard_indices), plan.chosen.executor
+
+    def _gather(
+        self, query: Query, time: int, plan: QueryPlan | None = None
+    ) -> QueryResult:
+        """Scatter ``query`` and merge the partial answers (K > 1)."""
         if isinstance(query, JoinCountQuery):
             return self._gather_join(query, time, plan=plan)
         if isinstance(query, MultiJoinCountQuery):
             return self._gather_multi_join(query, time, plan=plan)
+        targets, executor = self._targets(plan)
         results = self._map(
             lambda index: self._shards[index].query(
-                query, time=time, executor=chosen.executor
+                query, time=time, executor=executor
             ),
-            list(chosen.shard_indices),
+            targets,
         )
-        plan.executed_qet_seconds = tuple(r.qet_seconds for r in results)
+        if plan is not None:
+            plan.executed_qet_seconds = tuple(r.qet_seconds for r in results)
         return QueryResult(
             query_name=query.name,
             answer=merge_partial_answers(query, [r.answer for r in results]),
@@ -727,15 +724,11 @@ class ShardRouter:
             )
         if query in self._view_queries:
             return False
+        probes = (query,) if len(self._shards) == 1 else self._shard_view_queries(query)
         try:
-            if len(self._shards) == 1:
-                self._shards[0].register_view(query)
-            else:
-                probes = self._shard_view_queries(query)
-                self._map(
-                    lambda shard: [shard.register_view(p) for p in probes],
-                    self._shards,
-                )
+            self._map(
+                lambda shard: [shard.register_view(p) for p in probes], self._shards
+            )
         finally:
             self._absorb_worker_stats()
         self._view_queries.append(query)
@@ -770,46 +763,10 @@ class ShardRouter:
         back to its rescan path while views keep maintaining state, and the
         gathered answers must be byte-identical either way.
         """
-        enabled = bool(enabled)
-        self._view_answering = enabled
-        try:
-            self._map(
-                lambda shard: shard.set_view_answering(enabled), self._shards
-            )
-        finally:
-            self._absorb_worker_stats()
-
-    @property
-    def query_work_seconds(self) -> float:
-        """Simulated query-execution work summed across the shards."""
-        return sum(shard.query_work_seconds for shard in self._shards)
-
-    @property
-    def view_maintenance_seconds(self) -> float:
-        """Simulated view-upkeep work summed across the shards."""
-        return sum(shard.view_maintenance_seconds for shard in self._shards)
-
-    @property
-    def simulated_work_seconds(self) -> float:
-        """Total simulated server work (queries + view upkeep), all shards."""
-        return sum(shard.simulated_work_seconds for shard in self._shards)
-
-    @property
-    def maintained_query_count(self) -> int:
-        """Queries answered from maintained view state, summed over shards."""
-        return sum(shard.maintained_query_count for shard in self._shards)
+        self._view_answering = bool(enabled)
+        _fan_out(self, "set_view_answering", self._view_answering)
 
     # -- observable state ----------------------------------------------------
-
-    @property
-    def scheme_name(self) -> str:
-        """Scheme of the shards (shard 0's name)."""
-        return self._shards[0].scheme_name
-
-    @property
-    def edb_mode(self) -> str:
-        """Implementation mode of the shards (shard 0's mode)."""
-        return self._shards[0].edb_mode
 
     @property
     def is_setup(self) -> bool:
@@ -829,52 +786,10 @@ class ShardRouter:
             for shard in self._shards
         )
 
-    @property
-    def outsourced_count(self) -> int:
-        """Total ciphertexts stored across all shards."""
-        return sum(shard.outsourced_count for shard in self._shards)
-
-    @property
-    def dummy_count(self) -> int:
-        """Total dummy ciphertexts stored across all shards."""
-        return sum(shard.dummy_count for shard in self._shards)
-
-    @property
-    def real_count(self) -> int:
-        """Total real ciphertexts stored across all shards."""
-        return sum(shard.real_count for shard in self._shards)
-
-    @property
-    def storage_bytes(self) -> float:
-        """Total simulated storage footprint across all shards."""
-        return sum(shard.storage_bytes for shard in self._shards)
-
-    def table_size(self, table: str) -> int:
-        """Ciphertext count (real + dummy) for one table, across shards."""
-        return sum(shard.table_size(table) for shard in self._shards)
-
-    def table_dummy_count(self, table: str) -> int:
-        """Dummy ciphertext count for one table, across shards."""
-        return sum(shard.table_dummy_count(table) for shard in self._shards)
-
-    @property
-    def cost_model(self) -> CostModel:
-        """The shards' cost model (shard 0's; shards share a scheme)."""
-        return self._shards[0].cost_model
-
-    @property
-    def leakage_profile(self) -> LeakageProfile:
-        """The shards' leakage profile (shard 0's; shards share a scheme)."""
-        return self._shards[0].leakage_profile
-
-    def supports(self, query: Query) -> bool:
-        """Whether the sharded deployment can run ``query``.
-
-        Delegates to the shards' scheme rule on the *original* query shape:
-        a back-end without join support stays join-free even though the
-        scatter plan would only send it group-by probes.
-        """
-        return self._shards[0].supports(query)
+    #: The shards' scheme rule on the *original* query shape: a back-end
+    #: without join support stays join-free even though the scatter plan
+    #: would only send it group-by probes.
+    supports = EncryptedDatabase.supports
 
     # -- internals -----------------------------------------------------------
 
@@ -983,21 +898,15 @@ class ShardRouter:
         the first probe's merged cardinality is recorded on the plan as a
         UES-style upper bound on the gathered join count.
         """
-        if plan is None:
-            targets: Sequence[int] = range(len(self._shards))
-            first_side = "left"
-            executor: str | None = None
-        else:
-            targets = plan.chosen.shard_indices
-            first_side = plan.chosen.first_side or "left"
-            executor = plan.chosen.executor
+        targets, executor = self._targets(plan)
+        first_side = "left" if plan is None else plan.chosen.first_side or "left"
         (first_probe, _), (second_probe, _) = ordered_join_probes(query, first_side)
         probe_pairs = self._map(
             lambda index: (
                 self._shards[index].query(first_probe, time=time, executor=executor),
                 self._shards[index].query(second_probe, time=time, executor=executor),
             ),
-            list(targets),
+            targets,
         )
         first_parts: list[Mapping] = []
         second_parts: list[Mapping] = []
@@ -1042,19 +951,14 @@ class ShardRouter:
         the coordinator merges each side's histograms across shards and the
         product-sum over the shared key is the exact star-join count.
         """
-        if plan is None:
-            targets: Sequence[int] = range(len(self._shards))
-            executor: str | None = None
-        else:
-            targets = plan.chosen.shard_indices
-            executor = plan.chosen.executor
+        targets, executor = self._targets(plan)
         probes = multi_join_probes(query)
         probe_rows = self._map(
             lambda index: tuple(
                 self._shards[index].query(probe, time=time, executor=executor)
                 for probe in probes
             ),
-            list(targets),
+            targets,
         )
         side_parts: list[list[Mapping]] = [[] for _ in probes]
         shard_qets: list[float] = []

@@ -5,19 +5,22 @@ ORAM, ciphertext arenas and RNG stream -- into its own long-lived worker
 process.  The division of labour:
 
 * :func:`shard_worker_main` is the worker loop: it owns the shard's
-  :class:`~repro.edb.base.EncryptedDatabase` and serves protocol commands
-  (Setup / Update / insert_many / query), state reads (transcripts, sizes)
-  and arena publications over one duplex pipe, one command at a time.  The
+  :class:`~repro.edb.base.EncryptedDatabase` and serves the declared shard
+  surface (:data:`~repro.edb.base.SHARD_SURFACE`: protocol commands, state
+  reads such as transcripts and sizes, the static facts) plus arena
+  publications over one duplex pipe, one command at a time; any name
+  outside that table is refused.  The
   shard object crosses the process boundary exactly once, at startup (by
   fork inheritance on POSIX, one pickle on spawn platforms); afterwards only
   commands, answers and :class:`UpdateResult`/:class:`QueryResult` payloads
   travel the pipe -- shard state never pickles again.
-* :class:`ShardWorkerClient` is the coordinator-side proxy.  It exposes the
-  same surface as an in-process :class:`~repro.edb.base.EncryptedDatabase`
-  (protocol methods, observable properties, ``supports``), so the router's
-  scatter-gather code runs unchanged over process-backed shards; static
-  facts (scheme name, cost model, leakage profile) are fetched once at
-  startup, everything else is one synchronous round-trip per access.
+* :class:`ShardWorkerClient` is the coordinator-side proxy.  Its forwarding
+  members are derived from the same table
+  (:func:`~repro.edb.base.derive_surface`), so the router's scatter-gather
+  code runs unchanged over process-backed shards: the facts (scheme name,
+  cost model, leakage profile, ...) are fetched once at startup and
+  ``supports`` answers from the cached cost model; every command and read
+  is one synchronous round-trip.
 
 Ciphertexts written by a worker (``simulate_encryption=True``) land in
 :class:`~repro.edb.crypto.SharedCiphertextArena` segments, so the
@@ -43,21 +46,24 @@ import os
 import threading
 import time as _time
 from multiprocessing.connection import Connection
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+from repro.edb.base import (
+    CALL,
+    FACT,
+    MUTATE,
+    READ,
+    SHARD_SURFACE,
+    EncryptedDatabase,
+    command_args,
+    derive_surface,
+    surface_names,
+)
 from repro.edb.crypto import (
     ArenaSegmentCache,
     RecordCipher,
     SharedCiphertextArena,
 )
-from repro.edb.records import Record
 from repro.util.mp import reap_process_segments
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.edb.base import EncryptedDatabase, QueryResult, UpdateResult
-    from repro.edb.cost_model import CostModel
-    from repro.edb.leakage import LeakageProfile
-    from repro.query.ast import Query
 
 __all__ = [
     "TransientShardError",
@@ -150,39 +156,11 @@ class ShardWorkerTimeout(TransientShardError):
         )
 
 
-#: Worker-side attribute/method allowlist for the generic state-read
-#: commands.  Everything here is an observable the router (or a test)
-#: legitimately reads; keeping it explicit documents the remote surface.
-_READABLE_ATTRS = frozenset(
-    {
-        "scheme_name",
-        "edb_mode",
-        "ciphertext_store",
-        "is_setup",
-        "update_history",
-        "outsourced_count",
-        "dummy_count",
-        "real_count",
-        "storage_bytes",
-        "registered_views",
-        "view_answering",
-        "query_work_seconds",
-        "view_maintenance_seconds",
-        "simulated_work_seconds",
-        "maintained_query_count",
-    }
-)
-_CALLABLE_METHODS = frozenset(
-    {"table_size", "table_dummy_count", "supports", "setup", "update",
-     "insert_many", "query", "register_view", "set_view_answering"}
-)
-
-
 def _shared_arena_factory() -> SharedCiphertextArena:
     return SharedCiphertextArena()
 
 
-def _arena_states(shard: "EncryptedDatabase") -> dict[str, dict]:
+def _arena_states(shard: EncryptedDatabase) -> dict[str, dict]:
     """Published ``export_state`` of every shared arena the shard holds."""
     states: dict[str, dict] = {}
     for table, arena in getattr(shard, "_arenas", {}).items():
@@ -191,7 +169,7 @@ def _arena_states(shard: "EncryptedDatabase") -> dict[str, dict]:
     return states
 
 
-def shard_worker_main(conn: Connection, shard: "EncryptedDatabase", index: int) -> None:
+def shard_worker_main(conn: Connection, shard: EncryptedDatabase, index: int) -> None:
     """Worker process entry point: serve shard commands until shutdown.
 
     The loop is strictly sequential -- one command, one reply -- so command
@@ -259,21 +237,20 @@ def shard_worker_main(conn: Connection, shard: "EncryptedDatabase", index: int) 
         conn.close()
 
 
-def _dispatch(shard: "EncryptedDatabase", command: str, args: tuple):
-    if command == "hello":
-        return {
-            "scheme_name": shard.scheme_name,
-            "edb_mode": shard.edb_mode,
-            "ciphertext_store": getattr(shard, "ciphertext_store", None),
-            "cost_model": shard.cost_model,
-            "leakage_profile": shard.leakage_profile,
-            "query_executors": getattr(shard, "query_executors", ("rows",)),
-        }
+def _dispatch(shard: EncryptedDatabase, command: str, args: tuple):
+    kind = SHARD_SURFACE.get(command)
+    if kind in (MUTATE, CALL):
+        result = getattr(shard, command)(*args)
+        # A re-key's new cipher stays in the worker: the proxy fetches the
+        # key only when the coordinator asks for it (``cipher_key``).
+        return None if command == "rotate_key" else result
     if command == "attr":
         (name,) = args
-        if name not in _READABLE_ATTRS:
+        if SHARD_SURFACE.get(name) != READ:
             raise AttributeError(f"attribute {name!r} is not remotely readable")
         return getattr(shard, name)
+    if command == "hello":
+        return {name: getattr(shard, name) for name in surface_names(FACT)}
     if command == "cipher_key":
         cipher = getattr(shard, "cipher", None)
         return None if cipher is None else cipher.key
@@ -287,23 +264,34 @@ def _dispatch(shard: "EncryptedDatabase", command: str, args: tuple):
         from repro.edb.store import snapshot_backend
 
         return snapshot_backend(shard)
-    if command == "rotate_key":
-        (new_key,) = args
-        shard.rotate_key(new_key)
-        return None
-    if command in _CALLABLE_METHODS:
-        return getattr(shard, command)(*args)
     raise ValueError(f"unknown shard-worker command {command!r}")
 
 
+def _forward(name: str):
+    def forward(self, *args, **kwargs):
+        return self._call(name, *command_args(name, args, kwargs))
+
+    return forward
+
+
+def _read(name: str):
+    return lambda self: self._call("attr", name)
+
+
+def _fact(name: str):
+    return lambda self: self._facts[name]
+
+
+@derive_surface(mutate=_forward, call=_forward, read=_read, fact=_fact)
 class ShardWorkerClient:
     """Coordinator-side proxy for one shard living in a worker process.
 
-    Mirrors the :class:`~repro.edb.base.EncryptedDatabase` surface the
-    router and the test suite touch, one synchronous pipe round-trip per
-    call.  The proxy is thread-compatible with the router's fan-out pool (a
-    lock serializes pipe use; concurrent calls target *different* shards,
-    so the lock is never contended on the scatter path).
+    Its :data:`~repro.edb.base.SHARD_SURFACE` members are derived: each
+    command and read is one synchronous pipe round-trip, each fact is read
+    from the reply to the startup ``hello``.  The proxy is
+    thread-compatible with the router's fan-out pool (a lock serializes pipe
+    use; concurrent calls target *different* shards, so the lock is never
+    contended on the scatter path).
 
     Measured-wall-clock bookkeeping: ``busy_seconds`` accumulates the
     worker-reported execution time (true shard compute), and
@@ -314,10 +302,9 @@ class ShardWorkerClient:
 
     def __init__(
         self,
-        shard: "EncryptedDatabase",
+        shard: EncryptedDatabase,
         index: int,
         context,
-        start: bool = True,
         timeout_s: float | None = None,
     ) -> None:
         self.shard_index = index
@@ -329,7 +316,6 @@ class ShardWorkerClient:
         self._timeout_s = default_shard_timeout() if timeout_s is None else timeout_s
         self._lock = threading.Lock()
         self._arena_cache: ArenaSegmentCache | None = None
-        self._cipher: RecordCipher | None = None
         parent_conn, child_conn = context.Pipe()
         self._conn = parent_conn
         self._process = context.Process(
@@ -340,7 +326,7 @@ class ShardWorkerClient:
         )
         self._process.start()
         child_conn.close()
-        self._info = self._call("hello")
+        self._facts = self._call("hello")
 
     # -- pipe plumbing --------------------------------------------------------
 
@@ -400,118 +386,10 @@ class ShardWorkerClient:
             # released its arenas; sweep the named segments it left behind.
             reap_process_segments(self._process.pid)
 
-    # -- protocol surface (what the router scatters) --------------------------
+    #: Answered from the cached cost-model fact, without a pipe round-trip.
+    supports = EncryptedDatabase.supports
 
-    def setup(self, records: Iterable[Record], time: int = 0) -> "UpdateResult":
-        return self._call("setup", list(records), time)
-
-    def update(self, records: Iterable[Record], time: int) -> "UpdateResult":
-        return self._call("update", list(records), time)
-
-    def insert_many(
-        self, batches: Mapping[str, Sequence[Record]], time: int
-    ) -> "UpdateResult":
-        return self._call("insert_many", dict(batches), time)
-
-    def query(
-        self, query: "Query", time: int = 0, executor: "str | None" = None
-    ) -> "QueryResult":
-        if executor is None:
-            return self._call("query", query, time)
-        return self._call("query", query, time, executor)
-
-    @property
-    def query_executors(self) -> tuple[str, ...]:
-        return tuple(self._info.get("query_executors", ("rows",)))
-
-    def supports(self, query: "Query") -> bool:
-        return self._call("supports", query)
-
-    # -- delta-maintained views ------------------------------------------------
-
-    def register_view(self, query: "Query") -> bool:
-        return self._call("register_view", query)
-
-    def set_view_answering(self, enabled: bool) -> None:
-        self._call("set_view_answering", enabled)
-
-    @property
-    def registered_views(self) -> tuple:
-        return self._call("attr", "registered_views")
-
-    @property
-    def view_answering(self) -> bool:
-        return self._call("attr", "view_answering")
-
-    @property
-    def query_work_seconds(self) -> float:
-        return self._call("attr", "query_work_seconds")
-
-    @property
-    def view_maintenance_seconds(self) -> float:
-        return self._call("attr", "view_maintenance_seconds")
-
-    @property
-    def simulated_work_seconds(self) -> float:
-        return self._call("attr", "simulated_work_seconds")
-
-    @property
-    def maintained_query_count(self) -> int:
-        return self._call("attr", "maintained_query_count")
-
-    # -- observable state ------------------------------------------------------
-
-    @property
-    def scheme_name(self) -> str:
-        return self._info["scheme_name"]
-
-    @property
-    def edb_mode(self) -> str:
-        return self._info["edb_mode"]
-
-    @property
-    def ciphertext_store(self) -> str | None:
-        return self._info["ciphertext_store"]
-
-    @property
-    def cost_model(self) -> "CostModel":
-        return self._info["cost_model"]
-
-    @property
-    def leakage_profile(self) -> "LeakageProfile":
-        return self._info["leakage_profile"]
-
-    @property
-    def is_setup(self) -> bool:
-        return self._call("attr", "is_setup")
-
-    @property
-    def update_history(self) -> tuple:
-        return self._call("attr", "update_history")
-
-    @property
-    def outsourced_count(self) -> int:
-        return self._call("attr", "outsourced_count")
-
-    @property
-    def dummy_count(self) -> int:
-        return self._call("attr", "dummy_count")
-
-    @property
-    def real_count(self) -> int:
-        return self._call("attr", "real_count")
-
-    @property
-    def storage_bytes(self) -> float:
-        return self._call("attr", "storage_bytes")
-
-    def table_size(self, table: str) -> int:
-        return self._call("table_size", table)
-
-    def table_dummy_count(self, table: str) -> int:
-        return self._call("table_dummy_count", table)
-
-    # -- durability & key lifecycle -------------------------------------------
+    # -- durability ------------------------------------------------------------
 
     def snapshot(self) -> bytes:
         """Worker-side :func:`repro.edb.store.snapshot_backend` bytes."""
@@ -527,31 +405,19 @@ class ShardWorkerClient:
         """Arm the worker to swallow its next real command without replying."""
         self._call("chaos_drop")
 
-    def rotate_key(self, new_key: bytes | None = None) -> None:
-        """Re-key the worker's shard in place (arena rows stay addressable).
-
-        The coordinator-side cipher cache is dropped first, so the next
-        :attr:`cipher` access fetches the post-rotation key.
-        """
-        self._cipher = None
-        self._call("rotate_key", new_key)
-
     # -- zero-copy ciphertext access ------------------------------------------
 
     @property
     def cipher(self) -> RecordCipher | None:
-        """A coordinator-side cipher sharing the worker shard's key.
+        """A coordinator-side cipher sharing the worker shard's current key.
 
         ``None`` when the shard does not simulate encryption.  Decrypting a
         zero-copy arena row with it proves the bytes in the shared segment
-        are the worker's real ciphertexts.
+        are the worker's real ciphertexts.  The key is fetched on every
+        access, so it is never stale after a ``rotate_key``.
         """
-        if self._cipher is None:
-            key = self._call("cipher_key")
-            if key is None:
-                return None
-            self._cipher = RecordCipher(key=key)
-        return self._cipher
+        key = self._call("cipher_key")
+        return None if key is None else RecordCipher(key=key)
 
     def arena_cache(self) -> ArenaSegmentCache:
         """The attachment cache resolving this shard's published arenas."""

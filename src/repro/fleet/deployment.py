@@ -340,11 +340,10 @@ class Deployment:
 
     @property
     def health(self) -> dict | None:
-        """Recovery/degradation health of the shared EDB's shard fleet.
+        """Recovery health of the shared EDB's shard fleet.
 
         A dict of the supervised router's health counters (``recoveries``,
-        ``retries``, ``replayed_batches``, ``recovery_seconds``,
-        ``degraded_shards``, ``dropped_batches`` -- see
+        ``retries``, ``replayed_batches``, ``recovery_seconds`` -- see
         :meth:`repro.edb.router.WallClockStats.health`), or ``None`` for a
         plain back-end with no measured ledger.  All counters stay zero on
         an unsupervised router; recoveries never show up anywhere else

@@ -20,11 +20,14 @@ router call through one choke point that
   worker (fork inheritance), which re-shares its ciphertext arenas into new
   shared-memory segments and re-registers its views through the restore
   path;
-* applies the configured degradation policy when retries are exhausted:
-  ``"recover"`` (default) re-raises after ``max_retries`` rebuilds,
-  ``"raise"`` fails fast on the first transient error, ``"degrade"`` takes
-  the shard out of rotation and answers neutrally (zero-volume ingests,
-  zero-count queries) while the rest of the fleet keeps serving.
+* re-raises once ``max_retries`` rebuilds are spent (``max_retries=0``
+  fails fast on the first transient error).  There is no mode that keeps
+  serving without a shard: an answer is either complete or an error.
+
+The wrapper's members are derived from the declared shard surface
+(:data:`~repro.edb.base.SHARD_SURFACE`): every ``MUTATE`` command runs
+through the choke point and is journaled, every ``CALL`` and ``READ`` runs
+through it unjournaled, and every ``FACT`` is cached once per shard.
 
 The recovery invariant -- pinned by ``tests/test_chaos_recovery.py`` -- is
 that a recovered run is *byte-identical* to a fault-free run in every
@@ -43,10 +46,9 @@ carry it:
    ledger (:class:`~repro.edb.router.WallClockStats` health counters) --
    simulated QET and every protocol result stay model-derived.
 
-Health state (recoveries, retries, replayed batches, recovery seconds,
-degraded shards, dropped batches) is folded into the router's ``measured``
-ledger under a supervisor-level lock, and surfaced through
-``Deployment.health``.
+Health state (recoveries, retries, replayed batches, recovery seconds) is
+folded into the router's ``measured`` ledger under a supervisor-level lock,
+and surfaced through ``Deployment.health``.
 """
 
 from __future__ import annotations
@@ -57,17 +59,25 @@ import tempfile
 import time as _time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
+from repro.edb.base import (
+    FACT,
+    MUTATE,
+    SHARD_SURFACE,
+    EncryptedDatabase,
+    command_args,
+    derive_surface,
+    surface_names,
+)
 from repro.edb.shard_worker import (
     ShardWorkerClient,
     TransientShardError,
     default_shard_timeout,
 )
 from repro.edb.store import ReplayLog, SnapshotStore, restore_backend, snapshot_backend
-from repro.query.ast import GroupByCountQuery
 from repro.testing.chaos import (
     PROCESS_ONLY_KINDS,
     ChaosWorkerFault,
@@ -76,38 +86,14 @@ from repro.testing.chaos import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.edb.base import EncryptedDatabase, QueryResult, UpdateResult
     from repro.edb.router import WallClockStats
-    from repro.query.ast import Query
 
 __all__ = [
     "SupervisorConfig",
     "SupervisedShard",
     "ShardSupervisor",
     "resolve_supervisor_mode",
-    "ON_SHARD_FAILURE_POLICIES",
 ]
-
-#: Degradation policies: ``recover`` retries + rebuilds then re-raises,
-#: ``raise`` fails fast on the first transient error, ``degrade`` takes the
-#: shard out of rotation and answers neutrally once retries are exhausted.
-ON_SHARD_FAILURE_POLICIES = ("recover", "raise", "degrade")
-
-#: Commands that mutate shard state (or its RNG stream) and therefore must
-#: be journaled for replay.  ``query`` belongs here because L-DP back-ends
-#: consume a noise draw per query -- replay must advance the rebuilt RNG
-#: exactly as far as the dead shard's had advanced.
-_MUTATING_COMMANDS = frozenset(
-    {
-        "setup",
-        "update",
-        "insert_many",
-        "query",
-        "register_view",
-        "set_view_answering",
-        "rotate_key",
-    }
-)
 
 _SHARD_BLOB = "shard.pkl"
 
@@ -136,17 +122,11 @@ class SupervisorConfig:
     backoff_base_s: float = 0.05
     backoff_cap_s: float = 2.0
     seed: int = 0
-    on_shard_failure: str = "recover"
     snapshot_every: int = 32
     directory: "str | None" = None
     keep: int = 2
 
     def __post_init__(self) -> None:
-        if self.on_shard_failure not in ON_SHARD_FAILURE_POLICIES:
-            raise ValueError(
-                f"on_shard_failure must be one of {ON_SHARD_FAILURE_POLICIES}, "
-                f"got {self.on_shard_failure!r}"
-            )
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.snapshot_every < 1:
@@ -168,18 +148,48 @@ class SupervisorConfig:
 
     @classmethod
     def from_meta(cls, meta: Mapping) -> "SupervisorConfig":
-        """Rebuild a config from :meth:`to_meta` output."""
+        """Rebuild a config from :meth:`to_meta` output.
+
+        Older metadata carries an ``on_shard_failure`` policy: ``"recover"``
+        is the only behaviour left, ``"raise"`` is ``max_retries=0``, and
+        ``"degrade"`` (answering for a lost shard with zeros) is refused.
+        """
         fields = {k: v for k, v in dict(meta).items() if k != "directory"}
+        policy = fields.pop("on_shard_failure", "recover")
+        if policy == "raise":
+            fields["max_retries"] = 0
+        elif policy != "recover":
+            raise ValueError(
+                f"on_shard_failure={policy!r} is no longer supported: a lost "
+                "shard is rebuilt or the call fails"
+            )
         return cls(**fields)
 
 
-class SupervisedShard:
-    """One shard behind the supervisor's retry / rebuild / degrade loop.
+def _supervised(name: str):
+    def invoke(self, *args, **kwargs):
+        return self._invoke(name, *command_args(name, args, kwargs))
 
-    Exposes the same surface as the object it wraps (protocol methods,
-    observable properties, zero-copy helpers, worker stats), so the router's
-    scatter-gather code runs unchanged over supervised shards of any
-    executor.
+    return invoke
+
+
+def _supervised_read(name: str):
+    return lambda self: self._invoke("attr", name)
+
+
+def _cached_fact(name: str):
+    return lambda self: self._facts[name]
+
+
+@derive_surface(
+    mutate=_supervised, call=_supervised, read=_supervised_read, fact=_cached_fact
+)
+class SupervisedShard:
+    """One shard behind the supervisor's retry / rebuild loop.
+
+    Exposes the declared shard surface of the object it wraps plus its
+    zero-copy helpers and worker stats, so the router's scatter-gather code
+    runs unchanged over supervised shards of any executor.
     """
 
     def __init__(
@@ -213,19 +223,12 @@ class SupervisedShard:
         )
         self._mutation_count = 0
         self._since_snapshot = 0
-        self._degraded = False
         self._closed = False
         # Dead proxies' final counters fold in here so stats() stays
         # monotonic across rebuilds (the router absorbs deltas against it).
         self._stats_base = (0.0, 0.0, 0)
-        # Static facts cached once: the degrade path answers from them, and
-        # they are invariant across rebuilds (same scheme, same cost model).
-        self._scheme_name = live.scheme_name
-        self._edb_mode = live.edb_mode
-        self._ciphertext_store = getattr(live, "ciphertext_store", None)
-        self._cost_model = live.cost_model
-        self._leakage_profile = live.leakage_profile
-        self._query_executors = tuple(getattr(live, "query_executors", ("rows",)))
+        # Facts are invariant across rebuilds (same scheme, same cost model).
+        self._facts = {name: getattr(live, name) for name in surface_names(FACT)}
         # Generation 0 baseline: every shard is recoverable from the instant
         # it is supervised, even before its first cadence snapshot.
         self._snapshot_seq = self._snapshot_now()
@@ -233,10 +236,9 @@ class SupervisedShard:
     # -- the choke point ------------------------------------------------------
 
     def _invoke(self, command: str, *args):
-        if self._degraded:
-            return self._neutral(command, args)
+        mutating = SHARD_SURFACE.get(command) == MUTATE
         fault: Fault | None = None
-        if command in _MUTATING_COMMANDS:
+        if mutating:
             self._mutation_count += 1
             if self._schedule is not None:
                 fault = self._schedule.pop(self.shard_index, self._mutation_count)
@@ -249,17 +251,15 @@ class SupervisedShard:
                 result = self._apply(command, args)
                 break
             except TransientShardError as exc:
-                if self._config.on_shard_failure == "raise":
-                    raise
                 if attempt >= self._config.max_retries:
-                    if self._config.on_shard_failure == "degrade":
-                        self._mark_degraded()
-                        return self._neutral(command, args)
+                    # The live worker's state is unknown: killed, it cannot
+                    # hold up close(), and a later call rebuilds the shard.
+                    self._kill_worker()
                     raise
                 attempt += 1
                 self._backoff(attempt)
                 self._recover(exc)
-        if command in _MUTATING_COMMANDS:
+        if mutating:
             # Staged, not fsync'd: recovery replays from the in-memory
             # journal (the coordinator outlives its workers), and the next
             # snapshot boundary flushes the backlog durably in one batch --
@@ -300,6 +300,7 @@ class SupervisedShard:
         started = _time.perf_counter()
         with self._health_lock:
             self._health.retries += 1
+        self._kill_worker()
         self._teardown_live()
         seq = self._store.latest_sequence()
         if seq is None:  # pragma: no cover - generation 0 is written eagerly
@@ -333,15 +334,21 @@ class SupervisedShard:
             self._health.replayed_batches += len(entries)
             self._health.recovery_seconds += _time.perf_counter() - started
 
+    def _kill_worker(self) -> None:
+        """SIGKILL the live worker, if any: its state is unknown, so it gets
+        no shutdown handshake.  Only failure paths kill; close() does not."""
+        process = getattr(self._live, "process", None)
+        if process is not None and process.is_alive():
+            process.kill()
+            process.join(timeout=self._config.resolved_timeout())
+
     def _teardown_live(self) -> None:
+        """Close the live shard; a healthy worker shuts down gracefully and
+        releases its own arenas."""
         live, self._live = self._live, None
         if live is None:
             return
         try:
-            process = getattr(live, "process", None)
-            if process is not None and process.is_alive():
-                process.kill()
-                process.join(timeout=self._config.resolved_timeout())
             if hasattr(live, "stats"):
                 busy, overhead, commands = live.stats()
                 base_busy, base_overhead, base_commands = self._stats_base
@@ -353,12 +360,6 @@ class SupervisedShard:
             live.close()
         except Exception:  # noqa: BLE001 - teardown is best-effort by design
             pass
-
-    def _mark_degraded(self) -> None:
-        self._degraded = True
-        self._teardown_live()
-        with self._health_lock:
-            self._health.degraded_shards += 1
 
     # -- snapshots -------------------------------------------------------------
 
@@ -380,9 +381,7 @@ class SupervisedShard:
         if fault.kind in PROCESS_ONLY_KINDS and self._executor != "processes":
             return
         if fault.kind == "kill":
-            process = self._live.process
-            process.kill()
-            process.join(timeout=self._config.resolved_timeout())
+            self._crash_live(command)
             return  # the command itself now raises ShardWorkerDied
         if fault.kind == "delay":
             # Worker oversleeps its next reply by 3x the deadline, so the
@@ -394,9 +393,7 @@ class SupervisedShard:
             return  # the swallowed command never gets a reply -> timeout
         if fault.kind == "lostshm":
             self._vanish_arena_segments()
-            process = self._live.process
-            process.kill()
-            process.join(timeout=self._config.resolved_timeout())
+            self._crash_live(command)
             return
         if fault.kind == "tornsnap":
             seq = self._snapshot_now()
@@ -414,12 +411,9 @@ class SupervisedShard:
 
     def _crash_live(self, command: str) -> None:
         """Make the live shard fail: kill its worker, or (in-process) raise."""
-        process = getattr(self._live, "process", None)
-        if process is not None:
-            process.kill()
-            process.join(timeout=self._config.resolved_timeout())
-            return
-        raise ChaosWorkerFault(self.shard_index, command)
+        if getattr(self._live, "process", None) is None:
+            raise ChaosWorkerFault(self.shard_index, command)
+        self._kill_worker()
 
     def _vanish_arena_segments(self) -> None:
         """Unlink the worker's published shm segments out from under it."""
@@ -459,190 +453,14 @@ class SupervisedShard:
         except Exception:  # noqa: BLE001 - a torn apply may legally fail too
             pass
 
-    # -- degrade-mode neutrals -------------------------------------------------
-
-    def _neutral(self, command: str, args: tuple):
-        from repro.edb.base import QueryResult, UpdateResult
-
-        if command in ("setup", "update", "insert_many"):
-            with self._health_lock:
-                self._health.dropped_batches += 1
-            return UpdateResult(
-                time=args[-1],
-                records_added=0,
-                dummies_added=0,
-                bytes_added=0.0,
-                duration_seconds=0.0,
-            )
-        if command == "query":
-            query = args[0]
-            with self._health_lock:
-                self._health.dropped_batches += 1
-            answer = {} if isinstance(query, GroupByCountQuery) else 0
-            return QueryResult(
-                query_name=query.name,
-                answer=answer,
-                qet_seconds=0.0,
-                records_scanned=0,
-                noise_injected=False,
-            )
-        if command == "supports":
-            # Fidelity trade-off, documented: a degraded shard still reports
-            # scheme capability (from the cached cost model) so the fleet's
-            # supported-query surface does not flap with shard health.
-            return self._cost_model.supports(args[0])
-        if command in ("table_size", "table_dummy_count"):
-            return 0
-        if command == "register_view":
-            return True
-        if command in ("set_view_answering", "rotate_key"):
-            return None
-        if command == "snapshot":
-            # Last durable state; restore of a degraded fleet resumes from it.
-            return self._store.load_latest().read_blob(_SHARD_BLOB)
-        if command == "attr":
-            (name,) = args
-            defaults = {
-                "is_setup": True,
-                "update_history": (),
-                "outsourced_count": 0,
-                "dummy_count": 0,
-                "real_count": 0,
-                "storage_bytes": 0.0,
-                "registered_views": (),
-                "view_answering": True,
-                "query_work_seconds": 0.0,
-                "view_maintenance_seconds": 0.0,
-                "simulated_work_seconds": 0.0,
-                "maintained_query_count": 0,
-            }
-            if name in defaults:
-                return defaults[name]
-        raise RuntimeError(
-            f"shard {self.shard_index} is degraded and has no neutral answer "
-            f"for {command!r}"
-        )
-
-    # -- protocol surface (what the router scatters) ---------------------------
-
-    def setup(self, records: Iterable, time: int = 0) -> "UpdateResult":
-        return self._invoke("setup", list(records), time)
-
-    def update(self, records: Iterable, time: int) -> "UpdateResult":
-        return self._invoke("update", list(records), time)
-
-    def insert_many(self, batches: Mapping, time: int) -> "UpdateResult":
-        return self._invoke("insert_many", dict(batches), time)
-
-    def query(
-        self, query: "Query", time: int = 0, executor: "str | None" = None
-    ) -> "QueryResult":
-        return self._invoke("query", query, time, executor)
-
-    def supports(self, query: "Query") -> bool:
-        return self._invoke("supports", query)
-
-    def register_view(self, query: "Query") -> bool:
-        return self._invoke("register_view", query)
-
-    def set_view_answering(self, enabled: bool) -> None:
-        return self._invoke("set_view_answering", bool(enabled))
-
-    def rotate_key(self, new_key: "bytes | None" = None) -> None:
-        self._invoke("rotate_key", new_key)
-
-    def table_size(self, table: str) -> int:
-        return self._invoke("table_size", table)
-
-    def table_dummy_count(self, table: str) -> int:
-        return self._invoke("table_dummy_count", table)
+    #: Answered from the cached cost-model fact, without a pipe round-trip.
+    supports = EncryptedDatabase.supports
 
     def snapshot(self) -> bytes:
         """Authoritative serialized state of the live shard."""
         return self._invoke("snapshot")
 
-    # -- cached static facts ---------------------------------------------------
-
-    @property
-    def scheme_name(self) -> str:
-        return self._scheme_name
-
-    @property
-    def edb_mode(self) -> str:
-        return self._edb_mode
-
-    @property
-    def ciphertext_store(self) -> "str | None":
-        return self._ciphertext_store
-
-    @property
-    def cost_model(self):
-        return self._cost_model
-
-    @property
-    def leakage_profile(self):
-        return self._leakage_profile
-
-    @property
-    def query_executors(self) -> tuple[str, ...]:
-        return self._query_executors
-
-    # -- supervised dynamic reads ----------------------------------------------
-
-    @property
-    def is_setup(self) -> bool:
-        return self._invoke("attr", "is_setup")
-
-    @property
-    def update_history(self) -> tuple:
-        return self._invoke("attr", "update_history")
-
-    @property
-    def outsourced_count(self) -> int:
-        return self._invoke("attr", "outsourced_count")
-
-    @property
-    def dummy_count(self) -> int:
-        return self._invoke("attr", "dummy_count")
-
-    @property
-    def real_count(self) -> int:
-        return self._invoke("attr", "real_count")
-
-    @property
-    def storage_bytes(self) -> float:
-        return self._invoke("attr", "storage_bytes")
-
-    @property
-    def registered_views(self) -> tuple:
-        return self._invoke("attr", "registered_views")
-
-    @property
-    def view_answering(self) -> bool:
-        return self._invoke("attr", "view_answering")
-
-    @property
-    def query_work_seconds(self) -> float:
-        return self._invoke("attr", "query_work_seconds")
-
-    @property
-    def view_maintenance_seconds(self) -> float:
-        return self._invoke("attr", "view_maintenance_seconds")
-
-    @property
-    def simulated_work_seconds(self) -> float:
-        return self._invoke("attr", "simulated_work_seconds")
-
-    @property
-    def maintained_query_count(self) -> int:
-        return self._invoke("attr", "maintained_query_count")
-
     # -- worker plumbing passthrough -------------------------------------------
-
-    @property
-    def degraded(self) -> bool:
-        """Whether this shard has been taken out of rotation."""
-        return self._degraded
 
     @property
     def live(self):

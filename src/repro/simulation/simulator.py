@@ -467,17 +467,14 @@ class Simulation:
             health = getattr(measured, "health", None)
             if callable(health):
                 report = health()
-                if report.get("recoveries") or report.get("degraded_shards"):
+                if report.get("recoveries"):
                     logger.info(
                         "shard fleet healed during run: %d recoveries "
-                        "(%d retries, %d batches replayed, %.3fs), "
-                        "%d shard(s) degraded (%d batches dropped)",
+                        "(%d retries, %d batches replayed, %.3fs)",
                         report.get("recoveries", 0),
                         report.get("retries", 0),
                         report.get("replayed_batches", 0),
                         report.get("recovery_seconds", 0.0),
-                        report.get("degraded_shards", 0),
-                        report.get("dropped_batches", 0),
                     )
         return result
 

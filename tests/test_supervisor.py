@@ -8,18 +8,36 @@ The byte-identity of supervised recovery against fault-free twins lives in
 * deterministic backoff jitter (same seed => same sleep schedule);
 * the crash-safe :class:`~repro.edb.store.ReplayLog` write protocol
   (orphan records past HEAD are invisible; torn tmp files never resolve);
-* the degradation policies (``recover`` / ``raise`` / ``degrade``) and the
-  health counters they move;
-* monotonic worker stats across rebuild generations.
+* the retry budget (``max_retries=0`` fails fast, a spent budget
+  re-raises) and the health counters it moves;
+* monotonic worker stats across rebuild generations, and a graceful
+  ``close()`` that leaves nothing for the resource tracker to clean up;
+* the declared shard surface: every wrapper exposes exactly its entries,
+  the worker refuses any other name, the supervisor journals exactly the
+  mutating ones.
 """
 
 from __future__ import annotations
 
+import inspect
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.edb.base import (
+    CALL,
+    FACT,
+    MUTATE,
+    READ,
+    SHARD_SURFACE,
+    EncryptedDatabase,
+    surface_names,
+)
 from repro.edb.oblidb import ObliDB
 from repro.edb.records import Record, Schema
 from repro.edb.router import ShardRouter, WallClockStats
@@ -121,8 +139,6 @@ def test_wedged_worker_times_out_with_typed_error():
 
 def test_supervisor_config_validation_and_meta_roundtrip(tmp_path):
     with pytest.raises(ValueError):
-        SupervisorConfig(on_shard_failure="panic")
-    with pytest.raises(ValueError):
         SupervisorConfig(max_retries=-1)
     with pytest.raises(ValueError):
         SupervisorConfig(timeout_s=0.0)
@@ -135,6 +151,17 @@ def test_supervisor_config_validation_and_meta_roundtrip(tmp_path):
     rebuilt = SupervisorConfig.from_meta(config.to_meta())
     # The scratch directory is machine-local and never round-trips.
     assert rebuilt == SupervisorConfig(timeout_s=1.5, max_retries=5, seed=3)
+    # Metadata persisted with the retired on_shard_failure policy: "recover"
+    # is the only behaviour left, "raise" means no retries, and "degrade"
+    # (zeros for a lost shard) is refused by name.
+    legacy = dict(config.to_meta())
+    recover = {**legacy, "on_shard_failure": "recover"}
+    assert SupervisorConfig.from_meta(recover) == rebuilt
+    assert SupervisorConfig.from_meta(
+        {**legacy, "on_shard_failure": "raise"}
+    ) == SupervisorConfig(timeout_s=1.5, max_retries=0, seed=3)
+    with pytest.raises(ValueError, match="degrade"):
+        SupervisorConfig.from_meta({**legacy, "on_shard_failure": "degrade"})
 
 
 # -- deterministic backoff -----------------------------------------------------
@@ -272,70 +299,25 @@ def test_replay_log_sealed_at_rest(tmp_path):
     assert reread.entries()[0]["args"] == ("secret",)
 
 
-# -- degradation policies ------------------------------------------------------
+# -- retry budget --------------------------------------------------------------
 
 
 def test_raise_policy_fails_fast(tmp_path):
+    """max_retries=0: the first transient error propagates, no rebuild."""
     schedule = parse_fault_schedule("raise@2")
+    health = WallClockStats()
     shard = _supervised(
         tmp_path,
-        config=SupervisorConfig(on_shard_failure="raise"),
+        config=SupervisorConfig(max_retries=0),
         schedule=schedule,
+        health=health,
     )
     try:
         shard.setup(_records(6))
         with pytest.raises(ChaosWorkerFault):
             shard.update(_records(3, start=6), 1)
-    finally:
-        shard.close()
-
-
-def test_degrade_policy_takes_shard_out_of_rotation(tmp_path, monkeypatch):
-    """Once retries are exhausted under on_shard_failure='degrade', the
-    shard answers neutrally (zero-volume ingests, zero-count queries) and
-    the health ledger says so."""
-    monkeypatch.setattr("repro.fleet.supervisor._time.sleep", lambda s: None)
-    health = WallClockStats()
-
-    # A *persistent* failure (unlike a consume-once chaos fault): updates at
-    # t=1 keep failing even on the freshly rebuilt shard, so the retry
-    # budget genuinely exhausts.
-    original_update = ObliDB.update
-
-    def poisoned(self, records, time):
-        if time == 1:
-            raise TransientShardError(0, "update", "persistently poisoned")
-        return original_update(self, records, time)
-
-    monkeypatch.setattr(ObliDB, "update", poisoned)
-
-    shard = _supervised(
-        tmp_path,
-        config=SupervisorConfig(on_shard_failure="degrade", max_retries=1),
-        health=health,
-    )
-    try:
-        setup_result = shard.setup(_records(6))
-        assert setup_result.records_added > 0
-        degraded_result = shard.update(_records(3, start=6), 1)
-        assert shard.degraded
-        assert degraded_result.records_added == 0
-        assert degraded_result.time == 1
-
-        answer = shard.query(QUERY, time=2)
-        assert answer.answer == 0
-        assert answer.qet_seconds == 0.0
-        assert not answer.noise_injected
-        # Neutral state reads keep the router's sweeps running.
-        assert shard.is_setup
-        assert shard.update_history == ()
-        assert shard.outsourced_count == 0
-        assert shard.table_size("events") == 0
-        assert shard.supports(QUERY)
-
-        assert health.degraded_shards == 1
-        assert health.dropped_batches == 2  # the torn update + the query
-        assert health.retries >= 1
+        assert health.retries == 0
+        assert health.recoveries == 0
     finally:
         shard.close()
 
@@ -350,7 +332,7 @@ def test_recover_policy_reraises_after_retry_budget(tmp_path, monkeypatch):
     health = WallClockStats()
     shard = _supervised(
         tmp_path,
-        config=SupervisorConfig(on_shard_failure="recover", max_retries=2),
+        config=SupervisorConfig(max_retries=2),
         health=health,
     )
     try:
@@ -358,7 +340,6 @@ def test_recover_policy_reraises_after_retry_budget(tmp_path, monkeypatch):
             shard.setup(_records(6))
         assert health.retries == 2
         assert health.recoveries == 2
-        assert not shard.degraded
     finally:
         shard.close()
 
@@ -457,3 +438,165 @@ def test_supervisor_scratch_directory_lifecycle(tmp_path):
     assert not (tmp_path / "scratch" / "shard-000").exists()
     assert (tmp_path / "scratch").exists()
     assert all(s.live is None for s in wrapped)
+
+
+def test_supervised_close_shuts_workers_down_gracefully():
+    """close() gives a healthy worker its shutdown handshake, so the worker
+    releases its own shared-memory arenas: nothing is left behind for the
+    resource tracker to warn about.  Only a worker being replaced is killed."""
+    script = """
+import numpy as np
+from repro.edb.oblidb import ObliDB
+from repro.edb.records import Record
+from repro.edb.router import ShardRouter
+
+records = [
+    Record(values={"key": i % 7, "value": i}, arrival_time=1, table="events")
+    for i in range(30)
+]
+for trial in range(3):
+    router = ShardRouter(
+        [
+            ObliDB(rng=np.random.default_rng(40 + i), simulate_encryption=True)
+            for i in range(2)
+        ],
+        route_seed=3,
+        executor="processes",
+        supervisor="on",
+    )
+    router.setup(records[:20])
+    router.update(records[20:], time=1)
+    router.close()
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert "resource_tracker" not in completed.stderr
+
+
+def test_spent_retry_budget_kills_the_wedged_worker():
+    """With no retries left, a worker whose state is unknown (here: wedged
+    past its deadline) is killed before the error propagates, so close()
+    does not wait out another deadline on it."""
+    import time
+
+    router = ShardRouter(
+        [_edb()],
+        executor="processes",
+        supervisor=SupervisorConfig(timeout_s=1.0, max_retries=0),
+        faults="delay@2",
+    )
+    try:
+        router.setup(_records(6))
+        with pytest.raises(ShardWorkerTimeout):
+            router.update(_records(3, start=6), 1)
+        assert not router.shards[0].process.is_alive()
+    finally:
+        started = time.perf_counter()
+        router.close()
+        assert time.perf_counter() - started < 1.0
+
+
+# -- the declared shard surface ------------------------------------------------
+
+
+def test_every_surface_entry_is_declared_on_the_edb_with_its_kind():
+    assert set(surface_names(MUTATE)) == {
+        "setup",
+        "update",
+        "insert_many",
+        "query",
+        "register_view",
+        "set_view_answering",
+        "rotate_key",
+    }
+    for name, kind in SHARD_SURFACE.items():
+        member = inspect.getattr_static(EncryptedDatabase, name)
+        if kind in (MUTATE, CALL):
+            assert inspect.isfunction(member), name
+        else:
+            assert kind in (READ, FACT)
+            assert isinstance(member, property), name
+
+
+@pytest.mark.parametrize("wrapper", [ShardWorkerClient, SupervisedShard, ShardRouter])
+def test_every_wrapper_exposes_every_surface_entry(wrapper):
+    for name, kind in SHARD_SURFACE.items():
+        member = inspect.getattr_static(wrapper, name)
+        if kind in (MUTATE, CALL):
+            assert callable(member), (wrapper.__name__, name)
+        else:
+            assert isinstance(member, property), (wrapper.__name__, name)
+
+
+def test_worker_refuses_names_outside_the_surface():
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    client = ShardWorkerClient(_edb(), 0, context, timeout_s=10.0)
+    try:
+        client.setup(_records(5))
+        # A real EncryptedDatabase method and attribute, but not declared.
+        with pytest.raises(ValueError, match="unknown shard-worker command"):
+            client._call("close")
+        with pytest.raises(AttributeError, match="not remotely readable"):
+            client._call("attr", "cipher")
+        with pytest.raises(AttributeError, match="not remotely readable"):
+            client._call("attr", "_rng")
+        # The worker survives a refusal and keeps serving the surface.
+        assert client.outsourced_count == 5
+    finally:
+        client.close()
+
+
+def test_supervisor_journals_exactly_the_mutating_entries(tmp_path):
+    shard = SupervisedShard(
+        ObliDB(rng=np.random.default_rng(7), simulate_encryption=True),
+        0,
+        SupervisorConfig(),
+        None,
+        "serial",
+        WallClockStats(),
+        threading.Lock(),
+        tmp_path,
+    )
+    try:
+        shard.setup(_records(6))
+        shard.update(_records(3, start=6), 1)
+        shard.insert_many({"events": _records(2, start=9)}, time=2)
+        shard.query(QUERY, time=3)
+        shard.register_view(QUERY)
+        shard.set_view_answering(False)
+        shard.rotate_key(None)
+        shard.table_size("events")
+        shard.table_dummy_count("events")
+        for name in surface_names(READ) + surface_names(FACT):
+            getattr(shard, name)
+        shard.supports(QUERY)
+        shard.snapshot()
+        journaled = [entry["command"] for entry in shard._journal.entries()]
+        assert journaled == [
+            "setup",
+            "update",
+            "insert_many",
+            "query",
+            "register_view",
+            "set_view_answering",
+            "rotate_key",
+        ]
+        assert set(journaled) == set(surface_names(MUTATE))
+        # Journaled arguments are canonical: defaults filled in, positional.
+        query_entry = shard._journal.entries()[3]
+        assert query_entry["args"] == (QUERY, 3, None)
+    finally:
+        shard.close()
