@@ -1,7 +1,21 @@
-"""Setup shim so `pip install -e .` works on environments without the
-`wheel` package (legacy editable installs go through `setup.py develop`).
-All project metadata lives in pyproject.toml."""
+"""Package metadata for the DP-Sync reproduction.
 
-from setuptools import setup
+``pip install -e .`` installs the ``repro`` package from ``src/`` with its
+runtime dependencies.  Tests additionally need pytest, pytest-benchmark and
+hypothesis.
+"""
 
-setup()
+from setuptools import find_packages, setup
+
+setup(
+    name="repro",
+    version="1.0.0",
+    description=(
+        "DP-Sync: hiding update patterns in secure outsourced databases "
+        "with differential privacy (reproduction)"
+    ),
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.11",
+    install_requires=["numpy", "cryptography"],
+)

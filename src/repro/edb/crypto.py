@@ -1,44 +1,43 @@
-"""Simulated record-level encryption with an arena-backed bulk fast path.
+"""Record-level AES-256-GCM encryption with an arena-backed storage layout.
 
 The paper assumes an *atomic* encrypted database: every record (real or dummy)
 is encrypted independently into a fixed-size ciphertext under a semantically
 secure scheme, so the server cannot tell real records from dummies.  This
-module simulates exactly that contract:
+module implements exactly that contract:
 
-* :class:`RecordCipher` derives a per-record keystream from a secret key and a
-  random 128-bit nonce (a keyed BLAKE2b PRF in counter mode) and XORs it over
-  a canonical, padded serialization of the record.
+* :class:`RecordCipher` serializes a record canonically, pads it to a fixed
+  256-byte block and seals the block with AES-256-GCM (``cryptography``'s
+  ``AESGCM``) under a fresh random 96-bit nonce.  Each ciphertext is
+  ``nonce || body || tag``; the tag authenticates the nonce-bound body, so
+  tampering and wrong keys raise ``ValueError`` on decryption.
 * Every ciphertext has the same length regardless of the plaintext content or
   the ``is_dummy`` flag, which is what makes the update volume ``|γ_t|`` the
   *only* information the server learns from an update.
 
+Random nonces keep a key safe for about 2^32 records (NIST SP 800-38D);
+:meth:`repro.edb.base.EncryptedDatabase.rotate_key` re-keys long before a
+reproduction run gets near that.
+
 Two interchangeable server-side storage layouts are provided:
 
-* **object-backed** (the reference): one immutable :class:`EncryptedRecord`
-  per record, each owning its own ``bytes`` ciphertext.  This is the original
-  per-record path: one keystream derivation, one 300+-byte allocation and one
-  ``__post_init__`` length validation per record.
-* **arena-backed** (the fast path): all ciphertexts of a table live in one
+* **object-backed**: one immutable :class:`EncryptedRecord` per record, each
+  owning its own ``bytes`` ciphertext and validating its length.
+* **arena-backed** (the fast-mode default): all ciphertexts of a table live in one
   contiguous capacity-doubling ``(n, CIPHERTEXT_SIZE)`` ``uint8`` ndarray
-  (:class:`CiphertextArena`).  :meth:`RecordCipher.encrypt_many_into` writes
-  nonce, body and tag straight into reserved arena rows -- batched nonce
-  generation, a single 2-D vectorized keystream XOR, no intermediate ``bytes``
-  objects -- and per-record validation is hoisted out of the loop entirely
-  (the arena's row shape *is* the validation).  :class:`ArenaRecord` is a
-  zero-copy view (handle -> arena row) exposing the same surface as
+  (:class:`CiphertextArena`).  :meth:`RecordCipher.encrypt_many_into` seals
+  a batch and copies it into reserved arena rows at once; the arena's row
+  shape *is* the length validation.  :class:`ArenaRecord` is a zero-copy
+  view (handle -> arena row) exposing the same surface as
   :class:`EncryptedRecord`, so the Query/decrypt protocol cannot tell the
-  layouts apart.  Both layouts produce ciphertexts decryptable by the same
-  :meth:`RecordCipher.decrypt`, which the differential tests exploit.
+  layouts apart.
 
-This is a simulation of AES-CTR-style encryption for a reproduction study: it
-provides the indistinguishability property the analysis needs (and tests
-check), but it has not been audited for production cryptographic use.
+Both layouts make one AEAD call per record and are decrypted by the same
+:meth:`RecordCipher.decrypt`.  The key handling around the AEAD is a
+reproduction study's and has not been audited for production use.
 """
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 import itertools
 import json
 import math
@@ -50,6 +49,8 @@ from multiprocessing import shared_memory
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
+from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from repro.edb.records import Record
 from repro.util.mp import attach_shared_memory
@@ -71,41 +72,18 @@ __all__ = [
 #: cipher raises if a record does not fit rather than silently leaking length.
 PLAINTEXT_BLOCK_SIZE: int = 256
 
-#: Nonce length in bytes prepended to every ciphertext.
-NONCE_SIZE: int = 16
+#: AES-GCM nonce length in bytes prepended to every ciphertext.
+NONCE_SIZE: int = 12
+
+#: AES-GCM authentication tag length in bytes appended to every ciphertext.
+TAG_SIZE: int = 16
 
 #: Total ciphertext size: nonce + padded body + authentication tag.
-CIPHERTEXT_SIZE: int = NONCE_SIZE + PLAINTEXT_BLOCK_SIZE + 32
-
-#: End of the authenticated region (nonce + body) within a ciphertext row.
-_BODY_END: int = NONCE_SIZE + PLAINTEXT_BLOCK_SIZE
-
-#: Keystream block counters, precomputed: the 256-byte body consumes exactly
-#: ``PLAINTEXT_BLOCK_SIZE / 64`` BLAKE2b blocks per record.
-_KEYSTREAM_COUNTERS: tuple[bytes, ...] = tuple(
-    counter.to_bytes(8, "big") for counter in range(PLAINTEXT_BLOCK_SIZE // 64)
-)
+CIPHERTEXT_SIZE: int = NONCE_SIZE + PLAINTEXT_BLOCK_SIZE + TAG_SIZE
 
 #: CPython's C-accelerated JSON string escaper (the exact function
 #: ``json.dumps`` uses with the default ``ensure_ascii=True``).
 _escape_json_string = json.encoder.encode_basestring_ascii
-
-
-def _xor(data: bytes, keystream: bytes, out: np.ndarray | None = None):
-    """Byte-wise XOR: one NumPy op instead of a Python byte loop.
-
-    Without ``out`` this keeps the original single-record contract (takes and
-    returns ``bytes``).  Batched callers pass a preallocated ``out`` row --
-    typically an arena slot -- and get the XOR written in place with *no*
-    intermediate ``bytes`` round trip (``tobytes()`` was one allocation per
-    record on the old hot path).
-    """
-    a = np.frombuffer(data, dtype=np.uint8)
-    b = np.frombuffer(keystream, dtype=np.uint8)
-    if out is not None:
-        np.bitwise_xor(a, b, out=out)
-        return out
-    return (a ^ b).tobytes()
 
 
 @dataclass(frozen=True)
@@ -682,7 +660,8 @@ class ArenaSegmentCache:
 
 @dataclass
 class RecordCipher:
-    """Keyed cipher that encrypts records into fixed-size ciphertexts.
+    """Keyed AES-256-GCM cipher that encrypts records into fixed-size
+    ciphertexts.
 
     Parameters
     ----------
@@ -694,27 +673,12 @@ class RecordCipher:
     _next_handle: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.key) < 16:
-            raise ValueError("key must be at least 16 bytes")
-        # Precomputed hash prototypes for the bulk paths: copying a keyed
-        # state skips the key schedule on every call while producing digests
-        # identical to ``blake2b(data, key=...)`` / ``hmac.new(key, data,
-        # sha256)``.  The HMAC is kept as its definition -- inner/outer
-        # SHA-256 states over the ipad/opad-masked key -- because the
-        # ``hmac`` module's pure-Python wrappers cost more than the hashing
-        # itself at ciphertext-record sizes.
-        self._blake_proto = hashlib.blake2b(key=self.key, digest_size=64)
-        hmac_key = (
-            hashlib.sha256(self.key).digest() if len(self.key) > 64 else self.key
-        )
-        padded = hmac_key.ljust(64, b"\x00")
-        self._hmac_inner = hashlib.sha256(bytes(b ^ 0x36 for b in padded))
-        self._hmac_outer = hashlib.sha256(bytes(b ^ 0x5C for b in padded))
+        if len(self.key) != 32:
+            raise ValueError("key must be exactly 32 bytes")
+        self._aead = AESGCM(self.key)
 
     def __getstate__(self) -> dict:
-        # The hash prototypes are C hashlib objects and cannot be pickled;
-        # they are pure functions of the key, so drop them here and rebuild
-        # them on restore.
+        # The AESGCM context cannot be pickled; it is rebuilt from the key.
         return {"key": self.key, "_next_handle": self._next_handle}
 
     def __setstate__(self, state: dict) -> None:
@@ -736,32 +700,50 @@ class RecordCipher:
         cipher._next_handle = self._next_handle
         return cipher
 
-    def encrypt(self, record: Record) -> EncryptedRecord:
-        """Encrypt ``record`` into a fixed-size :class:`EncryptedRecord`.
+    def _mint_handles(self, n: int) -> list[int]:
+        start = self._next_handle
+        self._next_handle += n
+        return list(range(start, start + n))
 
-        This is the per-record reference path, kept with its original
-        fresh-keyed hash construction (one keystream derivation, one HMAC key
-        schedule and one owning ``bytes`` ciphertext per record) -- it is
-        what the arena bulk path is benchmarked against.  Outputs are
-        byte-identical to the bulk path for equal nonces.
+    def _seal(self, blocks: Sequence[bytes]) -> bytes:
+        """``nonce || body || tag`` for every padded block, joined.
+
+        One ``os.urandom`` call draws the nonces of the whole batch.
         """
-        plaintext = self._serialize(record)
-        nonce = os.urandom(NONCE_SIZE)
-        keystream = self._keystream(nonce, len(plaintext))
-        body = _xor(plaintext, keystream)
-        tag = hmac.new(self.key, nonce + body, hashlib.sha256).digest()
-        handle = self._next_handle
-        self._next_handle += 1
-        return EncryptedRecord(ciphertext=nonce + body + tag, handle=handle)
+        nonces = os.urandom(NONCE_SIZE * len(blocks))
+        encrypt = self._aead.encrypt
+        parts: list[bytes] = []
+        for index, block in enumerate(blocks):
+            nonce = nonces[index * NONCE_SIZE : (index + 1) * NONCE_SIZE]
+            parts += (nonce, encrypt(nonce, block, None))
+        return b"".join(parts)
+
+    def _open(self, ciphertext) -> bytes:
+        """Verify one ciphertext and return its padded plaintext block."""
+        if len(ciphertext) != CIPHERTEXT_SIZE:
+            raise ValueError(
+                f"ciphertext must be exactly {CIPHERTEXT_SIZE} bytes, "
+                f"got {len(ciphertext)}"
+            )
+        try:
+            return self._aead.decrypt(
+                ciphertext[:NONCE_SIZE], ciphertext[NONCE_SIZE:], None
+            )
+        except InvalidTag:
+            raise ValueError("ciphertext failed authentication") from None
+
+    def encrypt(self, record: Record) -> EncryptedRecord:
+        """Encrypt ``record`` into a fixed-size :class:`EncryptedRecord`."""
+        ciphertext = self._seal([self._serialize(record)])
+        return EncryptedRecord(ciphertext=ciphertext, handle=self._mint_handles(1)[0])
 
     def encrypt_many(self, records: Iterable[Record]) -> list[EncryptedRecord]:
         """Encrypt a batch of records into owning :class:`EncryptedRecord`\\ s.
 
-        One call per flush instead of one per record; every record still gets
-        its own fresh nonce and fixed-size ciphertext, so a batch leaks
-        exactly what the same records leaked when encrypted one at a time:
-        the count.  This is the object-backed reference path; the arena fast
-        path is :meth:`encrypt_many_into`.
+        Every record still gets its own fresh nonce and fixed-size
+        ciphertext, so a batch leaks exactly what the same records leaked
+        when encrypted one at a time: the count.  This is the object-backed
+        layout; the arena layout is :meth:`encrypt_many_into`.
         """
         return [self.encrypt(record) for record in records]
 
@@ -770,60 +752,17 @@ class RecordCipher:
     ) -> list[int]:
         """Encrypt a batch straight into reserved arena rows; return handles.
 
-        The bulk path the ingest hot loop runs: one ``os.urandom`` call for
-        the whole batch's nonces, every keystream digest joined into a single
-        2-D ``uint8`` matrix, one vectorized XOR writing bodies directly into
-        the arena slots, and tags appended with prototype-copied HMAC states.
-        No intermediate ``bytes`` ciphertexts and no per-record
-        ``EncryptedRecord`` construction or length validation -- the arena row
-        shape enforces the fixed ciphertext size for the whole batch at once.
-        Ciphertexts are byte-for-byte what :meth:`encrypt` would have produced
-        for the same nonces, so :meth:`decrypt` handles both layouts.
+        Every record is serialized before any row is reserved, so an
+        oversized record leaves the arena untouched.  The joined ciphertexts
+        land in the reserved rows with one buffer copy, which also checks
+        the fixed ciphertext size for the whole batch at once.
         """
         n = len(records)
         if n == 0:
             return []
-        plaintext = b"".join(self._serialize(record) for record in records)
-        nonces = os.urandom(NONCE_SIZE * n)
-
-        rows = arena.reserve(n)
-        rows[:, :NONCE_SIZE] = np.frombuffer(nonces, dtype=np.uint8).reshape(
-            n, NONCE_SIZE
-        )
-
-        blake_proto = self._blake_proto
-        digests: list[bytes] = []
-        for index in range(n):
-            nonce = nonces[index * NONCE_SIZE : (index + 1) * NONCE_SIZE]
-            for counter in _KEYSTREAM_COUNTERS:
-                h = blake_proto.copy()
-                h.update(nonce)
-                h.update(counter)
-                digests.append(h.digest())
-        keystream = np.frombuffer(b"".join(digests), dtype=np.uint8).reshape(
-            n, PLAINTEXT_BLOCK_SIZE
-        )
-        bodies = np.frombuffer(plaintext, dtype=np.uint8).reshape(
-            n, PLAINTEXT_BLOCK_SIZE
-        )
-        np.bitwise_xor(bodies, keystream, out=rows[:, NONCE_SIZE:_BODY_END])
-
-        hmac_inner, hmac_outer = self._hmac_inner, self._hmac_outer
-        row_view = memoryview(rows).cast("B")
-        tags: list[bytes] = []
-        for index in range(n):
-            inner = hmac_inner.copy()
-            inner.update(row_view[index * CIPHERTEXT_SIZE : index * CIPHERTEXT_SIZE + _BODY_END])
-            outer = hmac_outer.copy()
-            outer.update(inner.digest())
-            tags.append(outer.digest())
-        rows[:, _BODY_END:] = np.frombuffer(b"".join(tags), dtype=np.uint8).reshape(
-            n, 32
-        )
-
-        start_handle = self._next_handle
-        self._next_handle += n
-        handles = list(range(start_handle, start_handle + n))
+        sealed = self._seal([self._serialize(record) for record in records])
+        memoryview(arena.reserve(n)).cast("B")[:] = sealed
+        handles = self._mint_handles(n)
         arena.set_handles(len(arena) - n, handles)
         return handles
 
@@ -833,160 +772,38 @@ class RecordCipher:
 
         Raises ``ValueError`` if the authentication tag does not verify.
         """
-        ciphertext = encrypted.ciphertext
-        if not isinstance(ciphertext, bytes):
-            ciphertext = bytes(ciphertext)
-        nonce = ciphertext[:NONCE_SIZE]
-        body = ciphertext[NONCE_SIZE:-32]
-        tag = ciphertext[-32:]
-        expected = hmac.new(self.key, nonce + body, hashlib.sha256).digest()
-        if not hmac.compare_digest(tag, expected):
-            raise ValueError("ciphertext failed authentication")
-        keystream = self._keystream(nonce, len(body))
-        plaintext = _xor(body, keystream)
-        return self._deserialize(plaintext)
+        return self._deserialize(self._open(encrypted.ciphertext))
 
     def decrypt_many(
         self, encrypted: Iterable["EncryptedRecord | ArenaRecord"]
     ) -> list[Record]:
-        """Decrypt a batch with one vectorized keystream XOR.
-
-        Tags are verified per record (a single bad row must fail loudly, not
-        poison the batch silently); keystream derivation and the XOR over the
-        whole batch run on 2-D arrays like the encrypt bulk path.
-        """
-        batch = list(encrypted)
-        n = len(batch)
-        if n == 0:
-            return []
-        rows = np.empty((n, CIPHERTEXT_SIZE), dtype=np.uint8)
-        for index, record in enumerate(batch):
-            ciphertext = record.ciphertext
-            if len(ciphertext) != CIPHERTEXT_SIZE:
-                raise ValueError(
-                    f"ciphertext must be exactly {CIPHERTEXT_SIZE} bytes, "
-                    f"got {len(ciphertext)}"
-                )
-            rows[index] = np.frombuffer(ciphertext, dtype=np.uint8)
-
-        hmac_inner, hmac_outer = self._hmac_inner, self._hmac_outer
-        blake_proto = self._blake_proto
-        digests: list[bytes] = []
-        row_view = memoryview(rows).cast("B")
-        for index in range(n):
-            offset = index * CIPHERTEXT_SIZE
-            authenticated = row_view[offset : offset + _BODY_END]
-            inner = hmac_inner.copy()
-            inner.update(authenticated)
-            outer = hmac_outer.copy()
-            outer.update(inner.digest())
-            expected = outer.digest()
-            if not hmac.compare_digest(
-                row_view[offset + _BODY_END : offset + CIPHERTEXT_SIZE], expected
-            ):
-                raise ValueError("ciphertext failed authentication")
-            nonce = authenticated[:NONCE_SIZE]
-            for counter in _KEYSTREAM_COUNTERS:
-                b = blake_proto.copy()
-                b.update(nonce)
-                b.update(counter)
-                digests.append(b.digest())
-        keystream = np.frombuffer(b"".join(digests), dtype=np.uint8).reshape(
-            n, PLAINTEXT_BLOCK_SIZE
-        )
-        plaintexts = (rows[:, NONCE_SIZE:_BODY_END] ^ keystream).tobytes()
-        return [
-            self._deserialize(
-                plaintexts[
-                    index * PLAINTEXT_BLOCK_SIZE : (index + 1) * PLAINTEXT_BLOCK_SIZE
-                ]
-            )
-            for index in range(n)
-        ]
+        """Decrypt a batch; a single bad row fails the whole call loudly."""
+        return [self.decrypt(record) for record in encrypted]
 
     def reencrypt_arena(
         self, arena: "CiphertextArena", new_cipher: "RecordCipher"
     ) -> int:
         """Re-encrypt every arena row *in place* under ``new_cipher``'s key.
 
-        Rotation works at the padded-plaintext-block level: each row's tag is
-        verified under this (old) key, the 256-byte padded block is recovered
-        by XORing off the old keystream, and that exact block is re-encrypted
-        under ``new_cipher`` with a fresh nonce -- no serialize round trip,
-        so decrypted payloads are byte-identical before and after.  Rows,
-        handles and row indices are untouched, which keeps every outstanding
-        :class:`ArenaRecord` / :class:`ArenaSegmentHandle` valid.  Returns
-        the number of rows re-encrypted.
+        Rotation works at the padded-plaintext-block level: every row is
+        verified and opened under this (old) key before any row is written,
+        and that exact block is sealed under ``new_cipher`` with a fresh
+        nonce -- no serialize round trip, so decrypted payloads are
+        byte-identical before and after.  Rows, handles and row indices are
+        untouched, which keeps every outstanding :class:`ArenaRecord` /
+        :class:`ArenaSegmentHandle` valid.  Returns the number of rows
+        re-encrypted.
         """
         n = len(arena)
         if n == 0:
             return 0
         rows = arena._data[:n]
-        row_view = memoryview(rows).cast("B")
-
-        # Verify + strip the old keystream (batched like decrypt_many).
-        hmac_inner, hmac_outer = self._hmac_inner, self._hmac_outer
-        blake_proto = self._blake_proto
-        digests: list[bytes] = []
-        for index in range(n):
-            offset = index * CIPHERTEXT_SIZE
-            authenticated = row_view[offset : offset + _BODY_END]
-            inner = hmac_inner.copy()
-            inner.update(authenticated)
-            outer = hmac_outer.copy()
-            outer.update(inner.digest())
-            if not hmac.compare_digest(
-                row_view[offset + _BODY_END : offset + CIPHERTEXT_SIZE],
-                outer.digest(),
-            ):
-                raise ValueError(
-                    "ciphertext failed authentication during re-keying"
-                )
-            nonce = authenticated[:NONCE_SIZE]
-            for counter in _KEYSTREAM_COUNTERS:
-                h = blake_proto.copy()
-                h.update(nonce)
-                h.update(counter)
-                digests.append(h.digest())
-        old_keystream = np.frombuffer(b"".join(digests), dtype=np.uint8).reshape(
-            n, PLAINTEXT_BLOCK_SIZE
-        )
-        plaintext_blocks = rows[:, NONCE_SIZE:_BODY_END] ^ old_keystream
-
-        # Fresh nonces + new keystream + new tags (batched like
-        # encrypt_many_into), written straight back into the same rows.
-        nonces = os.urandom(NONCE_SIZE * n)
-        rows[:, :NONCE_SIZE] = np.frombuffer(nonces, dtype=np.uint8).reshape(
-            n, NONCE_SIZE
-        )
-        new_proto = new_cipher._blake_proto
-        digests = []
-        for index in range(n):
-            nonce = nonces[index * NONCE_SIZE : (index + 1) * NONCE_SIZE]
-            for counter in _KEYSTREAM_COUNTERS:
-                h = new_proto.copy()
-                h.update(nonce)
-                h.update(counter)
-                digests.append(h.digest())
-        new_keystream = np.frombuffer(b"".join(digests), dtype=np.uint8).reshape(
-            n, PLAINTEXT_BLOCK_SIZE
-        )
-        np.bitwise_xor(
-            plaintext_blocks, new_keystream, out=rows[:, NONCE_SIZE:_BODY_END]
-        )
-
-        new_inner, new_outer = new_cipher._hmac_inner, new_cipher._hmac_outer
-        tags: list[bytes] = []
-        for index in range(n):
-            offset = index * CIPHERTEXT_SIZE
-            inner = new_inner.copy()
-            inner.update(row_view[offset : offset + _BODY_END])
-            outer = new_outer.copy()
-            outer.update(inner.digest())
-            tags.append(outer.digest())
-        rows[:, _BODY_END:] = np.frombuffer(b"".join(tags), dtype=np.uint8).reshape(
-            n, 32
-        )
+        data = rows.tobytes()
+        blocks = [
+            self._open(data[index * CIPHERTEXT_SIZE : (index + 1) * CIPHERTEXT_SIZE])
+            for index in range(n)
+        ]
+        memoryview(rows).cast("B")[:] = new_cipher._seal(blocks)
         return n
 
     def reencrypt_record(
@@ -998,30 +815,7 @@ class RecordCipher:
         plaintext block is carried over verbatim, so the record decrypts
         byte-identically under the new key.
         """
-        nonce = ciphertext[:NONCE_SIZE]
-        body = ciphertext[NONCE_SIZE:-32]
-        tag = ciphertext[-32:]
-        expected = hmac.new(self.key, nonce + body, hashlib.sha256).digest()
-        if not hmac.compare_digest(tag, expected):
-            raise ValueError("ciphertext failed authentication during re-keying")
-        plaintext = _xor(body, self._keystream(nonce, len(body)))
-        new_nonce = os.urandom(NONCE_SIZE)
-        new_body = _xor(plaintext, new_cipher._keystream(new_nonce, len(plaintext)))
-        new_tag = hmac.new(
-            new_cipher.key, new_nonce + new_body, hashlib.sha256
-        ).digest()
-        return new_nonce + new_body + new_tag
-
-    def _keystream(self, nonce: bytes, length: int) -> bytes:
-        blocks = []
-        counter = 0
-        while sum(len(b) for b in blocks) < length:
-            block = hashlib.blake2b(
-                nonce + counter.to_bytes(8, "big"), key=self.key, digest_size=64
-            ).digest()
-            blocks.append(block)
-            counter += 1
-        return b"".join(blocks)[:length]
+        return new_cipher._seal([self._open(ciphertext)])
 
     @staticmethod
     def _record_json(record: Record) -> str | None:
@@ -1033,9 +827,7 @@ class RecordCipher:
         (every workload in the repository) -- the property test in
         ``tests/test_edb_crypto.py`` pins the equality.  Returns ``None`` for
         anything else (numpy scalars, containers, non-string keys, NaN/inf),
-        sending the record down the stock ``json.dumps`` path.  Serialization
-        was the single largest per-record cost left on the encrypted ingest
-        hot loop once hashing was batched.
+        sending the record down the stock ``json.dumps`` path.
         """
         if type(record.arrival_time) is not int or type(record.table) is not str:
             return None

@@ -10,9 +10,9 @@ that a killed deployment or grid cell resumes and replays *bit-identically*
 Layers, bottom up:
 
 * **Sealing** -- :func:`seal_bytes` / :func:`unseal_bytes` encrypt a blob
-  at rest with the same BLAKE2b-CTR + HMAC-SHA256 construction
-  :class:`~repro.edb.crypto.RecordCipher` uses for records (nonce prefix,
-  tag suffix), generalized to arbitrary lengths.  Keys are derived from a
+  at rest with the same AES-256-GCM layout
+  :class:`~repro.edb.crypto.RecordCipher` uses for records (``nonce ||
+  ciphertext || tag``), at any length.  Keys are derived from a
   passphrase with scrypt over a per-store random salt
   (:func:`derive_key` / :func:`get_or_create_salt`); ``passphrase=None``
   stores plaintext blobs (checksummed either way).
@@ -51,7 +51,6 @@ them back to shared memory via
 from __future__ import annotations
 
 import hashlib
-import hmac
 import importlib
 import json
 import os
@@ -61,8 +60,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
+from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from repro.edb.crypto import CiphertextArena
+from repro.edb.crypto import NONCE_SIZE, TAG_SIZE, CiphertextArena
 from repro.util.io import atomic_write_bytes, atomic_write_text
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -89,17 +90,13 @@ __all__ = [
     "restore_edb",
 ]
 
-#: On-disk format version stamped into every manifest.
-STORE_VERSION: int = 1
+#: On-disk format version stamped into every manifest.  Version 2: records
+#: and sealed blobs are AES-256-GCM (284-byte arena rows); version-1 stores
+#: are refused rather than misread.
+STORE_VERSION: int = 2
 
 #: Random salt length for the at-rest key derivation.
 SALT_SIZE: int = 32
-
-#: Nonce length prepended to every sealed blob (matches the record cipher).
-_NONCE_SIZE: int = 16
-
-#: HMAC-SHA256 tag length appended to every sealed blob.
-_TAG_SIZE: int = 32
 
 #: scrypt cost parameters: interactive-grade (a few ms per derivation) --
 #: snapshots are written continuously, so the KDF must not dominate.
@@ -125,8 +122,7 @@ def get_or_create_salt(path: str | os.PathLike) -> bytes:
     except FileNotFoundError:
         salt = os.urandom(SALT_SIZE)
         path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_bytes(path, salt)
-        os.chmod(path, 0o600)
+        atomic_write_bytes(path, salt, mode=0o600)
         return salt
     if len(salt) != SALT_SIZE:
         raise StoreIntegrityError(
@@ -145,50 +141,22 @@ def derive_key(passphrase: str, salt: bytes) -> bytes:
 # -- blob sealing ------------------------------------------------------------
 
 
-def _blob_keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    """BLAKE2b-CTR keystream of ``length`` bytes (the record cipher's PRF)."""
-    blocks = []
-    produced = 0
-    counter = 0
-    while produced < length:
-        block = hashlib.blake2b(
-            nonce + counter.to_bytes(8, "big"), key=key, digest_size=64
-        ).digest()
-        blocks.append(block)
-        produced += len(block)
-        counter += 1
-    return b"".join(blocks)[:length]
-
-
-def _xor_bytes(data: bytes, keystream: bytes) -> bytes:
-    a = np.frombuffer(data, dtype=np.uint8)
-    b = np.frombuffer(keystream, dtype=np.uint8)
-    return (a ^ b).tobytes()
-
-
 def seal_bytes(data: bytes, key: bytes) -> bytes:
-    """Encrypt-then-MAC a blob: ``nonce || body || tag``."""
-    nonce = os.urandom(_NONCE_SIZE)
-    keystream = _blob_keystream(key, nonce, len(data))
-    body = _xor_bytes(data, keystream)
-    tag = hmac.new(key, nonce + body, hashlib.sha256).digest()
-    return nonce + body + tag
+    """AES-256-GCM seal a blob: ``nonce || ciphertext || tag``."""
+    nonce = os.urandom(NONCE_SIZE)
+    return nonce + AESGCM(key).encrypt(nonce, data, None)
 
 
 def unseal_bytes(blob: bytes, key: bytes) -> bytes:
     """Verify and decrypt a :func:`seal_bytes` blob."""
-    if len(blob) < _NONCE_SIZE + _TAG_SIZE:
+    if len(blob) < NONCE_SIZE + TAG_SIZE:
         raise StoreIntegrityError("sealed blob is too short")
-    nonce = blob[:_NONCE_SIZE]
-    body = blob[_NONCE_SIZE:-_TAG_SIZE]
-    tag = blob[-_TAG_SIZE:]
-    expected = hmac.new(key, nonce + body, hashlib.sha256).digest()
-    if not hmac.compare_digest(tag, expected):
+    try:
+        return AESGCM(key).decrypt(blob[:NONCE_SIZE], blob[NONCE_SIZE:], None)
+    except InvalidTag:
         raise StoreIntegrityError(
             "sealed blob failed authentication (corrupt data or wrong key)"
-        )
-    keystream = _blob_keystream(key, nonce, len(body))
-    return _xor_bytes(body, keystream)
+        ) from None
 
 
 def manifest_fingerprint(blobs: Mapping[str, Mapping]) -> str:
@@ -251,7 +219,7 @@ class EncryptedStore:
         if "/" in name or name in (_MANIFEST_NAME, _SALT_NAME):
             raise ValueError(f"invalid blob name {name!r}")
         payload = seal_bytes(data, self._key) if self._key is not None else data
-        atomic_write_bytes(self._dir / name, payload)
+        atomic_write_bytes(self._dir / name, payload, mode=0o600)
         self._staged[name] = {
             "sha256": hashlib.sha256(payload).hexdigest(),
             "size": len(payload),
@@ -351,8 +319,7 @@ class EncryptedStore:
         self._passphrase = new_passphrase
         if new_passphrase is not None:
             self._salt = os.urandom(SALT_SIZE)
-            atomic_write_bytes(self._dir / _SALT_NAME, self._salt)
-            os.chmod(self._dir / _SALT_NAME, 0o600)
+            atomic_write_bytes(self._dir / _SALT_NAME, self._salt, mode=0o600)
             self._key = derive_key(new_passphrase, self._salt)
         else:
             self._salt = None
@@ -583,7 +550,7 @@ class ReplayLog:
             payload = pickle.dumps(self._entries[serial])
             if self._key is not None:
                 payload = seal_bytes(payload, self._key)
-            atomic_write_bytes(self._record_path(serial), payload)
+            atomic_write_bytes(self._record_path(serial), payload, mode=0o600)
             flushed += 1
         self._durable = self._stop
         self._write_head()

@@ -41,7 +41,10 @@ def fsync_directory(path: str | os.PathLike) -> None:
 
 
 def atomic_write_bytes(
-    path: str | os.PathLike, data: bytes, fsync: bool = True
+    path: str | os.PathLike,
+    data: bytes,
+    fsync: bool = True,
+    mode: int | None = None,
 ) -> Path:
     """Atomically (and durably) replace ``path`` with ``data``.
 
@@ -51,12 +54,22 @@ def atomic_write_bytes(
     destination holds either its previous complete contents or the new
     complete contents -- never a torn mix.  ``fsync=False`` skips both sync
     calls for callers that only need reader-atomicity (tests, scratch dirs).
+
+    ``mode`` sets the temp file's permission bits before any byte is
+    written, so the data never exists on disk with wider permissions, not
+    even after a crash.  Without it the file is created ``0o644`` less the
+    umask.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+    fd = os.open(
+        tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644 if mode is None else mode
+    )
     try:
         with os.fdopen(fd, "wb") as handle:
+            if mode is not None:
+                # A crashed writer's leftover temp file keeps its old bits.
+                os.fchmod(handle.fileno(), mode)
             handle.write(data)
             if fsync:
                 handle.flush()

@@ -16,9 +16,10 @@ from repro.edb.crypto import (
     CIPHERTEXT_SIZE,
     ArenaRecord,
     CiphertextArena,
+    NONCE_SIZE,
+    PLAINTEXT_BLOCK_SIZE,
     EncryptedRecord,
     RecordCipher,
-    _xor,
 )
 from repro.edb.records import Record, Schema, make_dummy_record
 
@@ -97,19 +98,6 @@ class TestRecordCipher:
             EncryptedRecord(ciphertext=b"too-short", handle=0)
 
 
-class TestXor:
-    def test_single_record_contract_returns_bytes(self):
-        out = _xor(b"\x01\x02\x03", b"\xff\x00\x0f")
-        assert isinstance(out, bytes)
-        assert out == b"\xfe\x02\x0c"
-
-    def test_batched_contract_writes_into_out_buffer(self):
-        out = np.empty(3, dtype=np.uint8)
-        returned = _xor(b"\x01\x02\x03", b"\xff\x00\x0f", out=out)
-        assert returned is out
-        assert out.tobytes() == b"\xfe\x02\x0c"
-
-
 class TestArenaBulkPaths:
     def _records(self, n: int, start: int = 0) -> list[Record]:
         return [
@@ -156,6 +144,39 @@ class TestArenaBulkPaths:
         ]
         with pytest.raises(ValueError):
             cipher.decrypt_many(fakes)
+
+    @pytest.mark.parametrize(
+        "offset",
+        [0, NONCE_SIZE + 5, NONCE_SIZE + PLAINTEXT_BLOCK_SIZE + 3],
+        ids=["nonce", "body", "tag"],
+    )
+    def test_one_flipped_byte_in_any_region_fails(self, cipher, offset):
+        arena = CiphertextArena()
+        cipher.encrypt_many_into(self._records(3), arena)
+        row = bytearray(arena.row(1))
+        row[offset] ^= 0x01
+        tampered = EncryptedRecord(ciphertext=bytes(row), handle=1)
+        with pytest.raises(ValueError, match="authentication"):
+            cipher.decrypt(tampered)
+        with pytest.raises(ValueError, match="authentication"):
+            cipher.decrypt_many([arena.record(0), tampered])
+
+    def test_layouts_decrypt_through_each_others_path(self, cipher):
+        """Arena rows open as objects and object ciphertexts open as rows."""
+        records = self._records(5)
+        arena = CiphertextArena()
+        cipher.encrypt_many_into(records, arena)
+        as_objects = [view.to_encrypted_record() for view in arena.records()]
+
+        objects = cipher.encrypt_many(records)
+        other = CiphertextArena()
+        rows = other.reserve(len(objects))
+        rows[:] = [np.frombuffer(e.ciphertext, dtype=np.uint8) for e in objects]
+        other.set_handles(0, [e.handle for e in objects])
+
+        expected = [r.values for r in records]
+        assert [cipher.decrypt(e).values for e in as_objects] == expected
+        assert [r.values for r in cipher.decrypt_many(other.records())] == expected
 
     def test_arena_views_are_zero_copy_and_fixed_size(self, cipher):
         arena = CiphertextArena()

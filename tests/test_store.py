@@ -22,11 +22,14 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import stat
 
 import numpy as np
 import pytest
 
 from repro.edb.crypto import (
+    NONCE_SIZE,
+    TAG_SIZE,
     ArenaSegmentCache,
     CiphertextArena,
     RecordCipher,
@@ -35,7 +38,9 @@ from repro.edb.crypto import (
 from repro.edb.oblidb import ObliDB
 from repro.edb.records import Record, Schema
 from repro.edb.store import (
+    STORE_VERSION,
     EncryptedStore,
+    ReplayLog,
     SnapshotStore,
     StoreIntegrityError,
     arena_from_bytes,
@@ -49,6 +54,7 @@ from repro.edb.store import (
 )
 from repro.simulation.results import RunResult
 from repro.simulation.runner import CellSpec, GridRunner
+from repro.util.io import atomic_write_bytes
 
 SCHEMA = Schema(name="events", attributes=("key", "value"))
 
@@ -72,7 +78,8 @@ def test_seal_unseal_round_trip_and_tamper_detection():
     for payload in (b"", b"x", os.urandom(5000)):
         sealed = seal_bytes(payload, key)
         assert unseal_bytes(sealed, key) == payload
-        assert sealed[16:-32] != payload or not payload  # actually encrypted
+        assert len(sealed) == NONCE_SIZE + len(payload) + TAG_SIZE
+        assert sealed[NONCE_SIZE:-TAG_SIZE] != payload or not payload
     sealed = seal_bytes(b"secret", key)
     torn = bytearray(sealed)
     torn[20] ^= 0xFF
@@ -93,6 +100,36 @@ def test_salt_is_created_once_with_owner_only_permissions(tmp_path):
     path.write_bytes(b"short")
     with pytest.raises(StoreIntegrityError):
         get_or_create_salt(path)
+
+
+def _private(path) -> bool:
+    """No group or other permission bits on ``path``."""
+    return stat.S_IMODE(os.stat(path).st_mode) & 0o077 == 0
+
+
+def test_atomic_write_mode_applies_to_a_leftover_temp_file(tmp_path):
+    path = tmp_path / "secret.bin"
+    leftover = tmp_path / "secret.bin.tmp"
+    leftover.write_bytes(b"crashed writer")
+    os.chmod(leftover, 0o644)
+    atomic_write_bytes(path, b"key material", mode=0o600)
+    assert path.read_bytes() == b"key material"
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+
+
+@pytest.mark.parametrize("passphrase", [None, "pw"])
+def test_salt_blobs_and_journal_records_are_owner_only(tmp_path, passphrase):
+    store = EncryptedStore(tmp_path / "store", passphrase=passphrase)
+    store.write_blob("owners.pkl", b"plaintext client state")
+    store.commit()
+    journal = ReplayLog(tmp_path / "journal", passphrase=passphrase)
+    journal.append({"command": "insert_many", "tag": 1})
+    written = [tmp_path / "store" / "owners.pkl"]
+    written += list((tmp_path / "journal" / "records").iterdir())
+    if passphrase is not None:
+        written += [tmp_path / "store" / "salt.bin", tmp_path / "journal" / "salt.bin"]
+        store.change_passphrase("new")
+    assert written and all(_private(path) for path in written)
 
 
 # -- EncryptedStore -----------------------------------------------------------
@@ -160,6 +197,18 @@ def test_torn_manifest_and_torn_blob_are_detected(tmp_path):
     manifest_path.write_text(json.dumps(doctored))
     with pytest.raises(StoreIntegrityError):
         EncryptedStore(tmp_path, passphrase="pw").manifest()
+
+
+def test_version_one_manifest_is_refused(tmp_path):
+    """Stores from before the AES-GCM format are refused, not misread."""
+    store = EncryptedStore(tmp_path)
+    store.write_blob("a.bin", b"alpha")
+    manifest = store.commit()
+    assert manifest["version"] == STORE_VERSION == 2
+    manifest["version"] = 1
+    (tmp_path / "MANIFEST.json").write_text(json.dumps(manifest))
+    with pytest.raises(StoreIntegrityError, match="version 1"):
+        EncryptedStore(tmp_path).manifest()
 
 
 def test_change_passphrase_rekeys_and_reopens(tmp_path):
