@@ -1,12 +1,13 @@
-"""Engine wall-clock benchmarks: event scheduling and the EDB fast path.
+"""Engine wall-clock benchmarks: segment replay and the EDB fast path.
 
 Two comparisons are recorded into ``BENCH_engine.json`` at the repo root:
 
-1. **engine vs legacy loop** -- a sparse 50,000-tick, 3-table DP-Timer
-   workload replayed through the original per-tick loop
-   (:meth:`Simulation.run_legacy`) and the scheduled-event engine
-   (:meth:`Simulation.run`).  On a sparse stream the legacy loop spends
-   almost all of its time on dead iterations, which the engine skips.
+1. **engine vs per-tick loop** -- a sparse 50,000-tick, 3-table DP-Timer
+   workload replayed through the per-tick reference loop
+   (:func:`repro.testing.reference.run_per_tick`) and the segment engine
+   (:meth:`Simulation.run`).  On a sparse stream the per-tick loop spends
+   almost all of its time on dead iterations, which the engine's segment
+   kernels never visit.
 2. **EDB fast path vs reference** -- a Figure-2-scale dp-timer run (full
    June taxi workload, paper query schedule) on the engine, once with the
    ``reference`` EDB mode (the PR-1 engine baseline: row-at-a-time
@@ -35,6 +36,7 @@ from repro.query.ast import CountQuery
 from repro.query.predicates import RangePredicate
 from repro.simulation.runner import CellSpec, run_cell
 from repro.simulation.simulator import Simulation, SimulationConfig
+from repro.testing.reference import run_per_tick
 from repro.workload.stream import GrowingDatabase
 
 HORIZON = 50_000
@@ -100,14 +102,14 @@ def test_engine_speedup_over_legacy_loop(bench_settings):
     workloads = sparse_workloads()
 
     start = time.perf_counter()
-    legacy_result = build_simulation(workloads).run_legacy()
+    legacy_result = run_per_tick(build_simulation(workloads))
     legacy_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
     engine_result = build_simulation(workloads).run()
     engine_seconds = time.perf_counter() - start
 
-    assert engine_result == legacy_result, "engine run diverged from legacy loop"
+    assert engine_result == legacy_result, "engine run diverged from the per-tick loop"
     speedup = legacy_seconds / max(engine_seconds, 1e-9)
 
     payload = {
@@ -128,9 +130,9 @@ def test_engine_speedup_over_legacy_loop(bench_settings):
 
     emit_report(
         "engine_speed",
-        "Event-driven engine vs. legacy per-tick loop "
+        "Segment engine vs. per-tick reference loop "
         f"({TABLES} tables x {HORIZON} ticks, {RECORDS_PER_TABLE} records/table)\n\n"
-        f"legacy loop : {legacy_seconds:8.3f} s\n"
+        f"per-tick    : {legacy_seconds:8.3f} s\n"
         f"engine      : {engine_seconds:8.3f} s\n"
         f"speedup     : {speedup:8.2f} x\n"
         f"(results identical: sync_count={legacy_result.sync_count}, "
@@ -145,7 +147,7 @@ def test_engine_speedup_over_legacy_loop(bench_settings):
 def test_edb_fast_path_speedup_figure2(bench_settings):
     """Figure-2-scale dp-timer: vectorized EDB vs the PR-1 engine baseline.
 
-    Both runs use the event-driven engine; only the EDB implementation mode
+    Both runs use the segment engine; only the EDB implementation mode
     differs, so the measured ratio isolates the storage/query-layer rewrite.
     """
     spec = CellSpec(

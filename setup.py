@@ -2,7 +2,8 @@
 
 ``pip install -e .`` installs the ``repro`` package from ``src/`` with its
 runtime dependencies.  Tests additionally need pytest, pytest-benchmark and
-hypothesis.
+hypothesis, and the empirical ε auditor (``repro.testing.audit``) needs
+scipy.
 """
 
 from setuptools import find_packages, setup

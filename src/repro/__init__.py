@@ -26,8 +26,8 @@ The subpackages are organised as:
   simulators, ORAM, leakage classification);
 * :mod:`repro.query` -- predicates, relational plans, dummy-aware rewriting,
   execution and a small SQL front-end;
-* :mod:`repro.engine` -- the scheduled-event core the simulator runs on
-  (owners wake only at arrivals and self-scheduled times);
+* :mod:`repro.engine` -- the segment driver the simulator runs on (each
+  owner advances a whole query interval at a time);
 * :mod:`repro.fleet` -- multi-owner deployments: the fleet coordinator over
   a (possibly sharded, see :class:`repro.edb.router.ShardRouter`) EDB;
 * :mod:`repro.workload` -- growing databases, arrival processes and the NYC
@@ -65,7 +65,7 @@ from repro.edb import (
     ShardRouter,
     make_dummy_record,
 )
-from repro.engine import Engine, EventScheduler
+from repro.engine import Engine
 from repro.fleet import Deployment
 from repro.query import (
     CountQuery,
@@ -101,7 +101,6 @@ __all__ = [
     "EncryptedDatabase",
     "EndToEndConfig",
     "Engine",
-    "EventScheduler",
     "FlushPolicy",
     "GroupByCountQuery",
     "GrowingDatabase",

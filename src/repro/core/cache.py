@@ -82,12 +82,8 @@ class LocalCache:
         """
         if n < 0:
             raise ValueError(f"read size must be non-negative, got {n}")
-        popped: list[Record] = []
-        for _ in range(min(n, len(self._buffer))):
-            if self._mode is CacheMode.FIFO:
-                popped.append(self._buffer.popleft())
-            else:
-                popped.append(self._buffer.pop())
+        pop = self._buffer.popleft if self._mode is CacheMode.FIFO else self._buffer.pop
+        popped = [pop() for _ in range(min(n, len(self._buffer)))]
         self._total_read += len(popped)
         shortfall = n - len(popped)
         if shortfall > 0:
@@ -107,9 +103,12 @@ class LocalCache:
         return tuple(self._buffer)
 
     def extend(self, records: Iterable[Record]) -> None:
-        """Write several records in order."""
-        for record in records:
-            self.write(record)
+        """Write several records in order (``write`` for each)."""
+        records = list(records)
+        if any(record.is_dummy for record in records):
+            raise ValueError("dummy records are generated on read, never cached")
+        self._buffer.extend(records)
+        self._total_written += len(records)
 
     @property
     def mode(self) -> CacheMode:

@@ -2,9 +2,11 @@
 
 The owner is the client-side party of the SOGDB model: it receives logical
 updates over time, holds the logical database, consults its synchronization
-strategy every time unit and runs the EDB's Setup/Update protocols when the
-strategy signals.  It also maintains the update-pattern transcript and the
-per-table logical mirror used by the accuracy metrics.
+strategy every time unit (one :meth:`Owner.tick` at a time, or a whole
+segment of time units through :meth:`Owner.advance`) and runs the EDB's
+Setup/Update protocols when the strategy signals.  It also maintains the
+update-pattern transcript and the per-table logical mirror used by the
+accuracy metrics.
 """
 
 from __future__ import annotations
@@ -94,14 +96,42 @@ class Owner:
             self._logical.append(update)
         decision = self._strategy.step(time, update)
         if decision.should_sync and decision.records:
-            # All records of a decision target this owner's table, so the
-            # batched ingestion path skips the per-record regrouping while
-            # still charging the cost model once for the whole γ_t.
-            result = self._edb.insert_many(
-                {self.table: decision.records}, time=time
-            )
-            self._pattern.record(time, result.total_added)
+            self.outsource(time, decision.records)
         return decision
+
+    def advance(
+        self, end: int, arrivals: Sequence[tuple[int, Record]]
+    ) -> list[tuple[int, tuple[Record, ...]]]:
+        """Advance through time unit ``end`` in one call.
+
+        ``arrivals`` are the ``(t, u_t)`` updates after :attr:`current_time`
+        and up to ``end``.  The strategy decides every time unit of the
+        segment (:meth:`SyncStrategy.advance`); the returned ``(t, γ_t)``
+        synchronizations are *not* yet outsourced -- the caller runs each
+        through :meth:`outsource`, in time order, which lets a driver
+        interleave several owners' Updates exactly as per-tick
+        :meth:`tick` calls would.
+        """
+        if not self._initialized:
+            raise RuntimeError("owner must be initialized before advancing")
+        if end <= self._current_time:
+            raise ValueError(
+                f"time must advance monotonically (got {end} after {self._current_time})"
+            )
+        for _, record in arrivals:
+            self._check_record(record)
+        self._logical.extend(record for _, record in arrivals)
+        syncs = self._strategy.advance(self._current_time, end, arrivals)
+        self._current_time = end
+        return syncs
+
+    def outsource(self, time: int, records: Sequence[Record]) -> None:
+        """Run the Update protocol for ``γ_t`` and record ``(t, |γ_t|)``."""
+        # All records of a decision target this owner's table, so the
+        # batched ingestion path skips the per-record regrouping while
+        # still charging the cost model once for the whole γ_t.
+        result = self._edb.insert_many({self.table: records}, time=time)
+        self._pattern.record(time, result.total_added)
 
     # -- durability ----------------------------------------------------------
 

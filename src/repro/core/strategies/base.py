@@ -6,6 +6,11 @@ and decides, at every time step, whether to run the Update protocol and with
 how many records.  The strategy owns the local cache and is the *only*
 component allowed to read from it, which makes the privacy argument local to
 this package.
+
+Strategies decide one time unit at a time through :meth:`SyncStrategy.step`,
+or a whole segment of time units at once through
+:meth:`SyncStrategy.advance`, whose per-strategy kernels leave exactly the
+state stepping every time unit would.
 """
 
 from __future__ import annotations
@@ -134,18 +139,14 @@ class SyncStrategy(abc.ABC):
     def next_event(self, now: int) -> int | None:
         """Next time after ``now`` the strategy must be stepped absent arrivals.
 
-        The event-driven engine (:mod:`repro.engine`) steps a strategy at
-        every logical arrival and at every self-scheduled time returned here;
-        the time units in between are skipped entirely.  Skipping a tick is
-        sound only when :meth:`_step` at that tick would be a pure no-op: no
-        state change, no RNG draw, no synchronization decision.  Subclasses
-        that are idle between triggers override this to jump straight to
-        their next trigger (e.g. the next timer boundary or flush tick).
-
-        Returns ``None`` when the strategy never acts without an arrival.
-        The default of ``now + 1`` (wake every tick) is always safe and keeps
-        unknown subclasses exactly equivalent to the per-tick loop.
-        Spurious wake-ups are harmless; missing one is a correctness bug.
+        Used by the generic :meth:`advance`, which steps the strategy at
+        every arrival and at every time returned here and skips the time
+        units in between.  Skipping a tick is sound only when :meth:`_step`
+        at that tick would be a pure no-op: no state change, no RNG draw, no
+        synchronization decision.  ``None`` means the strategy never acts
+        without an arrival.  The default of ``now + 1`` (wake every tick) is
+        always safe.  Strategies with their own :meth:`_advance` kernel do
+        not consult it.
         """
         return now + 1
 
@@ -184,6 +185,71 @@ class SyncStrategy(abc.ABC):
             self._sync_count += 1
             self._note_outgoing(decision.records)
         return decision
+
+    def advance(
+        self, last: int, end: int, arrivals: Sequence[tuple[int, Record]]
+    ) -> list[tuple[int, tuple[Record, ...]]]:
+        """Process time units ``last + 1 .. end`` in one call.
+
+        ``arrivals`` holds the segment's logical updates as ``(t, u_t)``
+        pairs with strictly increasing ``last < t <= end``; every other time
+        unit of the segment has no update.  Returns the synchronizations as
+        ``(t, γ_t)`` pairs in time order, one per decision with
+        ``should_sync``, and leaves every piece of strategy state (cache,
+        noise consumption, accountant, counters) exactly as calling
+        :meth:`step` at every time unit of the segment would.
+        """
+        if not self._initialized:
+            raise RuntimeError("advance() called before setup()")
+        if last < 0:
+            raise ValueError("time steps start at 1 (time 0 is the setup step)")
+        previous = last
+        for time, update in arrivals:
+            if not previous < time <= end:
+                raise ValueError(
+                    f"arrival times must increase strictly within ({last}, {end}]"
+                    f" (got {time} after {previous})"
+                )
+            if update.is_dummy:
+                raise ValueError("logical updates are never dummy records")
+            previous = time
+        self._received_total += len(arrivals)
+        syncs = self._advance(last, end, arrivals)
+        self._sync_count += len(syncs)
+        self._note_outgoing([record for _, records in syncs for record in records])
+        return syncs
+
+    def _advance(
+        self, last: int, end: int, arrivals: Sequence[tuple[int, Record]]
+    ) -> list[tuple[int, tuple[Record, ...]]]:
+        """Segment kernel behind :meth:`advance` (arrivals already validated
+        and counted).
+
+        The generic kernel wakes the strategy at every arrival and every
+        :meth:`next_event` time and calls :meth:`_step` there; subclasses
+        replace it with a bulk kernel that produces the same result.
+        """
+        syncs: list[tuple[int, tuple[Record, ...]]] = []
+        index = 0
+        now = last
+        while True:
+            wake = self.next_event(now)
+            if wake is not None and wake <= now:
+                raise ValueError(
+                    f"{type(self).__name__}.next_event must be in the future "
+                    f"(got {wake} at time {now})"
+                )
+            arrival = arrivals[index][0] if index < len(arrivals) else None
+            now = min((t for t in (wake, arrival) if t is not None), default=end + 1)
+            if now > end:
+                return syncs
+            update = None
+            if now == arrival:
+                update = arrivals[index][1]
+                index += 1
+            decision = self._step(now, update)
+            if decision.should_sync:
+                syncs.append((now, decision.records))
 
     # -- bookkeeping ------------------------------------------------------------
 

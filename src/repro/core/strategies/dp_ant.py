@@ -13,6 +13,8 @@ rounds compose in parallel and the overall update pattern is
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,6 +27,11 @@ from repro.dp.mechanisms import AboveThreshold
 from repro.edb.records import Record
 
 __all__ = ["DPANTStrategy"]
+
+#: Time units compared per vectorized sparse-vector scan.  A crossing wastes
+#: the rest of its scan's comparisons (they are recomputed with the reset
+#: count), so this trades numpy call overhead against that waste.
+_SCAN_WIDTH = 64
 
 
 class DPANTStrategy(SyncStrategy):
@@ -82,10 +89,6 @@ class DPANTStrategy(SyncStrategy):
         )
         self._round_received = 0
         self._round_index = 0
-        # Whether the next comparison could fire without a new arrival: true
-        # until the first step and right after a crossing (both draw a fresh
-        # noisy threshold and held noise, so 0 + noise may already cross).
-        self._comparison_pending = True
 
     @property
     def epsilon(self) -> float:
@@ -117,52 +120,84 @@ class DPANTStrategy(SyncStrategy):
         self._sparse.reset(self._noise)
         return gamma0
 
-    def next_event(self, now: int) -> int | None:
-        """When the strategy must be stepped even without an arrival.
-
-        With resampled comparison noise (Algorithm 3 as printed) every time
-        unit draws fresh ``Lap(4/eps1)`` noise and may cross the threshold,
-        so no tick can be skipped.  With held noise the comparison outcome is
-        constant between arrivals and crossings, so only the tick right after
-        a crossing (fresh threshold and held noise) and the flush schedule
-        need a wake-up.
-        """
-        if self._sparse.resample_noise or self._comparison_pending:
-            return now + 1
-        return self._flush.next_flush_after(now)
-
     def _step(self, time: int, update: Record | None) -> SyncDecision:
         if update is not None:
             self.cache.write(update)
             self._round_received += 1
-
         records: list[Record] = []
         reasons: list[str] = []
-
-        fired = self._sparse.step(self._round_received, self._noise)
-        self._comparison_pending = fired
-        if fired:
-            self._round_index += 1
-            records.extend(
-                perturb(self._round_received, self._epsilon_fetch, self.cache, self._noise, time)
-            )
-            # One sparse-vector round costs eps1 (comparisons) + eps2 (fetch);
-            # rounds act on disjoint data slices, hence their own partition.
-            self.accountant.spend(
-                self._epsilon_compare + self._epsilon_fetch,
-                partition=f"round-{self._round_index}",
-                label="M_sparse",
-            )
-            self._round_received = 0
+        if self._sparse.step(self._round_received, self._noise):
+            records.extend(self._fetch(time))
             reasons.append("threshold")
-
         if self._flush.should_flush(time):
-            records.extend(self.cache.read(self._flush.size, time))
-            self.accountant.spend(0.0, partition="flush", label="M_flush")
+            records.extend(self._flush_read(time))
             reasons.append("flush")
-
-        if not reasons or not records:
+        if not records:
             return SyncDecision.no_sync()
         return SyncDecision(
             should_sync=True, records=tuple(records), reason="+".join(reasons)
         )
+
+    def _advance(self, last, end, arrivals):
+        # The sparse-vector comparisons of a run of time units are one
+        # vectorized scan; only crossings and flush ticks do per-tick work.
+        syncs: list[tuple[int, tuple[Record, ...]]] = []
+        start = last + 1
+        taken = 0
+        for stop in sorted({*self._flush.ticks_between(last, end), end}):
+            upto = bisect_right(arrivals, stop, lo=taken, key=itemgetter(0))
+            syncs.extend(self._compare(start, stop, arrivals[taken:upto]))
+            if self._flush.should_flush(stop):
+                records = self._flush_read(stop)
+                if syncs and syncs[-1][0] == stop:
+                    records = [*syncs.pop()[1], *records]
+                syncs.append((stop, tuple(records)))
+            start, taken = stop + 1, upto
+        return syncs
+
+    def _compare(self, start, stop, arrivals):
+        """Compare every time unit of ``start .. stop``, fetching at crossings."""
+        syncs = []
+        ticks = stop - start + 1
+        arrived = np.zeros(ticks, dtype=np.int64)
+        arrived[[time - start for time, _ in arrivals]] = 1
+        # Arrivals in start .. start + k, for every k.
+        arrived_by = np.cumsum(arrived)
+        pos = taken = 0
+        while pos < ticks:
+            width = min(ticks - pos, _SCAN_WIDTH)
+            before = int(arrived_by[pos - 1]) if pos else 0
+            counts = self._round_received + (arrived_by[pos : pos + width] - before)
+            crossing = self._sparse.first_crossing(counts, self._noise)
+            pos += width if crossing is None else crossing + 1
+            upto = int(arrived_by[pos - 1])
+            self.cache.extend(update for _, update in arrivals[taken:upto])
+            self._round_received += upto - taken
+            taken = upto
+            if crossing is not None:
+                time = start + pos - 1
+                records = self._fetch(time)
+                if records:
+                    syncs.append((time, tuple(records)))
+        return syncs
+
+    def _fetch(self, time: int) -> list[Record]:
+        """The Perturb fetch that follows a threshold crossing."""
+        self._round_index += 1
+        records = perturb(
+            self._round_received, self._epsilon_fetch, self.cache, self._noise, time
+        )
+        # One sparse-vector round costs eps1 (comparisons) + eps2 (fetch);
+        # rounds act on disjoint data slices, hence their own partition.
+        self.accountant.spend(
+            self._epsilon_compare + self._epsilon_fetch,
+            partition=f"round-{self._round_index}",
+            label="M_sparse",
+        )
+        self._round_received = 0
+        return records
+
+    def _flush_read(self, time: int) -> list[Record]:
+        records = self.cache.read(self._flush.size, time)
+        self.accountant.spend(0.0, partition="flush", label="M_flush")
+        return records

@@ -14,6 +14,8 @@ cost.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -97,18 +99,6 @@ class DPTimerStrategy(SyncStrategy):
         """What Perturb perturbs at each tick (``"window"`` or ``"cache"``)."""
         return self._count_mode
 
-    def next_event(self, now: int) -> int | None:
-        """The next timer boundary or flush tick, whichever comes first.
-
-        Between those two schedules a step without an arrival touches no
-        state and draws no noise, so the engine may skip it.
-        """
-        candidates = [((now // self._period) + 1) * self._period]
-        next_flush = self._flush.next_flush_after(now)
-        if next_flush is not None:
-            candidates.append(next_flush)
-        return min(candidates)
-
     def _initial_records(self, initial: Sequence[Record]) -> list[Record]:
         gamma0 = perturb(len(initial), self._epsilon, self.cache, self._noise, 0)
         self.accountant.spend(self._epsilon, partition="setup", label="M_setup")
@@ -118,7 +108,37 @@ class DPTimerStrategy(SyncStrategy):
         if update is not None:
             self.cache.write(update)
             self._window_received += 1
+        records, reasons = self._decide(time)
+        if not records:
+            # No timer or flush tick, or the noisy count came out
+            # non-positive and no flush records were due: the owner skips
+            # the Update call this round.
+            return SyncDecision.no_sync()
+        return SyncDecision(
+            should_sync=True, records=tuple(records), reason="+".join(reasons)
+        )
 
+    def _advance(self, last, end, arrivals):
+        # Between timer and flush ticks a time unit only caches its arrival.
+        syncs = []
+        taken = 0
+        boundaries = range((last // self._period + 1) * self._period, end + 1, self._period)
+        for time in sorted({*boundaries, *self._flush.ticks_between(last, end)}):
+            upto = bisect_right(arrivals, time, lo=taken, key=itemgetter(0))
+            self._absorb(arrivals[taken:upto])
+            taken = upto
+            records, _ = self._decide(time)
+            if records:
+                syncs.append((time, tuple(records)))
+        self._absorb(arrivals[taken:])
+        return syncs
+
+    def _absorb(self, arrivals) -> None:
+        self.cache.extend(update for _, update in arrivals)
+        self._window_received += len(arrivals)
+
+    def _decide(self, time: int) -> tuple[list[Record], list[str]]:
+        """The timer and flush logic of one time unit, after its arrival."""
         records: list[Record] = []
         reasons: list[str] = []
 
@@ -142,13 +162,4 @@ class DPTimerStrategy(SyncStrategy):
             # data, i.e. it is 0-DP (M_flush in the proof of Theorem 10).
             self.accountant.spend(0.0, partition="flush", label="M_flush")
             reasons.append("flush")
-
-        if not reasons:
-            return SyncDecision.no_sync()
-        if not records:
-            # The noisy count came out non-positive and no flush records were
-            # due: the owner skips the Update call this round.
-            return SyncDecision.no_sync()
-        return SyncDecision(
-            should_sync=True, records=tuple(records), reason="+".join(reasons)
-        )
+        return records, reasons

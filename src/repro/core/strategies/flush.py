@@ -53,17 +53,16 @@ class FlushPolicy:
             return 0
         return self.size * (time // self.interval)
 
-    def next_flush_after(self, now: int) -> int | None:
-        """The first flush tick strictly after ``now`` (``None`` if never).
+    def ticks_between(self, last: int, end: int) -> range:
+        """The flush ticks in ``(last, end]``, in order.
 
-        This is the scheduling hint both DP strategies feed to the
-        event-driven engine; keeping it on the policy guarantees the engine's
-        wake-ups and :meth:`should_flush` can never disagree about the
-        schedule.
+        The segment kernels of both DP strategies cut their work at these
+        ticks; deriving them here keeps them in step with
+        :meth:`should_flush`.
         """
         if not self.enabled or self.size == 0:
-            return None
-        return ((now // self.interval) + 1) * self.interval
+            return range(0)
+        return range((last // self.interval + 1) * self.interval, end + 1, self.interval)
 
     @staticmethod
     def disabled() -> "FlushPolicy":

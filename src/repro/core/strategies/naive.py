@@ -31,10 +31,6 @@ class SURStrategy(SyncStrategy):
     def epsilon(self) -> float:
         return float("inf")
 
-    def next_event(self, now: int) -> int | None:
-        # SUR only ever reacts to arrivals; quiet ticks are no-ops.
-        return None
-
     def _initial_records(self, initial: Sequence[Record]) -> list[Record]:
         # Everything received so far is outsourced immediately.
         return self.cache.drain()
@@ -43,6 +39,10 @@ class SURStrategy(SyncStrategy):
         if update is None:
             return SyncDecision.no_sync()
         return SyncDecision(should_sync=True, records=(update,), reason="receipt")
+
+    def _advance(self, last, end, arrivals):
+        # One synchronization per arrival; quiet ticks are no-ops.
+        return [(time, (update,)) for time, update in arrivals]
 
 
 class OTOStrategy(SyncStrategy):
@@ -54,10 +54,6 @@ class OTOStrategy(SyncStrategy):
     def epsilon(self) -> float:
         return 0.0
 
-    def next_event(self, now: int) -> int | None:
-        # OTO is offline after setup; only arrivals touch its bookkeeping.
-        return None
-
     def _initial_records(self, initial: Sequence[Record]) -> list[Record]:
         return self.cache.drain()
 
@@ -67,6 +63,10 @@ class OTOStrategy(SyncStrategy):
         if update is not None:
             self.cache.write(update)
         return SyncDecision.no_sync()
+
+    def _advance(self, last, end, arrivals):
+        self.cache.extend(update for _, update in arrivals)
+        return []
 
 
 class SETStrategy(SyncStrategy):
@@ -78,11 +78,6 @@ class SETStrategy(SyncStrategy):
     def epsilon(self) -> float:
         return 0.0
 
-    def next_event(self, now: int) -> int | None:
-        # SET uploads one record (real or dummy) every single time unit, so
-        # no tick may ever be skipped.
-        return now + 1
-
     def _initial_records(self, initial: Sequence[Record]) -> list[Record]:
         return self.cache.drain()
 
@@ -92,3 +87,13 @@ class SETStrategy(SyncStrategy):
         else:
             record = self.make_dummy(time)
         return SyncDecision(should_sync=True, records=(record,), reason="every-step")
+
+    def _advance(self, last, end, arrivals):
+        # One record every time unit: the arrival where there is one, a
+        # dummy everywhere else.
+        arrived = dict(arrivals)
+        make_dummy = self._dummy_factory
+        return [
+            (time, (arrived[time] if time in arrived else make_dummy(time),))
+            for time in range(last + 1, end + 1)
+        ]

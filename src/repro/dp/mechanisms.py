@@ -39,7 +39,8 @@ class LaplaceBlockStream:
     ``Generator.laplace`` call per event; the per-call dispatch overhead
     dominates the actual sampling.  This stream pre-draws *standard* Laplace
     variates in blocks of ``block_size`` and hands them out one at a time,
-    scaled on demand.
+    scaled on demand, or as an array (:meth:`peek`, then :meth:`skip` what
+    was used) to a vectorized kernel.
 
     Exactness contract (pinned by the golden traces and the bit-identity
     test in ``tests/test_dp_mechanisms.py``): NumPy fills a Laplace array
@@ -48,7 +49,8 @@ class LaplaceBlockStream:
     (the sampler computes ``±scale * log(2u)``, so the multiplication is the
     same single rounding either way).  The k-th value produced through the
     stream therefore equals the k-th value the wrapped generator would have
-    produced directly -- for any interleaving of scales -- as long as *all*
+    produced directly -- for any interleaving of scales, and of scalar and
+    array consumption -- as long as *all*
     Laplace consumption of that generator goes through the stream.  The
     stream intentionally exposes the ``laplace(loc, scale)`` method surface
     of :class:`numpy.random.Generator` so mechanisms accept either.
@@ -81,6 +83,31 @@ class LaplaceBlockStream:
         value = self._block[self._cursor]
         self._cursor += 1
         return float(value)
+
+    def _buffer(self, n: int) -> None:
+        """Hold at least ``n`` unconsumed variates, drawing whole blocks."""
+        available = self._block.shape[0] - self._cursor
+        if available >= n:
+            return
+        blocks = -(-(n - available) // self._block_size)
+        fresh = self._rng.laplace(0.0, 1.0, size=blocks * self._block_size)
+        self._block = np.concatenate((self._block[self._cursor :], fresh))
+        self._cursor = 0
+
+    def peek(self, n: int) -> np.ndarray:
+        """The next ``n`` standard variates, without consuming them.
+
+        The returned array is a view into the stream's buffer; do not write
+        to it.  Variates are still drawn from the generator in whole blocks,
+        so peeking never changes the sequence later calls see.
+        """
+        self._buffer(n)
+        return self._block[self._cursor : self._cursor + n]
+
+    def skip(self, n: int) -> None:
+        """Consume ``n`` variates, exactly as ``n`` :meth:`standard` calls would."""
+        self._buffer(n)
+        self._cursor += n
 
     def laplace(self, loc: float = 0.0, scale: float = 1.0) -> float:
         """Drop-in for ``Generator.laplace`` on scalars, served from the block.
@@ -244,6 +271,36 @@ class AboveThreshold:
         self._held_noise = float(rng.laplace(0.0, self.query_scale))
         self._initialized = True
         return self._noisy_threshold
+
+    def first_crossing(
+        self, counts: np.ndarray, rng: LaplaceBlockStream
+    ) -> int | None:
+        """:meth:`step` over consecutive counts, up to the first crossing.
+
+        Equivalent to calling ``step(counts[i], rng)`` for ``i = 0, 1, ...``
+        until one returns ``True``: the comparisons are the same floating
+        point operations, and exactly the variates those calls would draw are
+        consumed (one per compared count when resampling, then the crossing's
+        fresh threshold).  Returns the index of the crossing, or ``None``
+        when no count crosses and every count was compared.
+        """
+        if not self._initialized:
+            raise RuntimeError("AboveThreshold.first_crossing called before reset()")
+        if self.resample_noise:
+            noisy = counts + self.query_scale * rng.peek(len(counts))
+        else:
+            noisy = counts + self._held_noise
+        crossed = noisy >= self._noisy_threshold
+        index = int(crossed.argmax())
+        if not crossed[index]:
+            if self.resample_noise:
+                rng.skip(len(counts))
+            return None
+        if self.resample_noise:
+            rng.skip(index + 1)
+        self.crossings += 1
+        self.reset(rng)
+        return index
 
     def step(
         self, count: float, rng: "np.random.Generator | LaplaceBlockStream"

@@ -1,19 +1,12 @@
-"""Event-driven simulation core.
+"""Segment-driven simulation core.
 
-The engine replaces the per-tick simulator loop: instead of touching every
-owner at every time unit, work is scheduled on a priority heap of
-``(time, priority, sequence)`` events.  Owners are woken only at logical
-arrivals (fed by :meth:`repro.workload.stream.GrowingDatabase.arrivals`) and
-at the self-scheduled times their strategies report via
-:meth:`repro.core.strategies.base.SyncStrategy.next_event`; the query
-schedule runs as a periodic event after all owner activity of a tick.
-
-Quiet stretches are skipped in ``O(log n)`` heap operations instead of
-``O(horizon)`` dead Python iterations, while the event ordering reproduces
-the legacy loop's behaviour exactly (see ``tests/test_engine_equivalence``).
+:class:`Engine` replays the owners' update streams one query interval at a
+time instead of one time unit at a time: each owner's strategy advances
+over a whole segment in bulk, the owners' Updates are merged in tick order,
+and the query schedule runs at the segment boundaries.  Its transcript is
+the per-tick loop's (see ``tests/test_engine_equivalence``).
 """
 
 from repro.engine.core import Engine, EngineStats
-from repro.engine.events import EventScheduler, ScheduledEvent
 
-__all__ = ["Engine", "EngineStats", "EventScheduler", "ScheduledEvent"]
+__all__ = ["Engine", "EngineStats"]

@@ -1,80 +1,111 @@
-"""The event-driven engine.
+"""The segment driver.
 
-:class:`Engine` advances simulated time by popping scheduled events instead
-of iterating every time unit.  Two kinds of participants register on it:
+:class:`Engine` replays owners over simulated time one *segment* at a time.
+It cuts ``(start, horizon]`` at every multiple of each periodic callback's
+interval (the query schedule) and at the horizon.  For each segment it
 
-* **streams** -- one per (owner, workload) pair.  A stream is woken at every
-  logical arrival of its workload and at every self-scheduled time its
-  strategy reports through ``next_self_event`` (the
-  :meth:`~repro.core.strategies.base.SyncStrategy.next_event` hint).  A wake
-  calls ``deliver(time, update)`` -- in the simulator that is
-  :meth:`repro.core.owner.Owner.tick`.
-* **periodic callbacks** -- e.g. the analyst's query schedule.  They fire at
-  every multiple of their interval, *after* all stream activity of that time
-  unit (streams carry a lower priority class).
+1. pulls each owner's arrivals of the segment from its lazy
+   ``(time, record)`` iterator;
+2. advances every owner over the whole segment in one call
+   (:meth:`repro.core.owner.Owner.advance`, which hands the segment to its
+   strategy's bulk kernel, :meth:`~repro.core.strategies.base.SyncStrategy.advance`);
+3. merges the owners' ``(time, γ_t)`` synchronizations by
+   ``(time, owner index)`` and runs each through the Update protocol
+   (:meth:`~repro.core.owner.Owner.outsource`);
+4. feeds the segment's arrivals to the incrementally maintained ground
+   truth, one block per table, in that same merged order;
+5. fires the periodic callbacks due at the segment's end, in registration
+   order.
 
-Within one time unit, streams fire in registration order, then periodics in
-registration order -- exactly the iteration order of the legacy per-tick
-loop, so a run over the engine reproduces the loop's transcript verbatim
-whenever skipped ticks are strategy no-ops (which ``next_event`` guarantees).
-
-Stale wake-ups (a self-event and an arrival landing on the same tick) are
-deduplicated by tracking each stream's last delivered time; a stream is
-never delivered the same time unit twice and never travels backwards.
+Nothing observes the system inside a segment, and the strategies' kernels
+decide every time unit exactly as per-tick stepping would, so the Update
+calls reach the EDB in the order of the per-tick loop -- all owners of time
+``t`` in registration order, before any owner of ``t + 1`` -- and every
+periodic sees the state that loop would have shown it.  The per-tick loop
+survives as the test oracle :func:`repro.testing.reference.run_per_tick`.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from repro.edb.records import Record
-from repro.engine.events import EventScheduler
+
+if TYPE_CHECKING:
+    from repro.core.owner import Owner
+    from repro.query.incremental import IncrementalTruth
 
 __all__ = ["Engine", "EngineStats"]
-
-#: Priority classes: all stream wake-ups of a tick precede all periodics.
-_STREAM_CLASS = 0
-_PERIODIC_CLASS = 1
 
 
 @dataclass
 class EngineStats:
     """Work counters of one engine run (exposed for tests and benchmarks)."""
 
-    events_scheduled: int = 0
+    segments: int = 0
+    #: Owner advances plus periodic firings.
     events_processed: int = 0
-    ticks_delivered: int = 0
-    stale_skipped: int = 0
-    periodic_fired: int = 0
-    #: Stream wake-ups that carried an arrival record.  Together with
-    #: ``ticks_delivered`` this separates real ingestion work from pure
-    #: self-scheduled wake-ups (timer/flush boundaries).
     arrivals_delivered: int = 0
+    periodic_fired: int = 0
+    #: Always 0: a segment never wakes an owner twice for one time unit.
+    #: Kept for readers of the per-tick scheduler's counter of that name.
+    stale_skipped: int = 0
 
 
 @dataclass
-class _Stream:
-    name: str
-    deliver: Callable[[int, Record | None], object]
+class _Feed:
+    """One owner and its arrival iterator, read ahead by one entry."""
+
+    owner: "Owner"
     arrivals: Iterator[tuple[int, Record]]
-    next_self_event: Callable[[int], int | None] | None
-    index: int
     pending: tuple[int, Record] | None = None
-    last_tick: int = 0
+    last_time: int | None = None
+
+    def advance(self) -> None:
+        """Read the next arrival into :attr:`pending`."""
+        entry = next(self.arrivals, None)
+        if entry is None:
+            self.pending = None
+            return
+        if self.last_time is not None and entry[0] <= self.last_time:
+            raise ValueError(
+                f"stream {self.owner.name!r}: arrival times must be strictly "
+                f"increasing (got {entry[0]} after {self.last_time})"
+            )
+        self.last_time = entry[0]
+        self.pending = entry
+
+    def take(self, end: int) -> list[tuple[int, Record]]:
+        """The arrivals up to and including ``end``."""
+        block = []
+        while self.pending is not None and self.pending[0] <= end:
+            block.append(self.pending)
+            self.advance()
+        return block
 
 
 @dataclass
 class _Periodic:
     callback: Callable[[int], object]
     interval: int
-    index: int
 
 
 class Engine:
-    """Scheduled-event simulation core bounded by ``horizon`` time units."""
+    """Segment-at-a-time replay of owners bounded by ``horizon`` time units.
 
-    def __init__(self, horizon: int, start_time: int = 0) -> None:
+    ``start_time`` is the last time unit already processed, e.g. by the run
+    a persisted snapshot was taken from; every registered owner must be at
+    that time.  ``truth`` receives every arrival the engine delivers.
+    """
+
+    def __init__(
+        self,
+        horizon: int,
+        start_time: int = 0,
+        truth: "IncrementalTruth | None" = None,
+    ) -> None:
         if horizon < 0:
             raise ValueError("horizon must be non-negative")
         if not 0 <= start_time <= horizon:
@@ -83,8 +114,8 @@ class Engine:
             )
         self._horizon = horizon
         self._start_time = start_time
-        self._scheduler = EventScheduler()
-        self._streams: list[_Stream] = []
+        self._truth = truth
+        self._feeds: list[_Feed] = []
         self._periodics: list[_Periodic] = []
         self._stats = EngineStats()
         self._ran = False
@@ -102,50 +133,18 @@ class Engine:
     # -- registration -----------------------------------------------------------
 
     def add_stream(
-        self,
-        name: str,
-        deliver: Callable[[int, Record | None], object],
-        arrivals: Iterable[tuple[int, Record]] = (),
-        next_self_event: Callable[[int], int | None] | None = None,
-        resume_at: int = 0,
+        self, owner: "Owner", arrivals: Iterable[tuple[int, Record]] = ()
     ) -> None:
-        """Register a stream.
+        """Register an owner and its arrivals.
 
-        Parameters
-        ----------
-        name:
-            Label used in error messages.
-        deliver:
-            Called as ``deliver(time, update)`` at every wake-up of the
-            stream; ``update`` is the arrival record when the wake-up
-            coincides with one, else ``None``.
-        arrivals:
-            Iterable of ``(time, record)`` pairs with strictly increasing
-            times (e.g. :meth:`GrowingDatabase.arrivals`); consumed lazily.
-        next_self_event:
-            Optional hint called after every delivery (and once with
-            ``resume_at`` before the run) returning the next time the stream
-            must be woken even without an arrival, or ``None``.
-        resume_at:
-            Last time unit already delivered to the stream in a previous
-            (persisted) run.  Arrivals at or before this time are consumed
-            without delivery and the first self-event hint is taken at this
-            time rather than 0.
+        ``arrivals`` yields ``(time, record)`` pairs with strictly increasing
+        times (e.g. :meth:`GrowingDatabase.arrivals`).  It is first read when
+        :meth:`run` starts, and then only as far as the current segment;
+        arrivals at or before ``start_time`` are skipped.
         """
         if self._ran:
             raise RuntimeError("streams must be registered before run()")
-        if resume_at < 0:
-            raise ValueError("resume_at must be non-negative")
-        self._streams.append(
-            _Stream(
-                name=name,
-                deliver=deliver,
-                arrivals=iter(arrivals),
-                next_self_event=next_self_event,
-                index=len(self._streams),
-                last_tick=resume_at,
-            )
-        )
+        self._feeds.append(_Feed(owner=owner, arrivals=iter(arrivals)))
 
     def add_periodic(self, interval: int, callback: Callable[[int], object]) -> None:
         """Register ``callback(time)`` to fire at every multiple of ``interval``."""
@@ -153,98 +152,64 @@ class Engine:
             raise RuntimeError("periodic callbacks must be registered before run()")
         if interval <= 0:
             raise ValueError("interval must be positive")
-        self._periodics.append(
-            _Periodic(callback=callback, interval=interval, index=len(self._periodics))
-        )
+        self._periodics.append(_Periodic(callback=callback, interval=interval))
 
     # -- execution ----------------------------------------------------------------
 
     def run(self) -> EngineStats:
-        """Process every scheduled event up to the horizon (once per engine)."""
+        """Replay every segment up to the horizon (once per engine)."""
         if self._ran:
             raise RuntimeError("an Engine instance may only run once")
         self._ran = True
-        for stream in self._streams:
-            self._pull_arrival(stream)
-            self._schedule_self(stream, stream.last_tick)
-        for periodic in self._periodics:
-            first = ((self._start_time // periodic.interval) + 1) * periodic.interval
-            if first <= self._horizon:
-                self._scheduler.schedule(
-                    first, (_PERIODIC_CLASS, periodic.index), periodic
-                )
-        while self._scheduler:
-            event = self._scheduler.pop()
-            if event.priority[0] == _STREAM_CLASS:
-                self._wake_stream(event.payload, event.time)
-            else:
-                self._fire_periodic(event.payload, event.time)
-        self._stats.events_scheduled = self._scheduler.events_scheduled
-        self._stats.events_processed = self._scheduler.events_processed
+        for feed in self._feeds:
+            feed.advance()
+            feed.take(self._start_time)
+        for end in self._segment_ends():
+            self._segment(end)
+            for periodic in self._periodics:
+                if end % periodic.interval == 0:
+                    periodic.callback(end)
+                    self._stats.periodic_fired += 1
+                    self._stats.events_processed += 1
         return self._stats
 
     # -- internals ------------------------------------------------------------------
 
-    def _pull_arrival(self, stream: _Stream) -> None:
-        """Advance the arrival iterator and schedule the wake-up, if any."""
-        while True:
-            entry = next(stream.arrivals, None)
-            if entry is None:
-                stream.pending = None
-                return
-            time, record = entry
-            if stream.pending is not None and time <= stream.pending[0]:
-                raise ValueError(
-                    f"stream {stream.name!r}: arrival times must be strictly "
-                    f"increasing (got {time} after {stream.pending[0]})"
-                )
-            if time > stream.last_tick:
-                break
-            # Resumed stream: this arrival was already delivered before the
-            # snapshot.  Consume it, keeping monotonicity validation anchored.
-            stream.pending = entry
-        if time > self._horizon:
-            # Times are increasing, so everything further is out of range too.
-            stream.pending = None
-            return
-        stream.pending = (time, record)
-        self._scheduler.schedule(time, (_STREAM_CLASS, stream.index), stream)
+    def _segment_ends(self) -> list[int]:
+        start, horizon = self._start_time, self._horizon
+        ends = {horizon} if horizon > start else set()
+        for periodic in self._periodics:
+            first = (start // periodic.interval + 1) * periodic.interval
+            ends.update(range(first, horizon + 1, periodic.interval))
+        return sorted(ends)
 
-    def _schedule_self(self, stream: _Stream, now: int) -> None:
-        if stream.next_self_event is None:
-            return
-        when = stream.next_self_event(now)
-        if when is None:
-            return
-        if when <= now:
-            raise ValueError(
-                f"stream {stream.name!r}: next_event must be in the future "
-                f"(got {when} at time {now})"
+    def _segment(self, end: int) -> None:
+        stats = self._stats
+        stats.segments += 1
+        blocks = []
+        syncs = []
+        for index, feed in enumerate(self._feeds):
+            block = feed.take(end)
+            blocks.append(block)
+            stats.arrivals_delivered += len(block)
+            syncs.append(
+                [(time, index, records) for time, records in feed.owner.advance(end, block)]
             )
-        if when <= self._horizon:
-            self._scheduler.schedule(when, (_STREAM_CLASS, stream.index), stream)
+            stats.events_processed += 1
+        for time, index, records in heapq.merge(*syncs):
+            if records:
+                self._feeds[index].owner.outsource(time, records)
+        if self._truth is not None:
+            self._ingest(blocks)
 
-    def _wake_stream(self, stream: _Stream, time: int) -> None:
-        if time <= stream.last_tick:
-            # A self-event and an arrival landed on the same tick; the first
-            # wake-up already delivered it.
-            self._stats.stale_skipped += 1
-            return
-        update: Record | None = None
-        if stream.pending is not None and stream.pending[0] == time:
-            update = stream.pending[1]
-            self._stats.arrivals_delivered += 1
-            self._pull_arrival(stream)
-        stream.deliver(time, update)
-        stream.last_tick = time
-        self._stats.ticks_delivered += 1
-        self._schedule_self(stream, time)
-
-    def _fire_periodic(self, periodic: _Periodic, time: int) -> None:
-        periodic.callback(time)
-        self._stats.periodic_fired += 1
-        following = time + periodic.interval
-        if following <= self._horizon:
-            self._scheduler.schedule(
-                following, (_PERIODIC_CLASS, periodic.index), periodic
+    def _ingest(self, blocks: list[list[tuple[int, Record]]]) -> None:
+        """Feed the segment's arrivals to the ground truth, one block per table."""
+        by_table: dict[str, list[list[tuple[int, int, Record]]]] = {}
+        for index, (feed, block) in enumerate(zip(self._feeds, blocks)):
+            by_table.setdefault(feed.owner.table, []).append(
+                [(time, index, record) for time, record in block]
             )
+        for table, entries in by_table.items():
+            records = [record for _, _, record in heapq.merge(*entries)]
+            if records:
+                self._truth.ingest(table, records)

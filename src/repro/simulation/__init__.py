@@ -1,6 +1,5 @@
 """Experiment harness: drives owners, strategies and EDBs through time.
 
-* :mod:`repro.simulation.clock` -- the discrete simulation clock;
 * :mod:`repro.simulation.results` -- per-timestep traces and aggregates
   (mean/max L1 error, mean QET, logical gap, total/dummy data size);
 * :mod:`repro.simulation.simulator` -- :class:`Simulation`, which replays a
@@ -16,7 +15,6 @@
   tables and figure series.
 """
 
-from repro.simulation.clock import SimulationClock
 from repro.simulation.results import QueryTrace, RunResult, TimePoint
 from repro.simulation.simulator import Simulation, SimulationConfig
 from repro.simulation.experiment import (
@@ -60,7 +58,6 @@ __all__ = [
     "QueryTrace",
     "RunResult",
     "Simulation",
-    "SimulationClock",
     "SimulationConfig",
     "TimePoint",
     "default_queries",

@@ -18,15 +18,14 @@ per stream, all outsourcing to the shared EDB.  The owners are coordinated
 through a :class:`repro.fleet.Deployment`, whose per-member strategies draw
 from ``SeedSequence``-spawned noise streams.
 
-Since the event-driven refactor, :meth:`Simulation.run` is a thin wrapper
-over :class:`repro.engine.Engine`: every owner's stream is interleaved in one
-event heap, woken only at its logical arrivals and at its strategy's
-self-scheduled times (timer boundaries, flush ticks), and ground-truth
-answers are maintained incrementally instead of rescanning the logical
-tables at every query time.  The original per-tick loop survives as
-:meth:`Simulation.run_legacy`; both paths produce bit-identical
-:class:`RunResult`\\ s at a fixed seed (see
-``tests/test_engine_equivalence.py``) and the benchmark
+:meth:`Simulation.run` drives :class:`repro.engine.Engine`, which replays
+every owner one query interval at a time: each strategy advances over the
+whole interval in bulk, the owners' Updates are merged in tick order, and
+ground-truth answers are maintained incrementally instead of rescanning the
+logical tables at every query time.  The per-tick loop with full rescans
+survives as the test oracle :func:`repro.testing.reference.run_per_tick`;
+both produce bit-identical :class:`RunResult`\\ s at a fixed seed (see
+``tests/test_engine_equivalence.py``), and
 ``benchmarks/bench_engine_speed.py`` tracks the speedup.
 """
 
@@ -52,7 +51,6 @@ from repro.engine import Engine
 from repro.fleet import Deployment
 from repro.query.ast import Query
 from repro.query.incremental import IncrementalTruth
-from repro.simulation.clock import SimulationClock
 from repro.simulation.results import QueryTrace, RunResult, TimePoint
 from repro.workload.stream import GrowingDatabase
 
@@ -114,7 +112,7 @@ class SimulationConfig:
 
 @dataclass
 class _RunContext:
-    """Everything one run (engine or legacy) operates on."""
+    """Everything one run operates on."""
 
     edb: EncryptedDatabase
     analyst: Analyst
@@ -174,12 +172,10 @@ class Simulation:
         persist_dir: str | os.PathLike | None = None,
         persist_passphrase: str | None = None,
     ) -> RunResult:
-        """Execute the simulation on the event-driven engine.
+        """Execute the simulation on the segment-driven engine.
 
-        Owners are woken only at logical arrivals and at their strategies'
-        :meth:`~repro.core.strategies.base.SyncStrategy.next_event` times;
-        every skipped tick is a strategy no-op, so the result is identical to
-        :meth:`run_legacy` at the same seed.
+        The result is identical to the per-tick reference loop
+        (:func:`repro.testing.reference.run_per_tick`) at the same seed.
 
         When ``persist_dir`` is given, the run writes a durable
         :class:`~repro.edb.store.SnapshotStore` snapshot after every query
@@ -198,16 +194,11 @@ class Simulation:
             store = SnapshotStore(persist_dir, passphrase=persist_passphrase)
         ctx, resume_time = self._build_or_resume(store)
         try:
-            truth = ctx.analyst.truth_source
-            engine = Engine(ctx.horizon, start_time=resume_time)
+            engine = Engine(
+                ctx.horizon, start_time=resume_time, truth=ctx.analyst.truth_source
+            )
             for stream, owner in ctx.owners.items():
-                engine.add_stream(
-                    stream,
-                    deliver=self._make_deliver(owner, truth),
-                    arrivals=self._workloads[stream].arrivals(),
-                    next_self_event=owner.strategy.next_event,
-                    resume_at=owner.current_time if resume_time else 0,
-                )
+                engine.add_stream(owner, self._workloads[stream].arrivals())
             if self._config.query_interval:
                 engine.add_periodic(
                     self._config.query_interval,
@@ -226,28 +217,6 @@ class Simulation:
             if store is not None:
                 store.clear()
             return result
-        finally:
-            self._close_edb(ctx)
-
-    def run_legacy(self) -> RunResult:
-        """Execute the simulation with the original per-tick loop.
-
-        Kept as the reference implementation: it visits every owner at every
-        time unit and recomputes ground truth by rescanning the logical
-        tables.  The equivalence tests pin :meth:`run` against it.
-        """
-        ctx = self._build(incremental_truth=False)
-        try:
-            clock = SimulationClock(
-                horizon=ctx.horizon, query_interval=self._config.query_interval
-            )
-            for time in clock.iter_ticks():
-                for stream, owner in ctx.owners.items():
-                    update = self._workloads[stream].update_at(time)
-                    owner.tick(time, update)
-                if clock.is_query_time():
-                    self._observe(time, ctx)
-            return self._finalize(ctx)
         finally:
             self._close_edb(ctx)
 
@@ -361,7 +330,7 @@ class Simulation:
     # -- construction ---------------------------------------------------------------
 
     def _build(self, incremental_truth: bool = True) -> _RunContext:
-        """Instantiate the EDB, owner fleet and analyst shared by both modes."""
+        """Instantiate the EDB, owner fleet and analyst of one run."""
         config = self._config
         edb = self._edb_factory()
 
@@ -435,21 +404,10 @@ class Simulation:
             horizon=horizon,
         )
 
-    @staticmethod
-    def _make_deliver(owner: Owner, truth: IncrementalTruth | None):
-        table = owner.table
-
-        def deliver(time, update):
-            owner.tick(time, update)
-            if update is not None and truth is not None:
-                truth.ingest_one(table, update)
-
-        return deliver
-
     # -- internals ------------------------------------------------------------------
 
     def _finalize(self, ctx: _RunContext) -> RunResult:
-        """Final snapshot plus run-level totals (shared by both run modes)."""
+        """Final snapshot plus run-level totals."""
         result = ctx.result
         # Always capture the final state even if the horizon is not a
         # multiple of the query interval.

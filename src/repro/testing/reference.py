@@ -1,16 +1,23 @@
-"""Discrete simulation clock.
+"""The per-tick reference loop: the oracle the segment engine is tested against.
 
-The paper's evaluation treats one minute as the minimum time span; the clock
-simply counts time units, knows the query schedule and the horizon, and is
-shared by the simulator components so they agree on "now".
+:func:`run_per_tick` replays a :class:`~repro.simulation.simulator.Simulation`
+the slow, obvious way: every owner is ticked at every time unit through
+:meth:`~repro.core.owner.Owner.tick` (one ``SyncStrategy.step`` each), and
+ground truth is recomputed by rescanning the logical tables at every query
+time.  ``Simulation.run`` must produce an identical
+:class:`~repro.simulation.results.RunResult` at the same seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-__all__ = ["SimulationClock"]
+if TYPE_CHECKING:
+    from repro.simulation.results import RunResult
+    from repro.simulation.simulator import Simulation
+
+__all__ = ["SimulationClock", "run_per_tick"]
 
 
 @dataclass
@@ -63,3 +70,20 @@ class SimulationClock:
         if self.query_interval == 0:
             return ()
         return tuple(range(self.query_interval, self.horizon + 1, self.query_interval))
+
+
+def run_per_tick(simulation: "Simulation") -> "RunResult":
+    """Run ``simulation`` with the per-tick loop and full ground-truth rescans."""
+    ctx = simulation._build(incremental_truth=False)
+    try:
+        clock = SimulationClock(
+            horizon=ctx.horizon, query_interval=simulation._config.query_interval
+        )
+        for time in clock.iter_ticks():
+            for stream, owner in ctx.owners.items():
+                owner.tick(time, simulation._workloads[stream].update_at(time))
+            if clock.is_query_time():
+                simulation._observe(time, ctx)
+        return simulation._finalize(ctx)
+    finally:
+        simulation._close_edb(ctx)

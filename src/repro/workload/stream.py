@@ -105,10 +105,9 @@ class GrowingDatabase:
     def arrivals(self) -> Iterator[tuple[int, Record]]:
         """Iterate only the non-empty updates as ``(t, u_t)`` pairs.
 
-        This is the feed the event-driven engine schedules on: on a sparse
-        stream it visits each arrival once instead of probing
-        :meth:`update_at` at every time unit.  Times are strictly
-        increasing.
+        This is the feed the segment engine reads: on a sparse stream it
+        visits each arrival once instead of probing :meth:`update_at` at
+        every time unit.  Times are strictly increasing.
         """
         for index, update in enumerate(self.updates):
             if update is not None:

@@ -18,17 +18,39 @@ from repro.dp.mechanisms import (
 
 
 class TestLaplaceBlockStream:
-    def test_bit_identical_to_direct_draws_across_mixed_scales(self):
+    @settings(max_examples=100, deadline=None)
+    @given(
+        block_size=st.integers(min_value=1, max_value=40),
+        blocks=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=90),
+                st.integers(min_value=0, max_value=90),
+            ),
+            max_size=30,
+        ),
+    )
+    def test_bit_identical_to_direct_draws_across_mixed_scales(self, block_size, blocks):
         """The k-th stream value equals the k-th direct Generator draw.
 
         This is the contract the strategy hot loops rely on: interleaved
         scales (Perturb's 1/eps, AboveThreshold's 2/eps1 and 4/eps1) served
         from predrawn standard blocks must match direct scaled draws
-        bit-for-bit, including across block boundaries.
+        bit-for-bit, including across block boundaries -- and so must
+        variates served as arrays (``peek``) and consumed in bulk (``skip``,
+        of any prefix of the peeked array), in any mix with scalar draws.
         """
         scales = [2.0, 8.0, 1 / 0.25, 0.5, 123.456, 1e-3]
-        stream = LaplaceBlockStream(np.random.default_rng(77), block_size=16)
+        stream = LaplaceBlockStream(np.random.default_rng(77), block_size=block_size)
         direct = np.random.default_rng(77)
+        for index, (peeked, taken) in enumerate(blocks):
+            scale = scales[index % len(scales)]
+            assert stream.laplace(0.0, scale) == direct.laplace(0.0, scale)
+            taken = min(taken, peeked)
+            window = scale * stream.peek(peeked)
+            assert len(window) == peeked
+            stream.skip(taken)
+            expected = [direct.laplace(0.0, scale) for _ in range(taken)]
+            assert window[:taken].tolist() == expected
         for index in range(500):
             scale = scales[index % len(scales)]
             assert stream.laplace(0.0, scale) == direct.laplace(0.0, scale)

@@ -1,14 +1,15 @@
-"""Engine/legacy equivalence: the event-driven run must reproduce the
+"""Engine/reference equivalence: the segment engine must reproduce the
 per-tick loop bit for bit.
 
 For every strategy and both back-ends, two identically-configured
-simulations are executed -- one through :meth:`Simulation.run` (scheduled
-events, incremental ground truth, batched ingestion) and one through
-:meth:`Simulation.run_legacy` (the original loop, full rescans).  Their
-:class:`RunResult`\\ s must compare equal on every field: timeline, query
-traces, sync counts and update volumes.  This is the contract that makes
-skipping quiet ticks safe: a skipped tick must be a strategy no-op, and the
-incrementally maintained aggregates must equal a from-scratch rescan.
+simulations are executed -- one through :meth:`Simulation.run` (segment
+kernels, incremental ground truth, batched ingestion) and one through
+:func:`repro.testing.reference.run_per_tick` (one ``step`` per owner and
+time unit, full rescans).  Their :class:`RunResult`\\ s must compare equal
+on every field: timeline, query traces, sync counts and update volumes.
+This is the contract that makes the bulk kernels safe: each must decide
+every time unit as ``step`` would, and the incrementally maintained
+aggregates must equal a from-scratch rescan.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.simulation.experiment import (
     taxi_workloads,
 )
 from repro.simulation.simulator import Simulation, SimulationConfig
+from repro.testing.reference import run_per_tick
 
 SCALE = 0.02  # ~864 time units; large enough to hit timers, flushes, queries
 
@@ -62,7 +64,7 @@ def build(workloads, queries, strategy, backend, **overrides):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_engine_reproduces_legacy_loop(workloads, queries, strategy, backend):
     engine_result = build(workloads, queries, strategy, backend).run()
-    legacy_result = build(workloads, queries, strategy, backend).run_legacy()
+    legacy_result = run_per_tick(build(workloads, queries, strategy, backend))
     assert engine_result == legacy_result
 
 
@@ -70,9 +72,9 @@ def test_equivalence_without_query_schedule(workloads, queries):
     engine_result = build(
         workloads, queries, "dp-timer", "oblidb", query_interval=0
     ).run()
-    legacy_result = build(
+    legacy_result = run_per_tick(build(
         workloads, queries, "dp-timer", "oblidb", query_interval=0
-    ).run_legacy()
+    ))
     assert engine_result == legacy_result
     assert len(engine_result.timeline) == 1
 
@@ -82,9 +84,9 @@ def test_equivalence_with_truncated_horizon(workloads, queries):
     engine_result = build(
         workloads, queries, "dp-ant", "oblidb", horizon=500
     ).run()
-    legacy_result = build(
+    legacy_result = run_per_tick(build(
         workloads, queries, "dp-ant", "oblidb", horizon=500
-    ).run_legacy()
+    ))
     assert engine_result == legacy_result
 
 
@@ -92,34 +94,34 @@ def test_equivalence_with_flush_disabled(workloads, queries):
     engine_result = build(
         workloads, queries, "dp-timer", "oblidb", flush=FlushPolicy.disabled()
     ).run()
-    legacy_result = build(
+    legacy_result = run_per_tick(build(
         workloads, queries, "dp-timer", "oblidb", flush=FlushPolicy.disabled()
-    ).run_legacy()
+    ))
     assert engine_result == legacy_result
 
 
 @pytest.mark.parametrize("seed", (0, 1, 2))
 def test_equivalence_across_seeds(workloads, queries, seed):
     engine_result = build(workloads, queries, "dp-ant", "crypte", seed=seed).run()
-    legacy_result = build(
+    legacy_result = run_per_tick(build(
         workloads, queries, "dp-ant", "crypte", seed=seed
-    ).run_legacy()
+    ))
     assert engine_result == legacy_result
 
 
 @pytest.mark.parametrize("seed", (0, 1, 2))
-def test_held_noise_dp_ant_skips_ticks_equivalently(seed):
-    """The held-noise DP-ANT variant must skip ticks without diverging.
+def test_held_noise_dp_ant_skips_ticks_equivalently(seed, monkeypatch):
+    """The held-noise DP-ANT variant's segment kernel matches the per-tick loop.
 
-    With ``resample_comparison_noise=False`` the strategy's ``next_event``
-    actually skips quiet stretches (the resampling default wakes every
-    tick), and that configuration is not reachable through ``make_strategy``
-    -- so pin it here by driving an owner through the engine directly and
-    comparing its update transcript against a per-tick loop.
+    That configuration is not reachable through ``make_strategy``, so pin it
+    here by driving an owner through the engine directly and comparing its
+    update transcript against a per-tick loop.  The engine never steps the
+    strategy one tick at a time.
     """
     import numpy as np
 
     from repro.core.owner import Owner
+    from repro.core.strategies.base import SyncStrategy
     from repro.core.strategies.dp_ant import DPANTStrategy
     from repro.edb.oblidb import ObliDB
     from repro.edb.records import Record, Schema, make_dummy_record
@@ -157,19 +159,19 @@ def test_held_noise_dp_ant_skips_ticks_equivalently(seed):
 
     engine_owner = build_owner()
     engine = Engine(horizon)
-    engine.add_stream(
-        "S",
-        engine_owner.tick,
-        workload.arrivals(),
-        engine_owner.strategy.next_event,
-    )
+    engine.add_stream(engine_owner, workload.arrivals())
+    engine.add_periodic(250, lambda time: None)
+
+    def no_step(self, time, update):
+        raise AssertionError("the engine stepped a strategy one tick at a time")
+
+    monkeypatch.setattr(SyncStrategy, "step", no_step)
     stats = engine.run()
 
     assert engine_owner.update_pattern.as_tuples() == loop_owner.update_pattern.as_tuples()
     assert engine_owner.strategy.sync_count == loop_owner.strategy.sync_count
     assert engine_owner.logical_gap == loop_owner.logical_gap
-    # The point of the held variant: most quiet ticks are actually skipped.
-    assert stats.ticks_delivered < horizon / 2
+    assert stats.segments == horizon // 250
 
 
 @pytest.mark.parametrize("strategy", ("dp-timer", "dp-ant"))

@@ -1,121 +1,126 @@
-"""Tests for the scheduled-event core (repro.engine)."""
+"""Tests for the segment driver (repro.engine)."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.edb.records import Record
-from repro.engine import Engine, EventScheduler
+from repro.core.owner import Owner
+from repro.core.strategies.base import SyncDecision, SyncStrategy
+from repro.core.strategies.naive import SETStrategy, SURStrategy
+from repro.edb.oblidb import ObliDB
+from repro.edb.records import Record, Schema, SchemaDummyFactory
+from repro.engine import Engine
 
 
 def rec(t, table="T"):
     return Record(values={"v": t}, arrival_time=t, table=table)
 
 
-class TestEventScheduler:
-    def test_orders_by_time_then_priority_then_insertion(self):
-        scheduler = EventScheduler()
-        scheduler.schedule(5, (1, 0), "late-periodic")
-        scheduler.schedule(5, (0, 1), "stream-b")
-        scheduler.schedule(3, (1, 0), "early-periodic")
-        scheduler.schedule(5, (0, 0), "stream-a")
-        scheduler.schedule(5, (0, 0), "stream-a-again")
-        popped = [scheduler.pop().payload for _ in range(len(scheduler))]
-        assert popped == [
-            "early-periodic",
-            "stream-a",
-            "stream-a-again",
-            "stream-b",
-            "late-periodic",
-        ]
+class Recorder(SyncStrategy):
+    """Steps through the generic wake loop and logs every wake-up."""
 
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            EventScheduler().pop()
+    name = "recorder"
 
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            EventScheduler().schedule(-1, (0, 0), None)
+    def __init__(self, seen, label="T", every=None):
+        super().__init__(SchemaDummyFactory(Schema(label, ("v",))))
+        self._seen = seen
+        self._label = label
+        self._every = every
 
-    def test_counters_and_peek(self):
-        scheduler = EventScheduler()
-        assert scheduler.peek_time() is None
-        scheduler.schedule(7, (0, 0), None)
-        assert scheduler.peek_time() == 7
-        scheduler.pop()
-        assert scheduler.events_scheduled == 1
-        assert scheduler.events_processed == 1
+    @property
+    def epsilon(self):
+        return 0.0
+
+    def _initial_records(self, initial):
+        return []
+
+    def next_event(self, now):
+        return now + self._every if self._every else None
+
+    def _step(self, time, update):
+        self._seen.append((self._label, time, update["v"] if update else None))
+        return SyncDecision.no_sync()
+
+
+def make_owner(strategy, table="T", edb=None):
+    edb = edb if edb is not None else ObliDB(rng=np.random.default_rng(1))
+    owner = Owner(schema=Schema(table, ("v",)), strategy=strategy, edb=edb)
+    owner.initialize([])
+    return owner
+
+
+def run_recorder(horizon, arrivals=(), every=None, periodic=None):
+    seen = []
+    engine = Engine(horizon=horizon)
+    engine.add_stream(make_owner(Recorder(seen, every=every)), arrivals)
+    if periodic is not None:
+        engine.add_periodic(periodic, lambda t: seen.append(("Q", t, None)))
+    return seen, engine.run()
 
 
 class TestEngine:
     def test_arrivals_are_delivered_with_their_records(self):
-        engine = Engine(horizon=10)
-        seen = []
-        engine.add_stream(
-            "T", lambda t, u: seen.append((t, u["v"] if u else None)),
-            arrivals=[(2, rec(2)), (7, rec(7))],
-        )
-        engine.run()
-        assert seen == [(2, 2), (7, 7)]
+        seen, _ = run_recorder(10, arrivals=[(2, rec(2)), (7, rec(7))])
+        assert seen == [("T", 2, 2), ("T", 7, 7)]
 
     def test_self_events_wake_stream_without_arrival(self):
-        engine = Engine(horizon=9)
-        seen = []
-        engine.add_stream(
-            "T", lambda t, u: seen.append((t, u)),
-            next_self_event=lambda now: now + 3,
-        )
-        engine.run()
-        assert seen == [(3, None), (6, None), (9, None)]
+        seen, _ = run_recorder(9, every=3)
+        assert seen == [("T", 3, None), ("T", 6, None), ("T", 9, None)]
 
     def test_coinciding_self_event_and_arrival_tick_once(self):
-        engine = Engine(horizon=6)
-        seen = []
-        engine.add_stream(
-            "T", lambda t, u: seen.append((t, u is not None)),
-            arrivals=[(3, rec(3))],
-            next_self_event=lambda now: now + 3,
-        )
-        stats = engine.run()
+        seen, stats = run_recorder(6, arrivals=[(3, rec(3))], every=3)
         # One delivery at t=3 (carrying the record) and one at t=6.
-        assert seen == [(3, True), (6, False)]
-        assert stats.stale_skipped >= 1
+        assert seen == [("T", 3, 3), ("T", 6, None)]
+        assert stats.stale_skipped == 0
 
     def test_streams_fire_before_periodics_within_a_tick(self):
+        seen = []
         engine = Engine(horizon=4)
-        order = []
-        engine.add_stream(
-            "A", lambda t, u: order.append(("A", t)), arrivals=[(2, rec(2, "A"))]
-        )
-        engine.add_stream(
-            "B", lambda t, u: order.append(("B", t)), arrivals=[(2, rec(2, "B"))]
-        )
-        engine.add_periodic(2, lambda t: order.append(("Q", t)))
+        for table in ("A", "B"):
+            engine.add_stream(
+                make_owner(Recorder(seen, label=table), table=table),
+                arrivals=[(2, rec(2, table))],
+            )
+        engine.add_periodic(2, lambda t: seen.append(("Q", t, None)))
         engine.run()
-        assert order == [("A", 2), ("B", 2), ("Q", 2), ("Q", 4)]
+        assert seen == [("A", 2, 2), ("B", 2, 2), ("Q", 2, None), ("Q", 4, None)]
+
+    def test_updates_merge_across_owners_in_tick_order(self):
+        """Each owner advances a whole segment alone, yet the shared EDB
+        receives the Updates in the per-tick loop's order."""
+        edb = ObliDB(rng=np.random.default_rng(1))
+        calls = []
+        insert_many = edb.insert_many
+
+        def recording_insert_many(batches, time):
+            calls.append((time, *batches))
+            return insert_many(batches, time)
+
+        edb.insert_many = recording_insert_many
+        engine = Engine(horizon=3)
+        engine.add_stream(
+            make_owner(SETStrategy(SchemaDummyFactory(Schema("A", ("v",)))), "A", edb),
+            arrivals=[(2, rec(2, "A"))],
+        )
+        engine.add_stream(
+            make_owner(SURStrategy(SchemaDummyFactory(Schema("B", ("v",)))), "B", edb),
+            arrivals=[(1, rec(1, "B")), (3, rec(3, "B"))],
+        )
+        engine.run()
+        assert calls == [(1, "A"), (1, "B"), (2, "A"), (3, "A"), (3, "B")]
 
     def test_arrivals_beyond_horizon_are_dropped(self):
-        engine = Engine(horizon=5)
-        seen = []
-        engine.add_stream(
-            "T", lambda t, u: seen.append(t), arrivals=[(4, rec(4)), (6, rec(6))]
-        )
-        engine.run()
-        assert seen == [4]
+        seen, _ = run_recorder(5, arrivals=[(4, rec(4)), (6, rec(6))])
+        assert seen == [("T", 4, 4)]
 
     def test_non_increasing_arrival_times_rejected(self):
-        engine = Engine(horizon=10)
-        engine.add_stream(
-            "T", lambda t, u: None, arrivals=[(4, rec(4)), (4, rec(4))]
-        )
         with pytest.raises(ValueError):
-            engine.run()
+            run_recorder(10, arrivals=[(4, rec(4)), (4, rec(4))])
 
     def test_next_event_in_the_past_rejected(self):
-        engine = Engine(horizon=10)
-        engine.add_stream("T", lambda t, u: None, next_self_event=lambda now: now)
         with pytest.raises(ValueError):
-            engine.run()
+            run_recorder(10, every=-1)
 
     def test_run_only_once_and_no_late_registration(self):
         engine = Engine(horizon=1)
@@ -123,7 +128,7 @@ class TestEngine:
         with pytest.raises(RuntimeError):
             engine.run()
         with pytest.raises(RuntimeError):
-            engine.add_stream("T", lambda t, u: None)
+            engine.add_stream(make_owner(Recorder([])))
         with pytest.raises(RuntimeError):
             engine.add_periodic(1, lambda t: None)
 
@@ -137,22 +142,34 @@ class TestEngine:
             Engine(horizon=-1)
 
     def test_skips_quiet_stretches(self):
-        """A sparse stream over a huge horizon processes O(events), not O(horizon)."""
+        """A sparse stream over a huge horizon is one segment of O(arrivals) work."""
+        owner = make_owner(SURStrategy(SchemaDummyFactory(Schema("T", ("v",)))))
         engine = Engine(horizon=1_000_000)
-        engine.add_stream("T", lambda t, u: None, arrivals=[(999_999, rec(999_999))])
+        engine.add_stream(owner, arrivals=[(999_999, rec(999_999))])
         stats = engine.run()
-        assert stats.ticks_delivered == 1
+        assert stats.segments == 1
+        assert stats.arrivals_delivered == 1
         assert stats.events_processed <= 3
+        assert owner.update_pattern.as_tuples() == ((0, 0), (999_999, 1))
+        assert owner.current_time == 1_000_000
 
     def test_arrivals_delivered_counts_only_arrival_wakeups(self):
         """Self-scheduled wake-ups do not count as arrivals."""
-        engine = Engine(horizon=10)
-        engine.add_stream(
-            "T",
-            lambda t, u: None,
-            arrivals=[(2, rec(2)), (5, rec(5))],
-            next_self_event=lambda now: now + 3,
-        )
-        stats = engine.run()
+        seen, stats = run_recorder(10, arrivals=[(2, rec(2)), (5, rec(5))], every=3)
         assert stats.arrivals_delivered == 2
-        assert stats.ticks_delivered > stats.arrivals_delivered
+        assert len(seen) > stats.arrivals_delivered
+
+    def test_segments_end_at_every_periodic_and_the_horizon(self):
+        seen, stats = run_recorder(10, periodic=4)
+        assert [t for label, t, _ in seen if label == "Q"] == [4, 8]
+        assert stats.segments == 3
+        assert stats.periodic_fired == 2
+
+    def test_resumed_engine_skips_processed_arrivals(self):
+        seen = []
+        owner = make_owner(Recorder(seen))
+        owner.advance(4, [(2, rec(2))])
+        engine = Engine(horizon=8, start_time=4)
+        engine.add_stream(owner, arrivals=[(2, rec(2)), (6, rec(6))])
+        engine.run()
+        assert seen == [("T", 2, 2), ("T", 6, 6)]

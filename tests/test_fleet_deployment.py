@@ -290,9 +290,11 @@ def test_run_cell_fleet_differential():
 
 
 def test_fleet_engine_matches_legacy_loop():
-    """All fleet owners interleave in one event heap: run == run_legacy."""
+    """The engine merges all fleet owners' Updates in tick order: run ==
+    the per-tick reference loop."""
     from repro.simulation.runner import make_backend, make_sharded_backend
     from repro.simulation.simulator import Simulation, SimulationConfig
+    from repro.testing.reference import run_per_tick
     from repro.workload.scenarios import build_scenario
 
     workloads = partition_fleet(
@@ -305,9 +307,9 @@ def test_fleet_engine_matches_legacy_loop():
     engine_run = Simulation(
         make_sharded_backend("oblidb", 2, seed=4), workloads, queries, config
     ).run()
-    legacy_run = Simulation(
+    legacy_run = run_per_tick(Simulation(
         make_sharded_backend("oblidb", 2, seed=4), workloads, queries, config
-    ).run_legacy()
+    ))
     assert engine_run == legacy_run
 
 

@@ -1,10 +1,10 @@
-"""Tests for the simulation clock and result containers."""
+"""Tests for the reference loop's simulation clock and the result containers."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.simulation.clock import SimulationClock
+from repro.testing.reference import SimulationClock
 from repro.simulation.results import QueryTrace, RunResult, TimePoint
 
 
