@@ -109,6 +109,18 @@ def test_equivalence_across_seeds(workloads, queries, seed):
     assert engine_result == legacy_result
 
 
+@pytest.mark.parametrize("strategy", ("set", "dp-ant"))
+def test_fleet_sharing_tables_with_queries(workloads, queries, strategy):
+    """Two members per table: the engine merges their Updates and their
+    ground-truth blocks (range, group-by and join counts) in tick order."""
+    from repro.workload.scenarios import partition_fleet
+
+    fleet = partition_fleet(workloads, n_owners=2)
+    engine_result = build(fleet, queries, strategy, "oblidb").run()
+    legacy_result = run_per_tick(build(fleet, queries, strategy, "oblidb"))
+    assert engine_result == legacy_result
+
+
 @pytest.mark.parametrize("seed", (0, 1, 2))
 def test_held_noise_dp_ant_skips_ticks_equivalently(seed, monkeypatch):
     """The held-noise DP-ANT variant's segment kernel matches the per-tick loop.
