@@ -55,6 +55,10 @@ class TestBasicOperations:
         cache = LocalCache(dummy_factory)
         with pytest.raises(ValueError):
             cache.write(make_dummy_record(SCHEMA))
+        # A bulk write checks every record before writing any.
+        with pytest.raises(ValueError):
+            cache.extend([real(1), make_dummy_record(SCHEMA)])
+        assert len(cache) == 0 and cache.total_written == 0
 
     def test_extend_and_peek(self):
         cache = LocalCache(dummy_factory)

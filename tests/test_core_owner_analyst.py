@@ -47,6 +47,8 @@ class TestOwnerLifecycle:
         owner, _ = make_owner()
         with pytest.raises(RuntimeError):
             owner.tick(1, record(1))
+        with pytest.raises(RuntimeError):
+            owner.advance(1, [(1, record(1))])
 
     def test_double_initialize_raises(self):
         owner, _ = make_owner()
@@ -62,6 +64,8 @@ class TestOwnerLifecycle:
             owner.tick(1, record(2))
         with pytest.raises(ValueError):
             owner.tick(0, None)
+        with pytest.raises(ValueError):
+            owner.advance(1, [])
 
     def test_record_for_wrong_table_rejected(self):
         owner, _ = make_owner()

@@ -188,6 +188,10 @@ class TestAboveThreshold:
         sparse = AboveThreshold(theta=5.0, epsilon=1.0)
         with pytest.raises(RuntimeError):
             sparse.step(3.0, np.random.default_rng(0))
+        with pytest.raises(RuntimeError):
+            sparse.first_crossing(
+                np.array([3.0]), LaplaceBlockStream(np.random.default_rng(0))
+            )
 
     def test_reset_draws_noisy_threshold(self):
         sparse = AboveThreshold(theta=10.0, epsilon=1.0)

@@ -6,7 +6,9 @@ cutting, it must leave exactly the state that calling ``step`` at every time
 unit leaves: the same synchronizations (times, record ids, dummy flags), the
 same counters, cache, privacy ledger and sparse-vector state, and the same
 position in the noise stream -- a kernel that consumes one variate too many
-or too few fails on the next variates drawn.
+or too few fails on the next variates drawn.  The ``wake-loop`` kind runs
+DP-ANT's ``_step`` through the base class's generic wake loop, the path any
+strategy without its own kernel takes.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cache import CacheMode
+from repro.core.strategies.base import SyncStrategy
 from repro.core.strategies.dp_ant import DPANTStrategy
 from repro.core.strategies.dp_timer import DPTimerStrategy
 from repro.core.strategies.flush import FlushPolicy
@@ -33,7 +36,14 @@ KINDS = (
     "dp-timer-cache",
     "dp-ant-resampled",
     "dp-ant-held",
+    "wake-loop",
 )
+
+
+class WakeLoopDPANT(DPANTStrategy):
+    """DP-ANT driven by the base class's generic wake loop (every tick)."""
+
+    _advance = SyncStrategy._advance
 
 
 def build(kind, params):
@@ -57,11 +67,12 @@ def build(kind, params):
             count_mode=kind.rsplit("-", 1)[1],
             **common,
         )
-    return DPANTStrategy(
+    strategy = WakeLoopDPANT if kind == "wake-loop" else DPANTStrategy
+    return strategy(
         epsilon=params["epsilon"],
         theta=params["theta"],
         flush=flush,
-        resample_comparison_noise=kind == "dp-ant-resampled",
+        resample_comparison_noise=kind != "dp-ant-held",
         **common,
     )
 
