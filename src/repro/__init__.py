@@ -26,7 +26,7 @@ The subpackages are organised as:
   simulators, ORAM, leakage classification);
 * :mod:`repro.query` -- predicates, relational plans, dummy-aware rewriting,
   execution and a small SQL front-end;
-* :mod:`repro.engine` -- the segment driver the simulator runs on (each
+* :mod:`repro.engine` -- the segment engine the simulator runs on (each
   owner advances a whole query interval at a time);
 * :mod:`repro.fleet` -- multi-owner deployments: the fleet coordinator over
   a (possibly sharded, see :class:`repro.edb.router.ShardRouter`) EDB;

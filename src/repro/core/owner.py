@@ -108,7 +108,7 @@ class Owner:
         and up to ``end``.  The strategy decides every time unit of the
         segment (:meth:`SyncStrategy.advance`); the returned ``(t, γ_t)``
         synchronizations are *not* yet outsourced -- the caller runs each
-        through :meth:`outsource`, in time order, which lets a driver
+        through :meth:`outsource`, in time order, which lets the engine
         interleave several owners' Updates exactly as per-tick
         :meth:`tick` calls would.
         """

@@ -1,4 +1,4 @@
-"""The segment driver.
+"""The segment engine.
 
 :class:`Engine` replays owners over simulated time one *segment* at a time.
 It cuts ``(start, horizon]`` at every multiple of each periodic callback's

@@ -1,4 +1,4 @@
-"""Tests for the segment driver (repro.engine)."""
+"""Tests for the segment engine (repro.engine)."""
 
 from __future__ import annotations
 
