@@ -14,6 +14,11 @@ Emits ``BENCH_store.json`` at the repository root with one section:
   - ``generation_save_seconds``: one :class:`~repro.edb.store.SnapshotStore`
     generation (write + prune), the per-checkpoint cost a persisted
     simulation pays;
+  - ``full_generation_seconds`` / ``full_generation_bytes`` and
+    ``delta_generation_seconds`` / ``delta_generation_bytes``: a supervisor
+    generation (serialize + unsealed save, as the supervisor's scratch
+    store writes it) of the whole shard, and of only the
+    ``DELTA_ROWS`` rows appended since its parent;
   - ``rotation_seconds`` / ``rotation_rows_per_s``: in-place key rotation
     over every arena row (verify old tag, re-key, re-tag).
 
@@ -43,6 +48,7 @@ from repro.edb.store import (
     SnapshotStore,
     restore_backend,
     snapshot_backend,
+    snapshot_generation,
 )
 
 SCHEMA = Schema(name="events", attributes=("key", "value"))
@@ -50,16 +56,46 @@ N_RECORDS = int(os.environ.get("REPRO_BENCH_STORE_RECORDS", "4000"))
 N_GENERATIONS = int(os.environ.get("REPRO_BENCH_STORE_GENERATIONS", "3"))
 OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_store.json"
 
+#: Rows a delta generation carries: one 32-command checkpoint window of
+#: single-record updates.
+DELTA_ROWS = 32
 
-def _records(n: int) -> list[Record]:
+
+def _records(n: int, start: int = 0) -> list[Record]:
     return [
         Record(
             values={"key": i % 97, "value": float(i)},
             arrival_time=1 + i % 500,
             table="events",
         )
-        for i in range(n)
+        for i in range(start, start + n)
     ]
+
+
+def _generations(edb, directory: Path) -> dict:
+    """Time a full supervisor generation of ``edb`` and a delta of it
+    holding ``DELTA_ROWS`` new rows; check the chain restores the shard."""
+    store = SnapshotStore(directory)
+
+    def generation(since=None, parent=None):
+        blob, marks = snapshot_generation(edb, since)
+        return store.save({"edb.pkl": blob}, parent=parent), len(blob), marks
+
+    (base, full_bytes, marks), full_s = _timed(generation)
+    for offset in range(DELTA_ROWS):
+        edb.insert_many({"events": _records(1, start=N_RECORDS + offset)}, 501)
+    (_, delta_bytes, _), delta_s = _timed(lambda: generation(marks, base))
+    chain = [link.read_blob("edb.pkl") for link in store.load_chain()]
+    assert len(chain) == 2
+    assert restore_backend(*chain).outsourced_count == edb.outsourced_count
+    store.clear()
+    return {
+        "full_generation_seconds": full_s,
+        "full_generation_bytes": full_bytes,
+        "delta_rows": DELTA_ROWS,
+        "delta_generation_seconds": delta_s,
+        "delta_generation_bytes": delta_bytes,
+    }
 
 
 def _timed(fn):
@@ -114,6 +150,8 @@ def _run() -> dict:
     assert edb.cipher.decrypt(edb.ciphertexts("events")[0]).values == payload_before
 
     rows = edb.outsourced_count
+    with tempfile.TemporaryDirectory(prefix="bench-store-") as tmp:
+        generations = _generations(edb, Path(tmp))
     return {
         "records": N_RECORDS,
         "outsourced_rows": rows,
@@ -126,6 +164,7 @@ def _run() -> dict:
         "load_latest_seconds": load_s,
         "rotation_seconds": rotation_s,
         "rotation_rows_per_s": rows / rotation_s if rotation_s else None,
+        **generations,
     }
 
 
@@ -141,6 +180,11 @@ def test_store_snapshot_restore_rotation(benchmark):
         f"  cold recovery (verify + rebuild)      {outcome['restore_seconds'] * 1e3:9.1f} ms",
         f"  checkpoint generation (keep=2 prune)  {outcome['generation_save_seconds'] * 1e3:9.1f} ms",
         f"  load latest generation                {outcome['load_latest_seconds'] * 1e3:9.1f} ms",
+        f"  supervisor full generation            {outcome['full_generation_seconds'] * 1e3:9.1f} ms"
+        f"  ({outcome['full_generation_bytes'] / 1e3:.0f} kB)",
+        f"  supervisor delta generation ({outcome['delta_rows']} rows)"
+        f" {outcome['delta_generation_seconds'] * 1e3:8.1f} ms"
+        f"  ({outcome['delta_generation_bytes'] / 1e3:.1f} kB)",
         f"  in-place key rotation                 {outcome['rotation_seconds'] * 1e3:9.1f} ms"
         f"  ({outcome['rotation_rows_per_s']:.0f} rows/s)",
     ]

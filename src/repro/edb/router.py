@@ -399,6 +399,7 @@ class ShardRouter:
         #: ordinals, and what the planner's shard pruning proves from.
         self._table_shard_counts: dict[str, list[int]] = {}
         self._update_history: list[UpdateResult] = []
+        self._is_setup = False
 
     # -- executor ------------------------------------------------------------
 
@@ -770,8 +771,13 @@ class ShardRouter:
 
     @property
     def is_setup(self) -> bool:
-        """Whether Setup has run on every shard."""
-        return all(shard.is_setup for shard in self._shards)
+        """Whether Setup has run on every shard.
+
+        Cached once true: no protocol clears it, and a rebuilt shard replays
+        its journaled Setup -- so queries stop asking every shard."""
+        if not self._is_setup:
+            self._is_setup = all(shard.is_setup for shard in self._shards)
+        return self._is_setup
 
     @property
     def update_history(self) -> tuple[UpdateResult, ...]:

@@ -256,14 +256,15 @@ def _dispatch(shard: EncryptedDatabase, command: str, args: tuple):
         return None if cipher is None else cipher.key
     if command == "arena_states":
         return _arena_states(shard)
-    if command == "snapshot":
+    if command == "generation":
         # Serialized worker-side so the bytes carry the authoritative shard
         # state (RNG stream, ORAM maps, arenas) -- only the blob crosses
-        # the pipe.  Imported lazily: the worker loop must not pay for the
-        # store module unless durability is in use.
-        from repro.edb.store import snapshot_backend
+        # the pipe, and for a delta only the rows appended since the marks
+        # it is given.  Imported lazily: the worker loop must not pay for
+        # the store module unless durability is in use.
+        from repro.edb.store import snapshot_generation
 
-        return snapshot_backend(shard)
+        return snapshot_generation(shard, *args)
     raise ValueError(f"unknown shard-worker command {command!r}")
 
 
@@ -393,7 +394,12 @@ class ShardWorkerClient:
 
     def snapshot(self) -> bytes:
         """Worker-side :func:`repro.edb.store.snapshot_backend` bytes."""
-        return self._call("snapshot")
+        return self.generation()[0]
+
+    def generation(self, since: dict | None = None) -> tuple[bytes, dict | None]:
+        """Worker-side :func:`repro.edb.store.snapshot_generation`: only the
+        rows appended since ``since`` cross the pipe."""
+        return self._call("generation", since)
 
     # -- chaos hooks (deterministic fault injection) ---------------------------
 

@@ -28,19 +28,29 @@ Layers, bottom up:
   be reopened under a new passphrase.
 * **:class:`SnapshotStore`** -- generational kill-safe snapshots for
   mid-run persistence: each :meth:`SnapshotStore.save` lands in its own
-  ``snapshots/<seq>/`` :class:`EncryptedStore`, an atomic ``LATEST``
-  pointer is advanced only after the manifest is durable, and older
-  generations are pruned (newest two kept).  A SIGKILL at any instant
-  leaves either the previous complete snapshot or the new complete
-  snapshot reachable; torn leftovers are skipped by the newest-valid scan.
+  ``snapshots/<seq>/`` :class:`EncryptedStore` whose manifest names its
+  ``parent`` (``None`` for a full generation, else the generation a delta
+  extends), and an atomic ``LATEST`` pointer is advanced only after the
+  manifest is durable.  Restore applies a chain from its full base; the
+  prune keeps the newest two valid heads and every generation their
+  chains reference.  A SIGKILL at any instant leaves either the previous
+  complete head or the new one reachable; torn leftovers, and deltas
+  whose chain they break, are skipped by the newest-valid scan.
+* **:class:`ReplayLog`** -- the supervisor's journal of commands routed
+  since a generation: one fsync'd segment file per flush, ``HEAD.json``
+  written last, pruned a whole segment at a time.
 * **Snapshot codecs** -- :func:`snapshot_backend` / :func:`restore_backend`
   serialize one :class:`~repro.edb.base.EncryptedDatabase` (arenas as raw
   row/handle bytes, everything else in a single pickle so shared objects
   like the ObliDB ORAMs' RNG stay shared), with the ORAM position maps
-  re-verified against their checksummed snapshots on restore;
-  :func:`snapshot_router` / :func:`restore_router` do the same for a
-  :class:`~repro.edb.router.ShardRouter` plus its routing state, pulling
-  each process-backed shard's snapshot over the worker pipe.
+  re-verified against their checksummed snapshots on restore.  Because
+  nothing is ever deleted from the outsourced store, a generation can be
+  a *delta* (``since=<marks>``, :func:`snapshot_marks`): the tails of the
+  append-only components plus the small mutable state, O(rows since the
+  parent) instead of O(|D|).  :func:`snapshot_router` /
+  :func:`restore_router` serialize a :class:`~repro.edb.router.ShardRouter`
+  plus its routing state in full, pulling each process-backed shard's
+  snapshot over the worker pipe.
 
 Restored arenas are always process-local :class:`~repro.edb.crypto.
 CiphertextArena`\\ s; a restored shard handed to a worker process converts
@@ -82,7 +92,9 @@ __all__ = [
     "manifest_fingerprint",
     "arena_to_bytes",
     "arena_from_bytes",
+    "snapshot_marks",
     "snapshot_backend",
+    "snapshot_generation",
     "restore_backend",
     "snapshot_router",
     "restore_router",
@@ -90,10 +102,11 @@ __all__ = [
     "restore_edb",
 ]
 
-#: On-disk format version stamped into every manifest.  Version 2: records
-#: and sealed blobs are AES-256-GCM (284-byte arena rows); version-1 stores
-#: are refused rather than misread.
-STORE_VERSION: int = 2
+#: On-disk format version stamped into every manifest.  Version 3: a
+#: manifest names its ``parent`` generation (``None`` for a full one), and
+#: records and sealed blobs are AES-256-GCM (284-byte arena rows).  Stores of
+#: earlier versions are refused rather than misread.
+STORE_VERSION: int = 3
 
 #: Random salt length for the at-rest key derivation.
 SALT_SIZE: int = 32
@@ -225,10 +238,15 @@ class EncryptedStore:
             "size": len(payload),
         }
 
-    def commit(self, meta: Mapping | None = None) -> dict:
-        """Write the manifest (last, atomically) sealing the snapshot."""
+    def commit(self, meta: Mapping | None = None, parent: int | None = None) -> dict:
+        """Write the manifest (last, atomically) sealing the snapshot.
+
+        ``parent`` names the generation a delta snapshot extends (see
+        :class:`SnapshotStore`); ``None`` marks a full snapshot.
+        """
         manifest = {
             "version": STORE_VERSION,
+            "parent": parent,
             "sealed": self.sealed,
             "kdf": (
                 {"name": "scrypt", **_SCRYPT_PARAMS, "salt": self._salt.hex()}
@@ -328,7 +346,7 @@ class EncryptedStore:
         self._manifest = None
         for name, data in plaintext.items():
             self.write_blob(name, data)
-        self.commit(meta)
+        self.commit(meta, parent=manifest.get("parent"))
 
 
 # -- generational snapshots for kill-and-resume -------------------------------
@@ -336,12 +354,20 @@ class EncryptedStore:
 
 class SnapshotStore:
     """Kill-safe generational snapshots: ``snapshots/<seq>/`` directories,
-    an atomic ``LATEST`` pointer, newest :attr:`keep` generations retained.
+    an atomic ``LATEST`` pointer, and chains of delta generations.
+
+    A generation is *full* (``parent`` ``None``) or a *delta* naming the
+    generation it extends; a chain runs from its full base to its head, and
+    restoring a head applies the whole chain (:meth:`load_chain`).  A chain
+    is valid only when every manifest along it is: a delta whose parent is
+    missing or torn is never restored on its own.
 
     A writer killed mid-:meth:`save` leaves a directory without a manifest
     (invalid by construction) and a ``LATEST`` pointer still naming the
-    previous complete snapshot; :meth:`load_latest` additionally falls back
+    previous complete head; :meth:`latest_sequence` additionally falls back
     to a newest-valid scan, so even a torn pointer cannot poison resume.
+    Pruning keeps the newest :attr:`keep` valid heads and every generation
+    their chains reference.
     """
 
     _LATEST = "LATEST"
@@ -361,6 +387,9 @@ class SnapshotStore:
             if passphrase is not None
             else None
         )
+        #: Parent of every generation whose manifest was verified (or written)
+        #: here, so pruning walks chains without re-reading manifests.
+        self._parents: dict[int, int | None] = {}
 
     @property
     def path(self) -> Path:
@@ -382,40 +411,86 @@ class SnapshotStore:
                 numbers.append(int(entry.name))
         return sorted(numbers)
 
-    def save(self, blobs: Mapping[str, bytes], meta: Mapping | None = None) -> int:
-        """Write one complete snapshot generation; returns its sequence."""
+    def save(
+        self,
+        blobs: Mapping[str, bytes],
+        meta: Mapping | None = None,
+        parent: int | None = None,
+    ) -> int:
+        """Write one generation -- full, or a delta of ``parent`` -- and
+        make it the newest head; returns its sequence."""
+        if parent is not None:
+            self._chain(parent)  # a delta must extend a valid chain
         existing = self._sequence_numbers()
         seq = (existing[-1] if existing else 0) + 1
         store = self._open(seq)
         for name, data in blobs.items():
             store.write_blob(name, data)
-        store.commit(dict(meta or {}, sequence=seq))
+        store.commit(dict(meta or {}, sequence=seq), parent=parent)
         atomic_write_text(self._dir / self._LATEST, f"{seq}\n")
-        self._prune(seq)
+        self._parents[seq] = parent
+        self._prune(existing + [seq])
         return seq
 
-    def latest_sequence(self) -> int | None:
-        """Sequence of the newest *valid* snapshot (``None`` when empty).
+    def _chain(self, seq: int, verify: bool = False) -> list[int]:
+        """The sequences from ``seq``'s full base to ``seq``, base first.
 
-        Trusts the ``LATEST`` pointer when it names a snapshot with a valid
-        manifest; otherwise scans generations newest-first, skipping torn
-        or incomplete directories.
+        Raises :class:`StoreIntegrityError` when any manifest on the chain
+        is missing or torn.  ``verify`` re-reads every manifest from disk
+        instead of trusting the ones already checked.
+        """
+        chain = [seq]
+        parent = self._parent(seq, verify)
+        while parent is not None:
+            if parent >= chain[-1]:
+                raise StoreIntegrityError(
+                    f"generation {chain[-1]} names a later parent {parent}"
+                )
+            chain.append(parent)
+            parent = self._parent(parent, verify)
+        return chain[::-1]
+
+    def _parent(self, seq: int, verify: bool) -> int | None:
+        if not verify and seq in self._parents:
+            return self._parents[seq]
+        try:
+            parent = self._open(seq).manifest().get("parent")
+        except StoreIntegrityError:
+            self._parents.pop(seq, None)
+            raise
+        self._parents[seq] = parent
+        return parent
+
+    def latest_sequence(self) -> int | None:
+        """Sequence of the newest head whose whole chain is valid (``None``
+        when there is none).
+
+        Trusts the ``LATEST`` pointer when its chain verifies; otherwise
+        scans generations newest-first, skipping torn or incomplete
+        directories and deltas whose chain is broken.
         """
         try:
-            pointed = int((self._dir / self._LATEST).read_text().strip())
+            pointed = [int((self._dir / self._LATEST).read_text().strip())]
         except (OSError, ValueError):
-            pointed = None
-        if pointed is not None and self._is_valid(pointed):
-            return pointed
-        for seq in reversed(self._sequence_numbers()):
+            pointed = []
+        for seq in pointed + self._sequence_numbers()[::-1]:
             if self._is_valid(seq):
                 return seq
         return None
 
     def load_latest(self) -> EncryptedStore | None:
-        """Open the newest valid snapshot (``None`` when none exists)."""
+        """Open the newest valid head (``None`` when none exists)."""
         seq = self.latest_sequence()
         return None if seq is None else self._open(seq)
+
+    def load_chain(self, seq: int | None = None) -> list[EncryptedStore]:
+        """Open every generation of ``seq``'s chain (default: the newest
+        valid head), full base first; empty when the store holds none."""
+        if seq is None:
+            seq = self.latest_sequence()
+            if seq is None:
+                return []
+        return [self._open(link) for link in self._chain(seq, verify=True)]
 
     def clear(self) -> None:
         """Remove the whole store (crash-recovery data no longer needed)."""
@@ -423,14 +498,25 @@ class SnapshotStore:
 
     def _is_valid(self, seq: int) -> bool:
         try:
-            self._open(seq).manifest()
+            self._chain(seq, verify=True)
         except StoreIntegrityError:
             return False
         return True
 
-    def _prune(self, newest: int) -> None:
-        for seq in self._sequence_numbers():
-            if seq <= newest - self._keep:
+    def _prune(self, existing: list[int]) -> None:
+        live: set[int] = set()
+        heads = 0
+        for seq in reversed(existing):
+            if heads == self._keep:
+                break
+            try:
+                live.update(self._chain(seq))
+            except StoreIntegrityError:
+                continue
+            heads += 1
+        for seq in existing:
+            if seq not in live:
+                self._parents.pop(seq, None)
                 shutil.rmtree(self._snapshot_dir(seq), ignore_errors=True)
 
 
@@ -445,22 +531,23 @@ class ReplayLog:
     routed *since*, so a dead worker rebuilds as snapshot + replay.  The
     write protocol is the store's manifest-last discipline in miniature:
 
-    * each record is one ``records/<serial>.pkl`` file written through the
-      fsync'd atomic-write helper (optionally sealed at rest),
+    * each :meth:`flush` writes the entries staged since the previous one
+      as one ``segments/<first serial>.pkl`` file through the fsync'd
+      atomic-write helper (optionally sealed at rest),
     * ``HEAD.json`` -- ``{"start", "stop"}`` live-range pointers -- is
-      rewritten atomically *after* the record file is durable.
+      rewritten atomically *after* the segment file is durable.
 
-    A crash between the two leaves an orphan record file past ``stop``:
-    invisible to readers (the live range never covered it) and atomically
-    overwritten by the next append.  A crash mid-write leaves only a
-    ``*.tmp`` file the naming scheme never resolves.  Either way no torn
-    record can enter a replay, which is what the recovery differential
-    (byte-identical transcripts) depends on.
+    A crash between the two leaves an orphan segment at ``stop``: invisible
+    to readers (the live range never covered it) and atomically overwritten
+    by the next flush.  A crash mid-write leaves only a ``*.tmp`` file the
+    naming scheme never resolves.  Either way no torn entry can enter a
+    replay, which is what the recovery differential (byte-identical
+    transcripts) depends on.
 
     Entries are dicts carrying at least ``tag`` (the snapshot sequence that
     was current when the command was journaled, nondecreasing across
-    appends); :meth:`prune` drops the prefix older than a given tag once a
-    newer snapshot generation makes it unreachable.
+    appends); :meth:`prune` drops the whole segments older than a given tag
+    once a newer snapshot generation makes them unreachable.
     """
 
     _HEAD = "HEAD.json"
@@ -469,18 +556,31 @@ class ReplayLog:
         self, directory: str | os.PathLike, passphrase: str | None = None
     ) -> None:
         self._dir = Path(directory)
-        (self._dir / "records").mkdir(parents=True, exist_ok=True)
+        (self._dir / "segments").mkdir(parents=True, exist_ok=True)
         if passphrase is not None:
             salt = get_or_create_salt(self._dir / _SALT_NAME)
             self._key: bytes | None = derive_key(passphrase, salt)
         else:
             self._key = None
-        self._start, self._stop = self._read_head()
-        self._durable = self._stop
-        self._entries: dict[int, dict] = {
-            serial: self._read_record(serial)
-            for serial in range(self._start, self._stop)
-        }
+        self._start, stop = self._read_head()
+        #: Live entries, serials ``start ..``; the durable ones come first.
+        self._entries: list[dict] = []
+        #: First serial of every durable live segment, ascending.
+        self._segments: list[int] = []
+        for first in self._segment_firsts():
+            if self._start <= first < stop:
+                if first != self._start + len(self._entries):
+                    raise StoreIntegrityError(
+                        f"journal {self._dir} is missing entries before "
+                        f"serial {first}"
+                    )
+                self._segments.append(first)
+                self._entries.extend(self._read_segment(first))
+        if self._start + len(self._entries) != stop:
+            raise StoreIntegrityError(
+                f"journal {self._dir} does not cover its live range"
+            )
+        self._durable = stop
 
     @property
     def path(self) -> Path:
@@ -488,10 +588,17 @@ class ReplayLog:
         return self._dir
 
     def __len__(self) -> int:
-        return self._stop - self._start
+        return len(self._entries)
 
-    def _record_path(self, serial: int) -> Path:
-        return self._dir / "records" / f"{serial:010d}.pkl"
+    def _segment_path(self, first: int) -> Path:
+        return self._dir / "segments" / f"{first:010d}.pkl"
+
+    def _segment_firsts(self) -> list[int]:
+        return sorted(
+            int(path.stem)
+            for path in (self._dir / "segments").glob("*.pkl")
+            if path.stem.isdigit()
+        )
 
     def _read_head(self) -> tuple[int, int]:
         try:
@@ -506,8 +613,8 @@ class ReplayLog:
             json.dumps({"start": self._start, "stop": self._durable}) + "\n",
         )
 
-    def _read_record(self, serial: int) -> dict:
-        payload = self._record_path(serial).read_bytes()
+    def _read_segment(self, first: int) -> list[dict]:
+        payload = self._segment_path(first).read_bytes()
         if self._key is not None:
             payload = unseal_bytes(payload, self._key)
         return pickle.loads(payload)
@@ -525,70 +632,68 @@ class ReplayLog:
         live coordinator replays from memory -- but die with the process
         until :meth:`flush` makes them durable.  The supervisor's hot
         path stages and lets snapshot boundaries flush, so the
-        fault-free per-command cost is a dictionary insert rather than
-        two fsyncs.
+        fault-free per-command cost is a list append rather than an
+        fsync.
         """
-        record = dict(entry)
-        serial = self._stop
-        self._entries[serial] = record
-        self._stop = serial + 1
-        return serial
+        self._entries.append(dict(entry))
+        return self._start + len(self._entries) - 1
 
     def flush(self) -> int:
         """Make every staged entry durable; returns how many were written.
 
-        Record files first (each through the fsync'd atomic-write
-        helper), the ``HEAD.json`` manifest last: a crash mid-flush
-        leaves orphan record files past the durable ``stop`` --
-        invisible to readers and atomically overwritten by the next
-        flush -- never a torn or half-visible entry.
+        One segment file holds them all (through the fsync'd atomic-write
+        helper), and the ``HEAD.json`` manifest is written last: a crash
+        mid-flush leaves an orphan segment at the durable ``stop`` --
+        invisible to readers and atomically overwritten by the next flush
+        -- never a torn or half-visible entry.
         """
-        if self._durable >= self._stop:
+        staged = self._entries[self._durable - self._start :]
+        if not staged:
             return 0
-        flushed = 0
-        for serial in range(self._durable, self._stop):
-            payload = pickle.dumps(self._entries[serial])
-            if self._key is not None:
-                payload = seal_bytes(payload, self._key)
-            atomic_write_bytes(self._record_path(serial), payload, mode=0o600)
-            flushed += 1
-        self._durable = self._stop
+        payload = pickle.dumps(staged)
+        if self._key is not None:
+            payload = seal_bytes(payload, self._key)
+        atomic_write_bytes(self._segment_path(self._durable), payload, mode=0o600)
+        self._segments.append(self._durable)
+        self._durable += len(staged)
         self._write_head()
-        return flushed
+        return len(staged)
 
     def entries(self, min_tag: int | None = None) -> list[dict]:
         """Live entries in append order, optionally only ``tag >= min_tag``."""
-        return [
-            self._entries[serial]
-            for serial in range(self._start, self._stop)
-            if min_tag is None or self._entries[serial].get("tag", 0) >= min_tag
-        ]
+        if min_tag is None:
+            return list(self._entries)
+        return [entry for entry in self._entries if entry.get("tag", 0) >= min_tag]
 
     def prune(self, min_tag: int) -> int:
-        """Drop the live prefix with ``tag < min_tag``; returns the count.
+        """Drop the leading durable segments whose entries all have
+        ``tag < min_tag``; returns how many entries went.
 
-        The head advances (atomically) before the record files are removed,
-        so a crash mid-prune strands at most a few unreferenced files --
-        never a live entry.
+        A segment survives while any of its entries may still be replayed,
+        and staged entries are never pruned.  The head advances (atomically)
+        before the segment files are removed, so a crash mid-prune strands
+        at most a few unreferenced files -- never a live entry.
         """
-        start = self._start
-        while start < self._stop and self._entries[start].get("tag", 0) < min_tag:
-            start += 1
-        dropped = range(self._start, start)
+        bounds = self._segments + [self._durable]
+        dropped = 0
+        while dropped < len(self._segments) and (
+            self._entries[bounds[dropped + 1] - 1 - self._start].get("tag", 0)
+            < min_tag
+        ):
+            dropped += 1
         if not dropped:
             return 0
-        self._start = start
-        # Pruning may outrun the durable mark when staged-only entries go;
-        # the head's live range must stay well-formed (start <= stop).
-        self._durable = max(self._durable, start)
+        gone, self._segments = self._segments[:dropped], self._segments[dropped:]
+        count = bounds[dropped] - self._start
+        del self._entries[:count]
+        self._start = bounds[dropped]
         self._write_head()
-        for serial in dropped:
-            self._entries.pop(serial, None)
+        for first in gone:
             try:
-                self._record_path(serial).unlink()
+                self._segment_path(first).unlink()
             except OSError:  # pragma: no cover - best-effort cleanup
                 pass
-        return len(dropped)
+        return count
 
     def clear(self) -> None:
         """Remove the whole journal directory."""
@@ -598,37 +703,94 @@ class ReplayLog:
 # -- EDB snapshot codecs ------------------------------------------------------
 
 
-def arena_to_bytes(arena: CiphertextArena) -> tuple[bytes, bytes, int]:
-    """Serialize an arena's used rows and handles (backend-agnostic)."""
+def arena_to_bytes(
+    arena: CiphertextArena, start: int = 0
+) -> tuple[bytes, bytes, int]:
+    """Serialize an arena's used rows and handles from row ``start`` on
+    (backend-agnostic)."""
     size = len(arena)
     return (
-        arena._data[:size].tobytes(),
-        arena._handles[:size].tobytes(),
-        size,
+        arena._data[start:size].tobytes(),
+        arena._handles[start:size].tobytes(),
+        size - start,
     )
 
 
 def arena_from_bytes(
-    row_bytes: bytes, handle_bytes: bytes, size: int
+    row_bytes: bytes,
+    handle_bytes: bytes,
+    size: int,
+    arena: CiphertextArena | None = None,
 ) -> CiphertextArena:
-    """Rebuild a process-local arena with rows/handles/indices verbatim."""
-    arena = CiphertextArena(initial_capacity=max(size, 1))
+    """Rebuild a process-local arena with rows/handles/indices verbatim, or
+    append them to ``arena``."""
+    if arena is None:
+        arena = CiphertextArena(initial_capacity=max(size, 1))
     if size:
+        start = len(arena)
         rows = arena.reserve(size)
         rows[:] = np.frombuffer(row_bytes, dtype=np.uint8).reshape(size, -1)
-        arena.set_handles(0, np.frombuffer(handle_bytes, dtype=np.int64))
+        arena.set_handles(start, np.frombuffer(handle_bytes, dtype=np.int64))
     return arena
 
 
-def snapshot_backend(edb: "EncryptedDatabase") -> bytes:
+def snapshot_marks(edb: "EncryptedDatabase") -> dict | None:
+    """Lengths of ``edb``'s append-only state: the ``since`` of a later
+    delta generation (:func:`snapshot_backend`).
+
+    ``None`` for a shard whose storage is not append-only -- ObliDB's ORAM
+    storage remaps blocks on every access -- which writes only full
+    generations.
+    """
+    if not _append_only(edb):
+        return None
+    executor = edb._executor
+    return {
+        "history": len(edb._update_history),
+        "arenas": {table: len(arena) for table, arena in edb._arenas.items()},
+        "objects": {table: len(rows) for table, rows in edb._ciphertexts.items()},
+        "rows": {table: len(rows) for table, rows in executor.tables.items()},
+        "columns": {
+            table: store.marks()
+            for table, store in getattr(executor, "_columnar", {}).items()
+        },
+    }
+
+
+def _append_only(edb: "EncryptedDatabase") -> bool:
+    return getattr(edb, "_storage_mode", "flat") != "oram"
+
+
+#: Components a delta generation ships as tails, and derived state rebuilt
+#: on restore; the rest of an EDB's ``__dict__`` is the small mutable state
+#: (RNG, cipher, counters, table totals) every generation ships whole.
+_APPEND_ONLY = ("_arenas", "_ciphertexts", "_update_history", "_executor")
+_DERIVED = ("_views", "_arena_factory")
+
+
+def snapshot_backend(
+    edb: "EncryptedDatabase", since: Mapping | None = None
+) -> bytes:
     """Serialize one EDB back-end (plain or shared arenas) to bytes.
 
-    The whole non-arena state travels in a *single* pickle so shared
-    objects -- most importantly the RNG generator the ObliDB ORAMs share
-    with the EDB -- stay shared after restore.  Arenas are serialized as
-    raw row/handle bytes; ORAM position maps additionally get checksummed
-    snapshots that :func:`restore_backend` re-verifies.
+    ``since=None`` writes a *full* generation.  The whole non-arena state
+    travels in a *single* pickle so shared objects -- most importantly the
+    RNG generator the ObliDB ORAMs share with the EDB -- stay shared after
+    restore.  Arenas are serialized as raw row/handle bytes; ORAM position
+    maps additionally get checksummed snapshots that :func:`restore_backend`
+    re-verifies.
+
+    ``since=<marks>`` (:func:`snapshot_marks` of an earlier generation)
+    writes a *delta*: the tails appended since -- arena rows and handles,
+    executor rows and columns, object-store ciphertexts, the update history
+    -- plus the small mutable state whole.  Its size is O(rows since the
+    marks).  It relies on the shard being append-only since then: a
+    :meth:`~repro.edb.base.EncryptedDatabase.rotate_key` rewrites every row
+    in place, so the generation after one must be full, and an ORAM-storage
+    shard cannot write deltas at all.
     """
+    if since is not None:
+        return pickle.dumps(_delta_payload(edb, since))
     state = dict(edb.__dict__)
     arenas = state.pop("_arenas", {})
     state.pop("_arena_factory", None)
@@ -650,14 +812,76 @@ def snapshot_backend(edb: "EncryptedDatabase") -> bytes:
     return pickle.dumps(payload)
 
 
-def restore_backend(blob: bytes) -> "EncryptedDatabase":
-    """Rebuild an EDB from :func:`snapshot_backend` bytes.
+def _delta_payload(edb: "EncryptedDatabase", since: Mapping) -> dict:
+    if not _append_only(edb):
+        raise ValueError(
+            f"{type(edb).__name__} with ORAM storage is not append-only; "
+            "it writes only full generations"
+        )
+    state = {
+        key: value
+        for key, value in edb.__dict__.items()
+        if key not in _APPEND_ONLY + _DERIVED
+    }
+    executor = edb._executor
+    executor_state = {
+        key: value
+        for key, value in executor.__dict__.items()
+        if key not in ("tables", "_columnar")
+    }
+    columnar = getattr(executor, "_columnar", None)
+    empty = (0, 0, {})
+    return {
+        "class": f"{type(edb).__module__}:{type(edb).__qualname__}",
+        "since": dict(since),
+        "state": state,
+        "executor": executor_state,
+        "view_queries": tuple(edb._views.registered()),
+        "history": edb._update_history[since["history"] :],
+        "arenas": {
+            table: arena_to_bytes(arena, since["arenas"].get(table, 0))
+            for table, arena in edb._arenas.items()
+        },
+        "objects": {
+            table: rows[since["objects"].get(table, 0) :]
+            for table, rows in edb._ciphertexts.items()
+        },
+        "rows": {
+            table: rows[since["rows"].get(table, 0) :]
+            for table, rows in executor.tables.items()
+        },
+        "columns": None
+        if columnar is None
+        else {
+            table: store.tail(since["columns"].get(table, empty))
+            for table, store in columnar.items()
+        },
+    }
+
+
+def snapshot_generation(
+    edb: "EncryptedDatabase", since: Mapping | None = None
+) -> tuple[bytes, dict | None]:
+    """One generation of ``edb`` -- full, or a delta ``since`` earlier
+    marks -- together with the marks its own successor deltas start from."""
+    return snapshot_backend(edb, since), snapshot_marks(edb)
+
+
+def restore_backend(blob: bytes, *deltas: bytes) -> "EncryptedDatabase":
+    """Rebuild an EDB from a full :func:`snapshot_backend` generation and
+    the deltas of its chain, oldest first.
 
     Arenas come back as process-local :class:`CiphertextArena`\\ s (workers
     re-share them via ``rebuild_arenas``), and every ORAM's position map is
-    verified against its stored checksum before the EDB is returned.
+    verified against its stored checksum before the EDB is returned.  Each
+    delta must extend exactly the state restored so far, and a delta is
+    never restored without its base.
     """
     payload = pickle.loads(blob)
+    if payload.get("since") is not None:
+        raise StoreIntegrityError(
+            "a delta generation cannot be restored without its parent chain"
+        )
     module_name, _, qualname = payload["class"].partition(":")
     cls = getattr(importlib.import_module(module_name), qualname)
     edb = cls.__new__(cls)
@@ -677,6 +901,9 @@ def restore_backend(blob: bytes) -> "EncryptedDatabase":
                 f"ORAM position map for table {table!r} did not survive "
                 "the snapshot round trip"
             )
+    view_queries = payload.get("view_queries", ())
+    for delta in deltas:
+        view_queries = _apply_delta(edb, payload["class"], pickle.loads(delta))
     # Rebuild the derived view state: re-registration bootstraps each view
     # from the restored executor tables, whose insertion order is exactly
     # the pre-kill ingest order -- so the rebuilt counters (and their group
@@ -684,9 +911,30 @@ def restore_backend(blob: bytes) -> "EncryptedDatabase":
     from repro.query.views import ViewRegistry
 
     edb._views = ViewRegistry()
-    for query in payload.get("view_queries", ()):
+    for query in view_queries:
         edb.register_view(query)
     return edb
+
+
+def _apply_delta(edb: "EncryptedDatabase", cls: str, payload: dict) -> tuple:
+    """Extend a restored EDB by one delta; returns its view queries."""
+    if payload.get("since") is None or payload["class"] != cls:
+        raise StoreIntegrityError("chain link is not a delta of this back-end")
+    if snapshot_marks(edb) != payload["since"]:
+        raise StoreIntegrityError("delta generation does not extend its parent")
+    edb.__dict__.update(payload["state"])
+    executor = edb._executor
+    executor.__dict__.update(payload["executor"])
+    edb._update_history.extend(payload["history"])
+    for table, tail in payload["arenas"].items():
+        edb._arenas[table] = arena_from_bytes(*tail, edb._arenas.get(table))
+    for table, tail in payload["objects"].items():
+        edb._ciphertexts.setdefault(table, []).extend(tail)
+    for table, tail in payload["rows"].items():
+        executor.tables.setdefault(table, []).extend(tail)
+    for table, tail in (payload["columns"] or {}).items():
+        executor._store(table).extend(tail)
+    return payload["view_queries"]
 
 
 def snapshot_router(router: "ShardRouter") -> bytes:

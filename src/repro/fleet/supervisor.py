@@ -11,18 +11,27 @@ router call through one choke point that
   bounded, *deterministic* exponential backoff -- the jitter stream is
   ``SeedSequence([seed, shard_index])``-derived, so a chaos run's timing
   decisions replay from the seed alone;
-* rebuilds a dead shard from its newest durable
-  :class:`~repro.edb.store.SnapshotStore` generation plus the coordinator's
-  :class:`~repro.edb.store.ReplayLog` of every mutating command journaled
-  since -- queries included, because an L-DP back-end draws noise per query,
-  and the rebuilt RNG stream must resume exactly where the dead worker's
-  was.  Under the process executor the replayed shard is handed to a fresh
-  worker (fork inheritance), which re-shares its ciphertext arenas into new
-  shared-memory segments and re-registers its views through the restore
-  path;
+* rebuilds a dead shard from its newest valid chain of durable
+  :class:`~repro.edb.store.SnapshotStore` generations plus the
+  coordinator's :class:`~repro.edb.store.ReplayLog` of every mutating
+  command journaled since -- queries included, because an L-DP back-end
+  draws noise per query, and the rebuilt RNG stream must resume exactly
+  where the dead worker's was.  Under the process executor the replayed
+  shard is handed to a fresh worker (fork inheritance), which re-shares its
+  ciphertext arenas into new shared-memory segments and re-registers its
+  views through the restore path;
 * re-raises once ``max_retries`` rebuilds are spent (``max_retries=0``
   fails fast on the first transient error).  There is no mode that keeps
   serving without a shard: an answer is either complete or an error.
+
+Every ``snapshot_every`` mutating commands the wrapper writes one
+generation and flushes the journal's staged commands as one segment.  A
+generation costs O(rows since its parent): the worker ships only the rows
+appended since the chain head (a delta generation), and a full generation
+is written only where no delta can express the shard -- generation 0,
+after ``rotate_key`` or a recovery, on ORAM storage -- or to fold a chain
+whose deltas have grown to its base's size (:meth:`SupervisedShard.
+_snapshot_now`).
 
 The wrapper's members are derived from the declared shard surface
 (:data:`~repro.edb.base.SHARD_SURFACE`): every ``MUTATE`` command runs
@@ -77,7 +86,12 @@ from repro.edb.shard_worker import (
     TransientShardError,
     default_shard_timeout,
 )
-from repro.edb.store import ReplayLog, SnapshotStore, restore_backend, snapshot_backend
+from repro.edb.store import (
+    ReplayLog,
+    SnapshotStore,
+    restore_backend,
+    snapshot_generation,
+)
 from repro.testing.chaos import (
     PROCESS_ONLY_KINDS,
     ChaosWorkerFault,
@@ -229,9 +243,15 @@ class SupervisedShard:
         self._stats_base = (0.0, 0.0, 0)
         # Facts are invariant across rebuilds (same scheme, same cost model).
         self._facts = {name: getattr(live, name) for name in surface_names(FACT)}
+        # The chain head, the marks its successor delta starts from (None:
+        # the next generation is full), and the chain's sizes for the fold.
+        self._snapshot_seq: int | None = None
+        self._marks: dict | None = None
+        self._base_bytes = 0
+        self._chain_bytes = 0
         # Generation 0 baseline: every shard is recoverable from the instant
         # it is supervised, even before its first cadence snapshot.
-        self._snapshot_seq = self._snapshot_now()
+        self._snapshot_now()
 
     # -- the choke point ------------------------------------------------------
 
@@ -260,6 +280,9 @@ class SupervisedShard:
                 self._backoff(attempt)
                 self._recover(exc)
         if mutating:
+            if command == "rotate_key":
+                # Every row was rewritten in place: no delta can express it.
+                self._marks = None
             # Staged, not fsync'd: recovery replays from the in-memory
             # journal (the coordinator outlives its workers), and the next
             # snapshot boundary flushes the backlog durably in one batch --
@@ -269,7 +292,7 @@ class SupervisedShard:
             )
             self._since_snapshot += 1
             if self._since_snapshot >= self._config.snapshot_every:
-                self._snapshot_seq = self._snapshot_now()
+                self._snapshot_now()
         return result
 
     def _apply(self, command: str, args: tuple):
@@ -277,13 +300,8 @@ class SupervisedShard:
             (name,) = args
             return getattr(self._live, name)
         if command == "snapshot":
-            return self._live_snapshot_bytes()
+            return self._generation(None)[0]
         return getattr(self._live, command)(*args)
-
-    def _live_snapshot_bytes(self) -> bytes:
-        if hasattr(self._live, "snapshot"):
-            return self._live.snapshot()
-        return snapshot_backend(self._live)
 
     # -- retry / backoff / rebuild --------------------------------------------
 
@@ -308,8 +326,9 @@ class SupervisedShard:
                 f"shard {self.shard_index} has no valid snapshot to recover "
                 f"from (after {cause})"
             )
-        blob = self._store.load_latest().read_blob(_SHARD_BLOB)
-        edb = restore_backend(blob)
+        edb = restore_backend(
+            *(link.read_blob(_SHARD_BLOB) for link in self._store.load_chain(seq))
+        )
         # Replay everything journaled at or after the restored generation,
         # coordinator-side, against the restored EDB -- faults and journaling
         # are *not* re-entered here, so replay never recurses or re-fires.
@@ -317,6 +336,8 @@ class SupervisedShard:
         for entry in entries:
             getattr(edb, entry["command"])(*entry["args"])
         self._snapshot_seq = seq
+        # The replayed shard is ahead of the head's marks: start a new chain.
+        self._marks = None
         if self._executor == "processes":
             # Fork inheritance carries the replayed state into a fresh
             # worker, which re-shares its arenas into new shm segments and
@@ -364,16 +385,42 @@ class SupervisedShard:
     # -- snapshots -------------------------------------------------------------
 
     def _snapshot_now(self) -> int:
-        """Write one durable generation of the live shard; prunes the journal
-        prefix no valid fallback generation can need any more."""
-        blob = self._live_snapshot_bytes()
-        seq = self._store.save({_SHARD_BLOB: blob})
+        """Write one durable generation of the live shard and make it the
+        chain head; prunes the journal prefix no valid fallback generation
+        can need any more.
+
+        A generation is a delta of the head -- the rows appended since it
+        -- unless there is no head to extend (generation 0, after a
+        recovery or a ``rotate_key``, or an ORAM-storage shard) or the
+        fold is due: once a chain's deltas add up to its base's bytes, the
+        next generation is full again.  Bases at least double in size from
+        fold to fold, so a shard folds O(log |D|) times and each command
+        costs amortized O(1) snapshot work.
+        """
+        head = self._snapshot_seq
+        since = self._marks if self._chain_bytes < self._base_bytes else None
+        blob, self._marks = self._generation(since)
+        seq = self._store.save(
+            {_SHARD_BLOB: blob}, parent=None if since is None else head
+        )
+        if since is None:
+            self._base_bytes, self._chain_bytes = len(blob), 0
+        else:
+            self._chain_bytes += len(blob)
+        self._snapshot_seq = seq
         self._since_snapshot = 0
         self._journal.flush()
-        # keep-2 means the oldest reachable fallback is seq-1; its replay
-        # needs entries tagged >= seq-1, so only strictly older ones go.
-        self._journal.prune(min_tag=seq - 1)
+        if head is not None:
+            # keep-2 means the oldest reachable fallback is the previous
+            # head; its replay needs entries tagged >= head, so only
+            # strictly older segments go.
+            self._journal.prune(min_tag=head)
         return seq
+
+    def _generation(self, since: dict | None) -> tuple[bytes, dict | None]:
+        if hasattr(self._live, "generation"):
+            return self._live.generation(since)
+        return snapshot_generation(self._live, since)
 
     # -- fault injection -------------------------------------------------------
 

@@ -204,3 +204,19 @@ def test_no_warning_on_multi_cpu_host(monkeypatch, caplog):
         resolve_shard_executor("threads")
         resolve_shard_executor("processes")
     assert not [r for r in caplog.records if "single-CPU" in r.message]
+
+
+def test_queries_after_setup_send_one_worker_command_per_shard():
+    """The router caches ``is_setup`` once every shard has reported it (no
+    protocol clears it), so N queries cost exactly N x K worker commands."""
+    router = _process_router(n_shards=3)
+    try:
+        router.setup(_records(30))
+        assert router.is_setup
+        before = sum(shard.stats()[2] for shard in router.shards)
+        for time in range(2, 7):
+            router.query(CountQuery(table="events", label="Q1"), time=time)
+        after = sum(shard.stats()[2] for shard in router.shards)
+        assert after - before == 5 * 3
+    finally:
+        router.close()

@@ -22,7 +22,9 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import shutil
 import stat
+import threading
 
 import numpy as np
 import pytest
@@ -50,10 +52,14 @@ from repro.edb.store import (
     restore_backend,
     seal_bytes,
     snapshot_backend,
+    snapshot_marks,
     unseal_bytes,
 )
+from repro.edb.router import WallClockStats
+from repro.fleet.supervisor import SupervisedShard, SupervisorConfig
 from repro.simulation.results import RunResult
 from repro.simulation.runner import CellSpec, GridRunner
+from repro.testing.chaos import parse_fault_schedule
 from repro.util.io import atomic_write_bytes
 
 SCHEMA = Schema(name="events", attributes=("key", "value"))
@@ -125,7 +131,7 @@ def test_salt_blobs_and_journal_records_are_owner_only(tmp_path, passphrase):
     journal = ReplayLog(tmp_path / "journal", passphrase=passphrase)
     journal.append({"command": "insert_many", "tag": 1})
     written = [tmp_path / "store" / "owners.pkl"]
-    written += list((tmp_path / "journal" / "records").iterdir())
+    written += list((tmp_path / "journal" / "segments").iterdir())
     if passphrase is not None:
         written += [tmp_path / "store" / "salt.bin", tmp_path / "journal" / "salt.bin"]
         store.change_passphrase("new")
@@ -204,10 +210,23 @@ def test_version_one_manifest_is_refused(tmp_path):
     store = EncryptedStore(tmp_path)
     store.write_blob("a.bin", b"alpha")
     manifest = store.commit()
-    assert manifest["version"] == STORE_VERSION == 2
+    assert manifest["version"] == STORE_VERSION == 3
     manifest["version"] = 1
     (tmp_path / "MANIFEST.json").write_text(json.dumps(manifest))
     with pytest.raises(StoreIntegrityError, match="version 1"):
+        EncryptedStore(tmp_path).manifest()
+
+
+def test_version_two_manifest_is_refused(tmp_path):
+    """Stores from before delta generations (no ``parent``) are refused."""
+    store = EncryptedStore(tmp_path)
+    store.write_blob("a.bin", b"alpha")
+    manifest = store.commit()
+    assert manifest["parent"] is None
+    manifest["version"] = 2
+    del manifest["parent"]
+    (tmp_path / "MANIFEST.json").write_text(json.dumps(manifest))
+    with pytest.raises(StoreIntegrityError, match="version 2"):
         EncryptedStore(tmp_path).manifest()
 
 
@@ -273,6 +292,113 @@ def test_snapshot_store_skips_torn_generation(tmp_path):
     # The next save claims a fresh sequence number above the torn leftover.
     assert store.save({"state.bin": b"four"}, {}) == 4
     assert store.load_latest().read_blob("state.bin") == b"four"
+
+
+def _parents(store: SnapshotStore) -> dict:
+    return {
+        seq: store._open(seq).manifest()["parent"]
+        for seq in store._sequence_numbers()
+    }
+
+
+def test_snapshot_store_keeps_every_generation_a_kept_head_references(tmp_path):
+    store = SnapshotStore(tmp_path, keep=2)
+    head = store.save({"state.bin": b"base"})
+    for delta in range(4):
+        head = store.save({"state.bin": bytes([delta])}, parent=head)
+    # Heads 5 and 4 both extend the chain from full generation 1.
+    assert _parents(store) == {1: None, 2: 1, 3: 2, 4: 3, 5: 4}
+    assert [s.read_blob("state.bin") for s in store.load_chain()] == [
+        b"base", b"\x00", b"\x01", b"\x02", b"\x03",
+    ]
+    # A fold starts a new chain; once two heads sit on it, the old one goes.
+    store.save({"state.bin": b"fold"})
+    assert sorted(_parents(store)) == [1, 2, 3, 4, 5, 6]
+    store.save({"state.bin": b"next"}, parent=6)
+    assert _parents(store) == {6: None, 7: 6}
+    assert [s.read_blob("state.bin") for s in store.load_chain()] == [
+        b"fold", b"next",
+    ]
+
+
+def test_delta_with_missing_or_torn_parent_is_never_restored(tmp_path):
+    store = SnapshotStore(tmp_path, keep=3)
+    store.save({"state.bin": b"one"})
+    store.save({"state.bin": b"two"}, parent=1)
+    store.save({"state.bin": b"three"}, parent=2)
+    assert store.latest_sequence() == 3
+    # Tear the middle generation: head 3 loses its chain, and so does 2.
+    (tmp_path / "snapshots" / "00000002" / "MANIFEST.json").unlink()
+    assert store.latest_sequence() == 1
+    assert [s.read_blob("state.bin") for s in store.load_chain()] == [b"one"]
+    with pytest.raises(StoreIntegrityError):
+        store.load_chain(3)
+    with pytest.raises(StoreIntegrityError):
+        store.save({"state.bin": b"orphan"}, parent=2)
+    # A missing base is as fatal as a torn one.
+    store.save({"state.bin": b"four"}, parent=1)
+    shutil.rmtree(tmp_path / "snapshots" / "00000001")
+    assert store.latest_sequence() is None
+    assert store.load_chain() == []
+
+
+def _supervised_shard(tmp_path, edb, snapshot_every=1, schedule=None):
+    return SupervisedShard(
+        edb,
+        0,
+        SupervisorConfig(snapshot_every=snapshot_every, backoff_base_s=0.0),
+        schedule,
+        "serial",
+        WallClockStats(),
+        threading.Lock(),
+        tmp_path,
+    )
+
+
+def test_oram_shard_writes_only_full_generations(tmp_path):
+    edb = ObliDB(
+        rng=np.random.default_rng(3), simulate_encryption=True, storage_mode="oram"
+    )
+    assert snapshot_marks(edb) is None
+    with pytest.raises(ValueError, match="ORAM"):
+        snapshot_backend(edb, since={})
+    shard = _supervised_shard(tmp_path, edb)
+    try:
+        shard.setup(_records(6))
+        for time in range(1, 4):
+            shard.insert_many({"events": _records(2, start=6 + 2 * time)}, time)
+        parents = _parents(shard._store)
+        assert len(parents) == 2 and set(parents.values()) == {None}
+    finally:
+        shard.close()
+
+
+def test_rotated_and_recovered_shards_start_a_new_chain(tmp_path):
+    """After rotate_key every row was rewritten, and after a recovery the
+    shard has replayed past its head: either way the next generation is
+    full, and the chain restores the live shard exactly."""
+    edb = ObliDB(rng=np.random.default_rng(3), simulate_encryption=True)
+    shard = _supervised_shard(
+        tmp_path, edb, schedule=parse_fault_schedule("tornsnap@5")
+    )
+    try:
+        shard.setup(_records(40))  # generation 2: a delta of generation 1
+        shard.insert_many({"events": _records(2, start=40)}, 1)  # 3: a fold
+        shard.insert_many({"events": _records(2, start=42)}, 2)  # 4: a delta
+        assert _parents(shard._store) == {3: None, 4: 3}
+        shard.rotate_key(b"k" * 32)  # 5: full
+        assert _parents(shard._store) == {3: None, 4: 3, 5: None}
+        # 6 is written and torn, the live shard crashes and is rebuilt from
+        # 5 plus the journal, and the retried insert writes full 7.
+        shard.insert_many({"events": _records(2, start=44)}, 3)
+        assert shard._store.latest_sequence() == 7
+        assert _parents(shard._store) == {5: None, 7: None}
+        shard.insert_many({"events": _records(2, start=46)}, 4)  # 8: a delta
+        assert _parents(shard._store) == {7: None, 8: 7}
+        chain = [s.read_blob("shard.pkl") for s in shard._store.load_chain()]
+        assert restore_backend(*chain).update_history == shard.update_history
+    finally:
+        shard.close()
 
 
 def test_snapshot_store_sealed_shares_one_salt(tmp_path):

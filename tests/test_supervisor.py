@@ -48,7 +48,7 @@ from repro.edb.shard_worker import (
     TransientShardError,
     default_shard_timeout,
 )
-from repro.edb.store import ReplayLog
+from repro.edb.store import ReplayLog, StoreIntegrityError
 from repro.fleet.supervisor import (
     ShardSupervisor,
     SupervisedShard,
@@ -231,16 +231,16 @@ def test_replay_log_append_entries_prune(tmp_path):
 
 
 def test_replay_log_orphan_record_past_head_is_invisible(tmp_path):
-    """A crash after the record write but before the HEAD update leaves an
-    orphan file the live range never covers; the next append atomically
+    """A crash after a segment write but before the HEAD update leaves an
+    orphan segment the live range never covers; the next flush atomically
     overwrites it."""
     log = ReplayLog(tmp_path / "journal")
     log.append({"tag": 0, "command": "setup", "args": ()})
-    # Simulate the torn second append: record durable, HEAD never updated.
+    # Simulate the torn second flush: segment durable, HEAD never updated.
     import pickle
 
-    orphan = log._record_path(1)
-    orphan.write_bytes(pickle.dumps({"tag": 9, "command": "garbage", "args": ()}))
+    orphan = log._segment_path(1)
+    orphan.write_bytes(pickle.dumps([{"tag": 9, "command": "garbage", "args": ()}] * 3))
 
     reread = ReplayLog(tmp_path / "journal")
     assert len(reread) == 1
@@ -248,20 +248,25 @@ def test_replay_log_orphan_record_past_head_is_invisible(tmp_path):
     serial = reread.append({"tag": 1, "command": "update", "args": ()})
     assert serial == 1  # the orphan's slot, overwritten atomically
     assert [e["command"] for e in reread.entries()] == ["setup", "update"]
+    assert [e["command"] for e in ReplayLog(tmp_path / "journal").entries()] == [
+        "setup", "update",
+    ]
 
 
 def test_replay_log_tmp_files_never_resolve(tmp_path):
     log = ReplayLog(tmp_path / "journal")
     log.append({"tag": 0, "command": "setup", "args": ()})
-    (tmp_path / "journal" / "records" / "0000000007.pkl.tmp").write_bytes(b"torn")
+    segments = tmp_path / "journal" / "segments"
+    (segments / "0000000001.pkl.tmp").write_bytes(b"torn")
+    (segments / "0000000007.pkl.tmp").write_bytes(b"torn")
     reread = ReplayLog(tmp_path / "journal")
     assert [e["command"] for e in reread.entries()] == ["setup"]
 
 
 def test_replay_log_staged_entries_are_visible_but_not_durable(tmp_path):
     """stage() feeds the live coordinator's replay immediately; only
-    flush() makes entries survive a process restart -- records first,
-    HEAD manifest last."""
+    flush() makes entries survive a process restart -- one segment per
+    flush, HEAD manifest last."""
     log = ReplayLog(tmp_path / "journal")
     log.append({"tag": 0, "command": "setup", "args": ()})
     for command in ("update", "query"):
@@ -274,29 +279,56 @@ def test_replay_log_staged_entries_are_visible_but_not_durable(tmp_path):
     ]
     assert log.flush() == 2
     assert log.flush() == 0  # idempotent once drained
+    segments = sorted(p.name for p in (tmp_path / "journal" / "segments").iterdir())
+    assert segments == ["0000000000.pkl", "0000000001.pkl"]
     assert [e["command"] for e in ReplayLog(tmp_path / "journal").entries()] == [
         "setup", "update", "query",
     ]
 
 
 def test_replay_log_prune_of_staged_entries_keeps_head_well_formed(tmp_path):
+    """Prune drops whole durable segments only: a segment survives while any
+    of its entries may be replayed, and staged entries are never pruned."""
     log = ReplayLog(tmp_path / "journal")
     log.stage({"tag": 0, "command": "setup", "args": ()})
     log.stage({"tag": 1, "command": "update", "args": ()})
-    assert log.prune(min_tag=1) == 1  # drops a never-flushed entry
-    assert [e["tag"] for e in log.entries()] == [1]
+    assert log.prune(min_tag=1) == 0  # nothing durable yet
+    log.flush()  # one segment holding tags 0 and 1
+    log.stage({"tag": 2, "command": "query", "args": ()})
+    log.flush()
+    assert log.prune(min_tag=1) == 0  # the first segment still holds tag 1
+    assert log.prune(min_tag=2) == 2
+    assert [e["tag"] for e in log.entries()] == [2]
+    log.stage({"tag": 2, "command": "update", "args": ()})
+    assert log.prune(min_tag=3) == 1  # the staged tag-2 entry stays
+    assert [e["tag"] for e in log.entries()] == [2]
     log.flush()
     reread = ReplayLog(tmp_path / "journal")
-    assert [e["tag"] for e in reread.entries()] == [1]
+    assert [e["tag"] for e in reread.entries()] == [2]
+    assert len(reread) == 1
+    assert sorted(p.name for p in (tmp_path / "journal" / "segments").iterdir()) == [
+        "0000000003.pkl"
+    ]
+
+
+def test_replay_log_missing_segment_is_an_integrity_error(tmp_path):
+    log = ReplayLog(tmp_path / "journal")
+    for tag in range(3):
+        log.append({"tag": tag, "command": "update", "args": ()})
+    log._segment_path(1).unlink()
+    with pytest.raises(StoreIntegrityError, match="missing entries"):
+        ReplayLog(tmp_path / "journal")
 
 
 def test_replay_log_sealed_at_rest(tmp_path):
     log = ReplayLog(tmp_path / "journal", passphrase="pw")
-    log.append({"tag": 0, "command": "setup", "args": ("secret",)})
-    raw = log._record_path(0).read_bytes()
-    assert b"secret" not in raw
+    log.stage({"tag": 0, "command": "setup", "args": ("secret",)})
+    log.stage({"tag": 0, "command": "update", "args": ("hidden",)})
+    assert log.flush() == 2
+    raw = log._segment_path(0).read_bytes()
+    assert b"secret" not in raw and b"hidden" not in raw
     reread = ReplayLog(tmp_path / "journal", passphrase="pw")
-    assert reread.entries()[0]["args"] == ("secret",)
+    assert [e["args"] for e in reread.entries()] == [("secret",), ("hidden",)]
 
 
 # -- retry budget --------------------------------------------------------------
