@@ -233,28 +233,14 @@ class EncryptedDatabase:
         grouped = {table: list(rows) for table, rows in batches.items() if rows}
         return self._ingest_grouped(grouped, time, is_setup=False)
 
-    @property
-    def query_executors(self) -> tuple[str, ...]:
-        """Enclave-side execution strategies this EDB can run a query with.
-
-        ``"columnar"`` is the vectorized fast path (fast mode only);
-        ``"rows"`` the row-at-a-time plan interpreter.  Both produce
-        bit-identical answers and work counters -- only wall clock differs --
-        which is what lets the scatter planner pick per shard.
-        """
-        if self._mode == "fast":
-            return ("columnar", "rows")
-        return ("rows",)
-
     def query(
         self, query: Query, time: int = 0, executor: str | None = None
     ) -> QueryResult:
         """Run the Query protocol and return the analyst-visible answer.
 
-        ``executor`` optionally forces one of :attr:`query_executors` (or
-        ``"maintained"`` for a registered view); ``None`` answers from
-        maintained view state when a view covers the query and view
-        answering is enabled, else runs the mode's default rescan.  The
+        ``executor="maintained"`` forces the answer from a registered view;
+        ``None`` answers from maintained view state when a view covers the
+        query and view answering is enabled, else runs the mode's rescan.  The
         choice is invisible in the analyst-visible observables (answer, QET,
         noise flag): the QET observable stays pinned to the rescan cost
         model, and only the *simulated work ledger*
@@ -274,12 +260,9 @@ class EncryptedDatabase:
                 )
             use_maintained = True
         elif executor is not None:
-            if executor not in self.query_executors:
-                raise ValueError(
-                    f"query executor must be one of {self.query_executors}, "
-                    f"got {executor!r}"
-                )
-            use_maintained = False
+            raise ValueError(
+                f"query executor must be None or 'maintained', got {executor!r}"
+            )
         else:
             use_maintained = self._view_answering and self._views.covers(query)
         if use_maintained:
@@ -300,14 +283,9 @@ class EncryptedDatabase:
             )
             self._maintained_query_count += 1
         else:
-            if executor == "rows":
-                answer, stats = self._executor.execute_rows_with_stats(
-                    query, rewrite=True, time=time
-                )
-            else:
-                answer, stats = self._executor.execute_with_stats(
-                    query, rewrite=True, time=time
-                )
+            answer, stats = self._executor.execute_with_stats(
+                query, rewrite=True, time=time
+            )
             self._query_work_seconds += self._cost_model.query_cost(
                 query, dict(self._table_totals)
             )
@@ -655,7 +633,6 @@ SHARD_SURFACE: dict[str, str] = {
     "ciphertext_store": FACT,
     "cost_model": FACT,
     "leakage_profile": FACT,
-    "query_executors": FACT,
 }
 
 

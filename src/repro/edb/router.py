@@ -66,25 +66,18 @@ from repro.edb.base import (
     derive_surface,
 )
 from repro.edb.cost_model import UnsupportedQueryError
-from repro.edb.leakage import LeakageClass, update_pattern_observables
+from repro.edb.leakage import update_pattern_observables
 from repro.edb.records import Record
 from repro.edb.shard_worker import ShardWorkerClient
 from repro.query.ast import JoinCountQuery, MultiJoinCountQuery, Query
-from repro.query.planner import (
-    QueryPlan,
-    QueryPlanner,
-    resolve_planner_mode,
-)
 from repro.query.scatter import (
     drain_futures,
     join_count_from_histograms,
     join_side_probes,
-    join_upper_bound,
     merge_grouped_counts,
     merge_partial_answers,
     multi_join_count_from_histograms,
     multi_join_probes,
-    ordered_join_probes,
     scatter_map,
 )
 from repro.query.views import can_maintain
@@ -296,14 +289,6 @@ class ShardRouter:
         shard object crosses the process boundary exactly once; afterwards
         only commands and results travel the pipes).  Gathered answers and
         all transcripts are byte-identical across executors.
-    planner:
-        ``"off"`` (default) scatters every query to every shard exactly as
-        before; ``"on"`` routes queries through a
-        :class:`~repro.query.planner.QueryPlanner` (cost-based shard
-        pruning, executor choice, join probe ordering -- all
-        observable-identical, see :meth:`explain`).  A pre-built
-        :class:`~repro.query.planner.QueryPlanner` instance may be passed
-        directly (e.g. with a plan-override hook for tests).
     supervisor:
         ``None``/``"off"`` (default) leaves shard failures terminal exactly
         as before; ``"on"`` (or a pre-built
@@ -324,7 +309,6 @@ class ShardRouter:
         shards: Sequence[EncryptedDatabase],
         route_seed: int = 0,
         executor: str = "threads",
-        planner: "str | QueryPlanner" = "off",
         supervisor=None,
         faults="",
     ) -> None:
@@ -333,12 +317,6 @@ class ShardRouter:
             raise ValueError("a ShardRouter needs at least one shard")
         self._route_seed = int(route_seed)
         self._executor = resolve_shard_executor(executor)
-        if isinstance(planner, QueryPlanner):
-            self._planner: QueryPlanner | None = planner
-        elif resolve_planner_mode(planner) == "on":
-            self._planner = QueryPlanner()
-        else:
-            self._planner = None
         #: Measured ledger first: the supervisor wrappers built below share
         #: it as their health sink.
         self.measured = WallClockStats()
@@ -396,7 +374,7 @@ class ShardRouter:
         #: Partition metadata: per table, how many records were routed to
         #: each shard.  Maintained coordinator-side during partitioning (no
         #: extra shard round-trips), committed together with the staged
-        #: ordinals, and what the planner's shard pruning proves from.
+        #: ordinals.
         self._table_shard_counts: dict[str, list[int]] = {}
         self._update_history: list[UpdateResult] = []
         self._is_setup = False
@@ -500,8 +478,6 @@ class ShardRouter:
             if len(self._shards) == 1:
                 records = list(records)
                 result = self._shards[0].setup(records, time=time)
-                if self._planner is not None:
-                    self._tally_single_shard(self._group(records))
                 self._update_history.append(result)
                 return result
             parts, staged_ordinals, staged_counts = self._partition(
@@ -527,8 +503,6 @@ class ShardRouter:
             if len(self._shards) == 1:
                 records = list(records)
                 result = self._shards[0].update(records, time=time)
-                if self._planner is not None:
-                    self._tally_single_shard(self._group(records))
                 self._update_history.append(result)
                 return result
             parts, staged_ordinals, staged_counts = self._partition(
@@ -548,10 +522,6 @@ class ShardRouter:
         try:
             if len(self._shards) == 1:
                 result = self._shards[0].insert_many(batches, time=time)
-                if self._planner is not None:
-                    self._tally_single_shard(
-                        {t: list(rows) for t, rows in batches.items() if rows}
-                    )
                 self._update_history.append(result)
                 return result
             grouped = {table: list(rows) for table, rows in batches.items() if rows}
@@ -563,50 +533,22 @@ class ShardRouter:
             self._absorb_worker_stats()
 
     def query(self, query: Query, time: int = 0) -> QueryResult:
-        """Scatter the query to every shard and gather the partial aggregates.
-
-        With a planner configured, the scatter is *planned* first
-        (:mod:`repro.query.planner`): the target shard set, per-shard
-        executor and join probe order come from the chosen plan, and the
-        measured runtime feeds the planner's calibrator afterwards.  Every
-        plan choice yields the same gathered answer, QET observables and
-        transcripts as the fan-out path -- the plan-invariance tests pin it.
-        """
+        """Scatter the query to every shard and gather the partial aggregates."""
         started = _time.perf_counter()
         try:
-            if self._planner is not None:
-                return self._query_planned(query, time)
             if len(self._shards) == 1:
                 return self._shards[0].query(query, time=time)
-            self._check_query(query)
+            if not self.is_setup:
+                raise RuntimeError("Query invoked before Setup")
+            if not self.supports(query):
+                raise UnsupportedQueryError(
+                    f"{self.scheme_name} does not support {type(query).__name__}"
+                )
             return self._gather(query, time)
         finally:
             self.measured.query_calls += 1
             self.measured.query_seconds += _time.perf_counter() - started
             self._absorb_worker_stats()
-
-    # -- planner integration -------------------------------------------------
-
-    @property
-    def planner_mode(self) -> str:
-        """``"on"`` when queries run through a :class:`QueryPlanner`."""
-        return "off" if self._planner is None else "on"
-
-    @property
-    def planner(self) -> QueryPlanner | None:
-        """The configured planner (``None`` when the planner is off)."""
-        return self._planner
-
-    def explain(self, query: "Query | str") -> dict | None:
-        """Planner report for the most recent run of ``query``.
-
-        ``None`` when the planner is off or the query never ran; otherwise
-        the chosen plan, estimated vs measured cost, and why each
-        alternative lost (see :meth:`repro.query.planner.QueryPlanner.explain`).
-        """
-        if self._planner is None:
-            return None
-        return self._planner.explain(query)
 
     def table_shard_counts(self, table: str) -> tuple[int, ...]:
         """Routed-record count per shard for one table (partition metadata)."""
@@ -615,86 +557,13 @@ class ShardRouter:
             return (0,) * len(self._shards)
         return tuple(counts)
 
-    def _planner_shard_tables(self, query: Query) -> list[dict[str, int]]:
-        """Per-shard routed sizes of the query's tables, for plan costing."""
-        zeros = [0] * len(self._shards)
-        per_table = {
-            table: self._table_shard_counts.get(table, zeros)
-            for table in query.tables
-        }
-        return [
-            {table: counts[index] for table, counts in per_table.items()}
-            for index in range(len(self._shards))
-        ]
-
-    def _check_query(self, query: Query) -> None:
-        if not self.is_setup:
-            raise RuntimeError("Query invoked before Setup")
-        if not self.supports(query):
-            raise UnsupportedQueryError(
-                f"{self.scheme_name} does not support {type(query).__name__}"
-            )
-
-    def _query_planned(self, query: Query, time: int) -> QueryResult:
-        self._check_query(query)
-        # Shards holding none of a query's records still answer on an L-DP
-        # back-end -- with a noise draw the gathered sum must include -- so
-        # pruning is only sound where answers are exact.
-        executors = tuple(self.query_executors)
-        if self._view_answering and self.views_cover(query):
-            # The maintained alternative is enumerated alongside the rescans
-            # so explain() shows what answering from view state would cost;
-            # the override hook can still force a rescan executor for
-            # differential testing.
-            executors = ("maintained",) + executors
-        plan = self._planner.plan(
-            query,
-            shard_tables=self._planner_shard_tables(query),
-            cost_model=self.cost_model,
-            backend=self.scheme_name,
-            executors=executors,
-            allow_pruning=self.leakage_profile.query_class is not LeakageClass.LDP,
-        )
-        started = _time.perf_counter()
-        result = self._execute_plan(query, plan, time)
-        self._planner.observe(plan, _time.perf_counter() - started)
-        return result
-
-    def _execute_plan(self, query: Query, plan: QueryPlan, time: int) -> QueryResult:
-        if len(self._shards) == 1:
-            # One shard executes the original query directly (joins
-            # included); the only planner degree of freedom is the executor.
-            result = self._shards[0].query(
-                query, time=time, executor=plan.chosen.executor
-            )
-            plan.executed_qet_seconds = (result.qet_seconds,)
-            return result
-        return self._gather(query, time, plan=plan)
-
-    def _targets(self, plan: QueryPlan | None) -> tuple[list[int], str | None]:
-        """Shards to scatter to and their executor: every shard on its
-        default path without a plan, else the plan's choice."""
-        if plan is None:
-            return list(range(len(self._shards))), None
-        return list(plan.chosen.shard_indices), plan.chosen.executor
-
-    def _gather(
-        self, query: Query, time: int, plan: QueryPlan | None = None
-    ) -> QueryResult:
+    def _gather(self, query: Query, time: int) -> QueryResult:
         """Scatter ``query`` and merge the partial answers (K > 1)."""
         if isinstance(query, JoinCountQuery):
-            return self._gather_join(query, time, plan=plan)
+            return self._gather_join(query, time)
         if isinstance(query, MultiJoinCountQuery):
-            return self._gather_multi_join(query, time, plan=plan)
-        targets, executor = self._targets(plan)
-        results = self._map(
-            lambda index: self._shards[index].query(
-                query, time=time, executor=executor
-            ),
-            targets,
-        )
-        if plan is not None:
-            plan.executed_qet_seconds = tuple(r.qet_seconds for r in results)
+            return self._gather_multi_join(query, time)
+        results = self._map(lambda shard: shard.query(query, time=time), self._shards)
         return QueryResult(
             query_name=query.name,
             answer=merge_partial_answers(query, [r.answer for r in results]),
@@ -793,7 +662,7 @@ class ShardRouter:
         )
 
     #: The shards' scheme rule on the *original* query shape: a back-end
-    #: without join support stays join-free even though the scatter plan
+    #: without join support stays join-free even though the scatter
     #: would only send it group-by probes.
     supports = EncryptedDatabase.supports
 
@@ -816,8 +685,7 @@ class ShardRouter:
         only after every touched shard succeeded.  A failed Setup/Update
         (pre-Setup protocol error, a dead worker, any shard raise) therefore
         leaves routing untouched, so a retry routes every record exactly like
-        a run that never failed -- the replay-determinism guarantee the
-        planner's correctness story leans on.
+        a run that never failed.
         """
         parts: list[dict[str, list[Record]]] = [{} for _ in self._shards]
         staged_ordinals: dict[str, int] = {}
@@ -845,12 +713,6 @@ class ShardRouter:
             )
             for index, count in enumerate(counts):
                 totals[index] += count
-
-    def _tally_single_shard(self, by_table: Mapping[str, Sequence[Record]]) -> None:
-        """Partition metadata for the K=1 fast paths (planner enabled only)."""
-        for table, rows in by_table.items():
-            totals = self._table_shard_counts.setdefault(table, [0])
-            totals[0] += len(rows)
 
     def _scatter_update(
         self,
@@ -886,59 +748,38 @@ class ShardRouter:
         self._update_history.append(aggregate)
         return aggregate
 
-    def _gather_join(
-        self, query: JoinCountQuery, time: int, plan: QueryPlan | None = None
-    ) -> QueryResult:
+    def _gather_join(self, query: JoinCountQuery, time: int) -> QueryResult:
         """Distributed join count via per-side key histograms.
 
         Hash-partitioned sides cannot be joined shard-locally, so each shard
         contributes one histogram per side (an ordinary dummy-aware group-by
-        through its Query protocol); the merged histograms' dot product is
-        the exact join count.  Each shard runs its two probes sequentially;
-        shards run in parallel, so the gathered QET is the slowest shard's
-        probe total.
-
-        A plan chooses the shard set, per-probe executor and probe order
-        (predicted-smaller side first).  The dot product is symmetric and
-        per-shard QET sums both probes, so none of that moves an observable;
-        the first probe's merged cardinality is recorded on the plan as a
-        UES-style upper bound on the gathered join count.
+        through its Query protocol, left side first); the merged histograms'
+        dot product is the exact join count.  Each shard runs its two probes
+        sequentially; shards run in parallel, so the gathered QET is the
+        slowest shard's probe total.
         """
-        targets, executor = self._targets(plan)
-        first_side = "left" if plan is None else plan.chosen.first_side or "left"
-        (first_probe, _), (second_probe, _) = ordered_join_probes(query, first_side)
+        left_probe, right_probe = join_side_probes(query)
         probe_pairs = self._map(
-            lambda index: (
-                self._shards[index].query(first_probe, time=time, executor=executor),
-                self._shards[index].query(second_probe, time=time, executor=executor),
+            lambda shard: (
+                shard.query(left_probe, time=time),
+                shard.query(right_probe, time=time),
             ),
-            targets,
+            self._shards,
         )
-        first_parts: list[Mapping] = []
-        second_parts: list[Mapping] = []
+        left_parts: list[Mapping] = []
+        right_parts: list[Mapping] = []
         shard_qets: list[float] = []
         scanned = 0
         noise = False
-        for first_result, second_result in probe_pairs:
-            first_parts.append(first_result.answer)
-            second_parts.append(second_result.answer)
-            shard_qets.append(first_result.qet_seconds + second_result.qet_seconds)
-            scanned += first_result.records_scanned + second_result.records_scanned
-            noise = (
-                noise or first_result.noise_injected or second_result.noise_injected
-            )
-        merged_first = merge_grouped_counts(first_parts)
-        merged_second = merge_grouped_counts(second_parts)
-        answer = join_count_from_histograms(merged_first, merged_second)
-        if plan is not None:
-            second_table = (
-                query.right_table if first_side == "left" else query.left_table
-            )
-            plan.first_probe_cardinality = sum(merged_first.values())
-            plan.join_upper_bound = join_upper_bound(
-                merged_first, sum(self.table_shard_counts(second_table))
-            )
-            plan.executed_qet_seconds = tuple(shard_qets)
+        for left_result, right_result in probe_pairs:
+            left_parts.append(left_result.answer)
+            right_parts.append(right_result.answer)
+            shard_qets.append(left_result.qet_seconds + right_result.qet_seconds)
+            scanned += left_result.records_scanned + right_result.records_scanned
+            noise = noise or left_result.noise_injected or right_result.noise_injected
+        answer = join_count_from_histograms(
+            merge_grouped_counts(left_parts), merge_grouped_counts(right_parts)
+        )
         return QueryResult(
             query_name=query.name,
             answer=answer,
@@ -948,7 +789,7 @@ class ShardRouter:
         )
 
     def _gather_multi_join(
-        self, query: MultiJoinCountQuery, time: int, plan: QueryPlan | None = None
+        self, query: MultiJoinCountQuery, time: int
     ) -> QueryResult:
         """Distributed multi-way star-join count via per-side key histograms.
 
@@ -957,14 +798,10 @@ class ShardRouter:
         the coordinator merges each side's histograms across shards and the
         product-sum over the shared key is the exact star-join count.
         """
-        targets, executor = self._targets(plan)
         probes = multi_join_probes(query)
         probe_rows = self._map(
-            lambda index: tuple(
-                self._shards[index].query(probe, time=time, executor=executor)
-                for probe in probes
-            ),
-            targets,
+            lambda shard: tuple(shard.query(probe, time=time) for probe in probes),
+            self._shards,
         )
         side_parts: list[list[Mapping]] = [[] for _ in probes]
         shard_qets: list[float] = []
@@ -978,8 +815,6 @@ class ShardRouter:
             noise = noise or any(result.noise_injected for result in results)
         merged = [merge_grouped_counts(parts) for parts in side_parts]
         answer = multi_join_count_from_histograms(merged)
-        if plan is not None:
-            plan.executed_qet_seconds = tuple(shard_qets)
         return QueryResult(
             query_name=query.name,
             answer=answer,

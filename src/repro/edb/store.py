@@ -193,6 +193,10 @@ class EncryptedStore:
     Read side: :meth:`manifest` / :meth:`read_blob` verify the version, the
     per-blob SHA-256 (over the on-disk sealed bytes) and the seal tag,
     raising :class:`StoreIntegrityError` on the first mismatch.
+
+    ``key`` (with the ``salt`` it was derived from) seals with an
+    already-derived key instead of running the KDF again: a
+    :class:`SnapshotStore` derives once and hands it to every generation.
     """
 
     def __init__(
@@ -200,15 +204,18 @@ class EncryptedStore:
         directory: str | os.PathLike,
         passphrase: str | None = None,
         salt: bytes | None = None,
+        key: bytes | None = None,
     ) -> None:
         self._dir = Path(directory)
         self._dir.mkdir(parents=True, exist_ok=True)
-        self._passphrase = passphrase
-        if passphrase is not None:
+        if key is not None:
+            self._salt = salt
+            self._key: bytes | None = key
+        elif passphrase is not None:
             self._salt = (
                 salt if salt is not None else get_or_create_salt(self._dir / _SALT_NAME)
             )
-            self._key: bytes | None = derive_key(passphrase, self._salt)
+            self._key = derive_key(passphrase, self._salt)
         else:
             self._salt = None
             self._key = None
@@ -334,7 +341,6 @@ class EncryptedStore:
         manifest = self.manifest()
         plaintext = {name: self.read_blob(name) for name in manifest["blobs"]}
         meta = manifest.get("meta", {})
-        self._passphrase = new_passphrase
         if new_passphrase is not None:
             self._salt = os.urandom(SALT_SIZE)
             atomic_write_bytes(self._dir / _SALT_NAME, self._salt, mode=0o600)
@@ -387,6 +393,9 @@ class SnapshotStore:
             if passphrase is not None
             else None
         )
+        #: The at-rest key, derived on first use and shared by every
+        #: generation this store opens (scrypt is deliberately slow).
+        self._key: bytes | None = None
         #: Parent of every generation whose manifest was verified (or written)
         #: here, so pruning walks chains without re-reading manifests.
         self._parents: dict[int, int | None] = {}
@@ -400,8 +409,10 @@ class SnapshotStore:
         return self._dir / "snapshots" / f"{seq:08d}"
 
     def _open(self, seq: int) -> EncryptedStore:
+        if self._passphrase is not None and self._key is None:
+            self._key = derive_key(self._passphrase, self._salt)
         return EncryptedStore(
-            self._snapshot_dir(seq), passphrase=self._passphrase, salt=self._salt
+            self._snapshot_dir(seq), salt=self._salt, key=self._key
         )
 
     def _sequence_numbers(self) -> list[int]:
@@ -943,8 +954,8 @@ def snapshot_router(router: "ShardRouter") -> bytes:
     Process-backed shards are snapshotted *inside* their worker (one
     ``snapshot`` pipe command each), so the bytes reflect the worker's
     authoritative state including its RNG stream.  Routing state covers
-    exactly what :meth:`ShardRouter.shard_index` and the planner's shard
-    pruning depend on: per-table ordinals, per-shard counts and the
+    exactly what :meth:`ShardRouter.shard_index` depends on plus the
+    partition metadata: per-table ordinals, per-shard counts and the
     aggregate update history.  Wall-clock measurements are deliberately
     not persisted (observables do not depend on them).
     """
@@ -960,7 +971,6 @@ def snapshot_router(router: "ShardRouter") -> bytes:
     payload = {
         "route_seed": router._route_seed,
         "executor": router._executor,
-        "planner": "on" if router._planner is not None else "off",
         "supervisor": getattr(router, "_supervisor_meta", None),
         "ordinals": dict(router._ordinals),
         "table_shard_counts": {
@@ -1001,7 +1011,6 @@ def restore_router(blob: bytes) -> "ShardRouter":
         shards,
         route_seed=payload["route_seed"],
         executor=payload["executor"],
-        planner=payload["planner"],
         **extra,
     )
     router._ordinals = dict(payload["ordinals"])

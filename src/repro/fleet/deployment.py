@@ -356,20 +356,6 @@ class Deployment:
         health = getattr(measured, "health", None)
         return health() if callable(health) else None
 
-    def explain(self, query) -> dict | None:
-        """Planner report for the most recent run of ``query``.
-
-        Forwards to the shared EDB's ``explain`` surface
-        (:meth:`repro.edb.router.ShardRouter.explain`): the chosen scatter
-        plan, estimated vs measured cost, and why each alternative lost.
-        ``None`` when the EDB has no planner (plain back-end, or a router
-        constructed with ``planner="off"``) or the query never ran.
-        """
-        explain = getattr(self._edb, "explain", None)
-        if explain is None:
-            return None
-        return explain(query)
-
     def close(self) -> None:
         """Release the shared EDB's resources (idempotent).
 

@@ -28,8 +28,9 @@ Every ``snapshot_every`` mutating commands the wrapper writes one
 generation and flushes the journal's staged commands as one segment.  A
 generation costs O(rows since its parent): the worker ships only the rows
 appended since the chain head (a delta generation), and a full generation
-is written only where no delta can express the shard -- generation 0,
-after ``rotate_key`` or a recovery, on ORAM storage -- or to fold a chain
+is written where no delta can express the shard or none would pay --
+generation 0, after Setup, ``rotate_key`` or a recovery, on ORAM storage --
+or to fold a chain
 whose deltas have grown to its base's size (:meth:`SupervisedShard.
 _snapshot_now`).
 
@@ -280,8 +281,11 @@ class SupervisedShard:
                 self._backoff(attempt)
                 self._recover(exc)
         if mutating:
-            if command == "rotate_key":
-                # Every row was rewritten in place: no delta can express it.
+            if command in ("setup", "rotate_key"):
+                # Setup fills the near-empty generation-0 shard: a delta of
+                # it would outgrow its base and force a fold right after.
+                # rotate_key rewrites every row in place: no delta can
+                # express it.  Either way the next generation is full.
                 self._marks = None
             # Staged, not fsync'd: recovery replays from the in-memory
             # journal (the coordinator outlives its workers), and the next
@@ -390,7 +394,7 @@ class SupervisedShard:
         can need any more.
 
         A generation is a delta of the head -- the rows appended since it
-        -- unless there is no head to extend (generation 0, after a
+        -- unless there is no head to extend (generation 0, after Setup, a
         recovery or a ``rotate_key``, or an ORAM-storage shard) or the
         fold is due: once a chain's deltas add up to its base's bytes, the
         next generation is full again.  Bases at least double in size from

@@ -23,10 +23,7 @@ This package provides:
   three query strings into AST objects;
 * :mod:`repro.query.scatter` -- deterministic partial-aggregate merging for
   scatter-gather evaluation over sharded back-ends
-  (:class:`repro.edb.router.ShardRouter`);
-* :mod:`repro.query.planner` -- cost-based planning of those scattered
-  queries (shard pruning, per-shard executor choice, join probe ordering),
-  calibrated online against the router's measured wall-clock ledger.
+  (:class:`repro.edb.router.ShardRouter`).
 """
 
 from repro.query.predicates import (
@@ -55,20 +52,10 @@ from repro.query.ast import (
 )
 from repro.query.rewriter import rewrite_for_dummies, rewrite_plan
 from repro.query.executor import PlaintextExecutor, execute_plan, ground_truth
-from repro.query.planner import (
-    PLANNER_MODES,
-    PlanAlternative,
-    QueryPlan,
-    QueryPlanner,
-    RuntimeCalibrator,
-    resolve_planner_mode,
-)
 from repro.query.scatter import (
     join_count_from_histograms,
-    join_upper_bound,
     merge_grouped_counts,
     merge_scalar_counts,
-    ordered_join_probes,
 )
 from repro.query.sql import parse_query
 
@@ -76,11 +63,6 @@ __all__ = [
     "AggregationKind",
     "AndPredicate",
     "CountQuery",
-    "PLANNER_MODES",
-    "PlanAlternative",
-    "QueryPlan",
-    "QueryPlanner",
-    "RuntimeCalibrator",
     "CrossProductNode",
     "EqualityPredicate",
     "FilterNode",
@@ -102,12 +84,9 @@ __all__ = [
     "execute_plan",
     "ground_truth",
     "join_count_from_histograms",
-    "join_upper_bound",
     "merge_grouped_counts",
     "merge_scalar_counts",
-    "ordered_join_probes",
     "parse_query",
-    "resolve_planner_mode",
     "rewrite_for_dummies",
     "rewrite_plan",
 ]

@@ -123,8 +123,9 @@ class PlaintextExecutor:
 
         On subclasses that override :meth:`execute_plan` with a vectorized
         pass (the columnar executor), this forces the base interpreter over
-        the row mirror instead -- the planner's ``"rows"`` executor choice.
-        Answers and stats are identical either way; only wall clock moves.
+        the row mirror instead: the differential oracle for the vectorized
+        path.  Answers and stats are identical either way; only wall clock
+        moves.
         """
         if isinstance(query, WindowedCountQuery):
             # The window oracle is already a row loop; there is no vectorized

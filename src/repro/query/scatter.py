@@ -26,7 +26,7 @@ draws (K-fold variance): semantically each shard is its own L-DP EDB, but
 sharding is not accuracy-free there the way it is on exact back-ends.
 
 Because the merges are deterministic functions of the per-shard partials
-taken in shard-index order, the same plan runs unchanged on every router
+taken in shard-index order, the same gather runs unchanged on every router
 executor -- sequential loop, thread pool, or persistent worker processes
 (:mod:`repro.edb.shard_worker`); only where the partials are *computed*
 moves, never what the coordinator gathers.
@@ -50,10 +50,8 @@ __all__ = [
     "merge_partial_answers",
     "join_count_from_histograms",
     "join_side_probes",
-    "join_upper_bound",
     "multi_join_count_from_histograms",
     "multi_join_probes",
-    "ordered_join_probes",
     "scatter_map",
     "drain_futures",
 ]
@@ -193,26 +191,6 @@ def join_side_probes(query: JoinCountQuery) -> tuple[GroupByCountQuery, GroupByC
     return left, right
 
 
-def ordered_join_probes(
-    query: JoinCountQuery, first_side: str = "left"
-) -> tuple[tuple[GroupByCountQuery, str], tuple[GroupByCountQuery, str]]:
-    """The join's side probes in a chosen execution order.
-
-    ``first_side`` names the side to probe first (``"left"`` or ``"right"``,
-    e.g. the planner's predicted-smaller side).  Each element pairs the probe
-    with its side label so the gather step can put the merged histograms back
-    on the correct sides of the dot product.  Because the dot product is
-    symmetric and per-shard QET sums both probes, probe order is invisible in
-    every observable.
-    """
-    if first_side not in ("left", "right"):
-        raise ValueError(f"first_side must be 'left' or 'right', got {first_side!r}")
-    left, right = join_side_probes(query)
-    if first_side == "left":
-        return (left, "left"), (right, "right")
-    return (right, "right"), (left, "left")
-
-
 def multi_join_probes(query: MultiJoinCountQuery) -> tuple[GroupByCountQuery, ...]:
     """The per-shard probe queries a multi-way star join scatters into.
 
@@ -259,18 +237,3 @@ def multi_join_count_from_histograms(
         total += product
     return total
 
-
-def join_upper_bound(
-    first_histogram: Mapping, second_side_total: int
-) -> "int | float":
-    """UES-style upper bound on a join count from the first probe's histogram.
-
-    Every joining pair consumes one record from the first side's filtered
-    multiset (cardinality ``sum(first_histogram.values())``) and one of at
-    most ``second_side_total`` records on the other side, so the join count
-    is at most their product.  The planner records this after the first
-    probe's merge to bound (and sanity-check) the second probe's
-    contribution; it never changes what executes.
-    """
-    cardinality = sum(first_histogram.values())
-    return cardinality * second_side_total

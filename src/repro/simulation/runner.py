@@ -55,7 +55,6 @@ from repro.edb.base import EncryptedDatabase
 from repro.edb.crypte import CryptEpsilon
 from repro.edb.oblidb import ObliDB
 from repro.edb.router import ShardRouter, resolve_shard_executor
-from repro.query.planner import resolve_planner_mode
 from repro.query.ast import JoinCountQuery, MultiJoinCountQuery, Query
 from repro.simulation.results import RunResult
 from repro.simulation.simulator import Simulation, SimulationConfig, derive_schema
@@ -135,7 +134,6 @@ def make_sharded_backend(
     simulate_encryption: bool = False,
     ciphertext_store: str | None = None,
     shard_executor: str = "threads",
-    planner: str = "off",
     supervisor: str = "off",
     faults: str = "",
 ) -> Callable[[], ShardRouter]:
@@ -149,10 +147,7 @@ def make_sharded_backend(
     ``shard_executor`` selects the fan-out executor (``"threads"`` runs
     per-shard protocol work concurrently, ``"serial"`` sequentially,
     ``"processes"`` in persistent per-shard worker processes; results are
-    byte-identical in every case).  ``planner="on"`` routes queries through
-    the cost-based scatter planner (:mod:`repro.query.planner`) -- again
-    byte-identical in every observable, only wall clock moves.
-    ``supervisor="on"`` wraps every shard in the self-healing supervisor
+    byte-identical in every case).  ``supervisor="on"`` wraps every shard in the self-healing supervisor
     (:mod:`repro.fleet.supervisor`: snapshot + replay-log recovery), and
     ``faults`` injects a deterministic fault schedule
     (:func:`repro.testing.chaos.parse_fault_schedule` syntax) -- recovery is
@@ -185,7 +180,6 @@ def make_sharded_backend(
             shards,
             route_seed=seed,
             executor=shard_executor,
-            planner=planner,
             supervisor=supervisor,
             faults=faults,
         )
@@ -222,10 +216,6 @@ class CellSpec:
     concurrently; ``"serial"`` keeps the sequential loop; ``"processes"``
     moves each shard into a persistent worker process -- cell results are
     byte-identical in every case, only wall clock moves),
-    ``planner`` turns the cost-based scatter planner on for sharded cells
-    (``"off"`` by default -- today's always-fan-out behaviour; ``"on"``
-    enables observable-identical shard pruning / executor choice / join
-    probe ordering, see :mod:`repro.query.planner`),
     ``views`` registers every maintainable evaluation query as a
     delta-maintained server-side view at Setup (``"on"``; answers, QET and
     transcripts stay byte-identical to the ``"off"`` rescans, only the
@@ -266,7 +256,6 @@ class CellSpec:
     n_shards: int = 1
     fleet_scenario: str = ""
     shard_executor: str = "threads"
-    planner: str = "off"
     views: str = "off"
     supervisor: str = "off"
     faults: str = ""
@@ -280,7 +269,6 @@ class CellSpec:
         object.__setattr__(
             self, "shard_executor", resolve_shard_executor(self.shard_executor)
         )
-        object.__setattr__(self, "planner", resolve_planner_mode(self.planner))
         views = str(self.views).lower()
         if views not in ("off", "on"):
             raise ValueError(f"views must be 'off' or 'on', got {self.views!r}")
@@ -460,17 +448,11 @@ def run_cell(
         seed=spec.sim_seed,
         views=spec.views,
     )
-    if (
-        spec.n_shards > 1
-        or spec.planner == "on"
-        or spec.supervisor == "on"
-        or spec.faults
-    ):
-        # A planner-on (or supervised / fault-injected) cell always runs
-        # through a router (a one-shard router is byte-identical to the
-        # plain back-end, so K=1 cells stay comparable to their unsharded
-        # twins while exercising the planner's executor choice or the
-        # supervisor's recovery path).
+    if spec.n_shards > 1 or spec.supervisor == "on" or spec.faults:
+        # A supervised (or fault-injected) cell always runs through a router
+        # (a one-shard router is byte-identical to the plain back-end, so
+        # K=1 cells stay comparable to their unsharded twins while
+        # exercising the supervisor's recovery path).
         edb_factory: Callable[[], EncryptedDatabase] = make_sharded_backend(
             spec.backend,
             spec.n_shards,
@@ -479,7 +461,6 @@ def run_cell(
             mode=spec.edb_mode,
             simulate_encryption=spec.simulate_encryption,
             shard_executor=spec.shard_executor,
-            planner=spec.planner,
             supervisor=spec.supervisor,
             faults=spec.faults,
         )
@@ -528,7 +509,6 @@ _AXIS_FIELDS = frozenset(
         "n_owners",
         "n_shards",
         "fleet_scenario",
-        "planner",
         "views",
         "supervisor",
         "faults",
@@ -993,14 +973,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "results are byte-identical in every case",
     )
     parser.add_argument(
-        "--planner",
-        default="off",
-        choices=["off", "on"],
-        help="cost-based scatter planner for sharded cells: shard pruning, "
-        "per-shard executor choice and join probe ordering, calibrated by "
-        "the measured ledger; cell results are byte-identical either way",
-    )
-    parser.add_argument(
         "--views",
         default="off",
         choices=["off", "on"],
@@ -1052,7 +1024,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             n_shards=args.n_shards,
             fleet_scenario=args.fleet_scenario,
             shard_executor=args.shard_executor,
-            planner=args.planner,
             views=args.views,
             supervisor=args.supervisor,
             faults=args.faults,

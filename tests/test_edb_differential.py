@@ -329,6 +329,11 @@ def test_executor_answers_and_stats_match(query, rewrite):
     ref_answer, ref_stats = reference.execute_with_stats(query, rewrite=rewrite)
     assert fast_answer == ref_answer
     assert fast_stats == ref_stats
+    # The columnar executor's forced row interpreter is the same oracle.
+    assert fast.execute_rows_with_stats(query, rewrite=rewrite) == (
+        ref_answer,
+        ref_stats,
+    )
 
 
 def test_grouped_answer_iteration_order_matches():

@@ -12,6 +12,10 @@ The contract pinned here:
   answers over K shards equal the unsharded answers at every point.
 * **Aggregated leakage** -- ``update_pattern_observables`` over the router's
   history equals the unsharded transcript regardless of K.
+* **Gather arithmetic and ledger** -- join-count histogram merges keep
+  integer answers exact and noisy floats untruncated, and
+  :class:`~repro.edb.router.WallClockStats` counts Setup attempts on the
+  same basis as every other protocol surface.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from repro.edb.router import ShardRouter
 from repro.edb.cost_model import UnsupportedQueryError
 from repro.query.ast import CountQuery, GroupByCountQuery, JoinCountQuery
 from repro.query.predicates import RangePredicate
+from repro.query.scatter import join_count_from_histograms
 from repro.query.sql import parse_query
 
 TABLES = ("Alpha", "Beta")
@@ -42,6 +47,10 @@ def _record(table: str, key: int, value: int, dummy: bool, time: int) -> Record:
     return Record(
         values={"key": key, "value": value}, arrival_time=time, table=table
     )
+
+
+def _shards(n: int, cls=ObliDB, seed: int = 0):
+    return [cls(rng=np.random.default_rng(seed + index)) for index in range(n)]
 
 
 def _make_plain(seed: int = 0) -> ObliDB:
@@ -357,3 +366,35 @@ def test_failed_setup_leaves_ordinals_unchanged():
     with pytest.raises(RuntimeError):
         router.setup(records, time=0)
     assert router._ordinals == ordinals
+
+
+def test_join_count_histograms_keeps_integer_exactness():
+    assert join_count_from_histograms({1: 2, 2: 3}, {1: 4, 3: 9}) == 8
+    assert isinstance(join_count_from_histograms({1: 2}, {1: 4}), int)
+
+
+def test_join_count_histograms_preserves_noisy_floats():
+    # A histogram carrying unrounded DP noise must not be truncated: the
+    # old int() cast silently biased the gathered count toward zero.
+    noisy = join_count_from_histograms({1: 1.7}, {1: 1})
+    assert isinstance(noisy, float)
+    assert noisy == pytest.approx(1.7)
+    assert join_count_from_histograms({1: 0.4, 2: 1.2}, {1: 2, 2: 1}) == pytest.approx(
+        2.0
+    )
+
+
+def test_wall_clock_stats_count_setup_attempts():
+    router = ShardRouter(_shards(2), route_seed=0, executor="serial")
+    records = [_record("Alpha", i % 5, i, False, 0) for i in range(8)]
+    router.setup(records, time=0)
+    assert router.measured.setup_calls == 1
+    # A failed Setup attempt (shards already initialized) still counts --
+    # calls/seconds share one attempt basis across the protocol surface.
+    with pytest.raises(RuntimeError):
+        router.setup(records, time=0)
+    assert router.measured.setup_calls == 2
+    assert router.measured.setup_seconds > 0.0
+    router.measured.reset()
+    assert router.measured.setup_calls == 0
+    assert router.measured.setup_seconds == 0.0

@@ -50,13 +50,16 @@ from repro.edb.store import (
     derive_key,
     get_or_create_salt,
     restore_backend,
+    restore_router,
     seal_bytes,
     snapshot_backend,
     snapshot_marks,
+    snapshot_router,
     unseal_bytes,
 )
-from repro.edb.router import WallClockStats
+from repro.edb.router import ShardRouter, WallClockStats
 from repro.fleet.supervisor import SupervisedShard, SupervisorConfig
+from repro.query.ast import CountQuery
 from repro.simulation.results import RunResult
 from repro.simulation.runner import CellSpec, GridRunner
 from repro.testing.chaos import parse_fault_schedule
@@ -294,6 +297,32 @@ def test_snapshot_store_skips_torn_generation(tmp_path):
     assert store.load_latest().read_blob("state.bin") == b"four"
 
 
+def test_sealed_snapshot_store_derives_its_key_once(tmp_path, monkeypatch):
+    import repro.edb.store as store_module
+
+    calls = []
+
+    def counting_derive_key(passphrase, salt):
+        calls.append(salt)
+        return derive_key(passphrase, salt)
+
+    monkeypatch.setattr(store_module, "derive_key", counting_derive_key)
+    store = SnapshotStore(tmp_path, passphrase="pw", keep=2)
+    head = store.save({"state.bin": b"base"})
+    for delta in range(3):
+        head = store.save({"state.bin": bytes([delta])}, parent=head)
+    assert store.latest_sequence() == head
+    assert [s.read_blob("state.bin") for s in store.load_chain()] == [
+        b"base", b"\x00", b"\x01", b"\x02",
+    ]
+    assert len(calls) == 1
+    # A second store over the same directory derives its own key, once.
+    reopened = SnapshotStore(tmp_path, passphrase="pw")
+    assert reopened.latest_sequence() == head
+    assert len(reopened.load_chain()) == 4
+    assert len(calls) == 2
+
+
 def _parents(store: SnapshotStore) -> dict:
     return {
         seq: store._open(seq).manifest()["parent"]
@@ -373,6 +402,23 @@ def test_oram_shard_writes_only_full_generations(tmp_path):
         shard.close()
 
 
+def test_setup_starts_a_new_chain(tmp_path):
+    """Setup fills the near-empty generation 0, so the generation after it
+    is full and the next one a delta of it -- not a delta that outgrows its
+    base and forces a fold right after."""
+    edb = ObliDB(rng=np.random.default_rng(3), simulate_encryption=True)
+    shard = _supervised_shard(tmp_path, edb)
+    try:
+        shard.setup(_records(40))  # generation 2: full
+        assert _parents(shard._store) == {1: None, 2: None}
+        shard.insert_many({"events": _records(2, start=40)}, 1)  # 3: a delta
+        assert _parents(shard._store) == {2: None, 3: 2}
+        chain = [s.read_blob("shard.pkl") for s in shard._store.load_chain()]
+        assert restore_backend(*chain).update_history == shard.update_history
+    finally:
+        shard.close()
+
+
 def test_rotated_and_recovered_shards_start_a_new_chain(tmp_path):
     """After rotate_key every row was rewritten, and after a recovery the
     shard has replayed past its head: either way the next generation is
@@ -382,18 +428,19 @@ def test_rotated_and_recovered_shards_start_a_new_chain(tmp_path):
         tmp_path, edb, schedule=parse_fault_schedule("tornsnap@5")
     )
     try:
-        shard.setup(_records(40))  # generation 2: a delta of generation 1
-        shard.insert_many({"events": _records(2, start=40)}, 1)  # 3: a fold
-        shard.insert_many({"events": _records(2, start=42)}, 2)  # 4: a delta
-        assert _parents(shard._store) == {3: None, 4: 3}
+        shard.setup(_records(40))  # generation 2: full
+        # 3: a delta as large as its base, so 4 folds the chain.
+        shard.insert_many({"events": _records(80, start=40)}, 1)
+        shard.insert_many({"events": _records(2, start=120)}, 2)
+        assert _parents(shard._store) == {2: None, 3: 2, 4: None}
         shard.rotate_key(b"k" * 32)  # 5: full
-        assert _parents(shard._store) == {3: None, 4: 3, 5: None}
+        assert _parents(shard._store) == {4: None, 5: None}
         # 6 is written and torn, the live shard crashes and is rebuilt from
         # 5 plus the journal, and the retried insert writes full 7.
-        shard.insert_many({"events": _records(2, start=44)}, 3)
+        shard.insert_many({"events": _records(2, start=122)}, 3)
         assert shard._store.latest_sequence() == 7
         assert _parents(shard._store) == {5: None, 7: None}
-        shard.insert_many({"events": _records(2, start=46)}, 4)  # 8: a delta
+        shard.insert_many({"events": _records(2, start=124)}, 4)  # 8: a delta
         assert _parents(shard._store) == {7: None, 8: 7}
         chain = [s.read_blob("shard.pkl") for s in shard._store.load_chain()]
         assert restore_backend(*chain).update_history == shard.update_history
@@ -411,6 +458,25 @@ def test_snapshot_store_sealed_shares_one_salt(tmp_path):
         SnapshotStore(tmp_path, passphrase="nope").load_latest().read_blob(
             "state.bin"
         )
+
+
+def test_router_payload_with_a_planner_key_still_restores():
+    """Router payloads written before the scatter planner was removed carry
+    a ``planner`` key; restore ignores it."""
+    router = ShardRouter(
+        [ObliDB(rng=np.random.default_rng(i)) for i in range(2)],
+        route_seed=5,
+        executor="serial",
+    )
+    router.setup(_records(12))
+    payload = pickle.loads(snapshot_router(router))
+    payload["planner"] = "on"
+    restored = restore_router(pickle.dumps(payload))
+    query = CountQuery(table="events", label="q")
+    assert restored.query(query, time=2) == router.query(query, time=2)
+    assert restored.table_shard_counts("events") == router.table_shard_counts(
+        "events"
+    )
 
 
 # -- EDB snapshot codecs ------------------------------------------------------

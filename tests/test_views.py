@@ -7,7 +7,8 @@ The views contract, pinned here:
   per-shard ``(t, |γ|)`` update transcripts are identical whether queries
   are answered from maintained state or forced back onto the rescan path
   via :meth:`set_view_answering`, for K in {1, 2, 4} on both back-ends and
-  all three shard executors.  Only the *simulated work ledger* moves.
+  all three shard executors.  Only the *simulated work ledger* moves: on a
+  Figure-2-scale sync loop, rescans cost at least 5x the maintained path.
 * **State-class units** -- the telescoping star-join delta, the reduced
   modulo counter, group first-appearance order, the windowed ring buffer's
   eviction horizon and :class:`StaleWindowError`.
@@ -17,9 +18,6 @@ The views contract, pinned here:
 * **Views are derived state** -- a snapshot/restore round-trip (single EDB
   and sharded router) rebuilds every view from the restored tables and the
   restored twin replays a continuation bit-identically.
-* **Planner integration** -- a covered query enumerates a ``maintained``
-  plan alternative (visible in ``explain()``), and the override hook can
-  force a rescan executor without changing the answer.
 * Satellite: a restored :class:`Deployment` refuses queries over external
   table sources that were not re-registered.
 """
@@ -53,8 +51,8 @@ from repro.query.ast import (
 )
 from repro.query.executor import ground_truth
 from repro.query.incremental import IncrementalTruth
-from repro.query.planner import QueryPlanner
 from repro.query.predicates import RangePredicate, TruePredicate
+from repro.query.sql import parse_query
 from repro.query.views import (
     StaleWindowError,
     ViewRegistry,
@@ -62,6 +60,7 @@ from repro.query.views import (
     maintained_shapes,
     make_state,
 )
+from repro.simulation.runner import make_sharded_backend
 
 TABLES = ("Alpha", "Beta", "Gamma")
 SCHEMAS = {name: Schema(name=name, attributes=("key", "value")) for name in TABLES}
@@ -138,9 +137,9 @@ def _initial(seed: int = 99):
     ]
 
 
-def _router(K: int, cls=ObliDB, executor: str = "serial", planner="off", seed=0):
+def _router(K: int, cls=ObliDB, executor: str = "serial", seed=0):
     shards = [cls(rng=np.random.default_rng(seed + index)) for index in range(K)]
-    return ShardRouter(shards, route_seed=7, executor=executor, planner=planner)
+    return ShardRouter(shards, route_seed=7, executor=executor)
 
 
 def _run(router: ShardRouter, queries, stream, answering: bool):
@@ -221,6 +220,49 @@ def test_work_ledger_moves_but_observables_do_not():
     assert fast.view_maintenance_seconds > 0.0
     assert fast.query_work_seconds < slow.query_work_seconds
     assert fast.simulated_work_seconds < slow.simulated_work_seconds
+
+
+def test_sync_loop_maintained_work_floor():
+    """A Figure-2-scale sync loop (120 syncs of 40 rows, the paper-style
+    queries plus a windowed count after every sync, K=2): rescans pay at
+    least 5x the maintained path's total simulated work (query work plus
+    view upkeep).  Cost-model arithmetic, so the floor is deterministic."""
+    queries = [
+        parse_query(
+            "SELECT COUNT(*) FROM Events WHERE value BETWEEN 25 AND 75",
+            label="Q1",
+        ),
+        parse_query(
+            "SELECT sensor_id, COUNT(*) AS Cnt FROM Events GROUP BY sensor_id",
+            label="Q2",
+        ),
+        WindowedCountQuery(table="Events", window=16, mode="sliding", label="QW"),
+    ]
+    work = {}
+    for answering in (True, False):
+        router = make_sharded_backend("oblidb", 2, seed=11, shard_executor="serial")()
+        router.setup([])
+        for query in queries:
+            router.register_view(query)
+        router.set_view_answering(answering)
+        rng = np.random.default_rng(42)
+        for sync in range(1, 121):
+            rows = [
+                Record(
+                    table="Events",
+                    values={
+                        "sensor_id": int(rng.integers(1, 10)),
+                        "value": int(rng.integers(0, 100)),
+                    },
+                    arrival_time=sync,
+                )
+                for _ in range(40)
+            ]
+            router.insert_many({"Events": rows}, time=sync)
+            for query in queries:
+                router.query(query, time=sync)
+        work[answering] = router.simulated_work_seconds
+    assert work[False] >= 5.0 * work[True]
 
 
 def test_crypte_noise_stream_untouched_by_views():
@@ -387,6 +429,8 @@ def test_forcing_maintained_executor_without_view_raises():
     query = CountQuery(table="Alpha", label="q")
     with pytest.raises(ValueError, match="no registered view"):
         edb.query(query, executor="maintained")
+    with pytest.raises(ValueError, match="query executor"):
+        edb.query(query, executor="rows")
 
 
 # ---------------------------------------------------------------------------
@@ -490,60 +534,6 @@ def test_router_snapshot_rebuilds_views_and_answering_flag():
     before = toggled.maintained_query_count
     toggled.query(queries[0], time=99)
     assert toggled.maintained_query_count == before
-
-
-# ---------------------------------------------------------------------------
-# Planner integration
-# ---------------------------------------------------------------------------
-
-
-def test_planner_enumerates_and_prefers_maintained_alternative():
-    router = _router(2, planner="on")
-    router.setup(_initial(), time=0)
-    query = CountQuery(
-        table="Alpha", predicate=RangePredicate("value", 0, 60), label="q-count"
-    )
-    router.register_view(query)
-    for time, grouped in _stream(seed=47, ticks=4):
-        router.insert_many(grouped, time=time)
-    result = router.query(query, time=5)
-    report = router.explain(query)
-    executors = {a["executor"] for a in report["alternatives"]}
-    assert "maintained" in executors
-    assert report["chosen"].endswith("/maintained")
-    # The maintained plan costs less than every rescan alternative.
-    [winner] = [a for a in report["alternatives"] if a["chosen"]]
-    losers = [a for a in report["alternatives"] if not a["chosen"]]
-    assert all(
-        winner["simulated_work_seconds"] <= a["simulated_work_seconds"]
-        for a in losers
-    )
-    # Forcing a rescan through the override hook changes nothing observable.
-    baseline = router.maintained_query_count
-
-    def force_rows(query, alternatives):
-        for alternative in alternatives:
-            if alternative.executor == "rows":
-                return alternative.key
-        return None
-
-    router.planner.override = force_rows
-    forced = router.query(query, time=5)
-    assert (forced.answer, forced.qet_seconds) == (result.answer, result.qet_seconds)
-    assert router.maintained_query_count == baseline
-    assert router.planner.last_plan(query).chosen.executor == "rows"
-
-
-def test_planner_skips_maintained_when_answering_disabled():
-    router = _router(2, planner="on")
-    router.setup(_initial(), time=0)
-    query = CountQuery(table="Alpha", label="q")
-    router.register_view(query)
-    router.set_view_answering(False)
-    router.query(query, time=1)
-    report = router.explain(query)
-    executors = {a["executor"] for a in report["alternatives"]}
-    assert "maintained" not in executors
 
 
 # ---------------------------------------------------------------------------
