@@ -9,20 +9,14 @@ at the repository root:
    reduction is deterministic and asserted; it is what makes batched
    ingestion cheaper than per-record ingestion at equal leakage.
 2. **Ingestion protocol** -- ``update()`` once per record vs one
-   ``insert_many()`` per flush on both back-ends (fast mode), with identical
+   ``insert_many()`` per flush on both back-ends, with identical
    resulting state (counts, storage, *per-invocation* history is the
    observable difference the strategy chose to make).
-3. **End-to-end** -- a figure-2-style dp-timer cell per back-end in both EDB
-   modes via the grid runner, asserting bit-identical results and recording
-   the speedup (down-scale with ``REPRO_BENCH_EDB_SCALE`` for CI smoke).
-4. **Arena end-to-end** -- the same figure-2-scale fast-mode cell with real
-   encryption simulated, A/B-ing the two ciphertext storage layouts under an
-   otherwise identical configuration: the contiguous ciphertext arena
-   (bulk-encrypted, zero-copy views) against the per-record object store
-   that was the only layout before the arena existed.  Results must be
-   bit-identical, decrypted contents equal, and the arena run at least
-   ``REPRO_BENCH_MIN_ARENA_SPEEDUP``x faster (acceptance floor 1.3x at the
-   default scale; CI smoke overrides lower for shared-runner noise).
+3. **End-to-end** -- a figure-2-style dp-timer cell per back-end via the
+   grid runner, once on the columnar EDB and once under the row-interpreter
+   oracle (:func:`repro.testing.reference.row_interpreter`), asserting
+   bit-identical results and recording the speedup (down-scale with
+   ``REPRO_BENCH_EDB_SCALE`` for CI smoke).
 """
 
 from __future__ import annotations
@@ -39,15 +33,12 @@ from repro.edb.crypte import CryptEpsilon
 from repro.edb.oblidb import ObliDB
 from repro.edb.oram import PathORAM, ReferencePathORAM
 from repro.edb.records import Record
-from repro.simulation.runner import CellSpec, make_backend, run_cell
-from repro.simulation.simulator import Simulation, SimulationConfig
-from repro.workload.scenarios import build_scenario, scenario_queries
+from repro.simulation.runner import CellSpec, run_cell
+from repro.testing.reference import row_interpreter
 
 OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_edb.json"
 #: Scale of the end-to-end section (CI smoke uses e.g. 0.1).
 EDB_SCALE = float(os.environ.get("REPRO_BENCH_EDB_SCALE", "0.25"))
-#: Acceptance floor for the arena-vs-objects figure2-scale speedup.
-MIN_ARENA_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_ARENA_SPEEDUP", "1.3"))
 FLUSH_SIZE = 64
 FLUSHES = 40
 
@@ -145,7 +136,6 @@ def _ingest_benchmark(backend_name: str, make_edb):
     assert len(batched.update_history) == FLUSHES + 1
     return {
         "backend": backend_name,
-        "edb_mode": "fast",
         "records": len(per_flush),
         "per_record_seconds": round(per_record_seconds, 4),
         "batched_seconds": round(batched_seconds, 4),
@@ -154,7 +144,7 @@ def _ingest_benchmark(backend_name: str, make_edb):
 
 
 def test_ingestion_per_record_vs_batched_both_backends():
-    """insert_many vs per-record update on ObliDB (ORAM mode) and Crypt-eps."""
+    """insert_many vs per-record update on ObliDB (ORAM storage) and Crypt-eps."""
     results = [
         _ingest_benchmark(
             "oblidb-oram",
@@ -181,86 +171,8 @@ def test_ingestion_per_record_vs_batched_both_backends():
     )
 
 
-def _run_encrypted_figure2(ciphertext_store: str):
-    """One figure2-scale fast-mode dp-timer run with real encryption.
-
-    Both arms share workload, queries, seeds and the fast columnar/ORAM
-    implementation; only the ciphertext storage layout differs, so the wall
-    clock delta is exactly the arena's contribution.
-    """
-    created = []
-
-    def factory():
-        edb = make_backend(
-            "oblidb",
-            seed=12,
-            simulate_encryption=True,
-            ciphertext_store=ciphertext_store,
-        )()
-        created.append(edb)
-        return edb
-
-    workloads = build_scenario("taxi-june", seed=2020, scale=EDB_SCALE)
-    simulation = Simulation(
-        edb_factory=factory,
-        workloads=workloads,
-        queries=list(scenario_queries("taxi-june")),
-        config=SimulationConfig(strategy="dp-timer", query_interval=360, seed=11),
-    )
-    start = time.perf_counter()
-    result = simulation.run()
-    seconds = time.perf_counter() - start
-    return result, created[0], seconds
-
-
-def test_arena_vs_object_ciphertext_store_figure2():
-    """Figure2-scale fast-mode run: ciphertext arena vs per-record objects."""
-    build_scenario("taxi-june", seed=2020, scale=EDB_SCALE)  # warm cache
-
-    object_result, object_edb, object_seconds = _run_encrypted_figure2("objects")
-    arena_result, arena_edb, arena_seconds = _run_encrypted_figure2("arena")
-
-    # Identical runs, identical decrypted server state.
-    assert arena_result.to_dict() == object_result.to_dict()
-    table = "YellowCab"
-    arena_rows = arena_edb.cipher.decrypt_many(arena_edb.ciphertexts(table))
-    object_rows = object_edb.cipher.decrypt_many(object_edb.ciphertexts(table))
-    assert [r.values for r in arena_rows] == [r.values for r in object_rows]
-    arena = arena_edb.ciphertext_arena(table)
-    assert arena is not None and len(arena) == len(arena_rows)
-
-    speedup = object_seconds / max(arena_seconds, 1e-9)
-    payload = {
-        "backend": "oblidb",
-        "edb_mode": "fast",
-        "scale": EDB_SCALE,
-        "simulate_encryption": True,
-        "stores_compared": ["objects", "arena"],
-        "objects_seconds": round(object_seconds, 4),
-        "arena_seconds": round(arena_seconds, 4),
-        "speedup": round(speedup, 2),
-        "ciphertexts": len(arena_rows),
-        "arena_grow_count": arena.grow_count,
-        "sync_count": arena_result.sync_count,
-        "results_bit_identical": True,
-    }
-    _emit("arena_figure2", payload)
-    emit_report(
-        "edb_arena_figure2",
-        f"Figure2-scale dp-timer with simulated encryption (scale={EDB_SCALE})\n\n"
-        f"object-backed ciphertexts : {object_seconds:7.3f} s\n"
-        f"ciphertext arena          : {arena_seconds:7.3f} s\n"
-        f"speedup {speedup:.2f}x over {len(arena_rows)} ciphertexts "
-        f"(floor {MIN_ARENA_SPEEDUP}x); results bit-identical",
-    )
-    assert speedup >= MIN_ARENA_SPEEDUP, (
-        f"expected >= {MIN_ARENA_SPEEDUP}x from the ciphertext arena, "
-        f"measured {speedup:.2f}x"
-    )
-
-
 def test_end_to_end_fast_vs_reference_both_backends():
-    """Figure-2-style dp-timer cells per back-end, fast vs reference mode."""
+    """Figure-2-style dp-timer cells per back-end, columnar vs row interpreter."""
     results = []
     for backend in ("oblidb", "crypte"):
         spec = CellSpec(
@@ -276,11 +188,12 @@ def test_end_to_end_fast_vs_reference_both_backends():
         run_cell(dataclasses.replace(spec, horizon=10))  # warm scenario cache
 
         start = time.perf_counter()
-        reference = run_cell(dataclasses.replace(spec, edb_mode="reference"))
+        with row_interpreter():
+            reference = run_cell(spec)
         reference_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
-        fast = run_cell(dataclasses.replace(spec, edb_mode="fast"))
+        fast = run_cell(spec)
         fast_seconds = time.perf_counter() - start
 
         assert fast.to_dict() == reference.to_dict(), backend
@@ -288,7 +201,7 @@ def test_end_to_end_fast_vs_reference_both_backends():
             {
                 "backend": backend,
                 "scale": EDB_SCALE,
-                "modes_compared": ["reference", "fast"],
+                "reference": "row_interpreter",
                 "reference_seconds": round(reference_seconds, 4),
                 "fast_seconds": round(fast_seconds, 4),
                 "speedup": round(reference_seconds / max(fast_seconds, 1e-9), 2),
@@ -303,6 +216,6 @@ def test_end_to_end_fast_vs_reference_both_backends():
     ]
     emit_report(
         "edb_end_to_end",
-        f"End-to-end dp-timer, fast vs reference EDB (scale={EDB_SCALE})\n\n"
+        f"End-to-end dp-timer, columnar vs row-interpreter EDB (scale={EDB_SCALE})\n\n"
         + "\n".join(lines),
     )

@@ -9,10 +9,11 @@ Two comparisons are recorded into ``BENCH_engine.json`` at the repo root:
    almost all of its time on dead iterations, which the engine's segment
    kernels never visit.
 2. **EDB fast path vs reference** -- a Figure-2-scale dp-timer run (full
-   June taxi workload, paper query schedule) on the engine, once with the
-   ``reference`` EDB mode (the PR-1 engine baseline: row-at-a-time
-   operators) and once with the vectorized ``fast`` mode.  Results are
-   asserted bit-identical; the acceptance floor is a 5x speedup.
+   June taxi workload, paper query schedule) on the engine, once under the
+   row-interpreter oracle (:func:`repro.testing.reference.row_interpreter`,
+   the row-at-a-time operators every EDB ran before the columnar executor)
+   and once on the columnar EDB.  Results are asserted bit-identical; the
+   acceptance floor is a 5x speedup.
 
 Shared CI runners set lower smoke floors via the ``REPRO_BENCH_MIN_SPEEDUP``
 / ``REPRO_BENCH_MIN_EDB_SPEEDUP`` knobs because wall-clock ratios are noisy
@@ -36,7 +37,7 @@ from repro.query.ast import CountQuery
 from repro.query.predicates import RangePredicate
 from repro.simulation.runner import CellSpec, run_cell
 from repro.simulation.simulator import Simulation, SimulationConfig
-from repro.testing.reference import run_per_tick
+from repro.testing.reference import row_interpreter, run_per_tick
 from repro.workload.stream import GrowingDatabase
 
 HORIZON = 50_000
@@ -119,7 +120,6 @@ def test_engine_speedup_over_legacy_loop(bench_settings):
         "records_per_table": RECORDS_PER_TABLE,
         "strategy": "dp-timer",
         "timer_period": TIMER_PERIOD,
-        "edb_mode": "fast",
         "legacy_seconds": round(legacy_seconds, 4),
         "engine_seconds": round(engine_seconds, 4),
         "speedup": round(speedup, 2),
@@ -147,8 +147,8 @@ def test_engine_speedup_over_legacy_loop(bench_settings):
 def test_edb_fast_path_speedup_figure2(bench_settings):
     """Figure-2-scale dp-timer: vectorized EDB vs the PR-1 engine baseline.
 
-    Both runs use the segment engine; only the EDB implementation mode
-    differs, so the measured ratio isolates the storage/query-layer rewrite.
+    Both runs use the segment engine; only the EDB's query executor differs,
+    so the measured ratio isolates the storage/query-layer rewrite.
     """
     spec = CellSpec(
         strategy="dp-timer",
@@ -164,15 +164,16 @@ def test_edb_fast_path_speedup_figure2(bench_settings):
     run_cell(dataclasses.replace(spec, horizon=10))
 
     start = time.perf_counter()
-    reference_result = run_cell(dataclasses.replace(spec, edb_mode="reference"))
+    with row_interpreter():
+        reference_result = run_cell(spec)
     reference_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    fast_result = run_cell(dataclasses.replace(spec, edb_mode="fast"))
+    fast_result = run_cell(spec)
     fast_seconds = time.perf_counter() - start
 
     assert fast_result.to_dict() == reference_result.to_dict(), (
-        "fast EDB mode diverged from the reference mode"
+        "the columnar EDB diverged from the row-interpreter oracle"
     )
     speedup = reference_seconds / max(fast_seconds, 1e-9)
 
@@ -183,7 +184,7 @@ def test_edb_fast_path_speedup_figure2(bench_settings):
         "scenario": "taxi-june",
         "scale": FIG2_SCALE,
         "query_interval": 360,
-        "modes_compared": ["reference", "fast"],
+        "reference": "row_interpreter",
         "reference_seconds": round(reference_seconds, 4),
         "fast_seconds": round(fast_seconds, 4),
         "speedup": round(speedup, 2),
@@ -194,11 +195,11 @@ def test_edb_fast_path_speedup_figure2(bench_settings):
 
     emit_report(
         "edb_fast_path_figure2",
-        "Vectorized EDB fast path vs reference mode "
+        "Columnar EDB vs the row-interpreter oracle "
         f"(figure-2-scale dp-timer, scale={FIG2_SCALE})\n\n"
-        f"reference mode : {reference_seconds:8.3f} s\n"
-        f"fast mode      : {fast_seconds:8.3f} s\n"
-        f"speedup        : {speedup:8.2f} x\n"
+        f"row interpreter : {reference_seconds:8.3f} s\n"
+        f"columnar        : {fast_seconds:8.3f} s\n"
+        f"speedup         : {speedup:8.2f} x\n"
         f"(results identical: sync_count={fast_result.sync_count}, "
         f"volume={fast_result.total_update_volume})",
     )

@@ -125,7 +125,6 @@ def test_scatter_gather_equality_and_query_scaling(bench_settings):
     payload = {
         "benchmark": "scatter_gather_equality",
         "backend": "oblidb",
-        "edb_mode": "fast",
         "records": len(records),
         "checkpoints": checkpoints,
         "queries": [q.name for q in queries],
@@ -258,7 +257,6 @@ def test_measured_concurrent_query_wall_clock(bench_settings):
         payload = {
             "benchmark": "measured_concurrent_qet",
             "backend": "oblidb",
-            "edb_mode": "fast",
             "shard_executor": "processes",
             "affinity_cpus": cpus,
             "records": len(records),
@@ -372,7 +370,6 @@ def test_fleet_end_to_end_throughput(bench_settings):
         "benchmark": "fleet_end_to_end",
         "strategy": "dp-timer",
         "backend": "oblidb",
-        "edb_mode": "fast",
         "scenario": "million-users",
         "scale": FLEET_SCALE,
         "shard_counts": list(SHARD_COUNTS),

@@ -115,7 +115,7 @@ def test_grid_runner_speedup_and_determinism(bench_settings):
         "resume_speedup": round(resume_speedup, 2),
         "identical_across_worker_counts": True,
         "parallel_floor": parallel_floor,
-        "environment": bench_environment(edb_mode="fast"),
+        "environment": bench_environment(),
         "note": (
             "speedup = serial/parallel wall clock; parallel speedup requires "
             ">= 2 CPUs (the >= 2x floor is enforced in CI), resume_speedup is "

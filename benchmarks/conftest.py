@@ -100,9 +100,8 @@ def bench_environment(**extra) -> dict:
     """Hardware + mode flags stamped into every ``BENCH_*.json`` payload.
 
     Wall-clock ratios are meaningless without knowing what they ran on: a
-    1-CPU container cannot show process-pool speedups, and a ``reference``
-    EDB mode changes every absolute number.  Benchmarks pass payload-specific
-    mode flags through ``extra``.
+    1-CPU container cannot show process-pool speedups.  Benchmarks pass
+    payload-specific flags through ``extra``.
     """
     env = {
         "cpu_count": os.cpu_count(),

@@ -38,14 +38,8 @@ from repro.edb.leakage import (
     compatible_with_dpsync,
     leakage_group_table,
 )
-from repro.edb.base import (
-    EDB_MODES,
-    EncryptedDatabase,
-    QueryResult,
-    UpdateResult,
-    resolve_edb_mode,
-)
-from repro.edb.oram import PathORAM, ReferencePathORAM, make_oram
+from repro.edb.base import EncryptedDatabase, QueryResult, UpdateResult
+from repro.edb.oram import PathORAM
 from repro.edb.oblidb import ObliDB
 from repro.edb.crypte import CryptEpsilon
 from repro.edb.router import ShardRouter
@@ -56,7 +50,6 @@ __all__ = [
     "CostParameters",
     "CryptEpsilon",
     "DUMMY_SENTINEL",
-    "EDB_MODES",
     "EncryptedDatabase",
     "EncryptedRecord",
     "LeakageClass",
@@ -66,7 +59,6 @@ __all__ = [
     "QueryResult",
     "Record",
     "RecordCipher",
-    "ReferencePathORAM",
     "Schema",
     "SchemeInfo",
     "ShardRouter",
@@ -75,6 +67,4 @@ __all__ = [
     "compatible_with_dpsync",
     "leakage_group_table",
     "make_dummy_record",
-    "make_oram",
-    "resolve_edb_mode",
 ]

@@ -14,13 +14,16 @@ defines the server-side EDB interface shared by the two simulated back-ends
 The base class handles the bookkeeping that is common to every atomic EDB:
 
 * one ciphertext per record (real or dummy), with optional *actual*
-  encryption via :class:`repro.edb.crypto.RecordCipher` (disabled by default
+  encryption via :class:`repro.edb.crypto.RecordCipher` into one contiguous
+  :class:`~repro.edb.crypto.CiphertextArena` per table (disabled by default
   in large simulations because only the count and fixed ciphertext size are
   observable -- tests enable it to check the indistinguishability contract);
 * an update-history transcript (time, volume) which is exactly the
   update-pattern leakage DP-Sync reasons about;
 * per-table plaintext mirrors over which the "enclave side" of the query
-  protocol is evaluated;
+  protocol is evaluated by the vectorized
+  :class:`~repro.query.columnar.ColumnarExecutor` (which falls back to the
+  row interpreter outside its fragment);
 * cost-model charging for Setup/Update/Query.
 """
 
@@ -34,22 +37,15 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.edb.cost_model import CostModel, CostParameters, UnsupportedQueryError
-from repro.edb.crypto import (
-    ArenaRecord,
-    CiphertextArena,
-    EncryptedRecord,
-    RecordCipher,
-)
+from repro.edb.crypto import ArenaRecord, CiphertextArena, RecordCipher
 from repro.edb.leakage import LeakageClass, LeakageProfile
 from repro.edb.records import Record, count_dummy
 from repro.query.ast import Query
 from repro.query.columnar import ColumnarExecutor
-from repro.query.executor import Answer, ExecutionStats, PlaintextExecutor
+from repro.query.executor import Answer, ExecutionStats
 from repro.query.views import StaleWindowError, ViewRegistry, can_maintain
 
 __all__ = [
-    "EDB_MODES",
-    "CIPHERTEXT_STORES",
     "UpdateResult",
     "QueryResult",
     "EncryptedDatabase",
@@ -62,50 +58,7 @@ __all__ = [
     "surface_names",
     "command_args",
     "derive_surface",
-    "resolve_edb_mode",
-    "resolve_ciphertext_store",
 ]
-
-#: Implementation modes shared by every back-end: ``"fast"`` runs the
-#: vectorized columnar operators and the array-backed ORAM, ``"reference"``
-#: runs the original pure-Python row-at-a-time path.  The two are
-#: observationally identical -- same sync times, update volumes, query
-#: answers and leakage -- which ``tests/test_edb_differential.py`` enforces.
-EDB_MODES = ("fast", "reference")
-
-
-def resolve_edb_mode(mode: str) -> str:
-    """Validate (and normalize) an EDB implementation-mode flag."""
-    normalized = mode.lower()
-    if normalized not in EDB_MODES:
-        raise ValueError(f"edb mode must be one of {EDB_MODES}, got {mode!r}")
-    return normalized
-
-
-#: Server-side ciphertext layouts when encryption is simulated: ``"arena"``
-#: keeps all ciphertexts of a table in one contiguous capacity-doubling
-#: ndarray (bulk encrypt, zero-copy views); ``"objects"`` keeps one owning
-#: :class:`EncryptedRecord` per record (the per-record reference path).
-CIPHERTEXT_STORES = ("arena", "objects")
-
-
-def resolve_ciphertext_store(store: str | None, mode: str) -> str:
-    """Normalize a ciphertext-store flag, defaulting from the EDB mode.
-
-    ``None`` follows the implementation mode (fast -> arena, reference ->
-    objects); an explicit value overrides it, which the differential bench
-    uses to A/B the storage layouts under an otherwise identical fast-mode
-    configuration.
-    """
-    if store is None:
-        return "arena" if resolve_edb_mode(mode) == "fast" else "objects"
-    normalized = store.lower()
-    if normalized not in CIPHERTEXT_STORES:
-        raise ValueError(
-            f"ciphertext store must be one of {CIPHERTEXT_STORES}, got {store!r}"
-        )
-    return normalized
-
 
 @dataclass(frozen=True)
 class UpdateResult:
@@ -152,11 +105,6 @@ class EncryptedDatabase:
         faster for the 43,200-step experiments.
     rng:
         Random generator used by back-ends that inject DP noise.
-    mode:
-        ``"fast"`` (default) evaluates queries with the vectorized columnar
-        operators; ``"reference"`` keeps the original row-at-a-time
-        interpreter.  Both modes are bit-identical in every observable
-        (answers, costs, update pattern, leakage).
     """
 
     def __init__(
@@ -166,21 +114,14 @@ class EncryptedDatabase:
         query_leakage_class: LeakageClass,
         simulate_encryption: bool = False,
         rng: np.random.Generator | None = None,
-        mode: str = "fast",
-        ciphertext_store: str | None = None,
     ) -> None:
         self._cost_model = CostModel(cost_parameters)
         self._scheme_name = scheme_name
         self._query_leakage_class = query_leakage_class
         self._simulate_encryption = simulate_encryption
         self._rng = rng if rng is not None else np.random.default_rng()
-        self._mode = resolve_edb_mode(mode)
-        self._ciphertext_store = resolve_ciphertext_store(ciphertext_store, self._mode)
         self._cipher = RecordCipher() if simulate_encryption else None
-        self._executor = (
-            ColumnarExecutor() if self._mode == "fast" else PlaintextExecutor()
-        )
-        self._ciphertexts: dict[str, list[EncryptedRecord]] = {}
+        self._executor = ColumnarExecutor()
         self._arenas: dict[str, CiphertextArena] = {}
         self._arena_factory: Callable[[], CiphertextArena] = CiphertextArena
         self._table_totals: dict[str, int] = {}
@@ -240,7 +181,7 @@ class EncryptedDatabase:
 
         ``executor="maintained"`` forces the answer from a registered view;
         ``None`` answers from maintained view state when a view covers the
-        query and view answering is enabled, else runs the mode's rescan.  The
+        query and view answering is enabled, else rescans the columns.  The
         choice is invisible in the analyst-visible observables (answer, QET,
         noise flag): the QET observable stays pinned to the rescan cost
         model, and only the *simulated work ledger*
@@ -368,16 +309,6 @@ class EncryptedDatabase:
         return self._scheme_name
 
     @property
-    def edb_mode(self) -> str:
-        """Implementation mode: ``"fast"`` or ``"reference"``."""
-        return self._mode
-
-    @property
-    def ciphertext_store(self) -> str:
-        """Ciphertext layout when encryption is simulated: arena or objects."""
-        return self._ciphertext_store
-
-    @property
     def is_setup(self) -> bool:
         """Whether Setup has run."""
         return self._is_setup
@@ -415,20 +346,14 @@ class EncryptedDatabase:
         """Dummy ciphertext count for one table."""
         return self._table_dummies.get(table, 0)
 
-    def ciphertexts(self, table: str) -> Sequence[EncryptedRecord | ArenaRecord]:
-        """Stored ciphertexts (only populated when encryption is simulated).
-
-        Arena-backed tables return zero-copy :class:`ArenaRecord` views; the
-        object-backed store returns the owning :class:`EncryptedRecord`\\ s.
-        Both expose the same ``ciphertext``/``handle``/``size_bytes`` surface.
-        """
-        if self._ciphertext_store == "arena":
-            arena = self._arenas.get(table)
-            return arena.records() if arena is not None else ()
-        return tuple(self._ciphertexts.get(table, ()))
+    def ciphertexts(self, table: str) -> Sequence[ArenaRecord]:
+        """Stored ciphertexts as zero-copy :class:`ArenaRecord` views of the
+        table's arena (empty unless encryption is simulated)."""
+        arena = self._arenas.get(table)
+        return arena.records() if arena is not None else ()
 
     def ciphertext_arena(self, table: str) -> CiphertextArena | None:
-        """The table's backing arena (``None`` for object-backed storage)."""
+        """The table's backing arena (``None`` until encryption stores a row)."""
         return self._arenas.get(table)
 
     def set_arena_factory(self, factory: Callable[[], CiphertextArena]) -> None:
@@ -468,9 +393,8 @@ class EncryptedDatabase:
 
         The key lifecycle operation of the durable store: arena rows are
         re-keyed *in place* (row indices, handles and zero-copy views all
-        stay valid) and object-store ciphertexts are replaced handle-for-
-        handle, so decrypted payloads are byte-identical before and after.
-        Returns the new cipher (also installed as :attr:`cipher`).
+        stay valid), so decrypted payloads are byte-identical before and
+        after.  Returns the new cipher (also installed as :attr:`cipher`).
         """
         if self._cipher is None:
             raise RuntimeError(
@@ -479,16 +403,6 @@ class EncryptedDatabase:
         new_cipher = self._cipher.rotated(new_key)
         for arena in self._arenas.values():
             self._cipher.reencrypt_arena(arena, new_cipher)
-        for table, encrypted in self._ciphertexts.items():
-            self._ciphertexts[table] = [
-                EncryptedRecord(
-                    ciphertext=self._cipher.reencrypt_record(
-                        record.ciphertext, new_cipher
-                    ),
-                    handle=record.handle,
-                )
-                for record in encrypted
-            ]
         self._cipher = new_cipher
         return new_cipher
 
@@ -561,14 +475,10 @@ class EncryptedDatabase:
             self._table_totals[table] = self._table_totals.get(table, 0) + len(rows)
             self._table_dummies[table] = self._table_dummies.get(table, 0) + table_dummies
             if self._cipher is not None:
-                if self._ciphertext_store == "arena":
-                    arena = self._arenas.get(table)
-                    if arena is None:
-                        arena = self._arenas[table] = self._arena_factory()
-                    self._cipher.encrypt_many_into(rows, arena)
-                else:
-                    encrypted = self._cipher.encrypt_many(rows)
-                    self._ciphertexts.setdefault(table, []).extend(encrypted)
+                arena = self._arenas.get(table)
+                if arena is None:
+                    arena = self._arenas[table] = self._arena_factory()
+                self._cipher.encrypt_many_into(rows, arena)
             self._on_records_stored(table, rows)
             if self._views:
                 # Views observe exactly the post-flush server-side batch (the
@@ -629,8 +539,6 @@ SHARD_SURFACE: dict[str, str] = {
     "simulated_work_seconds": READ,
     "maintained_query_count": READ,
     "scheme_name": FACT,
-    "edb_mode": FACT,
-    "ciphertext_store": FACT,
     "cost_model": FACT,
     "leakage_profile": FACT,
 }

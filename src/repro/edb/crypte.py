@@ -41,12 +41,11 @@ class CryptEpsilon(EncryptedDatabase):
     round_answers:
         Whether to round noisy counts to integers (counts are integral in the
         real system's released output).
-    mode:
-        ``"fast"`` (default) evaluates the pre-noise aggregates with the
-        vectorized columnar operators; ``"reference"`` keeps the row
-        interpreter.  The per-group Laplace draws happen in answer order,
-        which both modes produce identically (first-appearance group order),
-        so noisy answers agree bit-for-bit at a fixed seed.
+
+    The pre-noise aggregates come from the vectorized columnar operators,
+    which list groups in first-appearance order exactly like the row
+    interpreter; the per-group Laplace draws happen in that order, so noisy
+    answers are fixed by the seed.
     """
 
     def __init__(
@@ -56,8 +55,6 @@ class CryptEpsilon(EncryptedDatabase):
         simulate_encryption: bool = False,
         cost_parameters: CostParameters = CRYPTE_COSTS,
         rng: np.random.Generator | None = None,
-        mode: str = "fast",
-        ciphertext_store: str | None = None,
     ) -> None:
         if query_epsilon <= 0:
             raise ValueError("query_epsilon must be positive")
@@ -67,8 +64,6 @@ class CryptEpsilon(EncryptedDatabase):
             query_leakage_class=LeakageClass.LDP,
             simulate_encryption=simulate_encryption,
             rng=rng,
-            mode=mode,
-            ciphertext_store=ciphertext_store,
         )
         self._query_epsilon = query_epsilon
         self._round_answers = round_answers

@@ -18,20 +18,16 @@ Random nonces keep a key safe for about 2^32 records (NIST SP 800-38D);
 :meth:`repro.edb.base.EncryptedDatabase.rotate_key` re-keys long before a
 reproduction run gets near that.
 
-Two interchangeable server-side storage layouts are provided:
+Server-side, every ciphertext of a table lives in one contiguous
+capacity-doubling ``(n, CIPHERTEXT_SIZE)`` ``uint8`` ndarray
+(:class:`CiphertextArena`).  :meth:`RecordCipher.encrypt_many_into` seals a
+batch and copies it into reserved arena rows at once; the arena's row shape
+*is* the length validation.  :class:`ArenaRecord` is a zero-copy view
+(handle -> arena row) exposing the same ``ciphertext``/``handle``/
+``size_bytes`` surface as the owning :class:`EncryptedRecord` that
+:meth:`RecordCipher.encrypt` / :meth:`RecordCipher.encrypt_many` return.
 
-* **object-backed**: one immutable :class:`EncryptedRecord` per record, each
-  owning its own ``bytes`` ciphertext and validating its length.
-* **arena-backed** (the fast-mode default): all ciphertexts of a table live in one
-  contiguous capacity-doubling ``(n, CIPHERTEXT_SIZE)`` ``uint8`` ndarray
-  (:class:`CiphertextArena`).  :meth:`RecordCipher.encrypt_many_into` seals
-  a batch and copies it into reserved arena rows at once; the arena's row
-  shape *is* the length validation.  :class:`ArenaRecord` is a zero-copy
-  view (handle -> arena row) exposing the same surface as
-  :class:`EncryptedRecord`, so the Query/decrypt protocol cannot tell the
-  layouts apart.
-
-Both layouts make one AEAD call per record and are decrypted by the same
+Both forms come from one AEAD call per record and are decrypted by the same
 :meth:`RecordCipher.decrypt`.  The key handling around the AEAD is a
 reproduction study's and has not been audited for production use.
 """
@@ -88,7 +84,7 @@ _escape_json_string = json.encoder.encode_basestring_ascii
 
 @dataclass(frozen=True)
 class EncryptedRecord:
-    """An encrypted record as stored by the server (object-backed layout).
+    """One owning encrypted record (what :meth:`RecordCipher.encrypt` returns).
 
     The server-visible surface is only ``ciphertext`` (fixed size) and the
     opaque ``handle`` used to address the record inside the outsourced
@@ -742,8 +738,8 @@ class RecordCipher:
 
         Every record still gets its own fresh nonce and fixed-size
         ciphertext, so a batch leaks exactly what the same records leaked
-        when encrypted one at a time: the count.  This is the object-backed
-        layout; the arena layout is :meth:`encrypt_many_into`.
+        when encrypted one at a time: the count.  The EDB stores batches
+        with :meth:`encrypt_many_into` instead.
         """
         return [self.encrypt(record) for record in records]
 
@@ -805,17 +801,6 @@ class RecordCipher:
         ]
         memoryview(rows).cast("B")[:] = new_cipher._seal(blocks)
         return n
-
-    def reencrypt_record(
-        self, ciphertext: bytes, new_cipher: "RecordCipher"
-    ) -> bytes:
-        """Re-encrypt one object-backed ciphertext under ``new_cipher``'s key.
-
-        Same block-level contract as :meth:`reencrypt_arena`: the padded
-        plaintext block is carried over verbatim, so the record decrypts
-        byte-identically under the new key.
-        """
-        return new_cipher._seal([self._open(ciphertext)])
 
     @staticmethod
     def _record_json(record: Record) -> str | None:

@@ -124,9 +124,10 @@ def update_pattern_observables(update_history) -> tuple[tuple[int, int], ...]:
     invocation times and volumes, nothing else.  Batched ingestion is
     accounted identically to sequential ingestion -- one ``(time, volume)``
     pair per Update invocation regardless of how the records were moved --
-    so the fast and reference EDB paths produce equal observables by
-    construction; the differential suite compares runs through this
-    projection.
+    so the columnar EDB and its row-interpreter oracle
+    (:func:`repro.testing.reference.row_interpreter`) produce equal
+    observables by construction; the differential suite compares runs
+    through this projection.
     """
     return tuple(
         (int(entry.time), int(entry.total_added)) for entry in update_history

@@ -14,8 +14,9 @@ The simulator reproduces the observable behaviour that matters to DP-Sync:
   yet synchronized;
 * query time is charged for touching *every* outsourced record (flat mode) or
   every ORAM path (indexed mode), so QET grows with the dummy count;
-* an optional :class:`~repro.edb.oram.PathORAM` per table demonstrates the
-  oblivious storage layer and is exercised by the obliviousness tests.
+* an optional :class:`~repro.edb.oram.PathORAM` per table (array-backed,
+  one combined eviction per batch) demonstrates the oblivious storage layer
+  and is exercised by the obliviousness tests.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from repro.edb.base import EncryptedDatabase
 from repro.edb.cost_model import OBLIDB_COSTS, CostParameters
 from repro.edb.leakage import LeakageClass
-from repro.edb.oram import PathORAM, ReferencePathORAM, make_oram
+from repro.edb.oram import PathORAM
 from repro.edb.records import Record
 
 __all__ = ["ObliDB"]
@@ -46,11 +47,6 @@ class ObliDB(EncryptedDatabase):
         Capacity of each per-table ORAM when ``storage_mode="oram"``.
     simulate_encryption:
         Forwarded to :class:`repro.edb.base.EncryptedDatabase`.
-    mode:
-        ``"fast"`` (default) uses the vectorized columnar operators and the
-        array-backed batch-evicting :class:`~repro.edb.oram.PathORAM`;
-        ``"reference"`` keeps the pure-Python row interpreter and
-        :class:`~repro.edb.oram.ReferencePathORAM`.
     """
 
     def __init__(
@@ -60,8 +56,6 @@ class ObliDB(EncryptedDatabase):
         simulate_encryption: bool = False,
         cost_parameters: CostParameters = OBLIDB_COSTS,
         rng: np.random.Generator | None = None,
-        mode: str = "fast",
-        ciphertext_store: str | None = None,
     ) -> None:
         if storage_mode not in ("flat", "oram"):
             raise ValueError(f"storage_mode must be 'flat' or 'oram', got {storage_mode!r}")
@@ -71,12 +65,10 @@ class ObliDB(EncryptedDatabase):
             query_leakage_class=LeakageClass.L0,
             simulate_encryption=simulate_encryption,
             rng=rng,
-            mode=mode,
-            ciphertext_store=ciphertext_store,
         )
         self._storage_mode = storage_mode
         self._oram_capacity = oram_capacity
-        self._orams: dict[str, PathORAM | ReferencePathORAM] = {}
+        self._orams: dict[str, PathORAM] = {}
         self._next_block_id = 0
 
     @property
@@ -84,7 +76,7 @@ class ObliDB(EncryptedDatabase):
         """Either ``"flat"`` or ``"oram"``."""
         return self._storage_mode
 
-    def oram_for(self, table: str) -> PathORAM | ReferencePathORAM | None:
+    def oram_for(self, table: str) -> PathORAM | None:
         """The per-table ORAM, or ``None`` in flat mode / unknown table."""
         return self._orams.get(table)
 
@@ -93,10 +85,9 @@ class ObliDB(EncryptedDatabase):
             return
         oram = self._orams.get(table)
         if oram is None:
-            oram = make_oram(
-                capacity=self._oram_capacity, rng=self._rng, mode=self.edb_mode
+            oram = self._orams[table] = PathORAM(
+                capacity=self._oram_capacity, rng=self._rng
             )
-            self._orams[table] = oram
         start = self._next_block_id
         self._next_block_id += len(records)
         oram.write_many(

@@ -10,9 +10,9 @@ laptop-scale Path ORAM (Stefanov et al.) over opaque block payloads:
 * the standard access protocol: read the path for the block's leaf, remap the
   block to a fresh random leaf, write the path back greedily from the leaves.
 
-Two interchangeable implementations are provided behind one API:
+Two implementations share one API:
 
-* :class:`PathORAM` -- the **fast path**: the tree lives in flat NumPy
+* :class:`PathORAM` -- the one ObliDB builds: the tree lives in flat NumPy
   ``(num_nodes, bucket_size)`` slot arrays, path-node indices are computed
   with vectorized shifts, and :meth:`PathORAM.write_many` performs a *single
   combined eviction* for the whole batch -- every distinct tree node on the
@@ -21,9 +21,9 @@ Two interchangeable implementations are provided behind one API:
   (one leaf draw for an absent block, one remap draw per item), so position
   maps evolve identically at a fixed seed.
 * :class:`ReferencePathORAM` -- the original pure-Python implementation,
-  kept as the executable specification.  Its ``write_many`` loops one
-  oblivious access per item.  The differential and property tests pin the
-  fast path against it.
+  kept as the executable specification (no back-end builds it).  Its
+  ``write_many`` loops one oblivious access per item.  The property tests
+  and the ORAM flush benchmark pin the fast path against it.
 
 Both simulators expose the *access transcript* (which tree nodes were
 touched) so tests can verify obliviousness: the distribution of touched
@@ -46,7 +46,6 @@ __all__ = [
     "ORAMStats",
     "PathORAM",
     "ReferencePathORAM",
-    "make_oram",
 ]
 
 
@@ -535,23 +534,3 @@ class _Block:
     block_id: int
     payload: Any
     leaf: int
-
-
-def make_oram(
-    capacity: int,
-    bucket_size: int = 4,
-    rng: np.random.Generator | None = None,
-    mode: str = "fast",
-) -> "PathORAM | ReferencePathORAM":
-    """Build a Path ORAM in the requested implementation ``mode``.
-
-    ``"fast"`` returns the array-backed :class:`PathORAM`; ``"reference"``
-    returns :class:`ReferencePathORAM`.  Both expose the same API and, at a
-    fixed RNG seed, assign identical position maps.  Modes are validated by
-    the same :func:`repro.edb.base.resolve_edb_mode` the back-ends use, so
-    the two layers can never disagree on the flag.
-    """
-    from repro.edb.base import resolve_edb_mode
-
-    cls = PathORAM if resolve_edb_mode(mode) == "fast" else ReferencePathORAM
-    return cls(capacity=capacity, bucket_size=bucket_size, rng=rng)

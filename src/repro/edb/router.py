@@ -478,8 +478,7 @@ class ShardRouter:
             if len(self._shards) == 1:
                 records = list(records)
                 result = self._shards[0].setup(records, time=time)
-                self._update_history.append(result)
-                return result
+                return self._forwarded(result, self._group(records))
             parts, staged_ordinals, staged_counts = self._partition(
                 self._group(records)
             )
@@ -503,8 +502,7 @@ class ShardRouter:
             if len(self._shards) == 1:
                 records = list(records)
                 result = self._shards[0].update(records, time=time)
-                self._update_history.append(result)
-                return result
+                return self._forwarded(result, self._group(records))
             parts, staged_ordinals, staged_counts = self._partition(
                 self._group(records)
             )
@@ -522,8 +520,7 @@ class ShardRouter:
         try:
             if len(self._shards) == 1:
                 result = self._shards[0].insert_many(batches, time=time)
-                self._update_history.append(result)
-                return result
+                return self._forwarded(result, batches)
             grouped = {table: list(rows) for table, rows in batches.items() if rows}
             parts, staged_ordinals, staged_counts = self._partition(grouped)
             return self._scatter_update(parts, staged_ordinals, staged_counts, time)
@@ -713,6 +710,19 @@ class ShardRouter:
             )
             for index, count in enumerate(counts):
                 totals[index] += count
+
+    def _forwarded(
+        self, result: UpdateResult, by_table: Mapping[str, Sequence[Record]]
+    ) -> UpdateResult:
+        """Record a Setup/Update the one shard ran: its transcript entry and
+        the routing state a K > 1 scatter would have committed."""
+        counts = {table: len(rows) for table, rows in by_table.items() if rows}
+        self._commit_routing(
+            {table: self._ordinals.get(table, 0) + n for table, n in counts.items()},
+            {table: [n] for table, n in counts.items()},
+        )
+        self._update_history.append(result)
+        return result
 
     def _scatter_update(
         self,

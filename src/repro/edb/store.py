@@ -102,11 +102,12 @@ __all__ = [
     "restore_edb",
 ]
 
-#: On-disk format version stamped into every manifest.  Version 3: a
-#: manifest names its ``parent`` generation (``None`` for a full one), and
-#: records and sealed blobs are AES-256-GCM (284-byte arena rows).  Stores of
-#: earlier versions are refused rather than misread.
-STORE_VERSION: int = 3
+#: On-disk format version stamped into every manifest.  Version 4: a
+#: manifest names its ``parent`` generation (``None`` for a full one),
+#: records and sealed blobs are AES-256-GCM (284-byte arena rows), and
+#: ciphertexts live only in arenas (a delta carries no per-record object
+#: tails).  Stores of earlier versions are refused rather than misread.
+STORE_VERSION: int = 4
 
 #: Random salt length for the at-rest key derivation.
 SALT_SIZE: int = 32
@@ -759,11 +760,9 @@ def snapshot_marks(edb: "EncryptedDatabase") -> dict | None:
     return {
         "history": len(edb._update_history),
         "arenas": {table: len(arena) for table, arena in edb._arenas.items()},
-        "objects": {table: len(rows) for table, rows in edb._ciphertexts.items()},
         "rows": {table: len(rows) for table, rows in executor.tables.items()},
         "columns": {
-            table: store.marks()
-            for table, store in getattr(executor, "_columnar", {}).items()
+            table: store.marks() for table, store in executor._columnar.items()
         },
     }
 
@@ -775,7 +774,7 @@ def _append_only(edb: "EncryptedDatabase") -> bool:
 #: Components a delta generation ships as tails, and derived state rebuilt
 #: on restore; the rest of an EDB's ``__dict__`` is the small mutable state
 #: (RNG, cipher, counters, table totals) every generation ships whole.
-_APPEND_ONLY = ("_arenas", "_ciphertexts", "_update_history", "_executor")
+_APPEND_ONLY = ("_arenas", "_update_history", "_executor")
 _DERIVED = ("_views", "_arena_factory")
 
 
@@ -793,9 +792,9 @@ def snapshot_backend(
 
     ``since=<marks>`` (:func:`snapshot_marks` of an earlier generation)
     writes a *delta*: the tails appended since -- arena rows and handles,
-    executor rows and columns, object-store ciphertexts, the update history
-    -- plus the small mutable state whole.  Its size is O(rows since the
-    marks).  It relies on the shard being append-only since then: a
+    executor rows and columns, the update history -- plus the small mutable
+    state whole.  Its size is O(rows since the marks).  It relies on the
+    shard being append-only since then: a
     :meth:`~repro.edb.base.EncryptedDatabase.rotate_key` rewrites every row
     in place, so the generation after one must be full, and an ORAM-storage
     shard cannot write deltas at all.
@@ -840,7 +839,6 @@ def _delta_payload(edb: "EncryptedDatabase", since: Mapping) -> dict:
         for key, value in executor.__dict__.items()
         if key not in ("tables", "_columnar")
     }
-    columnar = getattr(executor, "_columnar", None)
     empty = (0, 0, {})
     return {
         "class": f"{type(edb).__module__}:{type(edb).__qualname__}",
@@ -853,19 +851,13 @@ def _delta_payload(edb: "EncryptedDatabase", since: Mapping) -> dict:
             table: arena_to_bytes(arena, since["arenas"].get(table, 0))
             for table, arena in edb._arenas.items()
         },
-        "objects": {
-            table: rows[since["objects"].get(table, 0) :]
-            for table, rows in edb._ciphertexts.items()
-        },
         "rows": {
             table: rows[since["rows"].get(table, 0) :]
             for table, rows in executor.tables.items()
         },
-        "columns": None
-        if columnar is None
-        else {
+        "columns": {
             table: store.tail(since["columns"].get(table, empty))
-            for table, store in columnar.items()
+            for table, store in executor._columnar.items()
         },
     }
 
@@ -939,11 +931,9 @@ def _apply_delta(edb: "EncryptedDatabase", cls: str, payload: dict) -> tuple:
     edb._update_history.extend(payload["history"])
     for table, tail in payload["arenas"].items():
         edb._arenas[table] = arena_from_bytes(*tail, edb._arenas.get(table))
-    for table, tail in payload["objects"].items():
-        edb._ciphertexts.setdefault(table, []).extend(tail)
     for table, tail in payload["rows"].items():
         executor.tables.setdefault(table, []).extend(tail)
-    for table, tail in (payload["columns"] or {}).items():
+    for table, tail in payload["columns"].items():
         executor._store(table).extend(tail)
     return payload["view_queries"]
 

@@ -91,36 +91,25 @@ def make_backend(
     name: str,
     seed: int = 0,
     crypte_query_epsilon: float = DEFAULT_CRYPTE_QUERY_EPSILON,
-    mode: str = "fast",
     simulate_encryption: bool = False,
-    ciphertext_store: str | None = None,
 ) -> Callable[[], EncryptedDatabase]:
     """A factory for one of the two evaluated back-ends (``"oblidb"`` / ``"crypte"``).
 
-    ``mode`` selects the EDB implementation (see
-    :data:`repro.edb.base.EDB_MODES`): ``"fast"`` is the vectorized columnar
-    path, ``"reference"`` the original row-at-a-time one; both produce
-    bit-identical runs at a fixed seed.  ``simulate_encryption`` runs every
-    record through the real :class:`~repro.edb.crypto.RecordCipher`;
-    ``ciphertext_store`` optionally overrides the ciphertext layout
-    (``"arena"``/``"objects"``; default follows the mode), which only matters
-    when encryption is simulated.
+    ``simulate_encryption`` runs every record through the real
+    :class:`~repro.edb.crypto.RecordCipher` into the table's ciphertext
+    arena.
     """
     key = name.lower()
     if key in ("oblidb", "obli-db", "l0"):
         return lambda: ObliDB(
             rng=np.random.default_rng(seed + 1),
-            mode=mode,
             simulate_encryption=simulate_encryption,
-            ciphertext_store=ciphertext_store,
         )
     if key in ("crypte", "crypt-epsilon", "crypteps", "ldp"):
         return lambda: CryptEpsilon(
             query_epsilon=crypte_query_epsilon,
             rng=np.random.default_rng(seed + 2),
-            mode=mode,
             simulate_encryption=simulate_encryption,
-            ciphertext_store=ciphertext_store,
         )
     raise KeyError(f"unknown back-end {name!r}; expected 'oblidb' or 'crypte'")
 
@@ -130,9 +119,7 @@ def make_sharded_backend(
     n_shards: int,
     seed: int = 0,
     crypte_query_epsilon: float = DEFAULT_CRYPTE_QUERY_EPSILON,
-    mode: str = "fast",
     simulate_encryption: bool = False,
-    ciphertext_store: str | None = None,
     shard_executor: str = "threads",
     supervisor: str = "off",
     faults: str = "",
@@ -171,9 +158,7 @@ def make_sharded_backend(
                     name,
                     seed=shard_seed,
                     crypte_query_epsilon=crypte_query_epsilon,
-                    mode=mode,
                     simulate_encryption=simulate_encryption,
-                    ciphertext_store=ciphertext_store,
                 )()
             )
         return ShardRouter(
@@ -221,8 +206,7 @@ class CellSpec:
     transcripts stay byte-identical to the ``"off"`` rescans, only the
     simulated work ledger moves -- see :mod:`repro.query.views`), and
     ``simulate_encryption`` runs every outsourced record through the real
-    record cipher (into a contiguous ciphertext arena in fast mode, the
-    per-record object store in reference mode).
+    record cipher into a contiguous ciphertext arena per table.
 
     Robustness fields: ``supervisor="on"`` wraps every shard in the
     self-healing supervisor (:mod:`repro.fleet.supervisor` -- per-command
@@ -251,7 +235,6 @@ class CellSpec:
     backend_seed: int = 0
     workload_seed: int = 2020
     crypte_query_epsilon: float = DEFAULT_CRYPTE_QUERY_EPSILON
-    edb_mode: str = "fast"
     n_owners: int = 1
     n_shards: int = 1
     fleet_scenario: str = ""
@@ -458,7 +441,6 @@ def run_cell(
             spec.n_shards,
             seed=spec.backend_seed,
             crypte_query_epsilon=spec.crypte_query_epsilon,
-            mode=spec.edb_mode,
             simulate_encryption=spec.simulate_encryption,
             shard_executor=spec.shard_executor,
             supervisor=spec.supervisor,
@@ -469,7 +451,6 @@ def run_cell(
             spec.backend,
             seed=spec.backend_seed,
             crypte_query_epsilon=spec.crypte_query_epsilon,
-            mode=spec.edb_mode,
             simulate_encryption=spec.simulate_encryption,
         )
     simulation = Simulation(
@@ -942,12 +923,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "bit-identical replay",
     )
     parser.add_argument(
-        "--edb-mode",
-        default="fast",
-        choices=["fast", "reference"],
-        help="EDB implementation: vectorized fast path or row-at-a-time reference",
-    )
-    parser.add_argument(
         "--n-owners",
         type=int,
         default=1,
@@ -1002,7 +977,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--simulate-encryption",
         action="store_true",
         help="run every outsourced record through the real record cipher "
-        "(arena-backed in fast mode, per-record objects in reference mode)",
+        "into a per-table ciphertext arena",
     )
     args = parser.parse_args(argv)
 
@@ -1019,7 +994,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         parameters=parameters,
         base=CellSpec(
             strategy="dp-timer",
-            edb_mode=args.edb_mode,
             n_owners=args.n_owners,
             n_shards=args.n_shards,
             fleet_scenario=args.fleet_scenario,

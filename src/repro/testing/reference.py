@@ -1,4 +1,4 @@
-"""The per-tick reference loop: the oracle the segment engine is tested against.
+"""Reference oracles the product paths are tested against.
 
 :func:`run_per_tick` replays a :class:`~repro.simulation.simulator.Simulation`
 the slow, obvious way: every owner is ticked at every time unit through
@@ -6,18 +6,42 @@ the slow, obvious way: every owner is ticked at every time unit through
 ground truth is recomputed by rescanning the logical tables at every query
 time.  ``Simulation.run`` must produce an identical
 :class:`~repro.simulation.results.RunResult` at the same seed.
+
+:func:`row_interpreter` builds the reference EDB: every
+:class:`~repro.edb.base.EncryptedDatabase` constructed inside it answers
+queries through the row-at-a-time
+:class:`~repro.query.executor.PlaintextExecutor` instead of the columnar
+one, and every observable must stay identical.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
+from unittest import mock
+
+from repro.edb import base
+from repro.query.executor import PlaintextExecutor
 
 if TYPE_CHECKING:
     from repro.simulation.results import RunResult
     from repro.simulation.simulator import Simulation
 
-__all__ = ["SimulationClock", "run_per_tick"]
+__all__ = ["SimulationClock", "row_interpreter", "run_per_tick"]
+
+
+@contextmanager
+def row_interpreter() -> Iterator[None]:
+    """Build every EDB inside the block on the row interpreter.
+
+    Patches the executor class :class:`~repro.edb.base.EncryptedDatabase`
+    instantiates, so it holds process-wide for the block's duration; an EDB
+    keeps its executor after the block ends.  Test-only: the product always
+    runs the columnar executor.
+    """
+    with mock.patch.object(base, "ColumnarExecutor", PlaintextExecutor):
+        yield
 
 
 @dataclass

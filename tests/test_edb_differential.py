@@ -1,13 +1,15 @@
-"""Differential tests: the EDB fast path versus the reference implementation.
+"""Differential tests: the columnar EDB versus the row-interpreter oracle.
 
-The vectorized fast path (columnar operators, array-backed batch-evicting
-ORAM) claims to be *observationally identical* to the original pure-Python
-implementation: at a fixed seed, both modes must produce bit-identical sync
-times, update volumes, query answers and update-pattern leakage.  This suite
-enforces that claim three ways:
+Every EDB answers queries through the vectorized columnar operators, which
+claim to be *observationally identical* to the original row-at-a-time
+interpreter: at a fixed seed, an EDB built under
+:func:`repro.testing.reference.row_interpreter` must produce bit-identical
+sync times, update volumes, query answers and update-pattern leakage.  This
+suite enforces that claim three ways:
 
-1. every golden-trace cell (strategy x back-end) is replayed in both modes
-   and the full :class:`RunResult` payloads are compared field by field;
+1. every golden-trace cell (strategy x back-end) is replayed on both
+   executors and the full :class:`RunResult` payloads are compared field by
+   field;
 2. engine runs with captured EDB instances compare the raw protocol
    transcripts -- ``update_history`` and its canonical leakage projection
    (:func:`repro.edb.leakage.update_pattern_observables`) -- plus the
@@ -18,8 +20,6 @@ enforces that claim three ways:
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -40,8 +40,9 @@ from repro.query.predicates import (
     OrPredicate,
     RangePredicate,
 )
-from repro.simulation.runner import CellSpec, run_cell
+from repro.simulation.runner import run_cell
 from repro.simulation.simulator import Simulation, SimulationConfig
+from repro.testing.reference import row_interpreter
 from repro.workload.scenarios import build_scenario, scenario_queries
 
 from test_golden_traces import BACKENDS, STRATEGIES, golden_spec
@@ -52,22 +53,27 @@ EDB_CLASSES = {"oblidb": ObliDB, "crypte": CryptEpsilon}
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_fast_and_reference_runs_are_bit_identical(strategy, backend):
-    """Replaying one golden cell in both modes yields equal RunResults."""
+    """Replaying one golden cell on both executors yields equal RunResults."""
     spec = golden_spec(strategy, backend)
-    fast = run_cell(dataclasses.replace(spec, edb_mode="fast"))
-    reference = run_cell(dataclasses.replace(spec, edb_mode="reference"))
+    fast = run_cell(spec)
+    with row_interpreter():
+        reference = run_cell(spec)
     assert fast.to_dict() == reference.to_dict(), (
-        f"fast/reference divergence for {strategy}/{backend}"
+        f"columnar/row-interpreter divergence for {strategy}/{backend}"
     )
 
 
-def _run_with_captured_edb(backend: str, mode: str, strategy: str):
+def _run_with_captured_edb(
+    backend: str, strategy: str, simulate_encryption: bool = False
+):
     """One small taxi run returning (RunResult, the EDB instance used)."""
     created = []
     edb_class = EDB_CLASSES[backend]
 
     def factory():
-        edb = edb_class(rng=np.random.default_rng(7), mode=mode)
+        edb = edb_class(
+            rng=np.random.default_rng(7), simulate_encryption=simulate_encryption
+        )
         created.append(edb)
         return edb
 
@@ -87,10 +93,12 @@ def _run_with_captured_edb(backend: str, mode: str, strategy: str):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_protocol_transcripts_match(strategy, backend):
     """Update history, leakage observables and query protocol agree."""
-    fast_result, fast_edb = _run_with_captured_edb(backend, "fast", strategy)
-    ref_result, ref_edb = _run_with_captured_edb(backend, "reference", strategy)
+    fast_result, fast_edb = _run_with_captured_edb(backend, strategy)
+    with row_interpreter():
+        ref_result, ref_edb = _run_with_captured_edb(backend, strategy)
 
-    assert fast_edb.edb_mode == "fast" and ref_edb.edb_mode == "reference"
+    assert type(fast_edb._executor) is ColumnarExecutor
+    assert type(ref_edb._executor) is PlaintextExecutor
     # Sync times and update volumes: the raw Setup/Update transcript.
     assert fast_edb.update_history == ref_edb.update_history
     # ... and its canonical leakage projection.
@@ -118,92 +126,52 @@ def test_protocol_transcripts_match(strategy, backend):
 
 
 # ---------------------------------------------------------------------------
-# Ciphertext storage layouts: arena-backed vs object-backed
+# Arena ciphertexts
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("strategy", ["dp-timer", "dp-ant"])
-def test_arena_and_object_ciphertext_runs_are_bit_identical(strategy, backend):
-    """Golden cells replayed with real encryption agree across storage modes.
-
-    ``edb_mode="fast"`` stores ciphertexts in the contiguous arena,
-    ``"reference"`` in per-record objects; with encryption simulated the two
-    replays must still produce byte-identical result payloads (the cipher's
-    ``os.urandom`` nonces never feed any observable).
-    """
-    spec = dataclasses.replace(golden_spec(strategy, backend), simulate_encryption=True)
-    arena_run = run_cell(dataclasses.replace(spec, edb_mode="fast"))
-    object_run = run_cell(dataclasses.replace(spec, edb_mode="reference"))
-    assert arena_run.to_dict() == object_run.to_dict(), (
-        f"arena/object storage divergence for {strategy}/{backend}"
-    )
-
-
-def _run_encrypted(backend: str, mode: str):
-    """One small encrypted taxi run returning (RunResult, the EDB used)."""
-    created = []
-    edb_class = EDB_CLASSES[backend]
-
-    def factory():
-        edb = edb_class(
-            rng=np.random.default_rng(7), mode=mode, simulate_encryption=True
-        )
-        created.append(edb)
-        return edb
-
-    workloads = build_scenario("taxi-june", seed=2020, scale=0.01)
-    simulation = Simulation(
-        edb_factory=factory,
-        workloads=workloads,
-        queries=list(scenario_queries("taxi-june")),
-        config=SimulationConfig(strategy="dp-timer", query_interval=120, seed=3),
-    )
-    result = simulation.run()
-    assert len(created) == 1
-    return result, created[0]
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_arena_ciphertexts_round_trip_and_transcripts_match(backend):
-    """Arena views decrypt to the same logical records as object ciphertexts.
+    """Arena ciphertexts decrypt to the EDB's own logical rows, in order.
 
-    Same seed, same workload: the arena-backed run and the object-backed run
-    must agree on result payloads, protocol transcripts and -- after
-    decrypting every stored ciphertext with each EDB's own cipher -- on the
-    full logical content (values, arrival times, dummy flags) and the handle
-    sequence.
+    With encryption simulated, the columnar run and the row-interpreter run
+    must agree on result payloads, protocol transcripts and handle
+    sequences (the cipher's ``os.urandom`` nonces never feed an
+    observable), and decrypting every stored ciphertext with the EDB's own
+    cipher must give back exactly the rows it ingested -- values, arrival
+    times, dummy flags -- in ingest order.
     """
-    arena_result, arena_edb = _run_encrypted(backend, "fast")
-    object_result, object_edb = _run_encrypted(backend, "reference")
+    fast_result, fast_edb = _run_with_captured_edb(
+        backend, "dp-timer", simulate_encryption=True
+    )
+    with row_interpreter():
+        ref_result, ref_edb = _run_with_captured_edb(
+            backend, "dp-timer", simulate_encryption=True
+        )
 
-    assert arena_edb.ciphertext_store == "arena"
-    assert object_edb.ciphertext_store == "objects"
-    assert arena_result.to_dict() == object_result.to_dict()
-    assert arena_edb.update_history == object_edb.update_history
-    assert update_pattern_observables(arena_edb.update_history) == (
-        update_pattern_observables(object_edb.update_history)
+    assert fast_result.to_dict() == ref_result.to_dict()
+    assert fast_edb.update_history == ref_edb.update_history
+    assert update_pattern_observables(fast_edb.update_history) == (
+        update_pattern_observables(ref_edb.update_history)
     )
 
-    def logical(edb, table):
-        rows = edb.cipher.decrypt_many(edb.ciphertexts(table))
-        return [
-            (dict(r.values), r.arrival_time, r.is_dummy, r.table) for r in rows
-        ]
+    def logical(rows):
+        return [(dict(r.values), r.arrival_time, r.is_dummy, r.table) for r in rows]
 
     table = "YellowCab"
-    arena_ciphertexts = arena_edb.ciphertexts(table)
-    object_ciphertexts = object_edb.ciphertexts(table)
-    assert len(arena_ciphertexts) == len(object_ciphertexts) > 0
-    assert [c.handle for c in arena_ciphertexts] == [
-        c.handle for c in object_ciphertexts
-    ]
-    assert {len(bytes(c.ciphertext)) for c in arena_ciphertexts} == {CIPHERTEXT_SIZE}
-    assert logical(arena_edb, table) == logical(object_edb, table)
-    # Cross-layout decryptability: the single-record decrypt handles both.
+    ciphertexts = fast_edb.ciphertexts(table)
+    handles = [c.handle for c in ciphertexts]
+    assert len(ciphertexts) == fast_edb.table_size(table) > 0
+    assert handles == sorted(set(handles))
+    assert handles == [c.handle for c in ref_edb.ciphertexts(table)]
+    assert {len(bytes(c.ciphertext)) for c in ciphertexts} == {CIPHERTEXT_SIZE}
+    assert logical(fast_edb.cipher.decrypt_many(ciphertexts)) == logical(
+        fast_edb._executor.tables[table]
+    )
+    # The single-record decrypt reads arena views too.
     assert (
-        arena_edb.cipher.decrypt(arena_ciphertexts[0]).values
-        == arena_edb.cipher.decrypt_many([arena_ciphertexts[0]])[0].values
+        fast_edb.cipher.decrypt(ciphertexts[0]).values
+        == fast_edb.cipher.decrypt_many([ciphertexts[0]])[0].values
     )
 
 
@@ -337,7 +305,7 @@ def test_executor_answers_and_stats_match(query, rewrite):
 
 
 def test_grouped_answer_iteration_order_matches():
-    """Grouped answers list groups in first-appearance order in both modes.
+    """Grouped answers list groups in first-appearance order on both executors.
 
     This is load-bearing, not cosmetic: Crypt-epsilon draws one Laplace
     variate per group in answer order, so a different order would change
@@ -398,7 +366,7 @@ def test_unhashable_query_skips_the_plan_cache():
 
 
 def test_empty_or_predicate_rejects_all_rows():
-    """any(()) is False: an empty OR matches nothing in both modes."""
+    """any(()) is False: an empty OR matches nothing on both executors."""
     rows = [Record(values={"v": i}, table="T") for i in range(5)]
     fast, reference = ColumnarExecutor(), PlaintextExecutor()
     fast.append("T", rows)
@@ -422,18 +390,3 @@ def test_fallback_covers_unsupported_columns():
         "sf": 1,
         "la": 1,
     }
-
-
-def test_reference_mode_is_selectable_via_factory_flag():
-    """The edb.base mode flag reaches the executor and the ORAM layer."""
-    fast = ObliDB(storage_mode="oram", oram_capacity=64, mode="fast")
-    reference = ObliDB(storage_mode="oram", oram_capacity=64, mode="reference")
-    rows = [Record(values={"v": i}, table="T") for i in range(8)]
-    fast.setup(rows)
-    reference.setup(rows)
-    from repro.edb.oram import PathORAM, ReferencePathORAM
-
-    assert type(fast.oram_for("T")) is PathORAM
-    assert type(reference.oram_for("T")) is ReferencePathORAM
-    with pytest.raises(ValueError):
-        ObliDB(mode="warp-speed")

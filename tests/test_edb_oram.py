@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.edb.oram import PathORAM, ReferencePathORAM, make_oram
+from repro.edb.oram import PathORAM, ReferencePathORAM
 
 
 @pytest.fixture(params=["fast", "reference"])
@@ -104,12 +104,6 @@ class TestPathORAMBasics:
         oram.stats.reset()
         assert oram.stats.accesses == 0
         assert oram.stats.blocks_read == 0
-
-    def test_make_oram_factory(self):
-        assert type(make_oram(16, mode="fast")) is PathORAM
-        assert type(make_oram(16, mode="reference")) is ReferencePathORAM
-        with pytest.raises(ValueError):
-            make_oram(16, mode="bogus")
 
 
 class TestObliviousness:

@@ -155,6 +155,16 @@ def test_single_shard_router_is_byte_identical(batches):
         assert gathered == expected
 
 
+def test_single_shard_router_tallies_its_partition_metadata():
+    """K=1 forwarding still commits each table's routed-record count."""
+    router = ShardRouter([ObliDB(rng=np.random.default_rng(9))])
+    (shard,) = router.shards
+    router.setup([_record("T", i, i, False, 0) for i in range(5)])
+    router.insert_many({"T": [_record("T", 5, 5, False, 1)]}, time=1)
+    router.update([_record("T", i, i, False, 2) for i in (6, 7)], time=2)
+    assert router.table_shard_counts("T") == (8,) == (shard.table_size("T"),)
+
+
 @given(batches=_batches, n_shards=st.integers(2, 4))
 @settings(max_examples=30, deadline=None)
 def test_scatter_gather_answers_equal_unsharded(batches, n_shards):

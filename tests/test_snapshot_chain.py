@@ -44,19 +44,11 @@ QUERIES = (
     CountQuery(table="other", label="other"),
 )
 
-#: Back-end configurations: arena and object ciphertext stores, the
-#: columnar and the row executor, and an L-DP back-end drawing query noise.
+#: Back-end configurations: an L-0 back-end and an L-DP one drawing query
+#: noise.
 BACKENDS = {
-    "oblidb-arena": lambda seed: ObliDB(
+    "oblidb": lambda seed: ObliDB(
         rng=np.random.default_rng(seed), simulate_encryption=True
-    ),
-    "oblidb-objects": lambda seed: ObliDB(
-        rng=np.random.default_rng(seed),
-        simulate_encryption=True,
-        ciphertext_store="objects",
-    ),
-    "oblidb-reference": lambda seed: ObliDB(
-        rng=np.random.default_rng(seed), simulate_encryption=True, mode="reference"
     ),
     "crypte": lambda seed: CryptEpsilon(
         rng=np.random.default_rng(seed), simulate_encryption=True
@@ -129,7 +121,7 @@ def _state(edb, ciphertexts: bool = True) -> dict:
     """
     executor = edb._executor
     columns = {}
-    for table, store in getattr(executor, "_columnar", {}).items():
+    for table, store in executor._columnar.items():
         columns[table] = (
             store.attributes,
             store.uniform,
@@ -159,10 +151,6 @@ def _state(edb, ciphertexts: bool = True) -> dict:
         "arenas": {
             table: (arena.as_array().tobytes(), arena._handles[: len(arena)].tobytes())
             for table, arena in edb._arenas.items()
-        },
-        "objects": {
-            table: [(bytes(r.ciphertext), r.handle) for r in rows]
-            for table, rows in edb._ciphertexts.items()
         },
         "history": edb.update_history,
         "rows": {table: list(rows) for table, rows in executor.tables.items()},

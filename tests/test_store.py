@@ -208,28 +208,24 @@ def test_torn_manifest_and_torn_blob_are_detected(tmp_path):
         EncryptedStore(tmp_path, passphrase="pw").manifest()
 
 
-def test_version_one_manifest_is_refused(tmp_path):
-    """Stores from before the AES-GCM format are refused, not misread."""
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_earlier_manifest_versions_are_refused(tmp_path, version):
+    """Stores of an earlier format are refused with their version named, not
+    misread: version 1 predates AES-GCM, version 2 delta generations (no
+    ``parent``), version 3 arena-only ciphertexts (its deltas carry
+    per-record object tails)."""
     store = EncryptedStore(tmp_path)
     store.write_blob("a.bin", b"alpha")
     manifest = store.commit()
-    assert manifest["version"] == STORE_VERSION == 3
-    manifest["version"] = 1
-    (tmp_path / "MANIFEST.json").write_text(json.dumps(manifest))
-    with pytest.raises(StoreIntegrityError, match="version 1"):
-        EncryptedStore(tmp_path).manifest()
-
-
-def test_version_two_manifest_is_refused(tmp_path):
-    """Stores from before delta generations (no ``parent``) are refused."""
-    store = EncryptedStore(tmp_path)
-    store.write_blob("a.bin", b"alpha")
-    manifest = store.commit()
+    assert manifest["version"] == STORE_VERSION == 4
     assert manifest["parent"] is None
-    manifest["version"] = 2
-    del manifest["parent"]
+    manifest["version"] = version
+    if version < 3:
+        del manifest["parent"]
     (tmp_path / "MANIFEST.json").write_text(json.dumps(manifest))
-    with pytest.raises(StoreIntegrityError, match="version 2"):
+    with pytest.raises(
+        StoreIntegrityError, match=f"manifest version {version} is not 4"
+    ):
         EncryptedStore(tmp_path).manifest()
 
 
