@@ -1,18 +1,13 @@
 """EDB batch-path benchmark: per-record vs batched flushes, both backends.
 
-Measures the three layers the fast path rewrote, and emits ``BENCH_edb.json``
+Measures the two layers the fast path rewrote, and emits ``BENCH_edb.json``
 at the repository root:
 
-1. **ORAM flush** -- a flush-sized batch written through the sequential
-   per-item protocol (reference) vs the single combined eviction (fast),
-   recording wall-clock and the distinct tree nodes touched.  The node-touch
-   reduction is deterministic and asserted; it is what makes batched
-   ingestion cheaper than per-record ingestion at equal leakage.
-2. **Ingestion protocol** -- ``update()`` once per record vs one
+1. **Ingestion protocol** -- ``update()`` once per record vs one
    ``insert_many()`` per flush on both back-ends, with identical
    resulting state (counts, storage, *per-invocation* history is the
    observable difference the strategy chose to make).
-3. **End-to-end** -- a figure-2-style dp-timer cell per back-end via the
+2. **End-to-end** -- a figure-2-style dp-timer cell per back-end via the
    grid runner, once on the columnar EDB and once under the row-interpreter
    oracle (:func:`repro.testing.reference.row_interpreter`), asserting
    bit-identical results and recording the speedup (down-scale with
@@ -31,7 +26,6 @@ import numpy as np
 from benchmarks.conftest import emit_report, merge_bench_json
 from repro.edb.crypte import CryptEpsilon
 from repro.edb.oblidb import ObliDB
-from repro.edb.oram import PathORAM, ReferencePathORAM
 from repro.edb.records import Record
 from repro.simulation.runner import CellSpec, run_cell
 from repro.testing.reference import row_interpreter
@@ -57,56 +51,6 @@ def _records(n: int, table: str = "YellowCab") -> list[Record]:
         )
         for i in range(n)
     ]
-
-
-def test_oram_batched_flush_vs_per_record():
-    """One combined eviction per flush: fewer node touches, less time."""
-    batches = [
-        [(flush * FLUSH_SIZE + i, i) for i in range(FLUSH_SIZE)]
-        for flush in range(FLUSHES)
-    ]
-
-    fast = PathORAM(capacity=65_536, rng=np.random.default_rng(1))
-    start = time.perf_counter()
-    for batch in batches:
-        fast.write_many(batch)
-    fast_seconds = time.perf_counter() - start
-
-    reference = ReferencePathORAM(capacity=65_536, rng=np.random.default_rng(1))
-    start = time.perf_counter()
-    for batch in batches:
-        reference.write_many(batch)
-    reference_seconds = time.perf_counter() - start
-
-    # Same logical content either way.
-    assert fast._position_map == reference._position_map
-    assert fast.read_all() == reference.read_all()
-    # The combined eviction touches strictly fewer distinct nodes.
-    assert fast.stats.nodes_touched < reference.stats.nodes_touched
-
-    payload = {
-        "flush_size": FLUSH_SIZE,
-        "flushes": FLUSHES,
-        "modes_compared": ["reference", "fast"],
-        "per_record_seconds": round(reference_seconds, 4),
-        "batched_seconds": round(fast_seconds, 4),
-        "speedup": round(reference_seconds / max(fast_seconds, 1e-9), 2),
-        "per_record_nodes_touched": reference.stats.nodes_touched,
-        "batched_nodes_touched": fast.stats.nodes_touched,
-        "node_touch_reduction": round(
-            reference.stats.nodes_touched / fast.stats.nodes_touched, 2
-        ),
-    }
-    _emit("oram_flush", payload)
-    emit_report(
-        "edb_oram_flush",
-        f"Path ORAM flush ({FLUSHES} flushes x {FLUSH_SIZE} records)\n\n"
-        f"per-record evictions : {reference_seconds:8.3f} s, "
-        f"{reference.stats.nodes_touched} node touches\n"
-        f"combined eviction    : {fast_seconds:8.3f} s, "
-        f"{fast.stats.nodes_touched} node touches\n"
-        f"speedup {payload['speedup']}x, node touches /{payload['node_touch_reduction']}",
-    )
 
 
 def _ingest_benchmark(backend_name: str, make_edb):
@@ -144,16 +88,9 @@ def _ingest_benchmark(backend_name: str, make_edb):
 
 
 def test_ingestion_per_record_vs_batched_both_backends():
-    """insert_many vs per-record update on ObliDB (ORAM storage) and Crypt-eps."""
+    """insert_many vs per-record update on ObliDB and Crypt-eps."""
     results = [
-        _ingest_benchmark(
-            "oblidb-oram",
-            lambda: ObliDB(
-                storage_mode="oram",
-                oram_capacity=65_536,
-                rng=np.random.default_rng(2),
-            ),
-        ),
+        _ingest_benchmark("oblidb", lambda: ObliDB(rng=np.random.default_rng(2))),
         _ingest_benchmark(
             "crypte", lambda: CryptEpsilon(rng=np.random.default_rng(3))
         ),

@@ -23,7 +23,7 @@ The subpackages are organised as:
 * :mod:`repro.core` -- the DP-Sync framework (strategies, owner, analyst);
 * :mod:`repro.dp` -- differential-privacy mechanisms, composition and bounds;
 * :mod:`repro.edb` -- encrypted-database substrate (ObliDB / Crypt-epsilon
-  simulators, ORAM, leakage classification);
+  simulators, ciphertext arenas, leakage classification);
 * :mod:`repro.query` -- predicates, relational plans, dummy-aware rewriting,
   execution and a small SQL front-end;
 * :mod:`repro.engine` -- the segment engine the simulator runs on (each
@@ -59,7 +59,6 @@ from repro.edb import (
     EncryptedDatabase,
     LeakageClass,
     ObliDB,
-    PathORAM,
     Record,
     Schema,
     ShardRouter,
@@ -111,7 +110,6 @@ __all__ = [
     "OTOStrategy",
     "ObliDB",
     "Owner",
-    "PathORAM",
     "Query",
     "Record",
     "RunResult",

@@ -9,7 +9,6 @@ framework end to end this package provides the EDB side of the system:
   encryption; real and dummy records are indistinguishable once encrypted.
 * :mod:`repro.edb.leakage` -- the leakage classification of Section 6
   (L-0 / L-DP / L-1 / L-2) and the scheme registry behind Table 3.
-* :mod:`repro.edb.oram` -- a Path ORAM simulator used by the L-0 back-end.
 * :mod:`repro.edb.base` -- the ``Setup`` / ``Update`` / ``Query`` protocol
   interface (Definition 1) shared by all back-ends.
 * :mod:`repro.edb.oblidb` -- an ObliDB-style L-0 (access-pattern and
@@ -39,7 +38,6 @@ from repro.edb.leakage import (
     leakage_group_table,
 )
 from repro.edb.base import EncryptedDatabase, QueryResult, UpdateResult
-from repro.edb.oram import PathORAM
 from repro.edb.oblidb import ObliDB
 from repro.edb.crypte import CryptEpsilon
 from repro.edb.router import ShardRouter
@@ -55,7 +53,6 @@ __all__ = [
     "LeakageClass",
     "LeakageProfile",
     "ObliDB",
-    "PathORAM",
     "QueryResult",
     "Record",
     "RecordCipher",

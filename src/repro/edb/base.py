@@ -450,9 +450,6 @@ class EncryptedDatabase:
         """
         return answer, False
 
-    def _on_records_stored(self, table: str, records: Sequence[Record]) -> None:
-        """Hook invoked after records are added to ``table`` (e.g. ORAM insert)."""
-
     # -- internals -------------------------------------------------------------
 
     def _ingest(self, records: list[Record], time: int, is_setup: bool) -> UpdateResult:
@@ -479,7 +476,6 @@ class EncryptedDatabase:
                 if arena is None:
                     arena = self._arenas[table] = self._arena_factory()
                 self._cipher.encrypt_many_into(rows, arena)
-            self._on_records_stored(table, rows)
             if self._views:
                 # Views observe exactly the post-flush server-side batch (the
                 # dummy-padded γ_t, never the owner's raw stream); dummy rows

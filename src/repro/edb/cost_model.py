@@ -54,17 +54,16 @@ class CostParameters:
     update_base: float
     #: Server-side storage footprint of one encrypted record (bytes).
     record_storage_bytes: float
-    #: Multiplier applied to query costs when ORAM-backed storage is enabled.
-    oram_factor: float = 1.0
     #: Per record (per observing view) cost of maintaining a registered
     #: delta view during ingest -- one histogram/counter update inside the
     #: enclave, far cheaper than the per-record scan work a query pays.
     view_update_per_record: float = 2.0e-5
 
 
-#: ObliDB constants (ORAM enabled), calibrated to Table 5: mean QETs of
-#: 5.39 s (Q1), 2.32 s (Q2) and 2.77 s (Q3) under SUR with a mean outsourced
-#: table of roughly 9.2k records (and ~9.2k x 10.6k join pairs for Q3).
+#: ObliDB constants (oblivious full-scan operators), calibrated to Table 5:
+#: mean QETs of 5.39 s (Q1), 2.32 s (Q2) and 2.77 s (Q3) under SUR with a
+#: mean outsourced table of roughly 9.2k records (and ~9.2k x 10.6k join
+#: pairs for Q3).
 OBLIDB_COSTS = CostParameters(
     query_base=0.04,
     count_scan_per_record=5.8e-4,
@@ -73,7 +72,6 @@ OBLIDB_COSTS = CostParameters(
     update_per_record=2.0e-4,
     update_base=0.01,
     record_storage_bytes=16_400.0,
-    oram_factor=1.0,
     view_update_per_record=2.0e-5,
 )
 
@@ -87,7 +85,6 @@ CRYPTE_COSTS = CostParameters(
     update_per_record=1.0e-3,
     update_base=0.05,
     record_storage_bytes=51_200.0,
-    oram_factor=1.0,
     view_update_per_record=1.0e-4,
 )
 
@@ -162,7 +159,7 @@ class CostModel:
         else:
             size = sum(table_sizes.get(t, 0) for t in query.tables)
             work = params.count_scan_per_record * size
-        return params.query_base + params.oram_factor * work
+        return params.query_base + work
 
     def supports(self, query: Query) -> bool:
         """Whether the back-end can execute ``query`` at all."""

@@ -3,8 +3,8 @@
 A :class:`ShardRouter` presents the same Setup/Update/Query protocol surface
 as a single :class:`~repro.edb.base.EncryptedDatabase` while hash-partitioning
 each table's records across K independent back-end shards (each with its own
-ORAM, cost model and RNG).  Owners and analysts talk to the router exactly as
-they would to one EDB; the router
+ciphertext arenas, cost model and RNG).  Owners and analysts talk to the
+router exactly as they would to one EDB; the router
 
 * routes every record by a stable hash of its per-table arrival ordinal
   (deterministic for a fixed ``route_seed``, uniform across shards, and
@@ -36,7 +36,7 @@ model (max over shards) is matched by a real wall-clock speedup, which
 :attr:`measured` records.  ``executor="serial"`` keeps the original
 sequential loop.  ``executor="processes"`` escapes the GIL entirely: each
 shard moves into a persistent worker process
-(:mod:`repro.edb.shard_worker`) that owns the shard's EDB, ORAM and RNG
+(:mod:`repro.edb.shard_worker`) that owns the shard's EDB, arenas and RNG
 stream, and the router's fan-out threads merely block on pipe round-trips
 (releasing the GIL) while workers compute truly in parallel; ciphertexts
 live in shared-memory arenas the coordinator reads zero-copy.  Shards are

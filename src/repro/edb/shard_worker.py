@@ -1,7 +1,7 @@
 """Persistent per-shard worker processes for the process shard executor.
 
 ``ShardRouter(executor="processes")`` moves every shard's state -- EDB,
-ORAM, ciphertext arenas and RNG stream -- into its own long-lived worker
+ciphertext arenas and RNG stream -- into its own long-lived worker
 process.  The division of labour:
 
 * :func:`shard_worker_main` is the worker loop: it owns the shard's
@@ -258,10 +258,10 @@ def _dispatch(shard: EncryptedDatabase, command: str, args: tuple):
         return _arena_states(shard)
     if command == "generation":
         # Serialized worker-side so the bytes carry the authoritative shard
-        # state (RNG stream, ORAM maps, arenas) -- only the blob crosses
-        # the pipe, and for a delta only the rows appended since the marks
-        # it is given.  Imported lazily: the worker loop must not pay for
-        # the store module unless durability is in use.
+        # state (RNG stream, arenas) -- only the blob crosses the pipe, and
+        # for a delta only the rows appended since the marks it is given.
+        # Imported lazily: the worker loop must not pay for the store
+        # module unless durability is in use.
         from repro.edb.store import snapshot_generation
 
         return snapshot_generation(shard, *args)
@@ -396,7 +396,7 @@ class ShardWorkerClient:
         """Worker-side :func:`repro.edb.store.snapshot_backend` bytes."""
         return self.generation()[0]
 
-    def generation(self, since: dict | None = None) -> tuple[bytes, dict | None]:
+    def generation(self, since: dict | None = None) -> tuple[bytes, dict]:
         """Worker-side :func:`repro.edb.store.snapshot_generation`: only the
         rows appended since ``since`` cross the pipe."""
         return self._call("generation", since)

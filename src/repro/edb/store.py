@@ -1,9 +1,9 @@
 """Durable encrypted store: atomic, checksummed on-disk snapshots.
 
 ROADMAP item 3's durability half.  Everything the fleet holds in memory --
-ciphertext arenas, ORAM position maps and client metadata, router routing
-state (per-table ordinals, per-shard counts), per-owner strategy /
-accountant / update-pattern state -- can be written to disk and restored so
+ciphertext arenas and client metadata, router routing state (per-table
+ordinals, per-shard counts), per-owner strategy / accountant /
+update-pattern state -- can be written to disk and restored so
 that a killed deployment or grid cell resumes and replays *bit-identically*
 (answers, QET, aggregate and per-shard ``(t, |γ_t|)`` transcripts).
 
@@ -41,16 +41,15 @@ Layers, bottom up:
   written last, pruned a whole segment at a time.
 * **Snapshot codecs** -- :func:`snapshot_backend` / :func:`restore_backend`
   serialize one :class:`~repro.edb.base.EncryptedDatabase` (arenas as raw
-  row/handle bytes, everything else in a single pickle so shared objects
-  like the ObliDB ORAMs' RNG stay shared), with the ORAM position maps
-  re-verified against their checksummed snapshots on restore.  Because
-  nothing is ever deleted from the outsourced store, a generation can be
-  a *delta* (``since=<marks>``, :func:`snapshot_marks`): the tails of the
-  append-only components plus the small mutable state, O(rows since the
-  parent) instead of O(|D|).  :func:`snapshot_router` /
-  :func:`restore_router` serialize a :class:`~repro.edb.router.ShardRouter`
-  plus its routing state in full, pulling each process-backed shard's
-  snapshot over the worker pipe.
+  row/handle bytes, everything else in a single pickle so an object the
+  state references twice stays one object).  Because every shard is
+  append-only -- nothing is ever deleted or moved in the outsourced store
+  -- a generation can be a *delta* (``since=<marks>``,
+  :func:`snapshot_marks`): the tails of the append-only components plus
+  the small mutable state, O(rows since the parent) instead of O(|D|).
+  :func:`snapshot_router` / :func:`restore_router` serialize a
+  :class:`~repro.edb.router.ShardRouter` plus its routing state in full,
+  pulling each process-backed shard's snapshot over the worker pipe.
 
 Restored arenas are always process-local :class:`~repro.edb.crypto.
 CiphertextArena`\\ s; a restored shard handed to a worker process converts
@@ -102,12 +101,14 @@ __all__ = [
     "restore_edb",
 ]
 
-#: On-disk format version stamped into every manifest.  Version 4: a
+#: On-disk format version stamped into every manifest.  Version 5: a
 #: manifest names its ``parent`` generation (``None`` for a full one),
-#: records and sealed blobs are AES-256-GCM (284-byte arena rows), and
+#: records and sealed blobs are AES-256-GCM (284-byte arena rows),
 #: ciphertexts live only in arenas (a delta carries no per-record object
-#: tails).  Stores of earlier versions are refused rather than misread.
-STORE_VERSION: int = 4
+#: tails), and every shard is flat and append-only (a full generation
+#: carries no ORAM position maps).  Stores of earlier versions are refused
+#: rather than misread.
+STORE_VERSION: int = 5
 
 #: Random salt length for the at-rest key derivation.
 SALT_SIZE: int = 32
@@ -746,16 +747,9 @@ def arena_from_bytes(
     return arena
 
 
-def snapshot_marks(edb: "EncryptedDatabase") -> dict | None:
+def snapshot_marks(edb: "EncryptedDatabase") -> dict:
     """Lengths of ``edb``'s append-only state: the ``since`` of a later
-    delta generation (:func:`snapshot_backend`).
-
-    ``None`` for a shard whose storage is not append-only -- ObliDB's ORAM
-    storage remaps blocks on every access -- which writes only full
-    generations.
-    """
-    if not _append_only(edb):
-        return None
+    delta generation (:func:`snapshot_backend`)."""
     executor = edb._executor
     return {
         "history": len(edb._update_history),
@@ -765,10 +759,6 @@ def snapshot_marks(edb: "EncryptedDatabase") -> dict | None:
             table: store.marks() for table, store in executor._columnar.items()
         },
     }
-
-
-def _append_only(edb: "EncryptedDatabase") -> bool:
-    return getattr(edb, "_storage_mode", "flat") != "oram"
 
 
 #: Components a delta generation ships as tails, and derived state rebuilt
@@ -784,11 +774,10 @@ def snapshot_backend(
     """Serialize one EDB back-end (plain or shared arenas) to bytes.
 
     ``since=None`` writes a *full* generation.  The whole non-arena state
-    travels in a *single* pickle so shared objects -- most importantly the
-    RNG generator the ObliDB ORAMs share with the EDB -- stay shared after
-    restore.  Arenas are serialized as raw row/handle bytes; ORAM position
-    maps additionally get checksummed snapshots that :func:`restore_backend`
-    re-verifies.
+    travels in a *single* pickle, which memoizes by identity: an object two
+    parts of the state reference comes back as one object, where pickling
+    the parts separately would silently restore two copies.  Arenas are
+    serialized as raw row/handle bytes.
 
     ``since=<marks>`` (:func:`snapshot_marks` of an earlier generation)
     writes a *delta*: the tails appended since -- arena rows and handles,
@@ -796,8 +785,7 @@ def snapshot_backend(
     state whole.  Its size is O(rows since the marks).  It relies on the
     shard being append-only since then: a
     :meth:`~repro.edb.base.EncryptedDatabase.rotate_key` rewrites every row
-    in place, so the generation after one must be full, and an ORAM-storage
-    shard cannot write deltas at all.
+    in place, so the generation after one must be full.
     """
     if since is not None:
         return pickle.dumps(_delta_payload(edb, since))
@@ -814,20 +802,11 @@ def snapshot_backend(
         "arenas": {
             table: arena_to_bytes(arena) for table, arena in arenas.items()
         },
-        "oram_maps": {
-            table: oram.position_map_snapshot()
-            for table, oram in state.get("_orams", {}).items()
-        },
     }
     return pickle.dumps(payload)
 
 
 def _delta_payload(edb: "EncryptedDatabase", since: Mapping) -> dict:
-    if not _append_only(edb):
-        raise ValueError(
-            f"{type(edb).__name__} with ORAM storage is not append-only; "
-            "it writes only full generations"
-        )
     state = {
         key: value
         for key, value in edb.__dict__.items()
@@ -864,7 +843,7 @@ def _delta_payload(edb: "EncryptedDatabase", since: Mapping) -> dict:
 
 def snapshot_generation(
     edb: "EncryptedDatabase", since: Mapping | None = None
-) -> tuple[bytes, dict | None]:
+) -> tuple[bytes, dict]:
     """One generation of ``edb`` -- full, or a delta ``since`` earlier
     marks -- together with the marks its own successor deltas start from."""
     return snapshot_backend(edb, since), snapshot_marks(edb)
@@ -875,10 +854,9 @@ def restore_backend(blob: bytes, *deltas: bytes) -> "EncryptedDatabase":
     the deltas of its chain, oldest first.
 
     Arenas come back as process-local :class:`CiphertextArena`\\ s (workers
-    re-share them via ``rebuild_arenas``), and every ORAM's position map is
-    verified against its stored checksum before the EDB is returned.  Each
-    delta must extend exactly the state restored so far, and a delta is
-    never restored without its base.
+    re-share them via ``rebuild_arenas``).  Each delta must extend exactly
+    the state restored so far, and a delta is never restored without its
+    base.
     """
     payload = pickle.loads(blob)
     if payload.get("since") is not None:
@@ -894,16 +872,6 @@ def restore_backend(blob: bytes, *deltas: bytes) -> "EncryptedDatabase":
         table: arena_from_bytes(*serialized)
         for table, serialized in payload["arenas"].items()
     }
-    for table, snapshot in payload["oram_maps"].items():
-        oram = getattr(edb, "_orams", {}).get(table)
-        if (
-            oram is None
-            or oram.position_map_snapshot()["checksum"] != snapshot["checksum"]
-        ):
-            raise StoreIntegrityError(
-                f"ORAM position map for table {table!r} did not survive "
-                "the snapshot round trip"
-            )
     view_queries = payload.get("view_queries", ())
     for delta in deltas:
         view_queries = _apply_delta(edb, payload["class"], pickle.loads(delta))

@@ -29,10 +29,9 @@ generation and flushes the journal's staged commands as one segment.  A
 generation costs O(rows since its parent): the worker ships only the rows
 appended since the chain head (a delta generation), and a full generation
 is written where no delta can express the shard or none would pay --
-generation 0, after Setup, ``rotate_key`` or a recovery, on ORAM storage --
-or to fold a chain
-whose deltas have grown to its base's size (:meth:`SupervisedShard.
-_snapshot_now`).
+generation 0, after Setup, ``rotate_key`` or a recovery -- or to fold a
+chain whose deltas have grown to its base's size
+(:meth:`SupervisedShard._snapshot_now`).
 
 The wrapper's members are derived from the declared shard surface
 (:data:`~repro.edb.base.SHARD_SURFACE`): every ``MUTATE`` command runs
@@ -395,11 +394,11 @@ class SupervisedShard:
 
         A generation is a delta of the head -- the rows appended since it
         -- unless there is no head to extend (generation 0, after Setup, a
-        recovery or a ``rotate_key``, or an ORAM-storage shard) or the
-        fold is due: once a chain's deltas add up to its base's bytes, the
-        next generation is full again.  Bases at least double in size from
-        fold to fold, so a shard folds O(log |D|) times and each command
-        costs amortized O(1) snapshot work.
+        recovery or a ``rotate_key``) or the fold is due: once a chain's
+        deltas add up to its base's bytes, the next generation is full
+        again.  Bases at least double in size from fold to fold, so a shard
+        folds O(log |D|) times and each command costs amortized O(1)
+        snapshot work.
         """
         head = self._snapshot_seq
         since = self._marks if self._chain_bytes < self._base_bytes else None
@@ -421,7 +420,7 @@ class SupervisedShard:
             self._journal.prune(min_tag=head)
         return seq
 
-    def _generation(self, since: dict | None) -> tuple[bytes, dict | None]:
+    def _generation(self, since: dict | None) -> tuple[bytes, dict]:
         if hasattr(self._live, "generation"):
             return self._live.generation(since)
         return snapshot_generation(self._live, since)

@@ -140,23 +140,6 @@ class TestObliDB:
         edb.setup(yellow + green)
         assert edb.query(Q3).answer == 12
 
-    def test_invalid_storage_mode(self):
-        with pytest.raises(ValueError):
-            ObliDB(storage_mode="invalid")
-
-    def test_oram_mode_populates_per_table_orams(self):
-        edb = ObliDB(storage_mode="oram", oram_capacity=256, rng=np.random.default_rng(1))
-        edb.setup(make_records(20))
-        oram = edb.oram_for("YellowCab")
-        assert oram is not None
-        assert len(oram) == 20
-        assert edb.oram_for("GreenTaxi") is None
-
-    def test_flat_mode_has_no_oram(self):
-        edb = ObliDB(storage_mode="flat")
-        edb.setup(make_records(5))
-        assert edb.oram_for("YellowCab") is None
-
 
 class TestCryptEpsilon:
     def test_leakage_profile_is_ldp_and_compatible(self):

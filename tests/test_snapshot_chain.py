@@ -221,6 +221,9 @@ def test_chain_restore_equals_full_restore(
                 *(link.read_blob("shard.pkl") for link in chain)
             )
             full_edb = restore_backend(snapshot_backend(shard.live))
+            # A full generation alone restores the live shard's whole state.
+            assert _state(full_edb) == _state(shard.live)
+            assert full_edb.outsourced_count == shard.live.outsourced_count
             _assert_equivalent(chain_edb, full_edb)
             # The supervised shard itself never diverged from the twin,
             # through any fold, rotation and torn-generation recovery.

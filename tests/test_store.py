@@ -52,8 +52,6 @@ from repro.edb.store import (
     restore_backend,
     restore_router,
     seal_bytes,
-    snapshot_backend,
-    snapshot_marks,
     snapshot_router,
     unseal_bytes,
 )
@@ -208,23 +206,24 @@ def test_torn_manifest_and_torn_blob_are_detected(tmp_path):
         EncryptedStore(tmp_path, passphrase="pw").manifest()
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_earlier_manifest_versions_are_refused(tmp_path, version):
     """Stores of an earlier format are refused with their version named, not
     misread: version 1 predates AES-GCM, version 2 delta generations (no
     ``parent``), version 3 arena-only ciphertexts (its deltas carry
-    per-record object tails)."""
+    per-record object tails), version 4 flat-only shards (its full
+    generations still carry ORAM position maps)."""
     store = EncryptedStore(tmp_path)
     store.write_blob("a.bin", b"alpha")
     manifest = store.commit()
-    assert manifest["version"] == STORE_VERSION == 4
+    assert manifest["version"] == STORE_VERSION == 5
     assert manifest["parent"] is None
     manifest["version"] = version
     if version < 3:
         del manifest["parent"]
     (tmp_path / "MANIFEST.json").write_text(json.dumps(manifest))
     with pytest.raises(
-        StoreIntegrityError, match=f"manifest version {version} is not 4"
+        StoreIntegrityError, match=f"manifest version {version} is not 5"
     ):
         EncryptedStore(tmp_path).manifest()
 
@@ -380,24 +379,6 @@ def _supervised_shard(tmp_path, edb, snapshot_every=1, schedule=None):
     )
 
 
-def test_oram_shard_writes_only_full_generations(tmp_path):
-    edb = ObliDB(
-        rng=np.random.default_rng(3), simulate_encryption=True, storage_mode="oram"
-    )
-    assert snapshot_marks(edb) is None
-    with pytest.raises(ValueError, match="ORAM"):
-        snapshot_backend(edb, since={})
-    shard = _supervised_shard(tmp_path, edb)
-    try:
-        shard.setup(_records(6))
-        for time in range(1, 4):
-            shard.insert_many({"events": _records(2, start=6 + 2 * time)}, time)
-        parents = _parents(shard._store)
-        assert len(parents) == 2 and set(parents.values()) == {None}
-    finally:
-        shard.close()
-
-
 def test_setup_starts_a_new_chain(tmp_path):
     """Setup fills the near-empty generation 0, so the generation after it
     is full and the next one a delta of it -- not a delta that outgrows its
@@ -491,26 +472,6 @@ def test_arena_bytes_round_trip_preserves_rows_and_handles():
     decrypted = cipher.decrypt_many(rebuilt.records())
     assert [r.values for r in decrypted] == [r.values for r in _records(10)]
     assert handles  # handles stayed live through the round trip
-
-
-def test_backend_snapshot_verifies_oram_position_maps():
-    edb = ObliDB(
-        rng=np.random.default_rng(7),
-        simulate_encryption=True,
-        storage_mode="oram",
-    )
-    edb.setup(_records(25))
-    blob = snapshot_backend(edb)
-    restored = restore_backend(blob)
-    assert restored.outsourced_count == edb.outsourced_count
-    assert restored.update_history == edb.update_history
-
-    # Corrupting the recorded position-map checksum is caught on restore.
-    payload = pickle.loads(blob)
-    (table,) = payload["oram_maps"]
-    payload["oram_maps"][table]["checksum"] = "0" * 64
-    with pytest.raises(StoreIntegrityError):
-        restore_backend(pickle.dumps(payload))
 
 
 # -- runner checkpoint durability --------------------------------------------
