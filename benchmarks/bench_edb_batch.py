@@ -6,7 +6,11 @@ at the repository root:
 1. **Ingestion protocol** -- ``update()`` once per record vs one
    ``insert_many()`` per flush on both back-ends, with identical
    resulting state (counts, storage, *per-invocation* history is the
-   observable difference the strategy chose to make).
+   observable difference the strategy chose to make).  An encrypted ObliDB
+   case runs the write path the paper cells run: one-record
+   ``insert_many()`` calls (the SUR/SET Update, in µs per call) vs 64-record
+   flushes (µs per record), each row sealed into the table's arena and
+   spot-checked by decryption.
 2. **End-to-end** -- a figure-2-style dp-timer cell per back-end via the
    grid runner, once on the columnar EDB and once under the row-interpreter
    oracle (:func:`repro.testing.reference.row_interpreter`), asserting
@@ -53,7 +57,15 @@ def _records(n: int, table: str = "YellowCab") -> list[Record]:
     ]
 
 
-def _ingest_benchmark(backend_name: str, make_edb):
+def _update(edb, record: Record, t: int) -> None:
+    edb.update([record], time=t)
+
+
+def _insert_one(edb, record: Record, t: int) -> None:
+    edb.insert_many({record.table: [record]}, time=t)
+
+
+def _ingest_benchmark(backend_name: str, make_edb, step=_update):
     per_flush = _records(FLUSH_SIZE * FLUSHES)
 
     per_record = make_edb()
@@ -61,7 +73,7 @@ def _ingest_benchmark(backend_name: str, make_edb):
     start = time.perf_counter()
     t = 1
     for record in per_flush:
-        per_record.update([record], time=t)
+        step(per_record, record, t)
         t += 1
     per_record_seconds = time.perf_counter() - start
 
@@ -78,27 +90,43 @@ def _ingest_benchmark(backend_name: str, make_edb):
     # The batched path reports one Update invocation per flush -- exactly the
     # (time, volume) transcript the strategy decided to reveal.
     assert len(batched.update_history) == FLUSHES + 1
+    if batched.cipher is not None:
+        for edb in (per_record, batched):
+            rows = edb.ciphertexts("YellowCab")
+            assert len(rows) == len(per_flush)
+            for index in (0, len(per_flush) // 2, len(per_flush) - 1):
+                decrypted = edb.cipher.decrypt(rows[index])
+                assert decrypted.values == per_flush[index].values
     return {
         "backend": backend_name,
         "records": len(per_flush),
         "per_record_seconds": round(per_record_seconds, 4),
         "batched_seconds": round(batched_seconds, 4),
         "speedup": round(per_record_seconds / max(batched_seconds, 1e-9), 2),
+        "per_record_us": round(per_record_seconds / len(per_flush) * 1e6, 2),
+        "flush_us_per_record": round(batched_seconds / len(per_flush) * 1e6, 2),
     }
 
 
 def test_ingestion_per_record_vs_batched_both_backends():
-    """insert_many vs per-record update on ObliDB and Crypt-eps."""
+    """insert_many vs per-record update on ObliDB and Crypt-eps, plus the
+    encrypted ObliDB write path (one-record insert_many vs flushes)."""
     results = [
-        _ingest_benchmark("oblidb", lambda: ObliDB(rng=np.random.default_rng(2))),
+        _ingest_benchmark("oblidb", ObliDB),
         _ingest_benchmark(
             "crypte", lambda: CryptEpsilon(rng=np.random.default_rng(3))
+        ),
+        _ingest_benchmark(
+            "oblidb-encrypted",
+            lambda: ObliDB(simulate_encryption=True),
+            step=_insert_one,
         ),
     ]
     _emit("ingestion", results)
     lines = [
-        f"{r['backend']:12s}: per-record {r['per_record_seconds']:7.3f} s, "
-        f"batched {r['batched_seconds']:7.3f} s ({r['speedup']}x)"
+        f"{r['backend']:16s}: per-record {r['per_record_seconds']:7.3f} s "
+        f"({r['per_record_us']:6.2f} us/call), batched {r['batched_seconds']:7.3f} s "
+        f"({r['flush_us_per_record']:5.2f} us/record, {r['speedup']}x)"
         for r in results
     ]
     emit_report(

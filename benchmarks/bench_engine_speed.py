@@ -92,7 +92,7 @@ def build_simulation(workloads) -> Simulation:
         )
     ]
     return Simulation(
-        edb_factory=lambda: ObliDB(rng=np.random.default_rng(1)),
+        edb_factory=ObliDB,
         workloads=workloads,
         queries=queries,
         config=config,

@@ -38,8 +38,6 @@ import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
-
 from benchmarks.conftest import bench_environment, emit_report, merge_bench_json
 from repro.edb.oblidb import ObliDB
 from repro.edb.records import Record, Schema
@@ -105,7 +103,7 @@ def _timed(fn):
 
 
 def _run() -> dict:
-    edb = ObliDB(rng=np.random.default_rng(7), simulate_encryption=True)
+    edb = ObliDB(simulate_encryption=True)
     edb.setup(_records(N_RECORDS))
     with tempfile.TemporaryDirectory(prefix="bench-store-") as tmp:
         tmp = Path(tmp)

@@ -32,14 +32,12 @@ from __future__ import annotations
 import inspect
 from collections import abc
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.edb.cost_model import CostModel, CostParameters, UnsupportedQueryError
 from repro.edb.crypto import ArenaRecord, CiphertextArena, RecordCipher
 from repro.edb.leakage import LeakageClass, LeakageProfile
-from repro.edb.records import Record, count_dummy
+from repro.edb.records import Record
 from repro.query.ast import Query
 from repro.query.columnar import ColumnarExecutor
 from repro.query.executor import Answer, ExecutionStats
@@ -60,9 +58,9 @@ __all__ = [
     "derive_surface",
 ]
 
-@dataclass(frozen=True)
-class UpdateResult:
-    """Outcome of a Setup or Update protocol invocation."""
+class UpdateResult(NamedTuple):
+    """Outcome of a Setup or Update protocol invocation (a named tuple:
+    every Update builds one, and a tuple needs no per-field ``__setattr__``)."""
 
     time: int
     records_added: int
@@ -103,8 +101,6 @@ class EncryptedDatabase:
         :class:`RecordCipher`; when false only counts/bytes are tracked,
         which is observationally equivalent for the update pattern and much
         faster for the 43,200-step experiments.
-    rng:
-        Random generator used by back-ends that inject DP noise.
     """
 
     def __init__(
@@ -113,13 +109,11 @@ class EncryptedDatabase:
         scheme_name: str,
         query_leakage_class: LeakageClass,
         simulate_encryption: bool = False,
-        rng: np.random.Generator | None = None,
     ) -> None:
         self._cost_model = CostModel(cost_parameters)
         self._scheme_name = scheme_name
         self._query_leakage_class = query_leakage_class
         self._simulate_encryption = simulate_encryption
-        self._rng = rng if rng is not None else np.random.default_rng()
         self._cipher = RecordCipher() if simulate_encryption else None
         self._executor = ColumnarExecutor()
         self._arenas: dict[str, CiphertextArena] = {}
@@ -149,8 +143,8 @@ class EncryptedDatabase:
         """Run the Setup protocol with the initial record set ``γ_0``."""
         if self._is_setup:
             raise RuntimeError("Setup may only be invoked once")
-        self._is_setup = True
         result = self._ingest(list(records), time, is_setup=True)
+        self._is_setup = True
         return result
 
     def update(self, records: Iterable[Record], time: int) -> UpdateResult:
@@ -171,8 +165,7 @@ class EncryptedDatabase:
         """
         if not self._is_setup:
             raise RuntimeError("Update invoked before Setup")
-        grouped = {table: list(rows) for table, rows in batches.items() if rows}
-        return self._ingest_grouped(grouped, time, is_setup=False)
+        return self._ingest_grouped(batches, time, is_setup=False)
 
     def query(
         self, query: Query, time: int = 0, executor: str | None = None
@@ -460,22 +453,38 @@ class EncryptedDatabase:
         return self._ingest_grouped(by_table, time, is_setup)
 
     def _ingest_grouped(
-        self, by_table: dict[str, list[Record]], time: int, is_setup: bool
+        self, by_table: Mapping[str, Sequence[Record]], time: int, is_setup: bool
     ) -> UpdateResult:
-        num_records = 0
-        dummies = 0
+        # Seal every table before any other state changes: encrypt_many_into
+        # validates its whole batch before it reserves a row, and a failure
+        # undoes the tables already sealed, so a rejected γ_t changes nothing.
+        if self._cipher is not None:
+            sealed, created = [], []
+            try:
+                for table, rows in by_table.items():
+                    if not rows:  # an empty batch touches no table
+                        continue
+                    arena = self._arenas.get(table)
+                    if arena is None:
+                        arena = self._arenas[table] = self._arena_factory()
+                        created.append(table)
+                    self._cipher.encrypt_many_into(rows, arena)
+                    sealed.append((arena, len(rows)))
+            except BaseException:
+                for arena, count in sealed:
+                    arena.truncate(len(arena) - count)
+                for table in created:
+                    self._arenas.pop(table).release()
+                raise
+        num_records = dummies = 0
         for table, rows in by_table.items():
-            self._executor.append(table, rows)
-            table_dummies = count_dummy(rows)
+            if not rows:
+                continue
+            table_dummies = self._executor.append(table, rows)
             num_records += len(rows)
             dummies += table_dummies
             self._table_totals[table] = self._table_totals.get(table, 0) + len(rows)
             self._table_dummies[table] = self._table_dummies.get(table, 0) + table_dummies
-            if self._cipher is not None:
-                arena = self._arenas.get(table)
-                if arena is None:
-                    arena = self._arenas[table] = self._arena_factory()
-                self._cipher.encrypt_many_into(rows, arena)
             if self._views:
                 # Views observe exactly the post-flush server-side batch (the
                 # dummy-padded γ_t, never the owner's raw stream); dummy rows
@@ -490,13 +499,7 @@ class EncryptedDatabase:
         bytes_added = self._cost_model.storage_bytes(num_records)
         self._storage_bytes += bytes_added
         duration = self._cost_model.ingest_cost(num_records, is_setup=is_setup)
-        result = UpdateResult(
-            time=time,
-            records_added=num_records - dummies,
-            dummies_added=dummies,
-            bytes_added=bytes_added,
-            duration_seconds=duration,
-        )
+        result = UpdateResult(time, num_records - dummies, dummies, bytes_added, duration)
         self._update_history.append(result)
         return result
 

@@ -41,6 +41,8 @@ class CryptEpsilon(EncryptedDatabase):
     round_answers:
         Whether to round noisy counts to integers (counts are integral in the
         real system's released output).
+    rng:
+        Random generator of the Laplace noise on every released count.
 
     The pre-noise aggregates come from the vectorized columnar operators,
     which list groups in first-appearance order exactly like the row
@@ -63,8 +65,8 @@ class CryptEpsilon(EncryptedDatabase):
             scheme_name="Crypt-epsilon",
             query_leakage_class=LeakageClass.LDP,
             simulate_encryption=simulate_encryption,
-            rng=rng,
         )
+        self._rng = rng if rng is not None else np.random.default_rng()
         self._query_epsilon = query_epsilon
         self._round_answers = round_answers
 

@@ -20,9 +20,9 @@ reproduction run gets near that.
 
 Server-side, every ciphertext of a table lives in one contiguous
 capacity-doubling ``(n, CIPHERTEXT_SIZE)`` ``uint8`` ndarray
-(:class:`CiphertextArena`).  :meth:`RecordCipher.encrypt_many_into` seals a
-batch and copies it into reserved arena rows at once; the arena's row shape
-*is* the length validation.  :class:`ArenaRecord` is a zero-copy view
+(:class:`CiphertextArena`).  :meth:`RecordCipher.encrypt_many_into`
+serializes a whole batch, reserves its rows once and writes each record's
+ciphertext straight into its own row.  :class:`ArenaRecord` is a zero-copy view
 (handle -> arena row) exposing the same ``ciphertext``/``handle``/
 ``size_bytes`` surface as the owning :class:`EncryptedRecord` that
 :meth:`RecordCipher.encrypt` / :meth:`RecordCipher.encrypt_many` return.
@@ -37,12 +37,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import os
+import struct
 import uuid
 import weakref
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from cryptography.exceptions import InvalidTag
@@ -77,9 +79,39 @@ TAG_SIZE: int = 16
 #: Total ciphertext size: nonce + padded body + authentication tag.
 CIPHERTEXT_SIZE: int = NONCE_SIZE + PLAINTEXT_BLOCK_SIZE + TAG_SIZE
 
+#: A plaintext block: 4-byte big-endian length, then the zero-padded payload.
+_pack_block = struct.Struct(f">I{PLAINTEXT_BLOCK_SIZE - 4}s").pack
+
 #: CPython's C-accelerated JSON string escaper (the exact function
 #: ``json.dumps`` uses with the default ``ensure_ascii=True``).
 _escape_json_string = json.encoder.encode_basestring_ascii
+
+#: Memo of :func:`_compile_layout` by ``(table, *keys)`` in insertion order;
+#: it never changes an output, and clears at 1024 shapes.
+_LAYOUTS: dict[tuple, tuple[str, Callable[[list], tuple]]] = {}
+
+
+def _json_literal(text: str) -> str:
+    """``text`` as a JSON string literal, ``%``-escaped for a template."""
+    return _escape_json_string(text).replace("%", "%%")
+
+
+def _compile_layout(table: str, keys: tuple[str, ...]) -> tuple[str, Callable]:
+    """A record shape's ``%``-template, with the table name and the sorted,
+    escaped ``"key":`` prefixes filled in, and the getter that puts a
+    record's scalars (``arrival_time``, ``is_dummy``, then its values in
+    insertion order) into template order."""
+    if len(_LAYOUTS) >= 1024:
+        _LAYOUTS.clear()
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    fields = ",".join(f"{_json_literal(keys[index])}:%s" for index in order)
+    template = (
+        f'{{"arrival_time":%s,"is_dummy":%s,"table":{_json_literal(table)},'
+        f'"values":{{{fields}}}}}'
+    )
+    layout = template, operator.itemgetter(0, 1, *(index + 2 for index in order))
+    _LAYOUTS[(table, *keys)] = layout
+    return layout
 
 
 @dataclass(frozen=True)
@@ -204,11 +236,6 @@ class CiphertextArena:
         return int(self._data.shape[0])
 
     @property
-    def nbytes(self) -> int:
-        """Bytes held by the ciphertext buffer (capacity, not just size)."""
-        return int(self._data.nbytes)
-
-    @property
     def grow_count(self) -> int:
         """How many times the backing buffer was reallocated by growth."""
         return self._grow_count
@@ -222,8 +249,8 @@ class CiphertextArena:
         if count < 0:
             raise ValueError("count must be non-negative")
         needed = self._size + count
-        if needed > self.capacity:
-            new_capacity = self.capacity
+        if needed > len(self._data):
+            new_capacity = len(self._data)
             while new_capacity < needed:
                 new_capacity *= 2
             data, handles = self._allocate(new_capacity)
@@ -238,6 +265,10 @@ class CiphertextArena:
     def set_handles(self, start: int, handles: Sequence[int]) -> None:
         """Record the cipher handles for rows ``start .. start+len(handles)``."""
         self._handles[start : start + len(handles)] = handles
+
+    def truncate(self, size: int) -> None:
+        """Drop every row from ``size`` on (undoes :meth:`reserve` calls)."""
+        self._size = min(self._size, size)
 
     def compact(self) -> None:
         """Shrink the backing buffers to exactly the used size.
@@ -696,11 +727,6 @@ class RecordCipher:
         cipher._next_handle = self._next_handle
         return cipher
 
-    def _mint_handles(self, n: int) -> list[int]:
-        start = self._next_handle
-        self._next_handle += n
-        return list(range(start, start + n))
-
     def _seal(self, blocks: Sequence[bytes]) -> bytes:
         """``nonce || body || tag`` for every padded block, joined.
 
@@ -731,7 +757,8 @@ class RecordCipher:
     def encrypt(self, record: Record) -> EncryptedRecord:
         """Encrypt ``record`` into a fixed-size :class:`EncryptedRecord`."""
         ciphertext = self._seal([self._serialize(record)])
-        return EncryptedRecord(ciphertext=ciphertext, handle=self._mint_handles(1)[0])
+        self._next_handle += 1
+        return EncryptedRecord(ciphertext=ciphertext, handle=self._next_handle - 1)
 
     def encrypt_many(self, records: Iterable[Record]) -> list[EncryptedRecord]:
         """Encrypt a batch of records into owning :class:`EncryptedRecord`\\ s.
@@ -748,19 +775,30 @@ class RecordCipher:
     ) -> list[int]:
         """Encrypt a batch straight into reserved arena rows; return handles.
 
-        Every record is serialized before any row is reserved, so an
-        oversized record leaves the arena untouched.  The joined ciphertexts
-        land in the reserved rows with one buffer copy, which also checks
-        the fixed ciphertext size for the whole batch at once.
+        Every record is serialized -- and so validated -- before any row is
+        reserved, so an oversized record leaves the arena untouched.  Then
+        each record's ``nonce || body || tag`` is written into its own row,
+        where the slice assignment checks that row's ciphertext length.
         """
-        n = len(records)
+        blocks = list(map(self._serialize, records))
+        n = len(blocks)
         if n == 0:
             return []
-        sealed = self._seal([self._serialize(record) for record in records])
-        memoryview(arena.reserve(n)).cast("B")[:] = sealed
-        handles = self._mint_handles(n)
-        arena.set_handles(len(arena) - n, handles)
-        return handles
+        nonces = os.urandom(NONCE_SIZE * n)
+        encrypt = self._aead.encrypt
+        first, start = self._next_handle, len(arena)
+        self._next_handle += n
+        with arena.reserve(n).data.cast("B") as rows:
+            slots = arena._handles
+            for index, block in enumerate(blocks):
+                nonce = nonces[index * NONCE_SIZE : (index + 1) * NONCE_SIZE]
+                row = index * CIPHERTEXT_SIZE
+                rows[row : row + NONCE_SIZE] = nonce
+                rows[row + NONCE_SIZE : row + CIPHERTEXT_SIZE] = encrypt(
+                    nonce, block, None
+                )
+                slots[start + index] = first + index
+        return list(range(first, first + n))
 
     def decrypt(self, encrypted: "EncryptedRecord | ArenaRecord") -> Record:
         """Decrypt an encrypted record (either storage layout) back to a
@@ -804,48 +842,43 @@ class RecordCipher:
 
     @staticmethod
     def _record_json(record: Record) -> str | None:
-        """Hand-rolled canonical JSON for the common scalar-valued record.
+        """Canonical JSON of a scalar-valued record through its compiled layout.
 
         Byte-for-byte equal to ``json.dumps(payload, sort_keys=True,
-        separators=(",", ":"))`` for records whose field values are plain
-        ``str`` / exact ``int`` / finite exact ``float`` / ``bool`` / ``None``
-        (every workload in the repository) -- the property test in
-        ``tests/test_edb_crypto.py`` pins the equality.  Returns ``None`` for
-        anything else (numpy scalars, containers, non-string keys, NaN/inf),
-        sending the record down the stock ``json.dumps`` path.
+        separators=(",", ":"))`` when the table and keys are plain ``str``,
+        ``arrival_time`` an ``int``, ``is_dummy`` a ``bool`` and every value a
+        plain ``str`` / ``int`` / finite ``float`` / ``bool`` / ``None`` (every
+        workload in the repository); ``test_compiled_codec_matches_json_dumps``
+        in ``tests/test_edb_crypto.py`` pins the equality.  Returns ``None``
+        for anything else (numpy scalars, containers, ``str`` subclasses,
+        non-string keys, NaN/inf), sending the record down ``json.dumps``.
         """
-        if type(record.arrival_time) is not int or type(record.table) is not str:
+        table, arrival, dummy = record.table, record.arrival_time, record.is_dummy
+        if type(table) is not str or type(arrival) is not int or type(dummy) is not bool:
             return None
-        parts = []
-        for key in sorted(record.values):
+        values = record.values
+        scalars = [arrival, "true" if dummy else "false"]
+        for key, value in values.items():
+            kind = type(value)
             if type(key) is not str:
                 return None
-            value = record.values[key]
-            if value is True:
-                scalar = "true"
-            elif value is False:
-                scalar = "false"
-            elif type(value) is int:
-                scalar = repr(value)
-            elif type(value) is float:
-                # json.dumps renders finite floats with float.__repr__ and
-                # non-finite ones as NaN/Infinity; only the former is common.
-                if value != value or math.isinf(value):
-                    return None
-                scalar = repr(value)
-            elif type(value) is str:
-                scalar = _escape_json_string(value)
+            if kind is int:
+                scalars.append(value)
+            elif kind is str:
+                scalars.append(_escape_json_string(value))
+            elif kind is bool:
+                scalars.append("true" if value else "false")
+            elif kind is float and math.isfinite(value):
+                # json.dumps spells finite floats with float.__repr__.
+                scalars.append(repr(value))
             elif value is None:
-                scalar = "null"
+                scalars.append("null")
             else:
                 return None
-            parts.append(f"{_escape_json_string(key)}:{scalar}")
-        return (
-            f'{{"arrival_time":{record.arrival_time!r},'
-            f'"is_dummy":{"true" if record.is_dummy else "false"},'
-            f'"table":{_escape_json_string(record.table)},'
-            f'"values":{{{",".join(parts)}}}}}'
+        template, reorder = _LAYOUTS.get((table, *values)) or _compile_layout(
+            table, tuple(values)
         )
+        return template % reorder(scalars)
 
     @staticmethod
     def _serialize(record: Record) -> bytes:
@@ -864,9 +897,7 @@ class RecordCipher:
                 f"record serialization of {len(raw)} bytes exceeds the "
                 f"{PLAINTEXT_BLOCK_SIZE - 4}-byte plaintext block"
             )
-        length_prefix = len(raw).to_bytes(4, "big")
-        padding = b"\x00" * (PLAINTEXT_BLOCK_SIZE - 4 - len(raw))
-        return length_prefix + raw + padding
+        return _pack_block(len(raw), raw)
 
     @staticmethod
     def _deserialize(plaintext: bytes) -> Record:

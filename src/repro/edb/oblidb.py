@@ -19,8 +19,6 @@ The simulator reproduces the observable behaviour that matters to DP-Sync:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.edb.base import EncryptedDatabase
 from repro.edb.cost_model import OBLIDB_COSTS, CostParameters
 from repro.edb.leakage import LeakageClass
@@ -41,12 +39,10 @@ class ObliDB(EncryptedDatabase):
         self,
         simulate_encryption: bool = False,
         cost_parameters: CostParameters = OBLIDB_COSTS,
-        rng: np.random.Generator | None = None,
     ) -> None:
         super().__init__(
             cost_parameters=cost_parameters,
             scheme_name="ObliDB",
             query_leakage_class=LeakageClass.L0,
             simulate_encryption=simulate_encryption,
-            rng=rng,
         )

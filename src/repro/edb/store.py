@@ -101,14 +101,15 @@ __all__ = [
     "restore_edb",
 ]
 
-#: On-disk format version stamped into every manifest.  Version 5: a
+#: On-disk format version stamped into every manifest.  Version 6: a
 #: manifest names its ``parent`` generation (``None`` for a full one),
 #: records and sealed blobs are AES-256-GCM (284-byte arena rows),
 #: ciphertexts live only in arenas (a delta carries no per-record object
-#: tails), and every shard is flat and append-only (a full generation
-#: carries no ORAM position maps).  Stores of earlier versions are refused
-#: rather than misread.
-STORE_VERSION: int = 5
+#: tails), every shard is flat and append-only (a full generation carries
+#: no ORAM position maps), only a Crypt-epsilon shard's state carries an
+#: RNG, and the update history pickles as named tuples.  Stores of earlier
+#: versions are refused rather than misread.
+STORE_VERSION: int = 6
 
 #: Random salt length for the at-rest key derivation.
 SALT_SIZE: int = 32

@@ -79,7 +79,9 @@ class _ColumnarTable:
     _dummy_buffer: np.ndarray | None = None
     _built: int = 0
 
-    def append(self, records: Iterable[Record]) -> None:
+    def append(self, records: Iterable[Record]) -> int:
+        """Append ``records`` in one pass; return how many are dummies."""
+        dummies = 0
         for record in records:
             row = record.values
             if self.attributes is None:
@@ -93,7 +95,10 @@ class _ColumnarTable:
                     self.uniform = False
             else:
                 self.uniform = False
+            if record.is_dummy:
+                dummies += 1
             self.dummies.append(record.is_dummy)
+        return dummies
 
     def __len__(self) -> int:
         return len(self.dummies)
@@ -269,10 +274,10 @@ class ColumnarExecutor(PlaintextExecutor):
         store = self._columnar[table] = _ColumnarTable()
         store.append(rows)
 
-    def append(self, table: str, records: Iterable[Record]) -> None:
+    def append(self, table: str, records: Iterable[Record]) -> int:
         rows = list(records)
-        super().append(table, rows)
-        self._columnar.setdefault(table, _ColumnarTable()).append(rows)
+        self.tables.setdefault(table, []).extend(rows)
+        return self._store(table).append(rows)
 
     # -- execution ----------------------------------------------------------
 

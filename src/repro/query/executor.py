@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from repro.edb.records import Record
+from repro.edb.records import Record, count_dummy
 from repro.query.ast import (
     AggregationKind,
     CountNode,
@@ -77,9 +77,11 @@ class PlaintextExecutor:
         """Register (replace) the contents of ``table``."""
         self.tables[table] = list(records)
 
-    def append(self, table: str, records: Iterable[Record]) -> None:
-        """Append records to ``table`` (creating it if needed)."""
-        self.tables.setdefault(table, []).extend(records)
+    def append(self, table: str, records: Iterable[Record]) -> int:
+        """Append records to ``table`` (creating it); return the dummy count."""
+        rows = list(records)
+        self.tables.setdefault(table, []).extend(rows)
+        return count_dummy(rows)
 
     def table_size(self, table: str) -> int:
         """Number of rows currently registered for ``table``."""

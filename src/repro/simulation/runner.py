@@ -97,14 +97,12 @@ def make_backend(
 
     ``simulate_encryption`` runs every record through the real
     :class:`~repro.edb.crypto.RecordCipher` into the table's ciphertext
-    arena.
+    arena.  ``seed`` seeds Crypt-epsilon's answer noise; ObliDB draws no
+    randomness.
     """
     key = name.lower()
     if key in ("oblidb", "obli-db", "l0"):
-        return lambda: ObliDB(
-            rng=np.random.default_rng(seed + 1),
-            simulate_encryption=simulate_encryption,
-        )
+        return lambda: ObliDB(simulate_encryption=simulate_encryption)
     if key in ("crypte", "crypt-epsilon", "crypteps", "ldp"):
         return lambda: CryptEpsilon(
             query_epsilon=crypte_query_epsilon,

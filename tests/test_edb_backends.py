@@ -7,6 +7,7 @@ import pytest
 
 from repro.edb.base import EncryptedDatabase, UnsupportedQueryError
 from repro.edb.cost_model import OBLIDB_COSTS
+from repro.edb.crypto import CiphertextArena, SharedCiphertextArena
 from repro.edb.crypte import CryptEpsilon
 from repro.edb.leakage import LeakageClass
 from repro.edb.oblidb import ObliDB
@@ -52,7 +53,7 @@ class TestProtocolLifecycle:
             edb.setup(make_records(2))
 
     def test_setup_then_update_then_query(self):
-        edb = ObliDB(rng=np.random.default_rng(0))
+        edb = ObliDB()
         edb.setup(make_records(5))
         edb.update(make_records(3, start=10), time=10)
         result = edb.query(Q2, time=10)
@@ -95,6 +96,80 @@ class TestProtocolLifecycle:
         edb = ObliDB(simulate_encryption=False)
         edb.setup(make_records(4))
         assert edb.ciphertexts("YellowCab") == ()
+
+
+def _oversized(table: Schema = SCHEMA) -> Record:
+    """A record whose serialization overflows the fixed plaintext block."""
+    return Record(
+        values={"pickupID": "x" * 400, "pickTime": 0}, arrival_time=1, table=table.name
+    )
+
+
+def _observables(edb: ObliDB) -> tuple:
+    arenas = [edb.ciphertext_arena(table) for table in (SCHEMA.name, GREEN.name)]
+    answers = (
+        tuple(edb.query(q, time=5).answer for q in (Q1, Q2, Q3)) if edb.is_setup else None
+    )
+    return (
+        edb.is_setup,
+        edb.outsourced_count,
+        edb.dummy_count,
+        edb.table_size(SCHEMA.name),
+        edb.table_size(GREEN.name),
+        edb.storage_bytes,
+        edb.update_history,
+        [None if arena is None else len(arena) for arena in arenas],
+        answers,
+    )
+
+
+class TestRejectedIngest:
+    """A Setup or Update that raises changes nothing: every record is
+    validated (serialized) before any state is written."""
+
+    @pytest.mark.parametrize(
+        "ingest",
+        [
+            lambda edb: edb.update(make_records(1, start=7) + [_oversized()], time=7),
+            lambda edb: edb.insert_many(
+                {SCHEMA.name: make_records(1, start=7) + [_oversized()]}, time=7
+            ),
+            lambda edb: edb.insert_many(
+                {
+                    SCHEMA.name: make_records(2, start=7),
+                    GREEN.name: [_oversized(GREEN)],
+                },
+                time=7,
+            ),
+        ],
+        ids=["update", "insert_many", "insert_many-two-tables"],
+    )
+    @pytest.mark.parametrize("arena", [CiphertextArena, SharedCiphertextArena])
+    def test_rejected_update_leaves_every_observable(self, ingest, arena):
+        edb = ObliDB(simulate_encryption=True)
+        edb.set_arena_factory(arena)
+        try:
+            edb.setup(make_records(2) + [make_dummy_record(SCHEMA, 0)])
+            before = _observables(edb)
+            with pytest.raises(ValueError, match="exceeds"):
+                ingest(edb)
+            assert _observables(edb) == before
+            edb.insert_many({SCHEMA.name: make_records(1, start=8)}, time=8)
+            assert edb.outsourced_count == len(edb.ciphertexts(SCHEMA.name)) == 4
+        finally:
+            edb.close()
+
+    def test_rejected_setup_can_be_retried(self):
+        edb = ObliDB(simulate_encryption=True)
+        before = _observables(edb)
+        with pytest.raises(ValueError, match="exceeds"):
+            edb.setup(make_records(2) + [_oversized(GREEN)])
+        assert _observables(edb) == before
+        assert not edb.is_setup
+        edb.setup(make_records(2))
+        assert edb.is_setup
+        assert edb.outsourced_count == len(edb.ciphertexts(SCHEMA.name)) == 2
+        assert [h.total_added for h in edb.update_history] == [2]
 
 
 class TestObliDB:

@@ -7,6 +7,8 @@ plaintext-dependent structure, round-trip correctness.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -251,3 +253,98 @@ class TestIndistinguishability:
         )
         decrypted = cipher.decrypt(cipher.encrypt(record))
         assert decrypted.values == {"pickupID": pickup, "pickTime": minute}
+
+
+def _canonical(record: Record) -> str:
+    payload = {
+        "values": dict(record.values),
+        "arrival_time": record.arrival_time,
+        "is_dummy": record.is_dummy,
+        "table": record.table,
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _block(encoded: str) -> bytes:
+    raw = encoded.encode()
+    return len(raw).to_bytes(4, "big") + raw + b"\x00" * (PLAINTEXT_BLOCK_SIZE - 4 - len(raw))
+
+
+class _Key(str):
+    """A ``str`` subclass dictionary key."""
+
+
+_SCALARS = st.one_of(
+    st.text(max_size=12),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 1e300, -1e-300, 5e-324]),
+    st.booleans(),
+    st.none(),
+)
+
+
+class TestCanonicalCodec:
+    """``_serialize`` writes exactly the length-prefixed, zero-padded
+    ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` form: the
+    plaintext every stored row decrypts to."""
+
+    @given(
+        items=st.lists(
+            st.tuples(st.text(max_size=8), _SCALARS), max_size=6, unique_by=lambda kv: kv[0]
+        ),
+        table=st.text(max_size=10),
+        arrival=st.integers(min_value=0, max_value=2**40),
+        is_dummy=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_compiled_codec_matches_json_dumps(self, items, table, arrival, is_dummy):
+        # The list order is the record's key insertion order.
+        record = Record(
+            values=dict(items), arrival_time=arrival, is_dummy=is_dummy, table=table
+        )
+        encoded = _canonical(record)
+        assert RecordCipher._record_json(record) == encoded
+        if len(encoded.encode()) > PLAINTEXT_BLOCK_SIZE - 4:
+            with pytest.raises(ValueError, match="exceeds"):
+                RecordCipher._serialize(record)
+        else:
+            assert RecordCipher._serialize(record) == _block(encoded)
+
+    def test_equal_keys_in_any_order_share_one_plaintext(self):
+        forward = Record(values={"b": 1, "a": "x", "c": None}, table="T")
+        backward = Record(values={"c": None, "a": "x", "b": 1}, table="T")
+        assert RecordCipher._serialize(forward) == RecordCipher._serialize(backward)
+        assert RecordCipher._serialize(forward) == _block(_canonical(forward))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"v": float("nan")},
+            {"v": float("inf"), "w": 1},
+            {"v": -float("inf")},
+            {"v": np.float64(2.5)},
+            {"v": np.str_("numpy")},
+            {1: "int key", 2: 3},
+            {_Key("a"): 1, "b": 2},
+            {"a": 1, "nested": [1, 2]},
+        ],
+        ids=["nan", "inf", "-inf", "np.float64", "np.str_", "int-keys", "str-subclass-key", "list"],
+    )
+    def test_fallback_records_round_trip_through_an_arena(self, cipher, values):
+        # A plain record with the same key text compiles its layout first,
+        # so a str-subclass key must still take the fallback.
+        plain = Record(values={"a": 1, "b": 2}, arrival_time=3, table="T")
+        odd = Record(values=values, arrival_time=3, table="T")
+        assert RecordCipher._record_json(plain) == _canonical(plain)
+        assert RecordCipher._record_json(odd) is None
+        assert RecordCipher._serialize(odd) == _block(_canonical(odd))
+        arena = CiphertextArena()
+        cipher.encrypt_many_into([plain, odd, plain], arena)
+        decrypted = [cipher.decrypt(view) for view in arena.records()]
+        # The decrypted form of any record is what its canonical JSON parses to.
+        assert [_canonical(r) for r in decrypted] == [
+            _canonical(plain),
+            json.dumps(json.loads(_canonical(odd)), sort_keys=True, separators=(",", ":")),
+            _canonical(plain),
+        ]

@@ -71,9 +71,8 @@ def _run_with_captured_edb(
     edb_class = EDB_CLASSES[backend]
 
     def factory():
-        edb = edb_class(
-            rng=np.random.default_rng(7), simulate_encryption=simulate_encryption
-        )
+        noise = {"rng": np.random.default_rng(7)} if edb_class is CryptEpsilon else {}
+        edb = edb_class(simulate_encryption=simulate_encryption, **noise)
         created.append(edb)
         return edb
 

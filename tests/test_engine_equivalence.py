@@ -153,7 +153,7 @@ def test_held_noise_dp_ant_skips_ticks_equivalently(seed, monkeypatch):
             resample_comparison_noise=False,
         )
         owner = Owner(
-            schema=schema, strategy=strategy, edb=ObliDB(rng=np.random.default_rng(1))
+            schema=schema, strategy=strategy, edb=ObliDB()
         )
         owner.initialize([])
         return owner

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.owner import Owner
@@ -44,7 +43,7 @@ class Recorder(SyncStrategy):
 
 
 def make_owner(strategy, table="T", edb=None):
-    edb = edb if edb is not None else ObliDB(rng=np.random.default_rng(1))
+    edb = edb if edb is not None else ObliDB()
     owner = Owner(schema=Schema(table, ("v",)), strategy=strategy, edb=edb)
     owner.initialize([])
     return owner
@@ -89,7 +88,7 @@ class TestEngine:
     def test_updates_merge_across_owners_in_tick_order(self):
         """Each owner advances a whole segment alone, yet the shared EDB
         receives the Updates in the per-tick loop's order."""
-        edb = ObliDB(rng=np.random.default_rng(1))
+        edb = ObliDB()
         calls = []
         insert_many = edb.insert_many
 

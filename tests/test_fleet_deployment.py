@@ -60,7 +60,7 @@ def test_single_owner_deployment_matches_dpsync_bit_for_bit():
 
     dpsync = DPSync(
         SCHEMA,
-        edb=ObliDB(rng=np.random.default_rng(21)),
+        edb=ObliDB(),
         strategy="dp-timer",
         epsilon=0.5,
         period=12,
@@ -68,7 +68,7 @@ def test_single_owner_deployment_matches_dpsync_bit_for_bit():
     )
     dpsync.start([])
 
-    router = ShardRouter([ObliDB(rng=np.random.default_rng(21))])
+    router = ShardRouter([ObliDB()])
     deployment = Deployment(router, truth_source=IncrementalTruth())
     strategy = make_strategy(
         "dp-timer",
@@ -115,7 +115,7 @@ def test_single_owner_deployment_matches_dpsync_bit_for_bit():
 def test_build_spawns_independent_members():
     """Deployment.build: one strategy + noise stream per member, eps = max."""
     router = ShardRouter(
-        [ObliDB(rng=np.random.default_rng(i)) for i in range(2)], route_seed=1
+        [ObliDB() for _ in range(2)], route_seed=1
     )
     deployment = Deployment.build(
         SCHEMA,
@@ -160,7 +160,7 @@ def test_sibling_table_sources_fix_join_ground_truth():
     """Joins through a shared EDB see the complete logical database."""
     yellow = Schema(name="YellowCab", attributes=("pickupID", "pickTime"))
     green = Schema(name="GreenTaxi", attributes=("pickupID", "pickTime"))
-    edb = ObliDB(rng=np.random.default_rng(0))
+    edb = ObliDB()
     a = DPSync(yellow, edb=edb, strategy="sur", rng=np.random.default_rng(1))
     b = DPSync(green, edb=edb, strategy="sur", rng=np.random.default_rng(2))
     a.start([])
@@ -198,13 +198,13 @@ def test_register_sibling_rejects_self():
 
 def test_table_source_for_owned_table_is_rejected():
     """An external source for an owned table would double-count ground truth."""
-    edb = ObliDB(rng=np.random.default_rng(0))
+    edb = ObliDB()
     a = DPSync(SCHEMA, edb=edb, strategy="sur", rng=np.random.default_rng(1))
     b = DPSync(SCHEMA, edb=edb, strategy="sur", rng=np.random.default_rng(2))
     with pytest.raises(ValueError, match="already owned"):
         a.register_sibling(b)
     # ... and in the other order: adding an owner for a sourced table.
-    deployment = Deployment(ObliDB(rng=np.random.default_rng(3)))
+    deployment = Deployment(ObliDB())
     deployment.register_table_source("events", lambda: ())
     strategy = make_strategy(
         "sur",

@@ -140,7 +140,7 @@ class TestP3EventualConsistency:
 class TestP4Interoperability:
     @pytest.mark.parametrize("edb_factory", [ObliDB, CryptEpsilon])
     def test_same_strategy_runs_on_both_backends(self, edb_factory):
-        edb = edb_factory(rng=np.random.default_rng(5))
+        edb = edb_factory()
         dpsync = DPSync(
             SCHEMA,
             edb=edb,

@@ -21,7 +21,6 @@ import subprocess
 import sys
 import textwrap
 
-import numpy as np
 import pytest
 
 from repro.edb.oblidb import ObliDB
@@ -54,10 +53,7 @@ def _update_for(member_index: int, t: int) -> Record | None:
 
 def _build_deployment(executor: str = "processes") -> Deployment:
     router = ShardRouter(
-        [
-            ObliDB(rng=np.random.default_rng(60 + index), simulate_encryption=True)
-            for index in range(2)
-        ],
+        [ObliDB(simulate_encryption=True) for _ in range(2)],
         route_seed=9,
         executor=executor,
     )
@@ -134,12 +130,7 @@ def test_supervised_worker_kill_heals_in_place_and_restores_with_views(tmp_path)
 
     def build(supervised: bool) -> Deployment:
         router = ShardRouter(
-            [
-                ObliDB(
-                    rng=np.random.default_rng(60 + index), simulate_encryption=True
-                )
-                for index in range(2)
-            ],
+            [ObliDB(simulate_encryption=True) for _ in range(2)],
             route_seed=9,
             executor="processes",
             supervisor="on" if supervised else None,
@@ -442,10 +433,7 @@ def _golden(client: ShardWorkerClient, cipher) -> list:
 
 def test_router_key_rotation_preserves_payloads_and_rejects_old_key():
     router = ShardRouter(
-        [
-            ObliDB(rng=np.random.default_rng(80 + index), simulate_encryption=True)
-            for index in range(2)
-        ],
+        [ObliDB(simulate_encryption=True) for _ in range(2)],
         route_seed=4,
         executor="processes",
     )

@@ -23,7 +23,6 @@ import logging
 import os
 import signal
 
-import numpy as np
 import pytest
 
 from repro.edb import router as router_module
@@ -49,10 +48,7 @@ def _records(n: int, start: int = 0, time: int = 1) -> list[Record]:
 
 def _process_router(n_shards: int = 2, **backend_kwargs) -> ShardRouter:
     return ShardRouter(
-        [
-            ObliDB(rng=np.random.default_rng(40 + index), **backend_kwargs)
-            for index in range(n_shards)
-        ],
+        [ObliDB(**backend_kwargs) for _ in range(n_shards)],
         route_seed=3,
         executor="processes",
     )
@@ -121,7 +117,7 @@ def test_in_process_executors_report_no_worker_counters():
     """Threads/serial have no process boundary, so those counters stay zero."""
     for executor in ("threads", "serial"):
         router = ShardRouter(
-            [ObliDB(rng=np.random.default_rng(40 + i)) for i in range(2)],
+            [ObliDB() for _ in range(2)],
             route_seed=3,
             executor=executor,
         )

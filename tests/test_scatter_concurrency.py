@@ -55,9 +55,14 @@ QUERIES = [
 ]
 
 
+def _shard(backend, seed: int):
+    """One shard; only Crypt-epsilon draws randomness (its answer noise)."""
+    return backend(rng=np.random.default_rng(seed)) if backend is CryptEpsilon else backend()
+
+
 def _make_router(backend, n_shards: int, executor: str, seed: int = 5) -> ShardRouter:
     return ShardRouter(
-        [backend(rng=np.random.default_rng(seed + index)) for index in range(n_shards)],
+        [_shard(backend, seed + index) for index in range(n_shards)],
         route_seed=seed,
         executor=executor,
     )

@@ -49,17 +49,9 @@ def _record(table: str, key: int, value: int, dummy: bool, time: int) -> Record:
     )
 
 
-def _shards(n: int, cls=ObliDB, seed: int = 0):
-    return [cls(rng=np.random.default_rng(seed + index)) for index in range(n)]
-
-
-def _make_plain(seed: int = 0) -> ObliDB:
-    return ObliDB(rng=np.random.default_rng(seed))
-
-
 def _make_router(n_shards: int, seed: int = 0) -> ShardRouter:
     return ShardRouter(
-        [ObliDB(rng=np.random.default_rng(seed + index)) for index in range(n_shards)],
+        [ObliDB() for _ in range(n_shards)],
         route_seed=seed,
     )
 
@@ -97,7 +89,7 @@ def _ingest(edb, batches) -> None:
 @settings(max_examples=40, deadline=None)
 def test_routing_is_a_partition(batches, n_shards):
     """Every record lands on exactly one shard; shard sizes sum exactly."""
-    plain = _make_plain()
+    plain = ObliDB()
     router = _make_router(n_shards)
     _ingest(plain, batches)
     _ingest(router, batches)
@@ -126,8 +118,8 @@ def test_routing_is_a_partition(batches, n_shards):
 @settings(max_examples=30, deadline=None)
 def test_single_shard_router_is_byte_identical(batches):
     """K=1 routing forwards verbatim: all observables equal the plain EDB."""
-    plain = _make_plain(seed=9)
-    router = ShardRouter([ObliDB(rng=np.random.default_rng(9))])
+    plain = ObliDB()
+    router = ShardRouter([ObliDB()])
     _ingest(plain, batches)
     _ingest(router, batches)
 
@@ -157,7 +149,7 @@ def test_single_shard_router_is_byte_identical(batches):
 
 def test_single_shard_router_tallies_its_partition_metadata():
     """K=1 forwarding still commits each table's routed-record count."""
-    router = ShardRouter([ObliDB(rng=np.random.default_rng(9))])
+    router = ShardRouter([ObliDB()])
     (shard,) = router.shards
     router.setup([_record("T", i, i, False, 0) for i in range(5)])
     router.insert_many({"T": [_record("T", 5, 5, False, 1)]}, time=1)
@@ -169,7 +161,7 @@ def test_single_shard_router_tallies_its_partition_metadata():
 @settings(max_examples=30, deadline=None)
 def test_scatter_gather_answers_equal_unsharded(batches, n_shards):
     """Merged partial aggregates equal the unsharded answers at every point."""
-    plain = _make_plain()
+    plain = ObliDB()
     router = _make_router(n_shards)
     plain.setup([])
     router.setup([])
@@ -249,7 +241,7 @@ def test_sharded_query_cost_scales_down():
     """The gathered QET is the slowest shard: linear scans get ~K× cheaper."""
     n = 4000
     records = [_record("Alpha", i % 7, i % 50, False, 1) for i in range(n)]
-    plain = _make_plain()
+    plain = ObliDB()
     plain.setup([])
     plain.insert_many({"Alpha": records}, time=1)
     router = _make_router(4)
@@ -308,12 +300,12 @@ def test_failed_update_leaves_ordinals_unchanged(executor):
     clean = _make_router(2)
     if executor != "threads":
         router = ShardRouter(
-            [ObliDB(rng=np.random.default_rng(i)) for i in range(2)],
+            [ObliDB() for _ in range(2)],
             route_seed=0,
             executor=executor,
         )
         clean = ShardRouter(
-            [ObliDB(rng=np.random.default_rng(i)) for i in range(2)],
+            [ObliDB() for _ in range(2)],
             route_seed=0,
             executor=executor,
         )
@@ -339,9 +331,9 @@ def test_failed_update_leaves_ordinals_unchanged(executor):
 def test_mid_scatter_shard_failure_keeps_routing_staged():
     """A shard raising mid-scatter (after others may have ingested) still
     leaves ordinals uncommitted, so the retry partitions identically."""
-    flaky = _FlakyShard(ObliDB(rng=np.random.default_rng(1)))
+    flaky = _FlakyShard(ObliDB())
     router = ShardRouter(
-        [ObliDB(rng=np.random.default_rng(0)), flaky], route_seed=0, executor="serial"
+        [ObliDB(), flaky], route_seed=0, executor="serial"
     )
     clean = _make_router(2)
     router.setup([])
@@ -395,7 +387,7 @@ def test_join_count_histograms_preserves_noisy_floats():
 
 
 def test_wall_clock_stats_count_setup_attempts():
-    router = ShardRouter(_shards(2), route_seed=0, executor="serial")
+    router = ShardRouter([ObliDB() for _ in range(2)], route_seed=0, executor="serial")
     records = [_record("Alpha", i % 5, i, False, 0) for i in range(8)]
     router.setup(records, time=0)
     assert router.measured.setup_calls == 1

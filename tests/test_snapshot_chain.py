@@ -47,9 +47,7 @@ QUERIES = (
 #: Back-end configurations: an L-0 back-end and an L-DP one drawing query
 #: noise.
 BACKENDS = {
-    "oblidb": lambda seed: ObliDB(
-        rng=np.random.default_rng(seed), simulate_encryption=True
-    ),
+    "oblidb": lambda seed: ObliDB(simulate_encryption=True),
     "crypte": lambda seed: CryptEpsilon(
         rng=np.random.default_rng(seed), simulate_encryption=True
     ),
@@ -167,7 +165,8 @@ def _assert_equivalent(chain_edb, full_edb) -> None:
     assert _state(chain_edb) == _state(full_edb)
     for query in QUERIES:
         assert chain_edb.query(query, 99) == full_edb.query(query, 99)
-    assert chain_edb._rng.random(16).tolist() == full_edb._rng.random(16).tolist()
+    if isinstance(full_edb, CryptEpsilon):  # the only back-end that draws
+        assert chain_edb._rng.random(16).tolist() == full_edb._rng.random(16).tolist()
 
 
 @settings(
@@ -235,7 +234,7 @@ def test_chain_restore_equals_full_restore(
 
 
 def _fleet_edb(n: int) -> ObliDB:
-    edb = ObliDB(rng=np.random.default_rng(3), simulate_encryption=True)
+    edb = ObliDB(simulate_encryption=True)
     edb.setup(_rows(0, n, "int"))
     edb.register_view(QUERIES[2])
     for query in QUERIES[:3]:
@@ -268,7 +267,7 @@ def test_a_column_promoted_twice_in_one_delta_restores_exactly():
     """int64 -> float64 -> object inside one delta: the live buffer holds
     floats that went through float64, which only a whole-buffer tail
     reproduces (a prefix cast straight to object would hold ints)."""
-    edb = ObliDB(rng=np.random.default_rng(1), simulate_encryption=True)
+    edb = ObliDB(simulate_encryption=True)
     edb.setup(_rows(0, 4, "int"))
     edb.query(QUERIES[1], 1)  # consolidates an int64 "value" column
     base, marks = snapshot_generation(edb)

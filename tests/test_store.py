@@ -206,24 +206,26 @@ def test_torn_manifest_and_torn_blob_are_detected(tmp_path):
         EncryptedStore(tmp_path, passphrase="pw").manifest()
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 def test_earlier_manifest_versions_are_refused(tmp_path, version):
     """Stores of an earlier format are refused with their version named, not
     misread: version 1 predates AES-GCM, version 2 delta generations (no
     ``parent``), version 3 arena-only ciphertexts (its deltas carry
     per-record object tails), version 4 flat-only shards (its full
-    generations still carry ORAM position maps)."""
+    generations still carry ORAM position maps), version 5 RNG-free ObliDB
+    shards and named-tuple update histories (its ObliDB states still carry
+    an unused RNG)."""
     store = EncryptedStore(tmp_path)
     store.write_blob("a.bin", b"alpha")
     manifest = store.commit()
-    assert manifest["version"] == STORE_VERSION == 5
+    assert manifest["version"] == STORE_VERSION == 6
     assert manifest["parent"] is None
     manifest["version"] = version
     if version < 3:
         del manifest["parent"]
     (tmp_path / "MANIFEST.json").write_text(json.dumps(manifest))
     with pytest.raises(
-        StoreIntegrityError, match=f"manifest version {version} is not 5"
+        StoreIntegrityError, match=f"manifest version {version} is not 6"
     ):
         EncryptedStore(tmp_path).manifest()
 
@@ -383,7 +385,7 @@ def test_setup_starts_a_new_chain(tmp_path):
     """Setup fills the near-empty generation 0, so the generation after it
     is full and the next one a delta of it -- not a delta that outgrows its
     base and forces a fold right after."""
-    edb = ObliDB(rng=np.random.default_rng(3), simulate_encryption=True)
+    edb = ObliDB(simulate_encryption=True)
     shard = _supervised_shard(tmp_path, edb)
     try:
         shard.setup(_records(40))  # generation 2: full
@@ -400,7 +402,7 @@ def test_rotated_and_recovered_shards_start_a_new_chain(tmp_path):
     """After rotate_key every row was rewritten, and after a recovery the
     shard has replayed past its head: either way the next generation is
     full, and the chain restores the live shard exactly."""
-    edb = ObliDB(rng=np.random.default_rng(3), simulate_encryption=True)
+    edb = ObliDB(simulate_encryption=True)
     shard = _supervised_shard(
         tmp_path, edb, schedule=parse_fault_schedule("tornsnap@5")
     )
@@ -441,7 +443,7 @@ def test_router_payload_with_a_planner_key_still_restores():
     """Router payloads written before the scatter planner was removed carry
     a ``planner`` key; restore ignores it."""
     router = ShardRouter(
-        [ObliDB(rng=np.random.default_rng(i)) for i in range(2)],
+        [ObliDB() for _ in range(2)],
         route_seed=5,
         executor="serial",
     )
@@ -529,7 +531,7 @@ def test_record_cipher_pickles_key_and_handle_counter():
 def test_rotation_preserves_handles_and_golden_payloads():
     """Re-keying re-encrypts arena rows in place: same handles, same row
     indices, byte-identical decrypted payloads, old key rejected."""
-    edb = ObliDB(rng=np.random.default_rng(3), simulate_encryption=True)
+    edb = ObliDB(simulate_encryption=True)
     edb.setup(_records(40))
     edb.insert_many({"events": _records(20, start=40, time=2)}, time=2)
     old_cipher = edb._cipher
@@ -556,14 +558,14 @@ def test_rotation_preserves_handles_and_golden_payloads():
 
 def test_rotation_to_explicit_key_is_deterministic():
     key = os.urandom(32)
-    edb = ObliDB(rng=np.random.default_rng(3), simulate_encryption=True)
+    edb = ObliDB(simulate_encryption=True)
     edb.setup(_records(10))
     edb.rotate_key(key)
     assert edb._cipher.key == key
 
 
 def test_rotation_refuses_simulated_encryption_off():
-    edb = ObliDB(rng=np.random.default_rng(3))
+    edb = ObliDB()
     edb.setup(_records(10))
     with pytest.raises(RuntimeError):
         edb.rotate_key()

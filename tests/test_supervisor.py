@@ -74,7 +74,7 @@ def _records(n: int, start: int = 0, time: int = 1) -> list[Record]:
 
 
 def _edb(seed: int = 7) -> ObliDB:
-    return ObliDB(rng=np.random.default_rng(seed))
+    return ObliDB()
 
 
 def _supervised(
@@ -438,7 +438,7 @@ def test_supervised_stats_stay_monotonic_across_rebuilds(monkeypatch):
     depends on monotonicity."""
     monkeypatch.setattr("repro.fleet.supervisor._time.sleep", lambda s: None)
     router = ShardRouter(
-        [ObliDB(rng=np.random.default_rng(40 + i)) for i in range(2)],
+        [ObliDB() for _ in range(2)],
         route_seed=3,
         executor="processes",
         supervisor=SupervisorConfig(timeout_s=10.0),
@@ -489,7 +489,7 @@ records = [
 for trial in range(3):
     router = ShardRouter(
         [
-            ObliDB(rng=np.random.default_rng(40 + i), simulate_encryption=True)
+            ObliDB(simulate_encryption=True)
             for i in range(2)
         ],
         route_seed=3,
@@ -593,7 +593,7 @@ def test_worker_refuses_names_outside_the_surface():
 
 def test_supervisor_journals_exactly_the_mutating_entries(tmp_path):
     shard = SupervisedShard(
-        ObliDB(rng=np.random.default_rng(7), simulate_encryption=True),
+        ObliDB(simulate_encryption=True),
         0,
         SupervisorConfig(),
         None,
