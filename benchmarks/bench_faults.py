@@ -23,8 +23,8 @@ Emits ``BENCH_faults.json`` at the repository root with two sections:
   arm the threshold falls in and swamp the signal).  A single retry is
   allowed -- the floor is a regression tripwire, not a latency SLO.
 
-* ``recovery_latency`` -- per fault kind (kill, delay, drop, lostshm,
-  raise, tornsnap) against persistent worker processes: wall-clock spent
+* ``recovery_latency`` -- per fault kind (kill, delay, drop, raise,
+  tornsnap) against persistent worker processes: wall-clock spent
   inside recovery (teardown, snapshot restore, journal replay, worker
   respawn) per heal.  Informational -- absolute numbers depend on the
   container -- with correctness pinned: every kind heals, answers match

@@ -117,7 +117,6 @@ class EncryptedDatabase:
         self._cipher = RecordCipher() if simulate_encryption else None
         self._executor = ColumnarExecutor()
         self._arenas: dict[str, CiphertextArena] = {}
-        self._arena_factory: Callable[[], CiphertextArena] = CiphertextArena
         self._table_totals: dict[str, int] = {}
         self._table_dummies: dict[str, int] = {}
         self._update_history: list[UpdateResult] = []
@@ -349,38 +348,6 @@ class EncryptedDatabase:
         """The table's backing arena (``None`` until encryption stores a row)."""
         return self._arenas.get(table)
 
-    def set_arena_factory(self, factory: Callable[[], CiphertextArena]) -> None:
-        """Choose the arena class backing tables ingested *from now on*.
-
-        Shard worker processes call this at startup with
-        :class:`~repro.edb.crypto.SharedCiphertextArena` so their ciphertext
-        rows land in named shared memory the coordinator can read zero-copy.
-        Arenas that already exist keep their backend; shards are handed to
-        workers empty (before Setup), so in practice every arena is created
-        through the installed factory.
-        """
-        self._arena_factory = factory
-
-    def rebuild_arenas(self) -> None:
-        """Recreate every table arena through the installed factory.
-
-        Used after restoring a durable snapshot inside a shard worker:
-        restored arenas are process-local :class:`CiphertextArena`\\ s, and
-        the worker (which has just installed the shared-memory factory)
-        rebuilds them so the coordinator can attach by name again.  Rows,
-        handles and row indices are copied verbatim, so every outstanding
-        handle stays valid.
-        """
-        for table, arena in list(self._arenas.items()):
-            size = len(arena)
-            rebuilt = self._arena_factory()
-            if size:
-                rows = rebuilt.reserve(size)
-                rows[:] = arena._data[:size]
-                rebuilt.set_handles(0, arena._handles[:size])
-            self._arenas[table] = rebuilt
-            arena.release()
-
     def rotate_key(self, new_key: bytes | None = None) -> RecordCipher:
         """Re-encrypt every stored ciphertext in place under a fresh key.
 
@@ -400,13 +367,8 @@ class EncryptedDatabase:
         return new_cipher
 
     def close(self) -> None:
-        """Release arena resources (shared-memory segments, if any).
-
-        Idempotent, and a no-op for plain in-process arenas; callers that may
-        hold process-backed or shared-arena EDBs should always close.
-        """
-        for arena in self._arenas.values():
-            arena.release()
+        """End-of-run hook shared with :class:`~repro.edb.router.ShardRouter`
+        (whose close stops workers); an in-process EDB holds nothing to free."""
 
     @property
     def cipher(self) -> RecordCipher | None:
@@ -466,7 +428,7 @@ class EncryptedDatabase:
                         continue
                     arena = self._arenas.get(table)
                     if arena is None:
-                        arena = self._arenas[table] = self._arena_factory()
+                        arena = self._arenas[table] = CiphertextArena()
                         created.append(table)
                     self._cipher.encrypt_many_into(rows, arena)
                     sealed.append((arena, len(rows)))
@@ -474,7 +436,7 @@ class EncryptedDatabase:
                 for arena, count in sealed:
                     arena.truncate(len(arena) - count)
                 for table in created:
-                    self._arenas.pop(table).release()
+                    del self._arenas[table]
                 raise
         num_records = dummies = 0
         for table, rows in by_table.items():

@@ -34,33 +34,24 @@ reproduction study's and has not been audited for production use.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import operator
 import os
 import struct
-import uuid
-import weakref
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from repro.edb.records import Record
-from repro.util.mp import attach_shared_memory
 
 __all__ = [
     "EncryptedRecord",
     "ArenaRecord",
-    "ArenaSegmentHandle",
-    "AttachedArenaView",
-    "ArenaSegmentCache",
     "CiphertextArena",
-    "SharedCiphertextArena",
     "RecordCipher",
     "CIPHERTEXT_SIZE",
 ]
@@ -191,6 +182,14 @@ class ArenaRecord:
         return f"ArenaRecord(handle={self.handle}, index={self._index})"
 
 
+def _allocate(capacity: int) -> tuple[np.ndarray, np.ndarray]:
+    """Backing buffers for ``capacity`` rows and their handles."""
+    return (
+        np.empty((capacity, CIPHERTEXT_SIZE), dtype=np.uint8),
+        np.empty(capacity, dtype=np.int64),
+    )
+
+
 class CiphertextArena:
     """All ciphertexts of one table in a single contiguous ``uint8`` ndarray.
 
@@ -204,28 +203,9 @@ class CiphertextArena:
     def __init__(self, initial_capacity: int = 64) -> None:
         if initial_capacity <= 0:
             raise ValueError("initial_capacity must be positive")
-        data, handles = self._allocate(initial_capacity)
-        self._adopt(data, handles)
+        self._data, self._handles = _allocate(initial_capacity)
         self._size = 0
         self._grow_count = 0
-
-    # -- storage backend (overridden by the shared-memory arena) --------------
-
-    def _allocate(self, capacity: int) -> tuple[np.ndarray, np.ndarray]:
-        """Allocate backing buffers for ``capacity`` rows (plus handles)."""
-        return (
-            np.empty((capacity, CIPHERTEXT_SIZE), dtype=np.uint8),
-            np.empty(capacity, dtype=np.int64),
-        )
-
-    def _adopt(self, data: np.ndarray, handles: np.ndarray) -> None:
-        """Swap in freshly allocated (and already filled) backing buffers."""
-        self._data = data
-        self._handles = handles
-
-    def release(self) -> None:
-        """Release any owned backing resources (no-op for process-local heap
-        arenas; the shared-memory arena unlinks its segment here)."""
 
     def __len__(self) -> int:
         return self._size
@@ -253,10 +233,10 @@ class CiphertextArena:
             new_capacity = len(self._data)
             while new_capacity < needed:
                 new_capacity *= 2
-            data, handles = self._allocate(new_capacity)
+            data, handles = _allocate(new_capacity)
             data[: self._size] = self._data[: self._size]
             handles[: self._size] = self._handles[: self._size]
-            self._adopt(data, handles)
+            self._data, self._handles = data, handles
             self._grow_count += 1
         start = self._size
         self._size = needed
@@ -281,10 +261,10 @@ class CiphertextArena:
         size = max(self._size, 1)
         # A fresh allocation (not a view) so the old full-capacity buffer
         # really is released once nothing else references it.
-        data, handles = self._allocate(size)
+        data, handles = _allocate(size)
         data[:] = self._data[:size]
         handles[:] = self._handles[:size]
-        self._adopt(data, handles)
+        self._data, self._handles = data, handles
 
     def row(self, index: int) -> memoryview:
         """Read-only zero-copy view of row ``index``."""
@@ -313,376 +293,6 @@ class CiphertextArena:
         view = self._data[: self._size]
         view.flags.writeable = False
         return view
-
-
-#: Per-row byte stride of a shared arena segment: one fixed-size ciphertext
-#: plus its ``int64`` handle (handles live in the same segment, after the
-#: ciphertext block, so one attach resolves both).
-_SEGMENT_ROW_STRIDE: int = CIPHERTEXT_SIZE + 8
-
-_arena_sequence = itertools.count()
-
-
-def _new_arena_id() -> str:
-    """A process-unique shared-arena id (also the /dev/shm name prefix)."""
-    return f"repro-arena-{os.getpid()}-{next(_arena_sequence)}-{uuid.uuid4().hex[:8]}"
-
-
-def _segment_views(
-    buffer: memoryview, capacity: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, handles) ndarray views over one segment buffer."""
-    data = np.ndarray(
-        (capacity, CIPHERTEXT_SIZE), dtype=np.uint8, buffer=buffer
-    )
-    handles = np.ndarray(
-        capacity,
-        dtype=np.int64,
-        buffer=buffer,
-        offset=capacity * CIPHERTEXT_SIZE,
-    )
-    return data, handles
-
-
-def _plain_arena_from_rows(
-    row_bytes: bytes, handle_bytes: bytes, size: int
-) -> "CiphertextArena":
-    """Rebuild a process-local arena from serialized rows (pickle support)."""
-    arena = CiphertextArena(initial_capacity=max(size, 1))
-    if size:
-        rows = arena.reserve(size)
-        rows[:] = np.frombuffer(row_bytes, dtype=np.uint8).reshape(
-            size, CIPHERTEXT_SIZE
-        )
-        arena._handles[:size] = np.frombuffer(handle_bytes, dtype=np.int64)
-    return arena
-
-
-def _reap_shared_segments(segments: dict) -> None:
-    """Unlink/close every segment a shared arena still owns.
-
-    Module-level (no reference back to the arena) so it can serve as a
-    ``weakref.finalize`` callback: it runs deterministically when the arena
-    is garbage collected *or* at interpreter exit -- whichever comes first --
-    instead of depending on ``__del__`` timing.  Unlinking is the part that
-    prevents ``/dev/shm`` leaks; a mapping pinned by a live numpy view is
-    released with the process.
-    """
-    for slot in ("current", "pending"):
-        segment = segments.get(slot)
-        if segment is None:
-            continue
-        segments[slot] = None
-        try:
-            segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already unlinked
-            pass
-        try:
-            segment.close()
-        except BufferError:  # pragma: no cover - a view still pins the map
-            pass
-    for segment in segments.get("retired", ()):
-        try:
-            segment.close()
-        except BufferError:  # pragma: no cover - still pinned
-            pass
-    segments["retired"] = []
-
-
-def _close_attached_segment(segment: shared_memory.SharedMemory) -> None:
-    """Detach one attached segment (``weakref.finalize`` callback)."""
-    try:
-        segment.close()
-    except BufferError:  # pragma: no cover - a row view is still alive
-        pass
-
-
-@dataclass(frozen=True)
-class ArenaSegmentHandle:
-    """Cross-process address of one ciphertext row: ``(segment_name, row)``.
-
-    Handles are minted by a :class:`SharedCiphertextArena` (typically inside
-    a shard worker process) and resolved by an :class:`ArenaSegmentCache` in
-    another process.  ``segment_name`` is the arena's segment at mint time;
-    growth and compaction copy rows verbatim at unchanged indices into a
-    fresh segment, so a stale handle still resolves correctly against the
-    arena's *current* segment once the swap has been published.
-    """
-
-    segment_name: str
-    row: int
-
-    @property
-    def arena_id(self) -> str:
-        """The owning arena's stable id (segment names are ``id.g<n>``)."""
-        return self.segment_name.rsplit(".g", 1)[0]
-
-
-class SharedCiphertextArena(CiphertextArena):
-    """A :class:`CiphertextArena` whose rows live in named shared memory.
-
-    Same contract and row layout as the in-process arena (the Hypothesis
-    suite pins byte-identity), but the backing buffer is a
-    ``multiprocessing.shared_memory`` segment named ``<arena_id>.g<n>``, so
-    another process can attach it by name and read ciphertext rows (and
-    their handles) zero-copy.  Growth doubles into a *fresh* named segment
-    (generation ``n+1``), copies rows verbatim and unlinks the old segment;
-    readers learn of the swap through :meth:`export_state` -- and because
-    rows are immutable once written, a reader still holding the old mapping
-    sees correct bytes for every row that existed before the swap.
-
-    The creating process owns the segment: call :meth:`release` to unlink it
-    when the arena is dropped (shard workers do this on shutdown).  As a
-    backstop, a ``weakref.finalize`` reaper unlinks the segments when the
-    arena is garbage collected or the interpreter exits -- unlike ``__del__``
-    this is deterministic at shutdown, so an unclosed arena can no longer
-    leak ``/dev/shm`` segments past process exit.
-
-    Pickling serializes the *contents* and reconstructs a process-local
-    :class:`CiphertextArena` (rows, handles and indices preserved verbatim):
-    a shared-memory mapping is only meaningful inside its creating host, so
-    snapshots and cross-process payloads always carry plain arenas.
-    """
-
-    def __init__(self, initial_capacity: int = 64, name: str | None = None) -> None:
-        self._arena_id = name if name is not None else _new_arena_id()
-        self._generation = 0
-        #: Mutable box owning the shm segments; shared with the finalizer so
-        #: the reaper never needs a reference back to ``self``.
-        self._segments: dict = {"current": None, "pending": None, "retired": []}
-        self._finalizer = weakref.finalize(
-            self, _reap_shared_segments, self._segments
-        )
-        super().__init__(initial_capacity)
-
-    # -- storage backend ------------------------------------------------------
-
-    def _allocate(self, capacity: int) -> tuple[np.ndarray, np.ndarray]:
-        segment = shared_memory.SharedMemory(
-            name=f"{self._arena_id}.g{self._generation + 1}",
-            create=True,
-            size=capacity * _SEGMENT_ROW_STRIDE,
-        )
-        self._generation += 1
-        self._segments["pending"] = segment
-        return _segment_views(segment.buf, capacity)
-
-    def _adopt(self, data: np.ndarray, handles: np.ndarray) -> None:
-        old = self._segments["current"]
-        self._segments["current"] = self._segments["pending"]
-        self._segments["pending"] = None
-        super()._adopt(data, handles)
-        if old is not None:
-            self._retire(old)
-
-    def _retire(self, segment: shared_memory.SharedMemory) -> None:
-        """Unlink a superseded segment; close it when no views pin it."""
-        try:
-            segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already unlinked
-            pass
-        try:
-            segment.close()
-        except BufferError:
-            # A numpy view over the old buffer is still alive somewhere;
-            # the mapping is released with the process (the name is gone
-            # already, so nothing leaks past process exit).
-            self._segments["retired"].append(segment)
-
-    def release(self) -> None:
-        """Unlink the current segment (idempotent; creator-side cleanup)."""
-        self._data = np.empty((0, CIPHERTEXT_SIZE), dtype=np.uint8)
-        self._handles = np.empty(0, dtype=np.int64)
-        # The finalizer doubles as the release implementation: it is
-        # idempotent (finalize callbacks run at most once) and detaching it
-        # here means a released arena costs nothing at GC/exit time.
-        self._finalizer()
-
-    def __reduce__(self):
-        return (
-            _plain_arena_from_rows,
-            (
-                self._data[: self._size].tobytes(),
-                self._handles[: self._size].tobytes(),
-                self._size,
-            ),
-        )
-
-    # -- publication ----------------------------------------------------------
-
-    @property
-    def arena_id(self) -> str:
-        """Stable id of this arena across growth/compaction swaps."""
-        return self._arena_id
-
-    @property
-    def generation(self) -> int:
-        """How many segments this arena has allocated so far."""
-        return self._generation
-
-    @property
-    def segment_name(self) -> str:
-        """Name of the current backing segment (``<arena_id>.g<n>``)."""
-        segment = self._segments["current"]
-        if segment is None:
-            raise RuntimeError("arena released")
-        return segment.name
-
-    def handle_for(self, index: int) -> ArenaSegmentHandle:
-        """The cross-process handle of row ``index``."""
-        if not 0 <= index < self._size:
-            raise IndexError(f"arena row {index} out of range (size {self._size})")
-        return ArenaSegmentHandle(segment_name=self.segment_name, row=index)
-
-    def export_state(self) -> dict:
-        """The published view of this arena: current segment name and size.
-
-        This is the "swap publication" message workers send the coordinator
-        after every ingest: feeding it to
-        :meth:`ArenaSegmentCache.publish` lets stale handles resolve against
-        the current segment.
-        """
-        return {
-            "arena_id": self._arena_id,
-            "segment_name": self.segment_name,
-            "size": self._size,
-            "generation": self._generation,
-        }
-
-
-class AttachedArenaView:
-    """Read-only attachment to one published shared-arena segment.
-
-    Exposes the same ``row``/``handle_at``/``record`` surface as the arena
-    itself, so :class:`ArenaRecord` views work identically whether they are
-    backed by the local arena or by an attachment in another process --
-    nothing downstream of the attach can tell the difference (and no bytes
-    are copied either way).
-    """
-
-    def __init__(self, segment_name: str, size: int) -> None:
-        # Arena ids embed the creating pid: an attach within the creator's
-        # own process (tests, single-process fleets) must leave the creator's
-        # resource-tracker registration alone.
-        created_here = segment_name.startswith(f"repro-arena-{os.getpid()}-")
-        self._segment = attach_shared_memory(segment_name, untrack=not created_here)
-        self._name = segment_name
-        self._finalizer = weakref.finalize(
-            self, _close_attached_segment, self._segment
-        )
-        capacity = len(self._segment.buf) // _SEGMENT_ROW_STRIDE
-        if size > capacity:
-            self._finalizer()
-            raise ValueError(
-                f"published size {size} exceeds segment capacity {capacity}"
-            )
-        self._data, self._handles = _segment_views(self._segment.buf, capacity)
-        self._size = size
-
-    def __len__(self) -> int:
-        return self._size
-
-    @property
-    def segment_name(self) -> str:
-        """Name of the attached segment."""
-        return self._name
-
-    def row(self, index: int) -> memoryview:
-        """Read-only zero-copy view of row ``index``."""
-        if not 0 <= index < self._size:
-            raise IndexError(f"arena row {index} out of range (size {self._size})")
-        return self._data[index].data.toreadonly()
-
-    def handle_at(self, index: int) -> int:
-        """Cipher handle of row ``index`` (read from the shared segment)."""
-        if not 0 <= index < self._size:
-            raise IndexError(f"arena row {index} out of range (size {self._size})")
-        return int(self._handles[index])
-
-    def record(self, index: int) -> ArenaRecord:
-        """Zero-copy :class:`ArenaRecord` over the attached row."""
-        if not 0 <= index < self._size:
-            raise IndexError(f"arena row {index} out of range (size {self._size})")
-        return ArenaRecord(self, index)
-
-    def records(self) -> tuple[ArenaRecord, ...]:
-        """Views of every published ciphertext, in insertion order."""
-        return tuple(ArenaRecord(self, index) for index in range(self._size))
-
-    def close(self) -> None:
-        """Detach from the segment (never unlinks -- the creator owns it)."""
-        self._data = np.empty((0, CIPHERTEXT_SIZE), dtype=np.uint8)
-        self._handles = np.empty(0, dtype=np.int64)
-        self._size = 0
-        self._finalizer()
-
-
-class ArenaSegmentCache:
-    """Coordinator-side resolver for :class:`ArenaSegmentHandle`\\ s.
-
-    Tracks, per arena id, the arena's *current* published segment (fed by
-    :meth:`publish` from worker ``export_state`` messages) and keeps one
-    attachment per segment.  Handles minted before a growth swap resolve
-    against the current segment -- row indices are invariant under growth
-    and compaction, which the shared-arena Hypothesis suite pins.
-    """
-
-    def __init__(self) -> None:
-        self._views: dict[str, AttachedArenaView] = {}
-        self._current: dict[str, dict] = {}
-
-    def publish(self, state: Mapping) -> AttachedArenaView:
-        """Record an arena's published state; return the current attachment.
-
-        Publishes are generation-ordered: a state older than the one already
-        known for the arena (a delayed/re-delivered message from before a
-        growth swap) is ignored rather than re-attached -- its segment name
-        is already unlinked, and rolling ``_current`` back would strand every
-        handle minted since the swap.
-        """
-        arena_id = state["arena_id"]
-        segment_name = state["segment_name"]
-        known = self._current.get(arena_id)
-        if known is not None:
-            if state["generation"] < known["generation"]:
-                return self.publish(known)
-            if known["segment_name"] != segment_name:
-                # The arena grew or compacted into a fresh segment: drop the
-                # superseded attachment (its name may already be unlinked).
-                stale = self._views.pop(known["segment_name"], None)
-                if stale is not None:
-                    stale.close()
-        self._current[arena_id] = dict(state)
-        view = self._views.get(segment_name)
-        if view is None or len(view) < state["size"]:
-            if view is not None:
-                view.close()
-            view = AttachedArenaView(segment_name, state["size"])
-            self._views[segment_name] = view
-        return view
-
-    def resolve(self, handle: ArenaSegmentHandle) -> ArenaRecord:
-        """Resolve a handle to a zero-copy record view.
-
-        The handle's own segment name is only a hint: resolution goes
-        through the arena's current published segment, so handles minted
-        before a growth/compaction swap stay valid.
-        """
-        state = self._current.get(handle.arena_id)
-        if state is None:
-            raise KeyError(
-                f"no published state for arena {handle.arena_id!r}; "
-                "feed export_state() to publish() first"
-            )
-        view = self.publish(state)
-        return view.record(handle.row)
-
-    def close(self) -> None:
-        """Detach every cached attachment (idempotent)."""
-        for view in self._views.values():
-            view.close()
-        self._views = {}
-        self._current = {}
 
 
 @dataclass
@@ -824,9 +434,8 @@ class RecordCipher:
         and that exact block is sealed under ``new_cipher`` with a fresh
         nonce -- no serialize round trip, so decrypted payloads are
         byte-identical before and after.  Rows, handles and row indices are
-        untouched, which keeps every outstanding :class:`ArenaRecord` /
-        :class:`ArenaSegmentHandle` valid.  Returns the number of rows
-        re-encrypted.
+        untouched, which keeps every outstanding :class:`ArenaRecord` valid.
+        Returns the number of rows re-encrypted.
         """
         n = len(arena)
         if n == 0:

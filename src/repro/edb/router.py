@@ -39,10 +39,11 @@ shard moves into a persistent worker process
 (:mod:`repro.edb.shard_worker`) that owns the shard's EDB, arenas and RNG
 stream, and the router's fan-out threads merely block on pipe round-trips
 (releasing the GIL) while workers compute truly in parallel; ciphertexts
-live in shared-memory arenas the coordinator reads zero-copy.  Shards are
-mutated only by their own call and partials are merged in shard-index
-order, so answers, transcripts and per-shard state are byte-identical under
-every executor (``tests/test_scatter_concurrency.py`` pins this).
+stay in each worker's own arenas, and the coordinator never reads them.
+Shards are mutated only by their own call and partials are merged in
+shard-index order, so answers, transcripts and per-shard state are
+byte-identical under every executor (``tests/test_scatter_concurrency.py``
+pins this).
 
 With ``K = 1`` every call is forwarded verbatim to the single shard, so a
 one-shard router is byte-identical to the unrouted back-end in every
@@ -90,7 +91,7 @@ logger = logging.getLogger(__name__)
 #: Supported shard fan-out executors: ``"threads"`` scatters protocol calls
 #: across a pool with one worker per shard; ``"serial"`` visits shards in a
 #: plain loop; ``"processes"`` moves each shard into a persistent worker
-#: process (true parallelism, shared-memory ciphertext arenas).  Observables
+#: process (true parallelism; each worker keeps its shard's arenas).  Observables
 #: are identical across all three; only wall clock moves.
 SHARD_EXECUTORS = ("threads", "serial", "processes")
 
@@ -104,9 +105,9 @@ def _release_router_resources(resources: dict) -> None:
 
     Module-level over a shared mutable box (no reference back to the router)
     so it can double as a ``weakref.finalize`` callback: worker processes
-    and their shared-memory arenas are reaped deterministically when the
-    router is garbage collected or the interpreter exits, instead of
-    depending on ``__del__`` timing.  Safe to call repeatedly --
+    and supervisor scratch are reaped deterministically when the router
+    is garbage collected or the interpreter exits, instead of depending
+    on ``__del__`` timing.  Safe to call repeatedly --
     ``client.close()`` is idempotent and the pool slot is cleared.
     """
     pool = resources.get("pool")

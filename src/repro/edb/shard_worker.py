@@ -7,13 +7,13 @@ process.  The division of labour:
 * :func:`shard_worker_main` is the worker loop: it owns the shard's
   :class:`~repro.edb.base.EncryptedDatabase` and serves the declared shard
   surface (:data:`~repro.edb.base.SHARD_SURFACE`: protocol commands, state
-  reads such as transcripts and sizes, the static facts) plus arena
-  publications over one duplex pipe, one command at a time; any name
-  outside that table is refused.  The
+  reads such as transcripts and sizes, the static facts) over one duplex
+  pipe, one command at a time; any name outside that table is refused.  The
   shard object crosses the process boundary exactly once, at startup (by
   fork inheritance on POSIX, one pickle on spawn platforms); afterwards only
   commands, answers and :class:`UpdateResult`/:class:`QueryResult` payloads
-  travel the pipe -- shard state never pickles again.
+  travel the pipe -- shard state never pickles again, except as the
+  snapshot generations a supervisor asks for.
 * :class:`ShardWorkerClient` is the coordinator-side proxy.  Its forwarding
   members are derived from the same table
   (:func:`~repro.edb.base.derive_surface`), so the router's scatter-gather
@@ -22,11 +22,12 @@ process.  The division of labour:
   ``supports`` answers from the cached cost model; every command and read
   is one synchronous round-trip.
 
-Ciphertexts written by a worker (``simulate_encryption=True``) land in
-:class:`~repro.edb.crypto.SharedCiphertextArena` segments, so the
-coordinator reads them zero-copy through an
-:class:`~repro.edb.crypto.ArenaSegmentCache` -- the worker publishes
-``(segment_name, size)`` swaps; bytes never travel the pipe.
+Ciphertexts written by a worker (``simulate_encryption=True``) stay in its
+own heap :class:`~repro.edb.crypto.CiphertextArena`\\ s, and its record key
+never leaves it: as in DP-Sync, the server holds the ciphertexts and no
+coordinator-side party reads them back.  Only a snapshot generation (the
+``generation`` command) carries the arenas out, as bytes for the durable
+store.
 
 Determinism: the worker executes commands strictly in arrival order against
 the very shard object (including its RNG stream state) the in-process
@@ -58,12 +59,6 @@ from repro.edb.base import (
     derive_surface,
     surface_names,
 )
-from repro.edb.crypto import (
-    ArenaSegmentCache,
-    RecordCipher,
-    SharedCiphertextArena,
-)
-from repro.util.mp import reap_process_segments
 
 __all__ = [
     "TransientShardError",
@@ -156,19 +151,6 @@ class ShardWorkerTimeout(TransientShardError):
         )
 
 
-def _shared_arena_factory() -> SharedCiphertextArena:
-    return SharedCiphertextArena()
-
-
-def _arena_states(shard: EncryptedDatabase) -> dict[str, dict]:
-    """Published ``export_state`` of every shared arena the shard holds."""
-    states: dict[str, dict] = {}
-    for table, arena in getattr(shard, "_arenas", {}).items():
-        if isinstance(arena, SharedCiphertextArena):
-            states[table] = arena.export_state()
-    return states
-
-
 def shard_worker_main(conn: Connection, shard: EncryptedDatabase, index: int) -> None:
     """Worker process entry point: serve shard commands until shutdown.
 
@@ -178,15 +160,6 @@ def shard_worker_main(conn: Connection, shard: EncryptedDatabase, index: int) ->
     carries the worker-side execution seconds so the coordinator can split
     its measured wall clock into shard compute vs boundary overhead.
     """
-    if getattr(shard, "set_arena_factory", None) is not None:
-        # Ciphertext arenas created from now on live in named shared memory
-        # so the coordinator can read rows zero-copy.  Fresh shards arrive
-        # empty; a shard restored from a durable snapshot arrives with
-        # process-local arenas, which are converted here (rows, handles and
-        # indices verbatim) so published handles resolve again.
-        shard.set_arena_factory(_shared_arena_factory)
-        if getattr(shard, "_arenas", None):
-            shard.rebuild_arenas()
     # Chaos arming state (repro.testing.chaos): a "chaos_delay" command makes
     # the worker sleep before serving the *next* real command (so the
     # coordinator's reply deadline fires); a "chaos_drop" makes it swallow the
@@ -216,8 +189,6 @@ def shard_worker_main(conn: Connection, shard: EncryptedDatabase, index: int) ->
                 _time.sleep(pending_delay_s)
                 pending_delay_s = 0.0
             if command == "shutdown":
-                for table_arena in getattr(shard, "_arenas", {}).values():
-                    table_arena.release()
                 conn.send(("ok", None, 0.0))
                 break
             started = _time.perf_counter()
@@ -241,8 +212,7 @@ def _dispatch(shard: EncryptedDatabase, command: str, args: tuple):
     kind = SHARD_SURFACE.get(command)
     if kind in (MUTATE, CALL):
         result = getattr(shard, command)(*args)
-        # A re-key's new cipher stays in the worker: the proxy fetches the
-        # key only when the coordinator asks for it (``cipher_key``).
+        # A re-key's new cipher stays in the worker: no key crosses the pipe.
         return None if command == "rotate_key" else result
     if command == "attr":
         (name,) = args
@@ -251,11 +221,6 @@ def _dispatch(shard: EncryptedDatabase, command: str, args: tuple):
         return getattr(shard, name)
     if command == "hello":
         return {name: getattr(shard, name) for name in surface_names(FACT)}
-    if command == "cipher_key":
-        cipher = getattr(shard, "cipher", None)
-        return None if cipher is None else cipher.key
-    if command == "arena_states":
-        return _arena_states(shard)
     if command == "generation":
         # Serialized worker-side so the bytes carry the authoritative shard
         # state (RNG stream, arenas) -- only the blob crosses the pipe, and
@@ -316,7 +281,6 @@ class ShardWorkerClient:
         # round-trips, the shutdown handshake and process joins.
         self._timeout_s = default_shard_timeout() if timeout_s is None else timeout_s
         self._lock = threading.Lock()
-        self._arena_cache: ArenaSegmentCache | None = None
         parent_conn, child_conn = context.Pipe()
         self._conn = parent_conn
         self._process = context.Process(
@@ -363,9 +327,6 @@ class ShardWorkerClient:
 
     def close(self) -> None:
         """Shut the worker down (idempotent; never hangs on a dead worker)."""
-        if self._arena_cache is not None:
-            self._arena_cache.close()
-            self._arena_cache = None
         if self._process.is_alive():
             try:
                 with self._lock:
@@ -382,10 +343,6 @@ class ShardWorkerClient:
         if self._process.is_alive():  # pragma: no cover - stuck worker
             self._process.terminate()
             self._process.join(timeout=self._timeout_s)
-        if self._process.exitcode not in (0, None):
-            # The worker died (or was killed) before its shutdown handshake
-            # released its arenas; sweep the named segments it left behind.
-            reap_process_segments(self._process.pid)
 
     #: Answered from the cached cost-model fact, without a pipe round-trip.
     supports = EncryptedDatabase.supports
@@ -410,42 +367,6 @@ class ShardWorkerClient:
     def chaos_drop(self) -> None:
         """Arm the worker to swallow its next real command without replying."""
         self._call("chaos_drop")
-
-    # -- zero-copy ciphertext access ------------------------------------------
-
-    @property
-    def cipher(self) -> RecordCipher | None:
-        """A coordinator-side cipher sharing the worker shard's current key.
-
-        ``None`` when the shard does not simulate encryption.  Decrypting a
-        zero-copy arena row with it proves the bytes in the shared segment
-        are the worker's real ciphertexts.  The key is fetched on every
-        access, so it is never stale after a ``rotate_key``.
-        """
-        key = self._call("cipher_key")
-        return None if key is None else RecordCipher(key=key)
-
-    def arena_cache(self) -> ArenaSegmentCache:
-        """The attachment cache resolving this shard's published arenas."""
-        if self._arena_cache is None:
-            self._arena_cache = ArenaSegmentCache()
-        return self._arena_cache
-
-    def ciphertexts(self, table: str) -> tuple:
-        """Zero-copy views of the worker's stored ciphertexts for ``table``.
-
-        Fetches the arena's published ``(segment_name, size)`` state (a tiny
-        control message), attaches the named segment and returns
-        :class:`~repro.edb.crypto.ArenaRecord` views over it -- ciphertext
-        bytes themselves never travel the pipe.  Returns ``()`` when the
-        shard holds no (shared) arena for the table.
-        """
-        states = self._call("arena_states")
-        state = states.get(table)
-        if state is None:
-            return ()
-        view = self.arena_cache().publish(state)
-        return view.records()
 
     def stats(self) -> tuple[float, float, int]:
         """Cumulative (busy_seconds, overhead_seconds, commands) counters."""

@@ -50,11 +50,6 @@ Layers, bottom up:
   :func:`snapshot_router` / :func:`restore_router` serialize a
   :class:`~repro.edb.router.ShardRouter` plus its routing state in full,
   pulling each process-backed shard's snapshot over the worker pipe.
-
-Restored arenas are always process-local :class:`~repro.edb.crypto.
-CiphertextArena`\\ s; a restored shard handed to a worker process converts
-them back to shared memory via
-:meth:`~repro.edb.base.EncryptedDatabase.rebuild_arenas`.
 """
 
 from __future__ import annotations
@@ -766,13 +761,13 @@ def snapshot_marks(edb: "EncryptedDatabase") -> dict:
 #: on restore; the rest of an EDB's ``__dict__`` is the small mutable state
 #: (RNG, cipher, counters, table totals) every generation ships whole.
 _APPEND_ONLY = ("_arenas", "_update_history", "_executor")
-_DERIVED = ("_views", "_arena_factory")
+_DERIVED = ("_views",)
 
 
 def snapshot_backend(
     edb: "EncryptedDatabase", since: Mapping | None = None
 ) -> bytes:
-    """Serialize one EDB back-end (plain or shared arenas) to bytes.
+    """Serialize one EDB back-end to bytes.
 
     ``since=None`` writes a *full* generation.  The whole non-arena state
     travels in a *single* pickle, which memoizes by identity: an object two
@@ -792,7 +787,6 @@ def snapshot_backend(
         return pickle.dumps(_delta_payload(edb, since))
     state = dict(edb.__dict__)
     arenas = state.pop("_arenas", {})
-    state.pop("_arena_factory", None)
     # Views are derived state: only the registered queries are persisted;
     # restore re-registers them and bootstraps from the restored tables.
     views = state.pop("_views", None)
@@ -854,10 +848,8 @@ def restore_backend(blob: bytes, *deltas: bytes) -> "EncryptedDatabase":
     """Rebuild an EDB from a full :func:`snapshot_backend` generation and
     the deltas of its chain, oldest first.
 
-    Arenas come back as process-local :class:`CiphertextArena`\\ s (workers
-    re-share them via ``rebuild_arenas``).  Each delta must extend exactly
-    the state restored so far, and a delta is never restored without its
-    base.
+    Each delta must extend exactly the state restored so far, and a delta is
+    never restored without its base.
     """
     payload = pickle.loads(blob)
     if payload.get("since") is not None:
@@ -868,7 +860,6 @@ def restore_backend(blob: bytes, *deltas: bytes) -> "EncryptedDatabase":
     cls = getattr(importlib.import_module(module_name), qualname)
     edb = cls.__new__(cls)
     edb.__dict__.update(payload["state"])
-    edb._arena_factory = CiphertextArena
     edb._arenas = {
         table: arena_from_bytes(*serialized)
         for table, serialized in payload["arenas"].items()
@@ -949,7 +940,7 @@ def restore_router(blob: bytes) -> "ShardRouter":
 
     Shards are restored first, then handed to the public constructor --
     under the process executor the workers inherit the restored state by
-    fork and re-share their arenas -- and finally the staged-ordinal
+    fork -- and finally the staged-ordinal
     routing state is reinstalled so post-restore records route exactly
     where an uninterrupted run would have sent them.
     """

@@ -236,7 +236,7 @@ class Deployment:
 
         Every blob is checksum-verified (and unsealed, when a passphrase
         was used); restored shard routers come back under their original
-        executor, with worker processes re-sharing the restored arenas.
+        executor; process workers inherit their restored shards by fork.
         """
         import pickle
 
@@ -360,9 +360,9 @@ class Deployment:
         """Release the shared EDB's resources (idempotent).
 
         Required for routers running the process shard executor, whose
-        worker processes and shared-memory ciphertext arenas outlive the
-        deployment object unless explicitly shut down; a no-op for plain
-        in-process back-ends.
+        worker processes outlive the deployment object unless explicitly
+        shut down, and for supervised routers, whose recovery scratch does;
+        a no-op for plain in-process back-ends.
         """
         close = getattr(self._edb, "close", None)
         if close is not None:

@@ -17,9 +17,8 @@ router call through one choke point that
   command journaled since -- queries included, because an L-DP back-end
   draws noise per query, and the rebuilt RNG stream must resume exactly
   where the dead worker's was.  Under the process executor the replayed
-  shard is handed to a fresh worker (fork inheritance), which re-shares its
-  ciphertext arenas into new shared-memory segments and re-registers its
-  views through the restore path;
+  shard is handed to a fresh worker (fork inheritance) with its heap
+  arenas and the views the restore path re-registered;
 * re-raises once ``max_retries`` rebuilds are spent (``max_retries=0``
   fails fast on the first transient error).  There is no mode that keeps
   serving without a shard: an answer is either complete or an error.
@@ -110,6 +109,32 @@ __all__ = [
 ]
 
 _SHARD_BLOB = "shard.pkl"
+
+#: Name prefix of a default scratch directory; the coordinator's pid and a
+#: random suffix follow it (``repro-supervisor-<pid>-<random>``).
+_SCRATCH_PREFIX = "repro-supervisor-"
+
+
+def _reap_dead_scratch(root: str) -> None:
+    """Remove every ``repro-supervisor-<pid>-*`` directory under ``root``
+    whose coordinator process is gone.
+
+    A run stopped by a signal (SIGTERM, SIGKILL) never reaches its close or
+    finalizer, so its tmpfs scratch would hold memory until reboot.  The
+    next supervisor sweeps it by pid: ``os.kill(pid, 0)`` failing with
+    ``ProcessLookupError`` means the process is gone, and ``PermissionError``
+    means it is alive under another user.
+    """
+    for entry in os.listdir(root):
+        pid, sep, _ = entry[len(_SCRATCH_PREFIX) :].partition("-")
+        if not (entry.startswith(_SCRATCH_PREFIX) and sep and pid.isdigit()):
+            continue
+        try:
+            os.kill(int(pid), 0)
+        except ProcessLookupError:
+            shutil.rmtree(os.path.join(root, entry), ignore_errors=True)
+        except PermissionError:
+            pass
 
 
 def resolve_supervisor_mode(mode: str) -> str:
@@ -202,8 +227,8 @@ class SupervisedShard:
     """One shard behind the supervisor's retry / rebuild loop.
 
     Exposes the declared shard surface of the object it wraps plus its
-    zero-copy helpers and worker stats, so the router's scatter-gather code
-    runs unchanged over supervised shards of any executor.
+    worker stats, so the router's scatter-gather code runs unchanged over
+    supervised shards of any executor.
     """
 
     def __init__(
@@ -342,9 +367,7 @@ class SupervisedShard:
         # The replayed shard is ahead of the head's marks: start a new chain.
         self._marks = None
         if self._executor == "processes":
-            # Fork inheritance carries the replayed state into a fresh
-            # worker, which re-shares its arenas into new shm segments and
-            # re-registers views via the restore path it just ran.
+            # Fork inheritance carries the replayed state into a fresh worker.
             self._live = ShardWorkerClient(
                 edb,
                 self.shard_index,
@@ -367,8 +390,7 @@ class SupervisedShard:
             process.join(timeout=self._config.resolved_timeout())
 
     def _teardown_live(self) -> None:
-        """Close the live shard; a healthy worker shuts down gracefully and
-        releases its own arenas."""
+        """Close the live shard; a healthy worker shuts down gracefully."""
         live, self._live = self._live, None
         if live is None:
             return
@@ -441,10 +463,6 @@ class SupervisedShard:
         if fault.kind == "drop":
             self._live.chaos_drop()
             return  # the swallowed command never gets a reply -> timeout
-        if fault.kind == "lostshm":
-            self._vanish_arena_segments()
-            self._crash_live(command)
-            return
         if fault.kind == "tornsnap":
             seq = self._snapshot_now()
             # Tear the fresh generation: without its manifest it is an
@@ -464,22 +482,6 @@ class SupervisedShard:
         if getattr(self._live, "process", None) is None:
             raise ChaosWorkerFault(self.shard_index, command)
         self._kill_worker()
-
-    def _vanish_arena_segments(self) -> None:
-        """Unlink the worker's published shm segments out from under it."""
-        from multiprocessing import shared_memory
-
-        try:
-            states = self._live._call("arena_states")
-        except TransientShardError:
-            return
-        for state in states.values():
-            try:
-                segment = shared_memory.SharedMemory(name=state["segment_name"])
-                segment.close()
-                segment.unlink()
-            except Exception:  # noqa: BLE001 - already gone is the goal
-                pass
 
     def _half_apply(self, command: str, args: tuple) -> None:
         """Tear the live shard's in-memory state mid-batch on purpose.
@@ -521,16 +523,6 @@ class SupervisedShard:
     def process(self):
         """The live worker process handle (``None`` for in-process shards)."""
         return getattr(self._live, "process", None)
-
-    @property
-    def cipher(self):
-        return getattr(self._live, "cipher", None)
-
-    def arena_cache(self):
-        return self._live.arena_cache()
-
-    def ciphertexts(self, table: str) -> tuple:
-        return self._live.ciphertexts(table)
 
     def stats(self) -> tuple[float, float, int]:
         """Monotonic (busy, overhead, commands) across worker generations."""
@@ -591,10 +583,17 @@ class ShardSupervisor:
             # has to survive *worker* deaths, never a host reboot, so a tmpfs
             # (when the platform has one) takes the fsync of every journal
             # append out of the ingest path -- the difference between a ~free
-            # supervision layer and a measurable one.
-            scratch_root = "/dev/shm" if os.path.isdir("/dev/shm") else None
+            # supervision layer and a measurable one.  A tmpfs holds memory
+            # until reboot, so the scratch a killed coordinator left there is
+            # swept first.
+            scratch_root = None
+            if os.path.isdir("/dev/shm"):
+                scratch_root = "/dev/shm"
+                _reap_dead_scratch(scratch_root)
             self._directory = Path(
-                tempfile.mkdtemp(prefix="repro-supervisor-", dir=scratch_root)
+                tempfile.mkdtemp(
+                    prefix=f"{_SCRATCH_PREFIX}{os.getpid()}-", dir=scratch_root
+                )
             )
             self._cleanup_base = True
         self.shards: list[SupervisedShard] = []

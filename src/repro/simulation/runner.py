@@ -211,7 +211,9 @@ class CellSpec:
     deadlines, bounded deterministic retry, snapshot+replay-log worker
     recovery), and ``faults`` injects a deterministic fault schedule in
     :func:`repro.testing.chaos.parse_fault_schedule` syntax (a non-empty
-    schedule implies supervision).  Recovery is byte-invisible in every
+    schedule implies supervision; the kinds in
+    :data:`~repro.testing.chaos.PROCESS_ONLY_KINDS` need
+    ``shard_executor="processes"``).  Recovery is byte-invisible in every
     paper-level observable; only measured wall clock and the health
     counters move.
     """
@@ -262,11 +264,20 @@ class CellSpec:
         object.__setattr__(self, "supervisor", supervisor)
         faults = str(self.faults or "")
         if faults:
-            from repro.testing.chaos import parse_fault_schedule
+            from repro.testing.chaos import PROCESS_ONLY_KINDS, parse_fault_schedule
 
-            # Validate (and normalize) the schedule syntax at cell-build
-            # time so a malformed --faults axis fails before any cell runs.
-            faults = parse_fault_schedule(faults).spec()
+            # Validate (and normalize) the schedule at cell-build time so a
+            # malformed --faults axis fails before any cell runs.
+            schedule = parse_fault_schedule(faults)
+            needs_worker = sorted(
+                {fault.kind for fault in schedule.pending} & PROCESS_ONLY_KINDS
+            )
+            if needs_worker and self.shard_executor != "processes":
+                raise ValueError(
+                    f"fault kinds {needs_worker} need a worker process: use "
+                    f"shard_executor='processes', not {self.shard_executor!r}"
+                )
+            faults = schedule.spec()
         object.__setattr__(self, "faults", faults)
         if self.queries is not None:
             object.__setattr__(self, "queries", tuple(self.queries))
@@ -968,8 +979,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--faults",
         default="",
         help="deterministic fault schedule, comma-separated kind[:shard]@N "
-        "terms (kinds: kill delay drop raise lostshm tornsnap), e.g. "
-        "'kill:1@3,raise@5'; implies --supervisor on",
+        "terms (kinds: kill delay drop raise tornsnap; kill, delay and drop "
+        "need --shard-executor processes), e.g. 'kill:1@3,raise@5'; implies "
+        "--supervisor on",
     )
     parser.add_argument(
         "--simulate-encryption",

@@ -222,7 +222,7 @@ class Simulation:
 
     @staticmethod
     def _close_edb(ctx: "_RunContext") -> None:
-        """Release EDB resources after a run (worker processes, shared memory).
+        """Release EDB resources after a run (workers, supervisor scratch).
 
         In-process back-ends make this a cheap no-op, but a run over a
         process-executor :class:`~repro.edb.router.ShardRouter` must always

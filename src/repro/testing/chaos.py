@@ -29,17 +29,15 @@ Fault kinds (``FAULT_KINDS``):
     Half-apply the command to the live shard, then raise
     :class:`ChaosWorkerFault` -- a worker failing *mid-batch* with torn
     in-memory state.  Works on every executor.
-``lostshm``
-    Unlink the worker's published shared-memory arena segments out from
-    under it, then kill it -- a vanished ``/dev/shm`` segment.
 ``tornsnap``
     Force a snapshot, tear it (delete its manifest), then crash the shard
     -- recovery must fall back to the previous durable generation and a
     longer replay.
 
-``kill``/``delay``/``drop``/``lostshm`` need a worker process and are
-silently skipped on the in-process executors; ``raise`` and ``tornsnap``
-exercise every executor.
+``kill``/``delay``/``drop`` need a worker process: a grid cell
+(:class:`~repro.simulation.runner.CellSpec`) refuses them on the in-process
+executors, and a router built directly skips them there; ``raise`` and
+``tornsnap`` exercise every executor.
 """
 
 from __future__ import annotations
@@ -67,12 +65,11 @@ FAULT_KINDS: tuple[str, ...] = (
     "delay",
     "drop",
     "raise",
-    "lostshm",
     "tornsnap",
 )
 
 #: Kinds that require a worker process (skipped on threads/serial executors).
-PROCESS_ONLY_KINDS: frozenset[str] = frozenset({"kill", "delay", "drop", "lostshm"})
+PROCESS_ONLY_KINDS: frozenset[str] = frozenset({"kill", "delay", "drop"})
 
 
 class ChaosWorkerFault(TransientShardError):

@@ -11,14 +11,8 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from multiprocessing import shared_memory
 
-__all__ = [
-    "preferred_mp_context",
-    "usable_cpus",
-    "attach_shared_memory",
-    "reap_process_segments",
-]
+__all__ = ["preferred_mp_context", "usable_cpus"]
 
 
 def preferred_mp_context(
@@ -50,69 +44,3 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
-
-
-def attach_shared_memory(
-    name: str, untrack: bool = True
-) -> shared_memory.SharedMemory:
-    """Attach to an existing named shared-memory segment without owning it.
-
-    On Python >= 3.13 this is ``SharedMemory(name, track=False)``; on older
-    versions attaching also registers the segment with the process-wide
-    resource tracker, which would unlink it when *this* process exits even
-    though the creating worker still owns it -- so the registration is
-    undone immediately.  Either way the caller must :meth:`close` (never
-    ``unlink``) the returned handle; unlinking is the creator's job.
-
-    Pass ``untrack=False`` when the *current* process created the segment:
-    attaching then re-registers a name the tracker already knows (a no-op),
-    and undoing it would cancel the creator's own registration -- losing the
-    crash backstop and making the creator's eventual ``unlink`` a double
-    unregister.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, create=False, track=False)
-    except TypeError:  # Python < 3.13: no track parameter
-        segment = shared_memory.SharedMemory(name=name, create=False)
-        if untrack:
-            try:  # pragma: no cover - registry internals differ across versions
-                from multiprocessing import resource_tracker
-
-                resource_tracker.unregister(segment._name, "shared_memory")
-            except Exception:
-                pass
-        return segment
-
-
-def reap_process_segments(pid: int) -> int:
-    """Unlink every arena segment a (dead) worker process left behind.
-
-    Arena segment names embed the creating pid
-    (``repro-arena-<pid>-...``), so a coordinator can sweep a SIGKILLed
-    worker's segments by name.  The killed worker never ran its release
-    path, and with the fork start method its resource-tracker registrations
-    live in a tracker shared with the coordinator -- which only reaps at
-    *coordinator* exit, far too late for a long-lived fleet that keeps
-    respawning workers.  Unlinking removes the names immediately; any
-    coordinator-side attachment still holding a mapping stays readable
-    until it is closed (POSIX shm semantics).
-
-    Returns the number of segments unlinked.  Callers must only pass the
-    pid of a process known to be dead.  No-op on platforms without a
-    ``/dev/shm`` filesystem (segments then die with the tracker).
-    """
-    shm_root = "/dev/shm"
-    prefix = f"repro-arena-{int(pid)}-"
-    try:
-        names = os.listdir(shm_root)
-    except OSError:  # pragma: no cover - non-Linux
-        return 0
-    reaped = 0
-    for entry in names:
-        if entry.startswith(prefix):
-            try:
-                os.unlink(os.path.join(shm_root, entry))
-                reaped += 1
-            except OSError:  # pragma: no cover - raced with the tracker
-                pass
-    return reaped

@@ -14,33 +14,36 @@ from repro.workload.generator import build_growing_database, poisson_arrivals
 from repro.workload.stream import GrowingDatabase
 
 
-def _leaked_arena_segments() -> list[str]:
-    """Shared-memory arena segments currently visible under /dev/shm."""
+def _supervisor_scratch() -> list[str]:
+    """Supervisor recovery scratch directories currently under /dev/shm."""
     shm = "/dev/shm"
     if not os.path.isdir(shm):  # pragma: no cover - non-Linux
         return []
-    return sorted(name for name in os.listdir(shm) if name.startswith("repro-arena-"))
+    return sorted(
+        name for name in os.listdir(shm) if name.startswith("repro-supervisor-")
+    )
 
 
 @pytest.fixture(scope="session", autouse=True)
-def no_leaked_arena_segments():
-    """Fail the session if any shared-memory arena segment outlives it.
+def no_leaked_supervisor_scratch():
+    """Fail the session if any supervisor scratch directory outlives it.
 
-    Every :class:`~repro.edb.crypto.SharedCiphertextArena` creates a named
-    POSIX segment; leaking one would fill ``/dev/shm`` across CI runs.  Any
-    test (or worker process) that creates shared arenas must release them --
-    this fixture is the backstop that keeps that contract honest.
+    A supervised router without a configured directory keeps its snapshots
+    and journal in ``/dev/shm/repro-supervisor-<pid>-*``, which holds memory
+    until it is removed; leaking one would fill ``/dev/shm`` across CI runs.
+    Every test that builds a supervised router must close it -- this
+    fixture is the backstop that keeps that contract honest.
 
-    A ``gc.collect()`` runs before the final scan: arena cleanup is
-    ``weakref.finalize``-based, so a dropped-but-uncollected arena is not a
-    leak -- only a segment that survives both an explicit release *and* a
+    A ``gc.collect()`` runs before the final scan: router teardown is
+    ``weakref.finalize``-based, so a dropped-but-uncollected router is not a
+    leak -- only scratch that survives both an explicit close *and* a
     collection is.
     """
-    before = _leaked_arena_segments()
+    before = _supervisor_scratch()
     yield
     gc.collect()
-    leaked = [name for name in _leaked_arena_segments() if name not in before]
-    assert not leaked, f"leaked shared-memory arena segments: {leaked}"
+    leaked = [name for name in _supervisor_scratch() if name not in before]
+    assert not leaked, f"leaked supervisor scratch directories: {leaked}"
 
 
 @pytest.fixture

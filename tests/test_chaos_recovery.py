@@ -23,7 +23,11 @@ from repro.edb.records import Record
 from repro.fleet.supervisor import SupervisorConfig
 from repro.query.ast import CountQuery
 from repro.simulation.runner import CellSpec, make_backend
-from repro.testing.chaos import parse_fault_schedule, random_fault_schedule
+from repro.testing.chaos import (
+    PROCESS_ONLY_KINDS,
+    parse_fault_schedule,
+    random_fault_schedule,
+)
 
 QUERY = CountQuery(table="events", label="Q1")
 
@@ -142,10 +146,10 @@ def test_recovery_is_byte_invisible_across_k_and_backends(backend, n_shards):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_all_six_fault_kinds_heal_on_the_process_executor(backend):
-    """One run through every fault kind -- kill, delay, drop, lostshm,
-    raise, tornsnap -- against persistent worker processes with real
-    shared-memory arenas; still byte-identical to the fault-free twin."""
-    faults = "delay:0@2,kill:1@3,drop:1@4,lostshm:0@5,raise:1@6,tornsnap:0@7"
+    """One run through every fault kind -- kill, delay, drop, raise,
+    tornsnap -- against persistent worker processes that encrypt; still
+    byte-identical to the fault-free twin."""
+    faults = "delay:0@2,kill:1@3,drop:1@4,raise:1@5,tornsnap:0@6"
     health = _differential(
         backend,
         2,
@@ -153,13 +157,13 @@ def test_all_six_fault_kinds_heal_on_the_process_executor(backend):
         executor="processes",
         simulate_encryption=True,
     )
-    assert health["recoveries"] == 6
+    assert health["recoveries"] == 5
 
 
 def test_process_only_kinds_are_skipped_in_process_less_executors():
-    """kill/delay/drop/lostshm need a worker process; on threads they are
-    silently skipped while raise/tornsnap still fire and heal."""
-    faults = "kill:0@2,delay:1@3,drop:0@4,lostshm:1@5,raise:1@6,tornsnap:0@7"
+    """kill/delay/drop need a worker process; on a router built with
+    threads they are skipped while raise/tornsnap still fire and heal."""
+    faults = "kill:0@2,delay:1@3,drop:0@4,raise:1@6,tornsnap:0@7"
     health = _differential("oblidb", 2, faults, executor="threads")
     assert health["recoveries"] == 2  # raise + tornsnap only
 
@@ -212,10 +216,30 @@ def test_fault_schedule_grid_syntax_round_trips():
 
 def test_cellspec_validates_the_robustness_axes():
     base = dict(strategy="dp-timer", backend="oblidb", scenario="taxi-yellow")
-    cell = CellSpec(**base, supervisor="ON", faults=" raise@2 , kill:1@3 ")
+    cell = CellSpec(
+        **base,
+        supervisor="ON",
+        faults=" raise@2 , kill:1@3 ",
+        shard_executor="processes",
+    )
     assert cell.supervisor == "on"
     assert cell.faults == "raise@2,kill:1@3"
     with pytest.raises(ValueError):
         CellSpec(**base, supervisor="maybe")
     with pytest.raises(ValueError):
         CellSpec(**base, faults="bogus@")
+
+
+@pytest.mark.parametrize("kind", sorted(PROCESS_ONLY_KINDS))
+@pytest.mark.parametrize("executor", ["threads", "serial"])
+def test_cellspec_rejects_process_only_faults_without_worker_processes(
+    kind, executor
+):
+    """A grid cell that schedules a fault only a worker process can take
+    fails when it is built, not by silently skipping the fault."""
+    base = dict(strategy="dp-timer", backend="oblidb", n_shards=2)
+    with pytest.raises(ValueError, match="worker process"):
+        CellSpec(**base, shard_executor=executor, faults=f"raise@2,{kind}:1@3")
+    # In-process kinds stay valid on every executor.
+    assert CellSpec(**base, shard_executor=executor, faults="raise@2").faults
+    assert CellSpec(**base, shard_executor="processes", faults=f"{kind}@3").faults

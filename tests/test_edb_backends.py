@@ -7,7 +7,6 @@ import pytest
 
 from repro.edb.base import EncryptedDatabase, UnsupportedQueryError
 from repro.edb.cost_model import OBLIDB_COSTS
-from repro.edb.crypto import CiphertextArena, SharedCiphertextArena
 from repro.edb.crypte import CryptEpsilon
 from repro.edb.leakage import LeakageClass
 from repro.edb.oblidb import ObliDB
@@ -144,20 +143,15 @@ class TestRejectedIngest:
         ],
         ids=["update", "insert_many", "insert_many-two-tables"],
     )
-    @pytest.mark.parametrize("arena", [CiphertextArena, SharedCiphertextArena])
-    def test_rejected_update_leaves_every_observable(self, ingest, arena):
+    def test_rejected_update_leaves_every_observable(self, ingest):
         edb = ObliDB(simulate_encryption=True)
-        edb.set_arena_factory(arena)
-        try:
-            edb.setup(make_records(2) + [make_dummy_record(SCHEMA, 0)])
-            before = _observables(edb)
-            with pytest.raises(ValueError, match="exceeds"):
-                ingest(edb)
-            assert _observables(edb) == before
-            edb.insert_many({SCHEMA.name: make_records(1, start=8)}, time=8)
-            assert edb.outsourced_count == len(edb.ciphertexts(SCHEMA.name)) == 4
-        finally:
-            edb.close()
+        edb.setup(make_records(2) + [make_dummy_record(SCHEMA, 0)])
+        before = _observables(edb)
+        with pytest.raises(ValueError, match="exceeds"):
+            ingest(edb)
+        assert _observables(edb) == before
+        edb.insert_many({SCHEMA.name: make_records(1, start=8)}, time=8)
+        assert edb.outsourced_count == len(edb.ciphertexts(SCHEMA.name)) == 4
 
     def test_rejected_setup_can_be_retried(self):
         edb = ObliDB(simulate_encryption=True)

@@ -9,8 +9,9 @@ the aggregate ``(t, |gamma_t|)`` update-pattern transcript and the finer
 per-shard transcripts.
 
 Also here: the key-rotation workflow fanned out through the process router
-(each worker re-encrypts its arena rows in place; handles stay valid and
-coordinator-side zero-copy reads decrypt under the new key only).
+(each worker re-encrypts its arena rows in place; handles stay valid and the
+rows, read out of each worker's snapshot generation, decrypt under the new
+key only).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.edb.oblidb import ObliDB
 from repro.edb.records import Record, Schema
 from repro.edb.router import ShardRouter
 from repro.edb.shard_worker import ShardWorkerClient, ShardWorkerDied
-from repro.edb.store import StoreIntegrityError
+from repro.edb.store import StoreIntegrityError, restore_backend
 from repro.fleet import Deployment
 from repro.query.ast import CountQuery
 from repro.simulation.simulator import Simulation
@@ -422,9 +423,14 @@ def test_resume_refuses_mismatched_configuration(tmp_path):
 # -- key rotation across the process router -----------------------------------
 
 
-def _golden(client: ShardWorkerClient, cipher) -> list:
-    """(handle, payload) pairs for every ciphertext the worker stores."""
-    views = client.ciphertexts("events")
+def _worker_shard(client: ShardWorkerClient) -> ObliDB:
+    """The worker's shard, rows and key included, out of its generation."""
+    return restore_backend(client.generation()[0])
+
+
+def _golden(shard: ObliDB, cipher) -> list:
+    """(handle, payload) pairs for every ciphertext the shard stores."""
+    views = shard.ciphertexts("events")
     return sorted(
         (view.handle, tuple(sorted(record.values.items())), record.arrival_time)
         for view, record in zip(views, cipher.decrypt_many(views))
@@ -439,20 +445,19 @@ def test_router_key_rotation_preserves_payloads_and_rejects_old_key():
     )
     try:
         router.setup([_record(t) for t in range(30)])
-        old_ciphers = [client.cipher for client in router.shards]
-        golden = [
-            _golden(client, cipher)
-            for client, cipher in zip(router.shards, old_ciphers)
-        ]
+        before = [_worker_shard(client) for client in router.shards]
+        old_ciphers = [shard.cipher for shard in before]
+        golden = [_golden(shard, shard.cipher) for shard in before]
         assert any(golden)  # the rotation below rewrites real rows
 
         router.rotate_key()
 
         for client, old_cipher, expected in zip(router.shards, old_ciphers, golden):
-            new_cipher = client.cipher
+            shard = _worker_shard(client)
+            new_cipher = shard.cipher
             assert new_cipher.key != old_cipher.key
-            assert _golden(client, new_cipher) == expected
-            views = client.ciphertexts("events")
+            assert _golden(shard, new_cipher) == expected
+            views = shard.ciphertexts("events")
             with pytest.raises(ValueError):
                 old_cipher.decrypt(views[0])
     finally:

@@ -1,4 +1,4 @@
-"""Process shard executor: worker lifecycle, crash robustness, zero-copy reads.
+"""Process shard executor: worker lifecycle, crash robustness, worker-held rows.
 
 The byte-identity of ``executor="processes"`` against ``serial``/``threads``
 is pinned by ``tests/test_scatter_concurrency.py``; this suite covers what is
@@ -8,12 +8,10 @@ is pinned by ``tests/test_scatter_concurrency.py``; this suite covers what is
   shard and the in-flight command -- never a hang on a dead pipe;
 * the measured ledger splits coordinator wall clock into per-shard worker
   busy time and serialization overhead, and only for the process executor;
-* ciphertexts written by a worker are read zero-copy by the coordinator out
-  of the published shared-memory segment (and decrypt with the worker's key),
-  including after the arena grows into a fresh segment;
-* workers and their shared-memory segments are torn down by ``close()``
-  (idempotent), so nothing leaks into ``/dev/shm`` -- the session-scoped
-  conftest fixture backstops this for the whole suite;
+* ciphertexts written by a worker stay in its heap arenas: they decrypt to
+  the inserted records when read out of its snapshot generation, and a live
+  process router puts nothing in ``/dev/shm`` but supervisor scratch;
+* workers are torn down by ``close()`` (idempotent);
 * the single-CPU footgun warning fires exactly once per concurrent executor.
 """
 
@@ -30,6 +28,7 @@ from repro.edb.oblidb import ObliDB
 from repro.edb.records import Record, Schema
 from repro.edb.router import ShardRouter, resolve_shard_executor
 from repro.edb.shard_worker import ShardWorkerClient, ShardWorkerDied
+from repro.edb.store import restore_backend
 from repro.query.ast import CountQuery
 
 SCHEMA = Schema(name="events", attributes=("key", "value"))
@@ -132,13 +131,12 @@ def test_in_process_executors_report_no_worker_counters():
 
 
 def test_coordinator_reads_worker_ciphertexts_zero_copy():
-    """Arena rows written in workers decrypt on the coordinator, zero-copy.
+    """Arena rows written in workers decrypt to the inserted records.
 
-    Each worker publishes its shared segment's name; the coordinator attaches
-    it and decrypts the rows with the worker's key -- the ciphertext bytes
-    themselves never travel the pipe.  160 records per shard force at least
-    one arena growth past the initial 64-row capacity, so the published
-    segment is a *later generation* than the first one created.
+    No product path reads a worker's rows or key back; the one path that
+    carries them out of the worker is its snapshot generation, so that is
+    where this test reads them.  160 records per shard force at least one
+    arena growth past the initial 64-row capacity inside the worker.
     """
     router = _process_router(n_shards=2, simulate_encryption=True)
     try:
@@ -147,24 +145,41 @@ def test_coordinator_reads_worker_ciphertexts_zero_copy():
         decrypted = []
         for client in router.shards:
             assert isinstance(client, ShardWorkerClient)
-            views = client.ciphertexts("events")
+            shard = restore_backend(client.generation()[0])
+            views = shard.ciphertexts("events")
             assert len(views) == client.table_size("events")
-            # Zero-copy: each row is a read-only memoryview into the attached
-            # segment, not bytes that crossed the pipe.
-            assert isinstance(views[0].ciphertext, memoryview)
-            assert views[0].ciphertext.readonly
-            cipher = client.cipher
-            assert cipher is not None
-            decrypted.extend(cipher.decrypt_many(views))
+            assert shard.cipher is not None
+            decrypted.extend(shard.cipher.decrypt_many(views))
         assert sorted(r.values["value"] for r in decrypted) == sorted(
             r.values["value"] for r in inserted
         )
         assert {r.table for r in decrypted} == {"events"}
     finally:
         router.close()
-    # Teardown unlinked every published segment.
-    if os.path.isdir("/dev/shm"):
-        assert not [f for f in os.listdir("/dev/shm") if f.startswith("repro-arena-")]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+def test_live_process_router_puts_only_supervisor_scratch_in_dev_shm():
+    """Workers keep their ciphertexts in heap arenas: while an encrypting,
+    supervised process router is live, the only ``/dev/shm`` entry it has
+    made is its supervisor's recovery scratch."""
+    before = set(os.listdir("/dev/shm"))
+    router = ShardRouter(
+        [ObliDB(simulate_encryption=True) for _ in range(2)],
+        route_seed=3,
+        executor="processes",
+        supervisor="on",
+    )
+    try:
+        router.setup(_records(200))
+        router.update(_records(100, start=200, time=2), time=2)
+        made = set(os.listdir("/dev/shm")) - before
+        assert made == {router.supervisor.directory.name}
+        assert router.supervisor.directory.name.startswith(
+            f"repro-supervisor-{os.getpid()}-"
+        )
+    finally:
+        router.close()
 
 
 def test_close_is_idempotent_and_unlinks_segments():
@@ -175,8 +190,6 @@ def test_close_is_idempotent_and_unlinks_segments():
     router.close()
     for process in processes:
         assert not process.is_alive()
-    if os.path.isdir("/dev/shm"):
-        assert not [f for f in os.listdir("/dev/shm") if f.startswith("repro-arena-")]
 
 
 def test_single_cpu_footgun_warns_once(monkeypatch, caplog):

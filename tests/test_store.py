@@ -11,10 +11,7 @@ bugfixes that ride along in the same PR:
 * :class:`~repro.edb.crypto.RecordCipher` pickles (key + handle counter)
   and rotates: re-keying an EDB re-encrypts every arena row in place
   without invalidating handles, with decrypted payloads byte-identical
-  and the *old* key failing authentication afterwards;
-* :class:`~repro.edb.crypto.ArenaSegmentCache` ignores out-of-order
-  (stale-generation) publishes, so handles into the newest segment keep
-  resolving.
+  and the *old* key failing authentication afterwards.
 """
 
 from __future__ import annotations
@@ -29,14 +26,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.edb.crypto import (
-    NONCE_SIZE,
-    TAG_SIZE,
-    ArenaSegmentCache,
-    CiphertextArena,
-    RecordCipher,
-    SharedCiphertextArena,
-)
+from repro.edb.crypto import NONCE_SIZE, TAG_SIZE, CiphertextArena, RecordCipher
 from repro.edb.oblidb import ObliDB
 from repro.edb.records import Record, Schema
 from repro.edb.store import (
@@ -578,34 +568,3 @@ def test_reencrypt_arena_rejects_corrupt_rows():
     arena._data[2, 40] ^= 0xFF
     with pytest.raises(ValueError, match="authentication"):
         cipher.reencrypt_arena(arena, cipher.rotated())
-
-
-# -- segment cache: out-of-order generation guard -----------------------------
-
-
-def test_segment_cache_ignores_stale_generation_publish():
-    """A re-delivered older-generation publish must not evict the newer
-    segment: handles resolved through the cache keep pointing at the
-    newest rows."""
-    cipher = RecordCipher(key=os.urandom(32))
-    arena = SharedCiphertextArena(initial_capacity=4)
-    cache = ArenaSegmentCache()
-    try:
-        cipher.encrypt_many_into(_records(4), arena)
-        old_state = arena.export_state()
-        assert old_state["generation"] >= 1
-        # Growth moves the arena into a fresh, later-generation segment.
-        cipher.encrypt_many_into(_records(8, start=4, time=2), arena)
-        new_state = arena.export_state()
-        assert new_state["generation"] > old_state["generation"]
-
-        view = cache.publish(new_state)
-        fresh = [bytes(r.ciphertext) for r in view.records()]
-        # The stale publish (e.g. an out-of-order message) is ignored.
-        stale_view = cache.publish(old_state)
-        assert len(stale_view) == len(view)
-        assert [bytes(r.ciphertext) for r in stale_view.records()] == fresh
-        assert cipher.decrypt(stale_view.records()[11]).values["value"] == 11
-    finally:
-        cache.close()
-        arena.release()

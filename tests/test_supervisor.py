@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import inspect
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -472,10 +473,36 @@ def test_supervisor_scratch_directory_lifecycle(tmp_path):
     assert all(s.live is None for s in wrapped)
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no tmpfs scratch")
+def test_default_scratch_sweeps_dead_coordinators_only():
+    """A default-scratch supervisor removes the ``/dev/shm`` scratch of a
+    coordinator that died without closing (SIGTERM skips close), keeps a
+    live coordinator's, and names its own after its pid."""
+    finished = subprocess.Popen([sys.executable, "-c", "pass"])
+    finished.wait(timeout=30)
+    dead = Path("/dev/shm") / f"repro-supervisor-{finished.pid}-leftover"
+    live = Path("/dev/shm") / f"repro-supervisor-{os.getpid()}-sibling"
+    (dead / "shard-000").mkdir(parents=True)
+    live.mkdir()
+    supervisor = ShardSupervisor(SupervisorConfig(), None, "serial", WallClockStats())
+    try:
+        assert not dead.exists()
+        assert live.is_dir()
+        assert supervisor.directory.parent == Path("/dev/shm")
+        assert supervisor.directory.name.startswith(
+            f"repro-supervisor-{os.getpid()}-"
+        )
+    finally:
+        supervisor.close()
+        shutil.rmtree(dead, ignore_errors=True)
+        live.rmdir()
+        shutil.rmtree(supervisor.directory, ignore_errors=True)
+
+
 def test_supervised_close_shuts_workers_down_gracefully():
-    """close() gives a healthy worker its shutdown handshake, so the worker
-    releases its own shared-memory arenas: nothing is left behind for the
-    resource tracker to warn about.  Only a worker being replaced is killed."""
+    """close() gives a healthy worker its shutdown handshake: the run exits
+    cleanly, with nothing left for the resource tracker to warn about.  Only
+    a worker being replaced is killed."""
     script = """
 import numpy as np
 from repro.edb.oblidb import ObliDB
@@ -578,9 +605,12 @@ def test_worker_refuses_names_outside_the_surface():
     client = ShardWorkerClient(_edb(), 0, context, timeout_s=10.0)
     try:
         client.setup(_records(5))
-        # A real EncryptedDatabase method and attribute, but not declared.
+        # A real EncryptedDatabase method and attribute, but not declared:
+        # neither the rows nor the key ever leave the worker.
         with pytest.raises(ValueError, match="unknown shard-worker command"):
-            client._call("close")
+            client._call("ciphertexts", "events")
+        with pytest.raises(ValueError, match="unknown shard-worker command"):
+            client._call("cipher_key")
         with pytest.raises(AttributeError, match="not remotely readable"):
             client._call("attr", "cipher")
         with pytest.raises(AttributeError, match="not remotely readable"):
