@@ -810,7 +810,7 @@ def _delta_payload(edb: "EncryptedDatabase", since: Mapping) -> dict:
     executor = edb._executor
     executor_state = {
         key: value
-        for key, value in executor.__dict__.items()
+        for key, value in executor.__getstate__().items()
         if key not in ("tables", "_columnar")
     }
     empty = (0, 0, {})

@@ -623,6 +623,13 @@ class ShardSupervisor:
         return self.shards
 
     def close(self) -> None:
-        """Close every wrapper (idempotent; wrappers remove their scratch)."""
+        """Close every wrapper (idempotent; wrappers remove their scratch),
+        then the default scratch root, which is left behind otherwise when
+        no shard was wrapped or ``wrap`` failed part-way."""
         for shard in self.shards:
             shard.close()
+        if self._cleanup_base:
+            try:
+                self._directory.rmdir()
+            except OSError:
+                pass

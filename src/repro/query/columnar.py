@@ -4,21 +4,36 @@ The row-at-a-time :class:`~repro.query.executor.PlaintextExecutor` evaluates
 predicates with one Python call per record, which dominates end-to-end cost
 on Figure-2-scale runs (oblivious operators touch *every* outsourced record
 on *every* query).  :class:`ColumnarExecutor` keeps, next to the row mirror,
-one NumPy column per attribute plus an ``is_dummy`` column, and evaluates the
-paper's three query shapes in one vectorized pass each:
+one NumPy column per attribute plus an ``is_dummy`` column, and one small
+aggregate state per lowered plan for the paper's three query shapes:
 
-* ``COUNT(*) WHERE p``                  -- one boolean-mask reduction;
-* ``SELECT g, COUNT(*) ... GROUP BY g`` -- one factorize + bincount pass,
-  with groups emitted in first-appearance order so the answer dict is
-  *identical* (including iteration order, which the L-DP back-end's noise
+* ``COUNT(*) WHERE p``                  -- rows seen and the count;
+* ``SELECT g, COUNT(*) ... GROUP BY g`` -- rows seen and a ``Counter`` of
+  the groups, which lists them in first-appearance order, so the answer dict
+  is *identical* (including iteration order, which the L-DP back-end's noise
   draws depend on) to the row executor's ``Counter``;
-* ``COUNT(*)`` of an equi-join          -- per-side key histograms joined on
-  the intersection of key sets (the cost model still charges the oblivious
-  back-ends quadratically, matching the paper's O(N^2) discussion for Q3).
+* ``COUNT(*)`` of an equi-join          -- per side the rows seen, a key
+  histogram and the filtered size, plus the running pair count.
 
-Plans or predicates outside this fragment -- and columns that are not plain
-numeric arrays -- transparently fall back to the inherited row interpreter,
-so answers and :class:`~repro.query.executor.ExecutionStats` are always
+Tables only grow between queries, so a query evaluates its plan's
+predicates over the rows appended since the plan last ran (the *tail*) and
+folds them in: a count adds the tail's matches, a group-by counts the
+tail's keys, and a join adds ``ΔL·R' + L·ΔR`` (the insert delta of FO+MOD
+maintenance, Berkholz et al., PAPERS.md), which keeps self-joins exact.  A
+plan's first run folds the whole table.  A repeated query therefore costs
+O(rows since it last ran), while its :class:`ExecutionStats` still report
+the whole oblivious scan, and the cost model still charges it.
+
+A state starts over from row 0 when a column of a table it reads changes
+dtype (``_consolidate``'s ``astype`` promotion), and :meth:`register` drops
+every state.  States are derived: they are never pickled, so no snapshot
+generation carries them, and a restored executor rebuilds each on its plan's
+first query.  A plan that cannot be hashed folds from row 0 on every run.
+
+Plans or predicates outside this fragment -- columns that are not plain
+numeric arrays, NaN group or join keys, unknown attributes of a non-empty
+table -- transparently fall back to the inherited row interpreter, so
+answers and :class:`~repro.query.executor.ExecutionStats` are always
 bit-identical to the reference executor; only the constant factor changes.
 The differential suite (``tests/test_edb_differential.py``) pins exactly
 that contract.
@@ -26,7 +41,9 @@ that contract.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable
 
 import numpy as np
@@ -202,29 +219,41 @@ class _ColumnarTable:
         self._dummy_buffer = dummy
         self._built = size
 
-    def column(self, attribute: str) -> np.ndarray:
-        """Numeric column for ``attribute`` (raises ``_Unsupported`` otherwise)."""
+    def signature(self) -> tuple | None:
+        """The column dtypes, after consolidating: a fold over this table
+        stays valid while they hold (``None`` once rows are non-uniform)."""
+        if not self.uniform:
+            return None
+        self._consolidate()
+        return tuple(buffer.dtype for buffer in self._buffers.values())
+
+    def column(self, attribute: str, start: int = 0) -> np.ndarray:
+        """Numeric column for ``attribute`` from row ``start`` on (raises
+        ``_Unsupported`` otherwise).  A table with no rows yet reads as an
+        empty column under any attribute."""
         if not self.uniform:
             raise _Unsupported(f"non-uniform table rows for {attribute!r}")
         self._consolidate()
         buffer = self._buffers.get(attribute)
         if buffer is None:
-            raise _Unsupported(f"unknown attribute {attribute!r}")
+            if self._built:
+                raise _Unsupported(f"unknown attribute {attribute!r}")
+            return np.empty(0)
         if buffer.dtype.kind not in "biuf":
             raise _Unsupported(f"non-numeric column {attribute!r} ({buffer.dtype})")
-        return buffer[: self._built]
+        return buffer[start : self._built]
 
-    def group_column(self, attribute: str) -> np.ndarray:
+    def group_column(self, attribute: str, start: int = 0) -> np.ndarray:
         """Column usable as *group keys*: stricter than :meth:`column`.
 
-        ``.item()`` on an int64/float64 array yields a Python ``int``/
-        ``float``; that reproduces the row executor's key objects only when
-        the source values were homogeneously integral or homogeneously
+        ``.tolist()`` on an int64/float64 array yields Python ``int``/
+        ``float`` keys; that reproduces the row executor's key objects only
+        when the source values were homogeneously integral or homogeneously
         floating.  A column that mixes the two (``2`` and ``3.5``) would
         promote ``2`` to ``2.0`` -- equal under ``==`` but different under
         JSON serialization -- so mixed columns take the row fallback.
         """
-        array = self.column(attribute)
+        array = self.column(attribute, start)
         kinds = self._kinds.get(attribute, set())
         homogeneous = (
             all(k is bool or issubclass(k, np.bool_) for k in kinds)
@@ -235,20 +264,35 @@ class _ColumnarTable:
         )
         if not homogeneous:
             raise _Unsupported(f"mixed-type group column {attribute!r}")
-        if array.dtype.kind == "f" and np.isnan(array).any():
-            # np.unique collapses every NaN into one group, but the row
-            # executor's dict keeps distinct NaN objects as distinct keys
-            # (NaN != NaN): only the fallback reproduces that.
-            raise _Unsupported(f"NaN group keys in column {attribute!r}")
         return array
 
-    def dummy_mask(self) -> np.ndarray:
+    def dummy_mask(self, start: int = 0) -> np.ndarray:
         if not self.uniform:
             raise _Unsupported("non-uniform table rows")
         self._consolidate()
         if self._dummy_buffer is None:
             return np.zeros(0, dtype=bool)
-        return self._dummy_buffer[: self._built]
+        return self._dummy_buffer[start : self._built]
+
+
+@dataclass
+class _Fold:
+    """One plan's aggregate over the rows it has folded in so far.
+
+    ``signature`` holds its source tables' :meth:`_ColumnarTable.signature`
+    and ``rows`` how many rows of each it has folded.  ``total`` is a
+    count's answer (matching rows, or join pairs); ``counts`` holds a
+    group-by's per-group counts, or each join side's key histogram, and
+    ``sizes`` each join side's filtered row count.
+    """
+
+    signature: tuple
+    rows: tuple[int, ...]
+    total: int = 0
+    counts: tuple[Counter, Counter] = field(
+        default_factory=lambda: (Counter(), Counter())
+    )
+    sizes: tuple[int, int] = (0, 0)
 
 
 class ColumnarExecutor(PlaintextExecutor):
@@ -262,9 +306,21 @@ class ColumnarExecutor(PlaintextExecutor):
     def __init__(self, tables: dict[str, list[Record]] | None = None) -> None:
         super().__init__(tables or {})
         self._columnar: dict[str, _ColumnarTable] = {}
+        self._folds: dict[PlanNode, _Fold] = {}
         for table, rows in self.tables.items():
             store = self._columnar[table] = _ColumnarTable()
             store.append(rows)
+
+    def __getstate__(self) -> dict:
+        # Fold states are derived: no snapshot carries them, and a restored
+        # executor rebuilds each on its plan's first query.
+        state = dict(self.__dict__)
+        del state["_folds"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._folds = {}
 
     # -- ingestion ----------------------------------------------------------
 
@@ -273,6 +329,7 @@ class ColumnarExecutor(PlaintextExecutor):
         super().register(table, rows)
         store = self._columnar[table] = _ColumnarTable()
         store.append(rows)
+        self._folds.clear()
 
     def append(self, table: str, records: Iterable[Record]) -> int:
         rows = list(records)
@@ -295,77 +352,110 @@ class ColumnarExecutor(PlaintextExecutor):
         if isinstance(plan, CountNode):
             child = plan.child
             if isinstance(child, JoinNode):
-                answer = self._join_count(child, stats)
+                answer = self._join_count(plan, child, stats)
             else:
-                table, mask = self._source(child)
+                table = _table_of(child)
+                store = self._store(table)
+                fold = self._fold(plan, store)
+                start = fold.rows[0]
+                mask = self._source(child, store, start)
+                size = len(store)
+                fold.total += (
+                    size - start if mask is None else int(np.count_nonzero(mask))
+                )
+                fold.rows = (size,)
                 stats.rows_scanned += self._table_len(table)
-                answer = int(mask.sum()) if mask is not None else self._table_len(table)
+                answer = fold.total
             stats.rows_output = answer
             return answer, stats
         if isinstance(plan, GroupByCountNode):
-            table, mask = self._source(plan.child)
-            stats.rows_scanned += self._table_len(table)
+            table = _table_of(plan.child)
             store = self._store(table)
-            keys = store.group_column(plan.group_attribute)
-            if mask is not None:
-                keys = keys[mask]
-            return self._grouped_counts(keys), stats
+            fold = self._fold(plan, store)
+            keys = self._keys(
+                plan.child, plan.group_attribute, store, fold.rows[0], group=True
+            )
+            groups = fold.counts[0]
+            groups.update(keys.tolist())
+            fold.rows = (len(store),)
+            stats.rows_scanned += self._table_len(table)
+            return dict(groups), stats
         raise _Unsupported(f"plan shape {type(plan).__name__}")
 
-    def _join_count(self, join: JoinNode, stats: ExecutionStats) -> int:
-        left_table, left_mask = self._source(join.left)
-        right_table, right_mask = self._source(join.right)
+    def _join_count(self, plan: CountNode, join: JoinNode, stats: ExecutionStats) -> int:
+        left_table, right_table = _table_of(join.left), _table_of(join.right)
+        left, right = self._store(left_table), self._store(right_table)
+        fold = self._fold(plan, left, right)
+        left_start, right_start = fold.rows
+        left_tail = self._keys(join.left, join.left_attribute, left, left_start)
+        right_tail = self._keys(join.right, join.right_attribute, right, right_start)
+        # The join's insert delta is L·ΔR + ΔL·R', with R' = R + ΔR: exact
+        # when both sides grow, self-joins included.
+        left_tail, right_tail = left_tail.tolist(), right_tail.tolist()
+        left_counts, right_counts = fold.counts
+        fold.total += sum(map(left_counts.get, right_tail, repeat(0)))
+        right_counts.update(right_tail)
+        fold.total += sum(map(right_counts.get, left_tail, repeat(0)))
+        left_counts.update(left_tail)
+        fold.rows = (len(left), len(right))
+        fold.sizes = (
+            fold.sizes[0] + len(left_tail),
+            fold.sizes[1] + len(right_tail),
+        )
         stats.rows_scanned += self._table_len(left_table) + self._table_len(right_table)
-        left_keys = self._store(left_table).column(join.left_attribute)
-        right_keys = self._store(right_table).column(join.right_attribute)
-        if left_mask is not None:
-            left_keys = left_keys[left_mask]
-        if right_mask is not None:
-            right_keys = right_keys[right_mask]
-        stats.join_pairs += left_keys.size * right_keys.size
-        if not left_keys.size or not right_keys.size:
-            return 0
-        left_unique, left_counts = np.unique(left_keys, return_counts=True)
-        right_unique, right_counts = np.unique(right_keys, return_counts=True)
-        _, left_idx, right_idx = np.intersect1d(
-            left_unique, right_unique, assume_unique=True, return_indices=True
-        )
-        return int((left_counts[left_idx] * right_counts[right_idx]).sum())
+        stats.join_pairs += fold.sizes[0] * fold.sizes[1]
+        return fold.total
 
-    @staticmethod
-    def _grouped_counts(keys: np.ndarray) -> dict:
-        """Per-group counts with groups in first-appearance order.
+    def _fold(self, plan: PlanNode, *stores: _ColumnarTable) -> _Fold:
+        """``plan``'s aggregate state over ``stores``, started over when a
+        store's column dtypes changed since it was last extended."""
+        signature = tuple(store.signature() for store in stores)
+        try:
+            fold = self._folds.get(plan)
+        except TypeError:
+            # A plan holding unhashable predicate values keeps no state.
+            return _Fold(signature, (0,) * len(stores))
+        if fold is None or fold.signature != signature:
+            fold = self._folds[plan] = _Fold(signature, (0,) * len(stores))
+        return fold
 
-        Matching the row executor's ``Counter`` iteration order matters
-        beyond cosmetics: the L-DP back-end draws one Laplace variate per
-        group *in answer order*, so a different order would change noisy
-        answers at a fixed seed.
-        """
-        if not keys.size:
-            return {}
-        unique, inverse, counts = np.unique(
-            keys, return_inverse=True, return_counts=True
-        )
-        first_seen = np.full(unique.size, keys.size, dtype=np.int64)
-        np.minimum.at(first_seen, inverse, np.arange(keys.size, dtype=np.int64))
-        order = np.argsort(first_seen)
-        return {
-            unique[i].item(): int(counts[i]) for i in order.tolist()
-        }
+    def _keys(
+        self,
+        plan: PlanNode,
+        attribute: str,
+        store: _ColumnarTable,
+        start: int,
+        *,
+        group: bool = False,
+    ) -> np.ndarray:
+        """Key column ``attribute`` of the rows from ``start`` on that
+        ``plan``'s filters keep (checked as group keys with ``group``)."""
+        mask = self._source(plan, store, start)
+        keys = (store.group_column if group else store.column)(attribute, start)
+        if mask is not None:
+            keys = keys[mask]
+        if keys.dtype.kind == "f" and np.isnan(keys).any():
+            # The row executor's dicts match NaN keys by object identity
+            # (NaN != NaN): rows sharing one NaN object form one group, and a
+            # row's NaN joins itself.  Only the fallback reads those objects.
+            raise _Unsupported(f"NaN keys in column {attribute!r}")
+        return keys
 
-    def _source(self, plan: PlanNode) -> tuple[str, np.ndarray | None]:
-        """Resolve a scan/filter chain to (table, row mask or None=all)."""
+    def _source(
+        self, plan: PlanNode, store: _ColumnarTable, start: int
+    ) -> np.ndarray | None:
+        """Row mask (None = all rows) of a scan/filter chain over the rows of
+        ``store`` from ``start`` on."""
         if isinstance(plan, ScanNode):
-            return plan.table, None
+            return None
         if isinstance(plan, FilterNode):
-            table, mask = self._source(plan.child)
-            store = self._store(table)
-            predicate_mask = self._mask(plan.predicate, store)
+            mask = self._source(plan.child, store, start)
+            predicate_mask = self._mask(plan.predicate, store, start)
             if predicate_mask is None:
-                return table, mask
+                return mask
             if mask is not None:
                 predicate_mask = mask & predicate_mask
-            return table, predicate_mask
+            return predicate_mask
         raise _Unsupported(f"source shape {type(plan).__name__}")
 
     def _store(self, table: str) -> _ColumnarTable:
@@ -377,26 +467,29 @@ class ColumnarExecutor(PlaintextExecutor):
     def _table_len(self, table: str) -> int:
         return len(self.tables.get(table, ()))
 
-    def _mask(self, predicate: Predicate, store: _ColumnarTable) -> np.ndarray | None:
-        """Boolean mask for ``predicate`` over ``store`` (None = all rows)."""
+    def _mask(
+        self, predicate: Predicate, store: _ColumnarTable, start: int
+    ) -> np.ndarray | None:
+        """Boolean mask for ``predicate`` over the rows of ``store`` from
+        ``start`` on (None = all rows)."""
         if isinstance(predicate, TruePredicate):
             return None
         if isinstance(predicate, NotDummyPredicate):
-            return ~store.dummy_mask()
+            return ~store.dummy_mask(start)
         if isinstance(predicate, RangePredicate):
-            column = store.column(predicate.attribute)
+            column = store.column(predicate.attribute, start)
             return (column >= predicate.low) & (column <= predicate.high)
         if isinstance(predicate, EqualityPredicate):
-            column = store.column(predicate.attribute)
+            column = store.column(predicate.attribute, start)
             if not isinstance(predicate.value, (int, float, np.number)):
                 # Comparing a numeric column against a non-numeric constant
                 # is row-wise False in the reference executor.
-                return np.zeros(len(store), dtype=bool)
+                return np.zeros(column.size, dtype=bool)
             return column == predicate.value
         if isinstance(predicate, AndPredicate):
             mask: np.ndarray | None = None
             for child in predicate.children:
-                child_mask = self._mask(child, store)
+                child_mask = self._mask(child, store, start)
                 if child_mask is None:
                     continue
                 mask = child_mask if mask is None else mask & child_mask
@@ -404,17 +497,26 @@ class ColumnarExecutor(PlaintextExecutor):
         if isinstance(predicate, OrPredicate):
             if not predicate.children:
                 # any(()) is False row-wise in the reference executor.
-                return np.zeros(len(store), dtype=bool)
+                return np.zeros(len(store) - start, dtype=bool)
             mask = None
             for child in predicate.children:
-                child_mask = self._mask(child, store)
+                child_mask = self._mask(child, store, start)
                 if child_mask is None:
                     return None  # OR with an always-true child accepts all
                 mask = child_mask if mask is None else mask | child_mask
             return mask
         if isinstance(predicate, NotPredicate):
-            child_mask = self._mask(predicate.child, store)
+            child_mask = self._mask(predicate.child, store, start)
             if child_mask is None:
-                return np.zeros(len(store), dtype=bool)
+                return np.zeros(len(store) - start, dtype=bool)
             return ~child_mask
         raise _Unsupported(f"predicate {type(predicate).__name__}")
+
+
+def _table_of(plan: PlanNode) -> str:
+    """The table a scan/filter chain reads."""
+    while isinstance(plan, FilterNode):
+        plan = plan.child
+    if isinstance(plan, ScanNode):
+        return plan.table
+    raise _Unsupported(f"source shape {type(plan).__name__}")

@@ -33,7 +33,7 @@ from repro.edb.store import (
     snapshot_generation,
 )
 from repro.fleet.supervisor import SupervisedShard, SupervisorConfig
-from repro.query.ast import CountQuery, GroupByCountQuery
+from repro.query.ast import CountQuery, GroupByCountQuery, JoinCountQuery
 from repro.query.predicates import RangePredicate
 from repro.testing.chaos import parse_fault_schedule
 
@@ -295,3 +295,61 @@ def test_a_delta_is_never_restored_without_its_base():
     later, _ = snapshot_generation(edb, marks)
     with pytest.raises(StoreIntegrityError, match="does not extend"):
         restore_backend(base, delta, later)
+
+
+#: Queries whose answers the executor folds from per-plan aggregate state.
+FOLDED_QUERIES = QUERIES + (
+    JoinCountQuery(
+        left_table="events",
+        right_table="other",
+        left_attribute="key",
+        right_attribute="key",
+        label="join",
+    ),
+    JoinCountQuery(
+        left_table="events",
+        right_table="events",
+        left_attribute="key",
+        right_attribute="value",
+        left_predicate=RangePredicate("value", 0, 30),
+        label="self-join",
+    ),
+)
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@pytest.mark.parametrize("cut", [1, 3, 7])
+def test_a_chain_restored_mid_stream_answers_like_the_uninterrupted_edb(
+    backend, cut
+):
+    """Restore a full generation plus its deltas while queries are running:
+    the restored EDB rebuilds its per-plan aggregate state on each plan's
+    first query and then answers exactly like the EDB that never stopped --
+    through dtype promotions after the restore too.  No generation carries
+    that state."""
+    live = BACKENDS[backend](5)
+    live.setup(_rows(0, 6, "int") + _rows(6, 4, "int", "other"))
+    kinds = ["int", "bool", "int", "int", "float", "int", "int", "float", "int"]
+    blobs, marks, counter, restored = [], None, 10, None
+    for time, kind in enumerate(kinds, start=1):
+        table = "other" if time % 3 == 0 else "events"
+        batch = {table: _rows(counter, 5, kind, table)}
+        counter += 5
+        targets = [live] if restored is None else [live, restored]
+        first, *rest = [target.insert_many(batch, time) for target in targets]
+        assert all(result == first for result in rest)
+        for query in filter(live.supports, FOLDED_QUERIES):
+            first, *rest = [target.query(query, time) for target in targets]
+            assert all(result == first for result in rest), query.name
+        if restored is None:
+            blob, marks = snapshot_generation(live, marks)
+            blobs.append(blob)
+            assert b"_folds" not in blob and b"_Fold" not in blob
+        if time == cut:
+            assert live._executor._folds, "the live EDB keeps fold states"
+            restored = restore_backend(*blobs)
+            assert restored._executor._folds == {}
+            if isinstance(live, CryptEpsilon):  # the only back-end that draws
+                assert restored._rng.random(4).tolist() == live._rng.random(4).tolist()
+    assert len(blobs) == cut
+    assert _state(restored, ciphertexts=False) == _state(live, ciphertexts=False)

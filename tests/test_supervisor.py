@@ -499,6 +499,17 @@ def test_default_scratch_sweeps_dead_coordinators_only():
         shutil.rmtree(supervisor.directory, ignore_errors=True)
 
 
+def test_close_removes_the_default_scratch_root_with_no_shard_wrapped():
+    """A supervisor that wrapped no shard still removes its own default
+    scratch root on close."""
+    supervisor = ShardSupervisor(SupervisorConfig(), None, "serial", WallClockStats())
+    directory = supervisor.directory
+    assert directory.is_dir()
+    supervisor.close()
+    assert not directory.exists()
+    supervisor.close()  # idempotent
+
+
 def test_supervised_close_shuts_workers_down_gracefully():
     """close() gives a healthy worker its shutdown handshake: the run exits
     cleanly, with nothing left for the resource tracker to warn about.  Only
