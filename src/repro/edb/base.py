@@ -40,8 +40,7 @@ from repro.edb.leakage import LeakageClass, LeakageProfile
 from repro.edb.records import Record
 from repro.query.ast import Query
 from repro.query.columnar import ColumnarExecutor
-from repro.query.executor import Answer, ExecutionStats
-from repro.query.views import StaleWindowError, ViewRegistry, can_maintain
+from repro.query.executor import Answer
 
 __all__ = [
     "UpdateResult",
@@ -122,19 +121,6 @@ class EncryptedDatabase:
         self._update_history: list[UpdateResult] = []
         self._storage_bytes = 0.0
         self._is_setup = False
-        # Delta-maintained views (derived state: the durable store never
-        # persists the maintained counters, only the registered queries).
-        self._views = ViewRegistry()
-        self._view_answering = True
-        # Simulated server-work ledger: what execution actually cost, as
-        # opposed to the analyst-visible QET observable (which stays pinned
-        # to the rescan cost model so views never change what the analyst
-        # sees).  Queries answered from maintained state charge O(1) here;
-        # rescans charge the full model cost; ingest deltas charge per-view
-        # maintenance.
-        self._query_work_seconds = 0.0
-        self._view_maintenance_seconds = 0.0
-        self._maintained_query_count = 0
 
     # -- protocol surface ---------------------------------------------------
 
@@ -166,62 +152,17 @@ class EncryptedDatabase:
             raise RuntimeError("Update invoked before Setup")
         return self._ingest_grouped(batches, time, is_setup=False)
 
-    def query(
-        self, query: Query, time: int = 0, executor: str | None = None
-    ) -> QueryResult:
-        """Run the Query protocol and return the analyst-visible answer.
-
-        ``executor="maintained"`` forces the answer from a registered view;
-        ``None`` answers from maintained view state when a view covers the
-        query and view answering is enabled, else rescans the columns.  The
-        choice is invisible in the analyst-visible observables (answer, QET,
-        noise flag): the QET observable stays pinned to the rescan cost
-        model, and only the *simulated work ledger*
-        (:attr:`simulated_work_seconds`) records the cheaper maintained
-        execution.
-        """
+    def query(self, query: Query, time: int = 0) -> QueryResult:
+        """Run the Query protocol and return the analyst-visible answer."""
         if not self._is_setup:
             raise RuntimeError("Query invoked before Setup")
         if not self._cost_model.supports(query):
             raise UnsupportedQueryError(
                 f"{self._scheme_name} does not support {type(query).__name__}"
             )
-        if executor == "maintained":
-            if not self._views.covers(query):
-                raise ValueError(
-                    f"query {query.name!r} has no registered view to answer from"
-                )
-            use_maintained = True
-        elif executor is not None:
-            raise ValueError(
-                f"query executor must be None or 'maintained', got {executor!r}"
-            )
-        else:
-            use_maintained = self._view_answering and self._views.covers(query)
-        if use_maintained:
-            try:
-                answer = self._views.answer(query, time)
-            except StaleWindowError:
-                # A window ending behind the view's retained horizon cannot
-                # be answered from the ring buffer; the rescan path gives
-                # the identical exact answer.  A forced "maintained"
-                # executor surfaces the error instead of silently rescanning.
-                if executor == "maintained":
-                    raise
-                use_maintained = False
-        if use_maintained:
-            stats = ExecutionStats()
-            self._query_work_seconds += self._cost_model.maintained_query_cost(
-                query, answer
-            )
-            self._maintained_query_count += 1
-        else:
-            answer, stats = self._executor.execute_with_stats(
-                query, rewrite=True, time=time
-            )
-            self._query_work_seconds += self._cost_model.query_cost(
-                query, dict(self._table_totals)
-            )
+        answer, stats = self._executor.execute_with_stats(
+            query, rewrite=True, time=time
+        )
         answer, noise_injected = self._postprocess_answer(query, answer)
         qet = self._cost_model.query_cost(query, dict(self._table_totals))
         return QueryResult(
@@ -231,67 +172,6 @@ class EncryptedDatabase:
             records_scanned=stats.rows_scanned,
             noise_injected=noise_injected,
         )
-
-    # -- delta-maintained views ----------------------------------------------
-
-    def register_view(self, query: Query) -> bool:
-        """Register a delta-maintained view answering ``query``.
-
-        Bootstraps from the current outsourced tables (so registration is
-        valid at any point of the stream, including restore-time rebuilds)
-        and maintains an O(|batch|) delta on every later ingest.  Idempotent;
-        returns ``False`` when the view already existed.  Raises for query
-        shapes outside the maintainable fragment or unsupported by the
-        back-end.
-        """
-        if not self._cost_model.supports(query):
-            raise UnsupportedQueryError(
-                f"{self._scheme_name} does not support {type(query).__name__}"
-            )
-        if not can_maintain(query):
-            raise TypeError(
-                f"query shape {type(query).__name__} is not delta-maintainable"
-            )
-        return self._views.register(query, self._executor.tables)
-
-    @property
-    def registered_views(self) -> tuple[Query, ...]:
-        """Queries with a registered maintained view, in registration order."""
-        return self._views.registered()
-
-    @property
-    def view_answering(self) -> bool:
-        """Whether registered views answer queries (else views only maintain)."""
-        return self._view_answering
-
-    def set_view_answering(self, enabled: bool) -> None:
-        """Toggle answering from maintained views.
-
-        ``False`` forces every query back onto the rescan path while views
-        keep maintaining their state -- the differential-testing switch: the
-        answers must be byte-identical either way.
-        """
-        self._view_answering = bool(enabled)
-
-    @property
-    def query_work_seconds(self) -> float:
-        """Simulated seconds of query execution work actually performed."""
-        return self._query_work_seconds
-
-    @property
-    def view_maintenance_seconds(self) -> float:
-        """Simulated seconds spent applying ingest deltas to views."""
-        return self._view_maintenance_seconds
-
-    @property
-    def simulated_work_seconds(self) -> float:
-        """Total simulated server work: query execution plus view upkeep."""
-        return self._query_work_seconds + self._view_maintenance_seconds
-
-    @property
-    def maintained_query_count(self) -> int:
-        """Number of queries answered from maintained view state."""
-        return self._maintained_query_count
 
     # -- observable state ----------------------------------------------------
 
@@ -447,16 +327,6 @@ class EncryptedDatabase:
             dummies += table_dummies
             self._table_totals[table] = self._table_totals.get(table, 0) + len(rows)
             self._table_dummies[table] = self._table_dummies.get(table, 0) + table_dummies
-            if self._views:
-                # Views observe exactly the post-flush server-side batch (the
-                # dummy-padded γ_t, never the owner's raw stream); dummy rows
-                # are skipped inside the states, matching the dummy-rewritten
-                # scans the rescan path runs.
-                observers = self._views.apply_delta(table, rows)
-                if observers:
-                    self._view_maintenance_seconds += (
-                        self._cost_model.view_maintenance_cost(len(rows), observers)
-                    )
 
         bytes_added = self._cost_model.storage_bytes(num_records)
         self._storage_bytes += bytes_added
@@ -482,8 +352,6 @@ SHARD_SURFACE: dict[str, str] = {
     "update": MUTATE,
     "insert_many": MUTATE,
     "query": MUTATE,
-    "register_view": MUTATE,
-    "set_view_answering": MUTATE,
     "rotate_key": MUTATE,
     "table_size": CALL,
     "table_dummy_count": CALL,
@@ -493,12 +361,6 @@ SHARD_SURFACE: dict[str, str] = {
     "dummy_count": READ,
     "real_count": READ,
     "storage_bytes": READ,
-    "registered_views": READ,
-    "view_answering": READ,
-    "query_work_seconds": READ,
-    "view_maintenance_seconds": READ,
-    "simulated_work_seconds": READ,
-    "maintained_query_count": READ,
     "scheme_name": FACT,
     "cost_model": FACT,
     "leakage_profile": FACT,

@@ -54,10 +54,6 @@ class CostParameters:
     update_base: float
     #: Server-side storage footprint of one encrypted record (bytes).
     record_storage_bytes: float
-    #: Per record (per observing view) cost of maintaining a registered
-    #: delta view during ingest -- one histogram/counter update inside the
-    #: enclave, far cheaper than the per-record scan work a query pays.
-    view_update_per_record: float = 2.0e-5
 
 
 #: ObliDB constants (oblivious full-scan operators), calibrated to Table 5:
@@ -72,7 +68,6 @@ OBLIDB_COSTS = CostParameters(
     update_per_record=2.0e-4,
     update_base=0.01,
     record_storage_bytes=16_400.0,
-    view_update_per_record=2.0e-5,
 )
 
 #: Crypt-epsilon constants, calibrated to Table 5: mean QETs of 20.94 s (Q1)
@@ -85,7 +80,6 @@ CRYPTE_COSTS = CostParameters(
     update_per_record=1.0e-3,
     update_base=0.05,
     record_storage_bytes=51_200.0,
-    view_update_per_record=1.0e-4,
 )
 
 
@@ -166,32 +160,6 @@ class CostModel:
         if isinstance(query, (JoinCountQuery, MultiJoinCountQuery)):
             return self.parameters.join_per_pair is not None
         return True
-
-    # -- delta-maintained views ------------------------------------------------
-
-    def view_maintenance_cost(self, num_records: int, views_touched: int = 1) -> float:
-        """Simulated seconds to apply one ingest delta to the observing views.
-
-        O(|batch|) per view: each record updates one counter / histogram slot
-        per view that observes its table.
-        """
-        return (
-            self.parameters.view_update_per_record * num_records * views_touched
-        )
-
-    def maintained_query_cost(self, query: Query, answer=None) -> float:
-        """Simulated seconds to answer ``query`` from maintained view state.
-
-        The per-query protocol overhead survives (session setup and result
-        marshalling happen either way); the data-dependent part shrinks from
-        a full rescan to emitting the maintained answer -- O(1) for scalars,
-        O(groups) for group-bys.
-        """
-        emitted = len(answer) if isinstance(answer, dict) else 1
-        return (
-            self.parameters.query_base
-            + self.parameters.view_update_per_record * emitted
-        )
 
 
 class UnsupportedQueryError(RuntimeError):

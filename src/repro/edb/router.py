@@ -81,7 +81,6 @@ from repro.query.scatter import (
     multi_join_probes,
     scatter_map,
 )
-from repro.query.views import can_maintain
 from repro.util.mp import preferred_mp_context, usable_cpus
 
 __all__ = ["SHARD_EXECUTORS", "WallClockStats", "ShardRouter", "resolve_shard_executor"]
@@ -366,12 +365,6 @@ class ShardRouter:
             self, _release_router_resources, self._resources
         )
         self._ordinals: dict[str, int] = {}
-        #: Router-level registered view queries, in registration order.  For
-        #: joins the *shards* register the scatter probes instead (a join
-        #: over hash-partitioned sides has no shard-local view), so this list
-        #: is the only place the original join query is remembered.
-        self._view_queries: list[Query] = []
-        self._view_answering = True
         #: Partition metadata: per table, how many records were routed to
         #: each shard.  Maintained coordinator-side during partitioning (no
         #: extra shard round-trips), committed together with the staged
@@ -569,70 +562,6 @@ class ShardRouter:
             records_scanned=sum(r.records_scanned for r in results),
             noise_injected=any(r.noise_injected for r in results),
         )
-
-    # -- delta-maintained views ----------------------------------------------
-
-    def register_view(self, query: Query) -> bool:
-        """Register a delta-maintained view for ``query`` across the fleet.
-
-        With one shard the query registers verbatim.  With K > 1 the join
-        shapes have no shard-local view (hash-partitioned sides join across
-        shards), so every shard registers the *scatter probes* instead --
-        per-side key histograms the gather step already merges -- and the
-        router remembers the original query.  Returns ``False`` when the
-        query was already registered.
-        """
-        if not self.supports(query):
-            raise UnsupportedQueryError(
-                f"{self.scheme_name} does not support {type(query).__name__}"
-            )
-        if not can_maintain(query):
-            raise TypeError(
-                f"query shape {type(query).__name__} is not delta-maintainable"
-            )
-        if query in self._view_queries:
-            return False
-        probes = (query,) if len(self._shards) == 1 else self._shard_view_queries(query)
-        try:
-            self._map(
-                lambda shard: [shard.register_view(p) for p in probes], self._shards
-            )
-        finally:
-            self._absorb_worker_stats()
-        self._view_queries.append(query)
-        return True
-
-    def _shard_view_queries(self, query: Query) -> tuple[Query, ...]:
-        """What each shard maintains for one router-level view query."""
-        if isinstance(query, JoinCountQuery):
-            return join_side_probes(query)
-        if isinstance(query, MultiJoinCountQuery):
-            return multi_join_probes(query)
-        return (query,)
-
-    def views_cover(self, query: Query) -> bool:
-        """Whether a registered router-level view answers ``query``."""
-        return query in self._view_queries
-
-    @property
-    def registered_views(self) -> tuple[Query, ...]:
-        """Router-level view queries, in registration order."""
-        return tuple(self._view_queries)
-
-    @property
-    def view_answering(self) -> bool:
-        """Whether registered views answer queries (else views only maintain)."""
-        return self._view_answering
-
-    def set_view_answering(self, enabled: bool) -> None:
-        """Toggle answering from maintained views, on every shard.
-
-        The differential-testing switch: with ``False`` every shard falls
-        back to its rescan path while views keep maintaining state, and the
-        gathered answers must be byte-identical either way.
-        """
-        self._view_answering = bool(enabled)
-        _fan_out(self, "set_view_answering", self._view_answering)
 
     # -- observable state ----------------------------------------------------
 

@@ -96,15 +96,16 @@ __all__ = [
     "restore_edb",
 ]
 
-#: On-disk format version stamped into every manifest.  Version 6: a
+#: On-disk format version stamped into every manifest.  Version 7: a
 #: manifest names its ``parent`` generation (``None`` for a full one),
 #: records and sealed blobs are AES-256-GCM (284-byte arena rows),
 #: ciphertexts live only in arenas (a delta carries no per-record object
 #: tails), every shard is flat and append-only (a full generation carries
 #: no ORAM position maps), only a Crypt-epsilon shard's state carries an
-#: RNG, and the update history pickles as named tuples.  Stores of earlier
-#: versions are refused rather than misread.
-STORE_VERSION: int = 6
+#: RNG, the update history pickles as named tuples, and no generation
+#: carries maintained-view state, view queries or the executor's plan
+#: cache.  Stores of earlier versions are refused rather than misread.
+STORE_VERSION: int = 7
 
 #: Random salt length for the at-rest key derivation.
 SALT_SIZE: int = 32
@@ -757,11 +758,10 @@ def snapshot_marks(edb: "EncryptedDatabase") -> dict:
     }
 
 
-#: Components a delta generation ships as tails, and derived state rebuilt
-#: on restore; the rest of an EDB's ``__dict__`` is the small mutable state
-#: (RNG, cipher, counters, table totals) every generation ships whole.
+#: Components a delta generation ships as tails; the rest of an EDB's
+#: ``__dict__`` is the small mutable state (RNG, cipher, counters, table
+#: totals) every generation ships whole.
 _APPEND_ONLY = ("_arenas", "_update_history", "_executor")
-_DERIVED = ("_views",)
 
 
 def snapshot_backend(
@@ -787,13 +787,9 @@ def snapshot_backend(
         return pickle.dumps(_delta_payload(edb, since))
     state = dict(edb.__dict__)
     arenas = state.pop("_arenas", {})
-    # Views are derived state: only the registered queries are persisted;
-    # restore re-registers them and bootstraps from the restored tables.
-    views = state.pop("_views", None)
     payload = {
         "class": f"{type(edb).__module__}:{type(edb).__qualname__}",
         "state": state,
-        "view_queries": tuple(views.registered()) if views is not None else (),
         "arenas": {
             table: arena_to_bytes(arena) for table, arena in arenas.items()
         },
@@ -805,7 +801,7 @@ def _delta_payload(edb: "EncryptedDatabase", since: Mapping) -> dict:
     state = {
         key: value
         for key, value in edb.__dict__.items()
-        if key not in _APPEND_ONLY + _DERIVED
+        if key not in _APPEND_ONLY
     }
     executor = edb._executor
     executor_state = {
@@ -819,7 +815,6 @@ def _delta_payload(edb: "EncryptedDatabase", since: Mapping) -> dict:
         "since": dict(since),
         "state": state,
         "executor": executor_state,
-        "view_queries": tuple(edb._views.registered()),
         "history": edb._update_history[since["history"] :],
         "arenas": {
             table: arena_to_bytes(arena, since["arenas"].get(table, 0))
@@ -864,23 +859,13 @@ def restore_backend(blob: bytes, *deltas: bytes) -> "EncryptedDatabase":
         table: arena_from_bytes(*serialized)
         for table, serialized in payload["arenas"].items()
     }
-    view_queries = payload.get("view_queries", ())
     for delta in deltas:
-        view_queries = _apply_delta(edb, payload["class"], pickle.loads(delta))
-    # Rebuild the derived view state: re-registration bootstraps each view
-    # from the restored executor tables, whose insertion order is exactly
-    # the pre-kill ingest order -- so the rebuilt counters (and their group
-    # key order) are bit-identical to the killed process's.
-    from repro.query.views import ViewRegistry
-
-    edb._views = ViewRegistry()
-    for query in view_queries:
-        edb.register_view(query)
+        _apply_delta(edb, payload["class"], pickle.loads(delta))
     return edb
 
 
-def _apply_delta(edb: "EncryptedDatabase", cls: str, payload: dict) -> tuple:
-    """Extend a restored EDB by one delta; returns its view queries."""
+def _apply_delta(edb: "EncryptedDatabase", cls: str, payload: dict) -> None:
+    """Extend a restored EDB by one delta."""
     if payload.get("since") is None or payload["class"] != cls:
         raise StoreIntegrityError("chain link is not a delta of this back-end")
     if snapshot_marks(edb) != payload["since"]:
@@ -895,7 +880,6 @@ def _apply_delta(edb: "EncryptedDatabase", cls: str, payload: dict) -> tuple:
         executor.tables.setdefault(table, []).extend(tail)
     for table, tail in payload["columns"].items():
         executor._store(table).extend(tail)
-    return payload["view_queries"]
 
 
 def snapshot_router(router: "ShardRouter") -> bytes:
@@ -928,8 +912,6 @@ def snapshot_router(router: "ShardRouter") -> bytes:
             for table, counts in router._table_shard_counts.items()
         },
         "update_history": list(router._update_history),
-        "view_queries": list(router._view_queries),
-        "view_answering": router._view_answering,
         "shards": shard_blobs,
     }
     return pickle.dumps(payload)
@@ -969,11 +951,6 @@ def restore_router(blob: bytes) -> "ShardRouter":
         for table, counts in payload["table_shard_counts"].items()
     }
     router._update_history = list(payload["update_history"])
-    # Shard-level views were rebuilt inside restore_backend (each shard
-    # recorded its own registered probes), so only the router-level query
-    # list and answering flag are reinstated -- no re-fanout.
-    router._view_queries = list(payload.get("view_queries", ()))
-    router._view_answering = bool(payload.get("view_answering", True))
     return router
 
 

@@ -18,7 +18,7 @@ router call through one choke point that
   draws noise per query, and the rebuilt RNG stream must resume exactly
   where the dead worker's was.  Under the process executor the replayed
   shard is handed to a fresh worker (fork inheritance) with its heap
-  arenas and the views the restore path re-registered;
+  arenas (its executor's fold states rebuild on each plan's first query);
 * re-raises once ``max_retries`` rebuilds are spent (``max_retries=0``
   fails fast on the first transient error).  There is no mode that keeps
   serving without a shard: an answer is either complete or an error.

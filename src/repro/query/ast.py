@@ -376,9 +376,10 @@ class WindowedCountQuery(Query):
     ``arrival_time`` lies in the current window.  ``mode="sliding"`` uses the
     trailing window ``(t - window, t]``; ``mode="tumbling"`` aligns windows to
     the fixed grid ``((k-1) * window, k * window]`` and counts the one
-    containing ``t`` up to ``t`` itself.  Answered from a ring buffer of
-    per-tick bucket sums when maintained; the executor keeps a reference
-    rescan path as the differential oracle.
+    containing ``t`` up to ``t`` itself.  The EDB's columnar executor folds
+    a per-tick count of the kept rows; the row executor's rescan is the
+    differential oracle, and the analyst's ground truth keeps a ring buffer
+    of per-tick bucket sums.
     """
 
     table: str
@@ -411,8 +412,8 @@ class WindowedCountQuery(Query):
     def window_bounds(self, time: int) -> tuple[int, int]:
         """Half-open-below bounds ``(start, end]`` of the window at ``time``.
 
-        The single source of window semantics, shared by the executor's
-        rescan oracle and the maintained ring buffer.
+        The single source of window semantics, shared by the executors and
+        the analyst's maintained ring buffer.
         """
         if self.mode == "sliding":
             return time - self.window, time

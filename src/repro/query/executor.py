@@ -126,13 +126,12 @@ class PlaintextExecutor:
         On subclasses that override :meth:`execute_plan` with a vectorized
         pass (the columnar executor), this forces the base interpreter over
         the row mirror instead: the differential oracle for the vectorized
-        path.  Answers and stats are identical either way; only wall clock
-        moves.
+        path (windowed counts take the row loop of :meth:`_execute_windowed`
+        the same way).  Answers and stats are identical either way; only
+        wall clock moves.
         """
         if isinstance(query, WindowedCountQuery):
-            # The window oracle is already a row loop; there is no vectorized
-            # variant to force away from.
-            return self._execute_windowed(query, rewrite, time)
+            return PlaintextExecutor._execute_windowed(self, query, rewrite, time)
         answer, stats = PlaintextExecutor.execute_plan(
             self, self._plan_for(query, rewrite)
         )

@@ -198,11 +198,7 @@ class CellSpec:
     (``"threads"`` scatters Setup/Update/Query across the shards
     concurrently; ``"serial"`` keeps the sequential loop; ``"processes"``
     moves each shard into a persistent worker process -- cell results are
-    byte-identical in every case, only wall clock moves),
-    ``views`` registers every maintainable evaluation query as a
-    delta-maintained server-side view at Setup (``"on"``; answers, QET and
-    transcripts stay byte-identical to the ``"off"`` rescans, only the
-    simulated work ledger moves -- see :mod:`repro.query.views`), and
+    byte-identical in every case, only wall clock moves), and
     ``simulate_encryption`` runs every outsourced record through the real
     record cipher into a contiguous ciphertext arena per table.
 
@@ -239,7 +235,6 @@ class CellSpec:
     n_shards: int = 1
     fleet_scenario: str = ""
     shard_executor: str = "threads"
-    views: str = "off"
     supervisor: str = "off"
     faults: str = ""
     simulate_encryption: bool = False
@@ -252,10 +247,6 @@ class CellSpec:
         object.__setattr__(
             self, "shard_executor", resolve_shard_executor(self.shard_executor)
         )
-        views = str(self.views).lower()
-        if views not in ("off", "on"):
-            raise ValueError(f"views must be 'off' or 'on', got {self.views!r}")
-        object.__setattr__(self, "views", views)
         supervisor = str(self.supervisor).lower()
         if supervisor not in ("off", "on"):
             raise ValueError(
@@ -438,7 +429,6 @@ def run_cell(
         query_interval=spec.query_interval,
         horizon=spec.horizon,
         seed=spec.sim_seed,
-        views=spec.views,
     )
     if spec.n_shards > 1 or spec.supervisor == "on" or spec.faults:
         # A supervised (or fault-injected) cell always runs through a router
@@ -499,7 +489,6 @@ _AXIS_FIELDS = frozenset(
         "n_owners",
         "n_shards",
         "fleet_scenario",
-        "views",
         "supervisor",
         "faults",
     }
@@ -957,16 +946,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "results are byte-identical in every case",
     )
     parser.add_argument(
-        "--views",
-        default="off",
-        choices=["off", "on"],
-        help="delta-maintained server-side views for the covered query "
-        "fragment: registered at Setup, fed an O(|batch|) delta by every "
-        "sync, answering in O(1)/O(groups); answers, QET and transcripts "
-        "are byte-identical either way, only the simulated work ledger "
-        "moves",
-    )
-    parser.add_argument(
         "--supervisor",
         default="off",
         choices=["off", "on"],
@@ -1008,7 +987,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             n_shards=args.n_shards,
             fleet_scenario=args.fleet_scenario,
             shard_executor=args.shard_executor,
-            views=args.views,
             supervisor=args.supervisor,
             faults=args.faults,
             simulate_encryption=args.simulate_encryption,

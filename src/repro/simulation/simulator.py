@@ -88,10 +88,6 @@ class SimulationConfig:
     query_interval: int = 360
     horizon: int | None = None
     seed: int = 0
-    #: ``"on"`` registers delta-maintained EDB views for every runnable
-    #: maintainable query at Setup; ``"off"`` keeps the rescan-only paths.
-    #: Answers, QET observables and transcripts are identical either way.
-    views: str = "off"
 
     def with_overrides(self, **overrides) -> "SimulationConfig":
         """A copy with some fields replaced."""
@@ -104,7 +100,6 @@ class SimulationConfig:
             "query_interval": self.query_interval,
             "horizon": self.horizon,
             "seed": self.seed,
-            "views": self.views,
         }
         current.update(overrides)
         return SimulationConfig(**current)
@@ -247,7 +242,6 @@ class Simulation:
             "query_interval": config.query_interval,
             "horizon": config.horizon,
             "seed": config.seed,
-            "views": config.views,
             "streams": sorted(self._workloads),
         }
         canonical = json.dumps(payload, sort_keys=True)
@@ -366,19 +360,6 @@ class Simulation:
         deployment.start(
             {stream: workload.initial for stream, workload in self._workloads.items()}
         )
-        if config.views == "on":
-            # Delta-maintained server-side views: registered after Setup so
-            # they bootstrap from the outsourced initial databases, then fed
-            # an O(|batch|) delta by every flush.  Registration never changes
-            # an observable -- only the simulated work ledger records the
-            # cheaper maintained answering.
-            from repro.query.views import can_maintain as _can_maintain
-
-            register_view = getattr(edb, "register_view", None)
-            if register_view is not None:
-                for query in runnable_queries:
-                    if _can_maintain(query):
-                        register_view(query)
 
         result = RunResult(
             strategy=config.strategy,

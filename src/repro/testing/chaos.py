@@ -7,7 +7,7 @@ that are reproducible, so this module models them as data:
 
 * a :class:`Fault` names a kind, a shard, and the 1-based index of the
   shard's *mutating command* (setup / update / insert_many / query /
-  register_view / ...) at which it fires;
+  rotate_key) at which it fires;
 * a :class:`FaultSchedule` is an ordered bag of pending faults the
   supervisor consumes exactly once each;
 * :func:`parse_fault_schedule` reads the compact ``kind[:shard]@N`` grid

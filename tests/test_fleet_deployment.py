@@ -8,7 +8,8 @@
   streams per member; fleet epsilon is the parallel composition (max).
 * **Sibling table sources** -- the multi-table join ground-truth fix: a
   facade sharing an EDB with a sibling table sees the complete logical
-  database (and keeps seeing it as the sibling grows).
+  database (and keeps seeing it as the sibling grows); a restored
+  deployment refuses queries over a source not registered again.
 * **run_cell fleet differentials** -- the CI smoke contract: an ``n_owners=2``
   SUR run equals the single-owner run exactly; adding ``n_shards=2`` changes
   nothing but the (smaller) simulated QET.
@@ -213,6 +214,31 @@ def test_table_source_for_owned_table_is_rejected():
     )
     with pytest.raises(ValueError, match="external source"):
         deployment.add_owner("events", SCHEMA, strategy)
+
+
+def test_restored_deployment_guards_pending_table_sources(tmp_path):
+    """A restored deployment refuses queries over an external table source
+    that was not registered again, until it is."""
+    alpha = Schema(name="Alpha", attributes=("key", "value"))
+    sibling_rows = [
+        Record(values={"key": key, "value": key}, table="Beta") for key in range(3)
+    ]
+    deployment = Deployment.build(alpha, ObliDB(), seed=1)
+    deployment.register_table_source("Beta", lambda: sibling_rows)
+    deployment.start()
+    deployment.save(tmp_path)
+
+    restored = Deployment.restore(tmp_path)
+    join_sql = (
+        "SELECT COUNT(*) FROM Alpha INNER JOIN Beta ON Alpha.key = Beta.key"
+    )
+    with pytest.raises(RuntimeError, match="not re-registered after"):
+        restored.query(join_sql)
+    # Queries over owned tables are unaffected by the pending source.
+    restored.query("SELECT COUNT(*) FROM Alpha")
+    # Re-registering the source lifts the guard.
+    restored.register_table_source("Beta", lambda: sibling_rows)
+    restored.query(join_sql)
 
 
 def test_fleet_logical_gap_sums_over_primary_table_members():

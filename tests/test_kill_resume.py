@@ -121,13 +121,12 @@ def test_sigkilled_worker_deployment_restores_bit_identically(tmp_path, passphra
         twin.close()
 
 
-def test_supervised_worker_kill_heals_in_place_and_restores_with_views(tmp_path):
+def test_supervised_worker_kill_heals_in_place_and_restores(tmp_path):
     """Kill a *supervised* shard worker mid-run: the fleet heals in place --
     no restore, no raised error -- and the tail matches an uninterrupted
     unsupervised twin on answers, QET, and the aggregate and per-shard
-    transcripts, with a delta-maintained view registered on both sides.
-    A mid-run snapshot taken *before* the kill then restores a deployment
-    whose router re-registers the view and re-arms the supervisor."""
+    transcripts.  A mid-run snapshot taken *before* the kill then restores
+    a deployment whose router re-arms the supervisor."""
 
     def build(supervised: bool) -> Deployment:
         router = ShardRouter(
@@ -142,7 +141,6 @@ def test_supervised_worker_kill_heals_in_place_and_restores_with_views(tmp_path)
         deployment.start(
             {name: [_record(0, salt=i)] for i, name in enumerate(deployment.owners)}
         )
-        deployment.edb.register_view(QUERY)
         return deployment
 
     twin = build(supervised=False)
@@ -165,9 +163,8 @@ def test_supervised_worker_kill_heals_in_place_and_restores_with_views(tmp_path)
 
     restored = Deployment.restore(tmp_path / "snap")
     try:
-        # The restore path re-registered the view and re-armed supervision.
+        # The restore path re-armed supervision.
         assert restored.edb.supervisor_mode == "on"
-        assert restored.edb.registered_views == (QUERY,)
         twin_tail = _drive(twin, 17, 25)
         assert _drive(restored, 9, 25)[2:] == twin_tail
         assert _transcripts(restored) == _transcripts(twin)

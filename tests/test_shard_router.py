@@ -9,7 +9,10 @@ The contract pinned here:
   history, query results (answer, QET, scan counts), storage and leakage all
   equal the plain back-end's.
 * **Scatter-gather is exact** -- gathered count / group-by / join-count
-  answers over K shards equal the unsharded answers at every point.
+  answers over K shards equal the unsharded answers at every point, and
+  every query shape (modulo, windowed and star-join counts too) answers
+  like a fleet of row-interpreter shards and like the ground truth, for K
+  in {1, 2, 4}, both back-ends and every shard executor.
 * **Aggregated leakage** -- ``update_pattern_observables`` over the router's
   history equals the unsharded transcript regardless of K.
 * **Gather arithmetic and ledger** -- join-count histogram merges keep
@@ -32,10 +35,19 @@ from repro.edb.oblidb import ObliDB
 from repro.edb.records import Record, Schema, make_dummy_record
 from repro.edb.router import ShardRouter
 from repro.edb.cost_model import UnsupportedQueryError
-from repro.query.ast import CountQuery, GroupByCountQuery, JoinCountQuery
+from repro.query.ast import (
+    CountQuery,
+    GroupByCountQuery,
+    JoinCountQuery,
+    ModCountQuery,
+    MultiJoinCountQuery,
+    WindowedCountQuery,
+)
+from repro.query.executor import ground_truth
 from repro.query.predicates import RangePredicate
 from repro.query.scatter import join_count_from_histograms
 from repro.query.sql import parse_query
+from repro.testing.reference import row_interpreter
 
 TABLES = ("Alpha", "Beta")
 SCHEMAS = {name: Schema(name=name, attributes=("key", "value")) for name in TABLES}
@@ -256,6 +268,173 @@ def test_sharded_query_cost_scales_down():
     # Perfectly balanced shards would give 4x on the linear term; allow
     # hash-imbalance and the fixed per-query base.
     assert unsharded.qet_seconds / gathered.qet_seconds > 2.0
+
+
+# ---------------------------------------------------------------------------
+# Every query shape through the router, against the row interpreter
+# ---------------------------------------------------------------------------
+
+SHAPE_TABLES = ("Alpha", "Beta", "Gamma")
+SHAPE_SCHEMAS = {
+    name: Schema(name=name, attributes=("key", "value")) for name in SHAPE_TABLES
+}
+
+
+def _shape_record(table: str, key: int, value: int, time: int, dummy: bool = False):
+    if dummy:
+        return make_dummy_record(SHAPE_SCHEMAS[table], arrival_time=time)
+    return Record(values={"key": key, "value": value}, arrival_time=time, table=table)
+
+
+def _shape_queries(include_joins: bool = True) -> list:
+    """One query per shape (joins only on back-ends that run them)."""
+    queries = [
+        CountQuery(
+            table="Alpha", predicate=RangePredicate("value", 0, 60), label="q-count"
+        ),
+        GroupByCountQuery(table="Beta", group_attribute="key", label="q-group"),
+        ModCountQuery(table="Alpha", modulus=3, label="q-mod"),
+        WindowedCountQuery(table="Beta", window=6, mode="sliding", label="q-slide"),
+        WindowedCountQuery(table="Beta", window=8, mode="tumbling", label="q-tumble"),
+    ]
+    if include_joins:
+        queries.append(
+            JoinCountQuery(
+                left_table="Alpha", right_table="Beta",
+                left_attribute="key", right_attribute="key", label="q-join",
+            )
+        )
+        queries.append(
+            MultiJoinCountQuery(
+                join_tables=SHAPE_TABLES,
+                attributes=("key", "key", "key"),
+                label="q-star",
+            )
+        )
+    return queries
+
+
+def _shape_stream(seed: int, ticks: int = 12) -> list:
+    """Deterministic per-tick batches over the three tables, with dummies."""
+    rng = np.random.default_rng(seed)
+    batches = []
+    for time in range(1, ticks + 1):
+        grouped: dict[str, list] = {}
+        for table in SHAPE_TABLES:
+            rows = [
+                _shape_record(
+                    table, int(rng.integers(0, 5)), int(rng.integers(0, 100)), time
+                )
+                for _ in range(int(rng.integers(0, 4)))
+            ]
+            if rng.random() < 0.3:
+                rows.append(_shape_record(table, 0, 0, time, dummy=True))
+            if rows:
+                grouped[table] = rows
+        batches.append((time, grouped))
+    return batches
+
+
+def _shape_router(K: int, cls=ObliDB, executor: str = "serial", rows: bool = False):
+    def build():
+        shards = [
+            cls(rng=np.random.default_rng(index)) if cls is CryptEpsilon else cls()
+            for index in range(K)
+        ]
+        return ShardRouter(shards, route_seed=7, executor=executor)
+
+    if not rows:
+        return build()
+    with row_interpreter():
+        return build()
+
+
+def _observe(router: ShardRouter, queries, stream) -> tuple:
+    """Setup, replay the stream querying every shape after each batch, and
+    collect answers (group order included), QET, noise flags and the
+    aggregate and per-shard transcripts."""
+    initial = [
+        _shape_record(table, key % 5, 11 * key, 0)
+        for table in SHAPE_TABLES
+        for key in range(4)
+    ]
+    router.setup(initial, time=0)
+    observed = []
+    try:
+        for time, grouped in stream:
+            router.insert_many(grouped, time=time)
+            for query in queries:
+                result = router.query(query, time=time)
+                answer = result.answer
+                if isinstance(answer, dict):
+                    answer = list(answer.items())
+                observed.append(
+                    (query.name, answer, result.qet_seconds, result.noise_injected)
+                )
+        transcripts = (
+            update_pattern_observables(router.update_history),
+            router.per_shard_observables(),
+        )
+    finally:
+        router.close()
+    return observed, transcripts
+
+
+@pytest.mark.parametrize("cls", [ObliDB, CryptEpsilon], ids=["oblidb", "crypte"])
+@pytest.mark.parametrize("K", [1, 2, 4])
+def test_every_shape_matches_the_row_interpreter_fleet(K, cls):
+    """Folded answers (Crypt-epsilon's per-group noise order included), QET,
+    noise flags and transcripts equal a fleet of row-interpreter shards."""
+    queries = _shape_queries(include_joins=cls is ObliDB)
+    stream = _shape_stream(seed=5)
+    assert _observe(_shape_router(K, cls), queries, stream) == _observe(
+        _shape_router(K, cls, rows=True), queries, stream
+    )
+
+
+@pytest.mark.parametrize("executor", ["threads", "processes"])
+def test_every_shape_agrees_across_executors(executor):
+    """The serial, threaded and process fleets agree observable for observable."""
+    queries = _shape_queries()
+    stream = _shape_stream(seed=11, ticks=8)
+    assert _observe(_shape_router(2, executor=executor), queries, stream) == _observe(
+        _shape_router(2, executor="serial", rows=True), queries, stream
+    )
+
+
+_shape_batch = st.lists(
+    st.tuples(
+        st.sampled_from(SHAPE_TABLES),
+        st.integers(min_value=0, max_value=4),  # key
+        st.integers(min_value=0, max_value=99),  # value
+        st.booleans(),  # dummy
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_shape_batch, min_size=1, max_size=10))
+def test_every_shape_answers_the_ground_truth(raw_batches):
+    """Random ingests into a two-shard fleet: every shape's gathered answer
+    equals the plaintext ground truth of the logical tables after every
+    batch."""
+    queries = _shape_queries()
+    router = _shape_router(2)
+    router.setup([], time=0)
+    logical: dict[str, list] = {table: [] for table in SHAPE_TABLES}
+    for time, raw in enumerate(raw_batches, start=1):
+        grouped: dict[str, list] = {}
+        for table, key, value, dummy in raw:
+            record = _shape_record(table, key, value, time, dummy=dummy)
+            grouped.setdefault(table, []).append(record)
+            if not dummy:
+                logical[table].append(record)
+        router.insert_many(grouped, time=time)
+        for query in queries:
+            assert router.query(query, time=time).answer == ground_truth(
+                query, logical, time=time
+            ), query.name
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ A supervisor generation ships only the rows appended since its parent
 (:func:`repro.edb.store.snapshot_backend` with ``since=<marks>``), and
 restore applies the chain from its full base.  The contract is a
 differential: for random sequences of ``setup``, ``insert_many``,
-``query``, ``register_view`` and ``rotate_key`` -- with random snapshot
+``query`` and ``rotate_key`` -- with random snapshot
 cadences, random fold points and a random torn generation -- restoring the
 chain must equal restoring one full snapshot of the same shard in arena
 bytes, handles, transcripts, answers, the next 16 RNG draws and column
@@ -85,7 +85,6 @@ _operations = st.lists(
             st.sampled_from(["events", "other"]),
         ),
         st.tuples(st.just("query"), st.integers(0, len(QUERIES) - 1)),
-        st.tuples(st.just("view"), st.integers(0, len(QUERIES) - 1)),
         st.tuples(st.just("rotate")),
         st.tuples(st.just("fold")),
     ),
@@ -103,8 +102,6 @@ def _apply(targets, operation, time: int, counter: list[int]) -> list:
         return [target.insert_many(batch, time) for target in targets]
     if kind == "query":
         return [target.query(QUERIES[operation[1]], time) for target in targets]
-    if kind == "view":
-        return [target.register_view(QUERIES[operation[1]]) for target in targets]
     if kind == "rotate":
         key = bytes([time % 256]) * 32
         return [target.rotate_key(key) and None for target in targets]
@@ -156,8 +153,6 @@ def _state(edb, ciphertexts: bool = True) -> dict:
         "key": edb.cipher.key,
         "handles": edb.cipher._next_handle,
         "totals": (edb._table_totals, edb._table_dummies, edb.storage_bytes),
-        "views": edb.registered_views,
-        "work": (edb.query_work_seconds, edb.maintained_query_count),
     }
 
 
@@ -236,7 +231,6 @@ def test_chain_restore_equals_full_restore(
 def _fleet_edb(n: int) -> ObliDB:
     edb = ObliDB(simulate_encryption=True)
     edb.setup(_rows(0, n, "int"))
-    edb.register_view(QUERIES[2])
     for query in QUERIES[:3]:
         edb.query(query, 1)
     return edb
@@ -326,7 +320,7 @@ def test_a_chain_restored_mid_stream_answers_like_the_uninterrupted_edb(
     the restored EDB rebuilds its per-plan aggregate state on each plan's
     first query and then answers exactly like the EDB that never stopped --
     through dtype promotions after the restore too.  No generation carries
-    that state."""
+    that state, nor the executor's lowered-plan cache."""
     live = BACKENDS[backend](5)
     live.setup(_rows(0, 6, "int") + _rows(6, 4, "int", "other"))
     kinds = ["int", "bool", "int", "int", "float", "int", "int", "float", "int"]
@@ -344,11 +338,13 @@ def test_a_chain_restored_mid_stream_answers_like_the_uninterrupted_edb(
         if restored is None:
             blob, marks = snapshot_generation(live, marks)
             blobs.append(blob)
-            assert b"_folds" not in blob and b"_Fold" not in blob
+            for derived in (b"_folds", b"_Fold", b"_plan_cache"):
+                assert derived not in blob, derived
         if time == cut:
             assert live._executor._folds, "the live EDB keeps fold states"
             restored = restore_backend(*blobs)
             assert restored._executor._folds == {}
+            assert restored._executor._plan_cache == {}
             if isinstance(live, CryptEpsilon):  # the only back-end that draws
                 assert restored._rng.random(4).tolist() == live._rng.random(4).tolist()
     assert len(blobs) == cut

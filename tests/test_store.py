@@ -196,7 +196,7 @@ def test_torn_manifest_and_torn_blob_are_detected(tmp_path):
         EncryptedStore(tmp_path, passphrase="pw").manifest()
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
 def test_earlier_manifest_versions_are_refused(tmp_path, version):
     """Stores of an earlier format are refused with their version named, not
     misread: version 1 predates AES-GCM, version 2 delta generations (no
@@ -204,18 +204,19 @@ def test_earlier_manifest_versions_are_refused(tmp_path, version):
     per-record object tails), version 4 flat-only shards (its full
     generations still carry ORAM position maps), version 5 RNG-free ObliDB
     shards and named-tuple update histories (its ObliDB states still carry
-    an unused RNG)."""
+    an unused RNG), version 6 view-free EDB states (its generations still
+    carry maintained-view state, view queries and the plan cache)."""
     store = EncryptedStore(tmp_path)
     store.write_blob("a.bin", b"alpha")
     manifest = store.commit()
-    assert manifest["version"] == STORE_VERSION == 6
+    assert manifest["version"] == STORE_VERSION == 7
     assert manifest["parent"] is None
     manifest["version"] = version
     if version < 3:
         del manifest["parent"]
     (tmp_path / "MANIFEST.json").write_text(json.dumps(manifest))
     with pytest.raises(
-        StoreIntegrityError, match=f"manifest version {version} is not 6"
+        StoreIntegrityError, match=f"manifest version {version} is not 7"
     ):
         EncryptedStore(tmp_path).manifest()
 

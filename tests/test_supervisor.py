@@ -586,8 +586,6 @@ def test_every_surface_entry_is_declared_on_the_edb_with_its_kind():
         "update",
         "insert_many",
         "query",
-        "register_view",
-        "set_view_answering",
         "rotate_key",
     }
     for name, kind in SHARD_SURFACE.items():
@@ -648,8 +646,6 @@ def test_supervisor_journals_exactly_the_mutating_entries(tmp_path):
         shard.update(_records(3, start=6), 1)
         shard.insert_many({"events": _records(2, start=9)}, time=2)
         shard.query(QUERY, time=3)
-        shard.register_view(QUERY)
-        shard.set_view_answering(False)
         shard.rotate_key(None)
         shard.table_size("events")
         shard.table_dummy_count("events")
@@ -663,13 +659,11 @@ def test_supervisor_journals_exactly_the_mutating_entries(tmp_path):
             "update",
             "insert_many",
             "query",
-            "register_view",
-            "set_view_answering",
             "rotate_key",
         ]
         assert set(journaled) == set(surface_names(MUTATE))
         # Journaled arguments are canonical: defaults filled in, positional.
         query_entry = shard._journal.entries()[3]
-        assert query_entry["args"] == (QUERY, 3, None)
+        assert query_entry["args"] == (QUERY, 3)
     finally:
         shard.close()
