@@ -392,6 +392,22 @@ def test_every_shape_matches_the_row_interpreter_fleet(K, cls):
     )
 
 
+def test_crypte_group_noise_order_matches_the_row_interpreter_fleet():
+    """Crypt-epsilon draws one noise value per group in first-appearance
+    order: folded group-by answers keep that order key for key."""
+    query = GroupByCountQuery(table="Beta", group_attribute="key", label="qg")
+    stream = _shape_stream(seed=31)
+    folded, folded_transcripts = _observe(_shape_router(2, CryptEpsilon), [query], stream)
+    rows, rows_transcripts = _observe(
+        _shape_router(2, CryptEpsilon, rows=True), [query], stream
+    )
+    assert folded_transcripts == rows_transcripts
+    assert any(len(answer) > 1 for _, answer, _, _ in folded)
+    for (_, folded_answer, _, _), (_, rows_answer, _, _) in zip(folded, rows, strict=True):
+        # Noisy counts and their group keys match in order, not merely as sets.
+        assert folded_answer == rows_answer
+
+
 @pytest.mark.parametrize("executor", ["threads", "processes"])
 def test_every_shape_agrees_across_executors(executor):
     """The serial, threaded and process fleets agree observable for observable."""
