@@ -376,10 +376,9 @@ class WindowedCountQuery(Query):
     ``arrival_time`` lies in the current window.  ``mode="sliding"`` uses the
     trailing window ``(t - window, t]``; ``mode="tumbling"`` aligns windows to
     the fixed grid ``((k-1) * window, k * window]`` and counts the one
-    containing ``t`` up to ``t`` itself.  The EDB's columnar executor folds
-    a per-tick count of the kept rows; the row executor's rescan is the
-    differential oracle, and the analyst's ground truth keeps a ring buffer
-    of per-tick bucket sums.
+    containing ``t`` up to ``t`` itself.  The EDB answers it with a rescan of
+    the rows; the analyst's ground truth keeps a ring buffer of per-tick
+    bucket sums.
     """
 
     table: str

@@ -5,8 +5,7 @@ predicates with one Python call per record, which dominates end-to-end cost
 on Figure-2-scale runs (oblivious operators touch *every* outsourced record
 on *every* query).  :class:`ColumnarExecutor` keeps, next to the row mirror,
 one NumPy column per attribute plus an ``is_dummy`` column, and one small
-aggregate state per lowered plan for the paper's three query shapes and
-windowed counts:
+aggregate state per lowered plan for the paper's three query shapes:
 
 * ``COUNT(*) WHERE p``                  -- rows seen and the count (a
   modulo count is this count, reduced by its query);
@@ -15,21 +14,17 @@ windowed counts:
   is *identical* (including iteration order, which the L-DP back-end's noise
   draws depend on) to the row executor's ``Counter``;
 * ``COUNT(*)`` of an equi-join          -- per side the rows seen, a key
-  histogram and the filtered size, plus the running pair count;
-* a windowed ``COUNT(*) WHERE p``       -- rows seen and a ``Counter`` of
-  the kept rows' arrival ticks; the answer sums the ticks inside the
-  window, so it is exact for out-of-order arrivals and any query time.
+  histogram and the filtered size, plus the running pair count.
 
 Tables only grow between queries, so a query evaluates its plan's
 predicates over the rows appended since the plan last ran (the *tail*) and
 folds them in: a count adds the tail's matches, a group-by counts the
-tail's keys, a join adds ``ΔL·R' + L·ΔR`` (the insert delta of FO+MOD
-maintenance, Berkholz et al., PAPERS.md), which keeps self-joins exact, and
-a windowed count counts the tail's ticks.  A plan's first run folds the
-whole table.  A repeated query therefore costs O(rows since it last ran),
-while its :class:`ExecutionStats` still report the whole oblivious scan,
-and the cost model still charges it.  These folds are the server's only
-incremental state: nothing is maintained on Update.
+tail's keys, and a join adds ``ΔL·R' + L·ΔR`` (the insert delta of FO+MOD
+maintenance, Berkholz et al., PAPERS.md), which keeps self-joins exact.  A
+plan's first run folds the whole table.  A repeated query therefore costs
+O(rows since it last ran), while its :class:`ExecutionStats` still report
+the whole oblivious scan, and the cost model still charges it.  These folds
+are the server's only incremental state: nothing is maintained on Update.
 
 A state starts over from row 0 when a column of a table it reads changes
 dtype (``_consolidate``'s ``astype`` promotion), and :meth:`register` drops
@@ -41,18 +36,17 @@ hashed folds from row 0 on every run.
 Plans or predicates outside this fragment -- columns that are not plain
 numeric arrays, NaN group or join keys, unknown attributes of a non-empty
 table, star joins -- transparently fall back to the inherited row
-interpreter (windowed counts to its row loop), so
-answers and :class:`~repro.query.executor.ExecutionStats` are always
-bit-identical to the reference executor; only the constant factor changes.
-The differential suite (``tests/test_edb_differential.py``) pins exactly
-that contract.
+interpreter, and windowed counts keep its row loop, so answers and
+:class:`~repro.query.executor.ExecutionStats` are always bit-identical to
+the reference executor; only the constant factor changes.  The differential
+suite (``tests/test_edb_differential.py``) pins exactly that contract.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import repeat
 from typing import Iterable
 
 import numpy as np
@@ -65,7 +59,6 @@ from repro.query.ast import (
     JoinNode,
     PlanNode,
     ScanNode,
-    WindowedCountQuery,
 )
 from repro.query.executor import Answer, ExecutionStats, PlaintextExecutor
 from repro.query.predicates import (
@@ -355,39 +348,6 @@ class ColumnarExecutor(PlaintextExecutor):
             return self._vector_plan(plan)
         except _Unsupported:
             return super().execute_plan(plan)
-
-    def _execute_windowed(
-        self, query: WindowedCountQuery, rewrite: bool, time: int
-    ) -> tuple[Answer, ExecutionStats]:
-        """Windowed count from a per-tick fold, with row-loop fallback."""
-        try:
-            ticks = self._tick_counts(query, rewrite)
-        except _Unsupported:
-            return super()._execute_windowed(query, rewrite, time)
-        start, end = query.window_bounds(time)
-        if end - start <= len(ticks):
-            count = sum(map(ticks.get, range(start + 1, end + 1), repeat(0)))
-        else:
-            count = sum(n for tick, n in ticks.items() if start < tick <= end)
-        return count, ExecutionStats(self._table_len(query.table), count)
-
-    def _tick_counts(self, query: WindowedCountQuery, rewrite: bool) -> Counter:
-        """Arrival-tick histogram of the rows ``query``'s filters keep,
-        folded over the tail.  Its fold is keyed by the bare filter chain,
-        apart from any count or group-by plan over the same rows."""
-        source = FilterNode(ScanNode(query.table), query.predicate)
-        if rewrite:
-            source = FilterNode(source, NotDummyPredicate())
-        store = self._store(query.table)
-        fold = self._fold(source, store)
-        start, size = fold.rows[0], len(store)
-        mask = self._source(source, store, start)
-        rows = self.tables.get(query.table, ())
-        arrivals = [row.arrival_time for row in rows[start:size]]
-        ticks = fold.counts[0]
-        ticks.update(arrivals if mask is None else compress(arrivals, mask.tolist()))
-        fold.rows = (size,)
-        return ticks
 
     # -- vectorized fragment -------------------------------------------------
 

@@ -126,12 +126,13 @@ class PlaintextExecutor:
         On subclasses that override :meth:`execute_plan` with a vectorized
         pass (the columnar executor), this forces the base interpreter over
         the row mirror instead: the differential oracle for the vectorized
-        path (windowed counts take the row loop of :meth:`_execute_windowed`
-        the same way).  Answers and stats are identical either way; only
-        wall clock moves.
+        path.  Answers and stats are identical either way; only wall clock
+        moves.
         """
         if isinstance(query, WindowedCountQuery):
-            return PlaintextExecutor._execute_windowed(self, query, rewrite, time)
+            # The window oracle is already a row loop; there is no vectorized
+            # variant to force away from.
+            return self._execute_windowed(query, rewrite, time)
         answer, stats = PlaintextExecutor.execute_plan(
             self, self._plan_for(query, rewrite)
         )

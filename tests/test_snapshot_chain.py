@@ -16,6 +16,7 @@ from __future__ import annotations
 import pickle
 import tempfile
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,7 +34,13 @@ from repro.edb.store import (
     snapshot_generation,
 )
 from repro.fleet.supervisor import SupervisedShard, SupervisorConfig
-from repro.query.ast import CountQuery, GroupByCountQuery, JoinCountQuery
+from repro.query.ast import (
+    CountQuery,
+    GroupByCountQuery,
+    JoinCountQuery,
+    ModCountQuery,
+    WindowedCountQuery,
+)
 from repro.query.predicates import RangePredicate
 from repro.testing.chaos import parse_fault_schedule
 
@@ -311,6 +318,17 @@ FOLDED_QUERIES = QUERIES + (
 )
 
 
+#: Shapes asked next to the folds: a modulo count shares the count fold,
+#: and windowed counts rescan the rows.
+MID_STREAM_QUERIES = FOLDED_QUERIES + (
+    ModCountQuery(
+        table="events", modulus=3, predicate=RangePredicate("value", 2, 40), label="mod"
+    ),
+    WindowedCountQuery(table="events", window=2, label="sliding"),
+    WindowedCountQuery(table="other", window=3, mode="tumbling", label="tumbling"),
+)
+
+
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
 @pytest.mark.parametrize("cut", [1, 3, 7])
 def test_a_chain_restored_mid_stream_answers_like_the_uninterrupted_edb(
@@ -319,7 +337,8 @@ def test_a_chain_restored_mid_stream_answers_like_the_uninterrupted_edb(
     """Restore a full generation plus its deltas while queries are running:
     the restored EDB rebuilds its per-plan aggregate state on each plan's
     first query and then answers exactly like the EDB that never stopped --
-    through dtype promotions after the restore too.  No generation carries
+    modulo and windowed counts over late arrivals included, and through
+    dtype promotions after the restore too.  No generation carries
     that state, nor the executor's lowered-plan cache."""
     live = BACKENDS[backend](5)
     live.setup(_rows(0, 6, "int") + _rows(6, 4, "int", "other"))
@@ -327,12 +346,18 @@ def test_a_chain_restored_mid_stream_answers_like_the_uninterrupted_edb(
     blobs, marks, counter, restored = [], None, 10, None
     for time, kind in enumerate(kinds, start=1):
         table = "other" if time % 3 == 0 else "events"
-        batch = {table: _rows(counter, 5, kind, table)}
+        # Arrivals up to two ticks late, so the windows move.
+        batch = {
+            table: [
+                replace(row, arrival_time=max(time - row.values["key"] % 3, 1))
+                for row in _rows(counter, 5, kind, table)
+            ]
+        }
         counter += 5
         targets = [live] if restored is None else [live, restored]
         first, *rest = [target.insert_many(batch, time) for target in targets]
         assert all(result == first for result in rest)
-        for query in filter(live.supports, FOLDED_QUERIES):
+        for query in filter(live.supports, MID_STREAM_QUERIES):
             first, *rest = [target.query(query, time) for target in targets]
             assert all(result == first for result in rest), query.name
         if restored is None:
