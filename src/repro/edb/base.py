@@ -49,9 +49,10 @@ __all__ = [
     "UnsupportedQueryError",
     "MUTATE",
     "CALL",
-    "READ",
+    "MIRROR",
     "FACT",
     "SHARD_SURFACE",
+    "ShardMirror",
     "surface_names",
     "command_args",
     "derive_surface",
@@ -339,14 +340,17 @@ class EncryptedDatabase:
 # -- the shard-facing protocol surface -----------------------------------------
 
 #: Kinds of :data:`SHARD_SURFACE` entries: a ``MUTATE`` command is journaled
-#: for replay, a ``CALL`` mutates nothing, a ``READ`` is fetched on every
-#: access, a ``FACT`` is cached once per shard.
-MUTATE, CALL, READ, FACT = "mutate", "call", "read", "fact"
+#: for replay, a ``CALL`` mutates nothing, a ``MIRROR`` value is kept on the
+#: coordinator (:class:`ShardMirror`) and costs no round trip, a ``FACT`` is
+#: cached once per shard.
+MUTATE, CALL, MIRROR, FACT = "mutate", "call", "mirror", "fact"
 
 #: The :class:`EncryptedDatabase` surface a shard serves.  The worker serves
-#: exactly these names, and the worker proxy, supervisor wrapper and router
-#: derive their members from it (:func:`derive_surface`).  ``query`` mutates:
-#: an L-DP back-end draws noise per query, which a rebuilt shard must replay.
+#: exactly the commands among these names, and the worker proxy, supervisor
+#: wrapper and router derive their members from it (:func:`derive_surface`).
+#: ``query`` mutates: an L-DP back-end draws noise per query, which a rebuilt
+#: shard must replay.  Every ``MIRROR`` value is a fold of the shard's
+#: :class:`UpdateResult` replies, so only protocol calls cross a worker pipe.
 SHARD_SURFACE: dict[str, str] = {
     "setup": MUTATE,
     "update": MUTATE,
@@ -355,16 +359,52 @@ SHARD_SURFACE: dict[str, str] = {
     "rotate_key": MUTATE,
     "table_size": CALL,
     "table_dummy_count": CALL,
-    "is_setup": READ,
-    "update_history": READ,
-    "outsourced_count": READ,
-    "dummy_count": READ,
-    "real_count": READ,
-    "storage_bytes": READ,
+    "is_setup": MIRROR,
+    "update_history": MIRROR,
+    "outsourced_count": MIRROR,
+    "dummy_count": MIRROR,
+    "real_count": MIRROR,
+    "storage_bytes": MIRROR,
     "scheme_name": FACT,
     "cost_model": FACT,
     "leakage_profile": FACT,
 }
+
+
+class ShardMirror:
+    """A shard's ``MIRROR`` values, kept where its replies arrive.
+
+    Seeded from the shard object before it moves into a worker, then
+    advanced by every :class:`UpdateResult` the shard replies with: the same
+    additions, in the same order, that the shard makes to its own counters,
+    so even the float :attr:`storage_bytes` stays bit-identical.
+    """
+
+    def __init__(self, shard: EncryptedDatabase) -> None:
+        self.is_setup = shard.is_setup
+        self._history = list(shard.update_history)
+        self.outsourced_count = shard.outsourced_count
+        self.dummy_count = shard.dummy_count
+        self.storage_bytes = shard.storage_bytes
+
+    def fold(self, reply) -> None:
+        """Advance by one reply; only a Setup/Update result changes anything
+        (and only a set-up shard returns one)."""
+        if not isinstance(reply, UpdateResult):
+            return
+        self.is_setup = True
+        self._history.append(reply)
+        self.outsourced_count += reply.total_added
+        self.dummy_count += reply.dummies_added
+        self.storage_bytes += reply.bytes_added
+
+    @property
+    def update_history(self) -> tuple[UpdateResult, ...]:
+        return tuple(self._history)
+
+    @property
+    def real_count(self) -> int:
+        return self.outsourced_count - self.dummy_count
 
 
 def surface_names(kind: str) -> tuple[str, ...]:
@@ -412,7 +452,7 @@ def command_args(name: str, args: tuple, kwargs: Mapping) -> tuple:
 def derive_surface(**makers: Callable[[str], Callable]) -> Callable[[type], type]:
     """Class decorator adding one member per :data:`SHARD_SURFACE` entry the
     class body does not define, built by ``makers[kind](name)`` (a property
-    getter for ``READ`` and ``FACT``).  No other name is added."""
+    getter for ``MIRROR`` and ``FACT``).  No other name is added."""
 
     def decorate(cls: type) -> type:
         for name, kind in SHARD_SURFACE.items():
@@ -421,7 +461,7 @@ def derive_surface(**makers: Callable[[str], Callable]) -> Callable[[type], type
             member = makers[kind](name)
             member.__name__ = name
             member.__doc__ = getattr(EncryptedDatabase, name).__doc__
-            setattr(cls, name, property(member) if kind in (READ, FACT) else member)
+            setattr(cls, name, property(member) if kind in (MIRROR, FACT) else member)
         return cls
 
     return decorate

@@ -37,9 +37,19 @@ model (max over shards) is matched by a real wall-clock speedup, which
 sequential loop.  ``executor="processes"`` escapes the GIL entirely: each
 shard moves into a persistent worker process
 (:mod:`repro.edb.shard_worker`) that owns the shard's EDB, arenas and RNG
-stream, and the router's fan-out threads merely block on pipe round-trips
-(releasing the GIL) while workers compute truly in parallel; ciphertexts
-stay in each worker's own arenas, and the coordinator never reads them.
+stream; ciphertexts stay in each worker's own arenas, and the coordinator
+never reads them.  There the fan-out is **pipelined** and uses no threads:
+the router writes every touched shard's command to its pipe, then collects
+the replies in shard order, so the workers compute in parallel while the
+coordinator waits on the first reply.  Each worker has one command in flight
+(the proxy's pipe lock is held from send to reply), and every sent command's
+reply is read before the first failure in shard order is raised, so no pipe
+is left out of step.  A gather that asks each shard several probes (a join's
+sides) sends them one round per probe, so each shard sees its probes, and
+draws their noise, in the order the in-process executors use.
+
+Only protocol calls cross a worker pipe: the router's sums of shard
+counters read each proxy's :class:`~repro.edb.base.ShardMirror`.
 Shards are mutated only by their own call and partials are merged in
 shard-index order, so answers, transcripts and per-shard state are
 byte-identical under every executor (``tests/test_scatter_concurrency.py``
@@ -52,6 +62,7 @@ observable (``tests/test_shard_router.py`` pins this).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import time as _time
@@ -64,6 +75,7 @@ from repro.edb.base import (
     EncryptedDatabase,
     QueryResult,
     UpdateResult,
+    command_args,
     derive_surface,
 )
 from repro.edb.cost_model import UnsupportedQueryError
@@ -72,14 +84,13 @@ from repro.edb.records import Record
 from repro.edb.shard_worker import ShardWorkerClient
 from repro.query.ast import JoinCountQuery, MultiJoinCountQuery, Query
 from repro.query.scatter import (
-    drain_futures,
+    drain,
     join_count_from_histograms,
     join_side_probes,
     merge_grouped_counts,
     merge_partial_answers,
     multi_join_count_from_histograms,
     multi_join_probes,
-    scatter_map,
 )
 from repro.util.mp import preferred_mp_context, usable_cpus
 
@@ -240,8 +251,9 @@ class WallClockStats:
 
 def _fan_out(router: "ShardRouter", name: str, *args, **kwargs) -> None:
     """Send one mutating command to every shard."""
+    args = command_args(name, args, kwargs)
     try:
-        router._map(lambda shard: getattr(shard, name)(*args, **kwargs), router._shards)
+        router._scatter([(index, name, args) for index in range(router.n_shards)])
     finally:
         router._absorb_worker_stats()
 
@@ -254,7 +266,7 @@ def _sum_call(name: str):
     return lambda self, *args: sum(getattr(s, name)(*args) for s in self._shards)
 
 
-def _sum_read(name: str):
+def _sum_mirror(name: str):
     return lambda self: sum(getattr(shard, name) for shard in self._shards)
 
 
@@ -262,8 +274,17 @@ def _first_shard_fact(name: str):
     return lambda self: getattr(self._shards[0], name)
 
 
+def _split_call(shard) -> tuple[Callable, Callable]:
+    """The two halves of one round trip on a process shard: a supervised
+    shard's ``begin``/``finish``, or a worker proxy's ``send``/``receive``.
+    Neither first half raises; a failed send surfaces from the second."""
+    if hasattr(shard, "begin"):
+        return shard.begin, shard.finish
+    return shard.send, lambda _sent: shard.receive()
+
+
 @derive_surface(
-    mutate=_broadcast, call=_sum_call, read=_sum_read, fact=_first_shard_fact
+    mutate=_broadcast, call=_sum_call, mirror=_sum_mirror, fact=_first_shard_fact
 )
 class ShardRouter:
     """Route one logical EDB across K independent back-end shards.
@@ -271,7 +292,7 @@ class ShardRouter:
     Shard-surface members (:data:`~repro.edb.base.SHARD_SURFACE`) the body
     does not define are derived: a mutating command goes to every shard
     (``rotate_key``: each draws its own key unless one is given), a call or
-    read sums over the shards, a fact is shard 0's.
+    mirrored value sums over the shards, a fact is shard 0's.
 
     Parameters
     ----------
@@ -353,13 +374,20 @@ class ShardRouter:
             #: resource box so close()/finalize tears down their scratch.
             shards = self._clients = self._supervisor.wrap(shards)
         self._shards: list = list(shards)
+        #: Process shards: each one's (send, collect) halves, for the
+        #: pipelined fan-out of :meth:`_scatter`.
+        self._split = (
+            [_split_call(shard) for shard in self._shards]
+            if self._executor == "processes"
+            else None
+        )
         #: Per-client (busy, overhead, commands) snapshots so measured stats
         #: absorb only the *delta* each protocol call produced -- keeping
         #: ``measured.reset()`` meaningful across benchmark phases.
         self._client_marks = [client.stats() for client in self._clients]
         self._pool: ThreadPoolExecutor | None = None
         #: Mutable box shared with the finalizer: the pool is created lazily
-        #: by :meth:`_pool_map`, so the box is updated there as well.
+        #: by :meth:`_scatter`, so the box is updated there as well.
         self._resources: dict = {"pool": None, "clients": self._clients}
         self._finalizer = weakref.finalize(
             self, _release_router_resources, self._resources
@@ -371,7 +399,6 @@ class ShardRouter:
         #: ordinals.
         self._table_shard_counts: dict[str, list[int]] = {}
         self._update_history: list[UpdateResult] = []
-        self._is_setup = False
 
     # -- executor ------------------------------------------------------------
 
@@ -390,32 +417,38 @@ class ShardRouter:
         """The :class:`~repro.fleet.supervisor.ShardSupervisor` (or ``None``)."""
         return self._supervisor
 
-    def _map(self, fn: Callable, items: Sequence) -> list:
-        """Scatter ``fn`` over ``items``, gathering results in item order.
+    def _scatter(self, calls: Sequence[tuple[int, str, tuple]]) -> list:
+        """Run ``(shard index, command, args)`` calls, gathering results in
+        call order; the first failure in call order is raised after every
+        call has finished, so no shard is still working (and no pipe holds
+        an unread reply) when the caller acts on it.
 
-        The thread pool drives both concurrent executors: with in-process
-        shards the NumPy/hashing kernels release the GIL; with process
-        shards each pool thread blocks on its worker's pipe (releasing the
-        GIL) while the workers compute truly in parallel.
+        ``threads`` runs the calls on a pool (in-process NumPy/hashing
+        kernels release the GIL); ``processes`` writes every call to its
+        worker's pipe, then collects the replies; ``serial`` loops and stops
+        at the first failure.
         """
-        executor_map = None
-        if self._executor in ("threads", "processes") and len(items) > 1:
-            executor_map = self._pool_map
-        return scatter_map(executor_map, fn, items)
+        if len(calls) <= 1 or self._executor == "serial":
+            return [self._call(call) for call in calls]
+        if self._split is not None:
+            collects = []
+            for index, command, args in calls:
+                begin, finish = self._split[index]
+                sent = begin(command, *command_args(command, args, {}))
+                collects.append(functools.partial(finish, sent))
+        else:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=len(self._shards),
+                    thread_name_prefix="shard-router",
+                )
+                self._resources["pool"] = self._pool
+            collects = [self._pool.submit(self._call, call).result for call in calls]
+        return drain(collects)
 
-    def _pool_map(self, fn: Callable, items: Sequence) -> list:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=len(self._shards),
-                thread_name_prefix="shard-router",
-            )
-            self._resources["pool"] = self._pool
-        # submit + drain (not Executor.map): when one shard call fails, the
-        # sibling calls are waited to completion before the error propagates,
-        # so no scatter thread is left blocked on a pipe or mid-mutation when
-        # the caller (or the supervisor) starts acting on the failure.
-        futures = [self._pool.submit(fn, item) for item in items]
-        return drain_futures(futures)
+    def _call(self, call: tuple[int, str, tuple]):
+        index, command, args = call
+        return getattr(self._shards[index], command)(*args)
 
     def _absorb_worker_stats(self) -> None:
         """Fold worker-side counters accumulated since the last call into
@@ -476,11 +509,9 @@ class ShardRouter:
             parts, staged_ordinals, staged_counts = self._partition(
                 self._group(records)
             )
-            results = self._map(
-                lambda pair: pair[0].setup(
-                    [r for rows in pair[1].values() for r in rows], time=time
-                ),
-                list(zip(self._shards, parts)),
+            flat = [[r for rows in part.values() for r in rows] for part in parts]
+            results = self._scatter(
+                [(index, "setup", (rows, time)) for index, rows in enumerate(flat)]
             )
             self._commit_routing(staged_ordinals, staged_counts)
             return self._aggregate(results, time)
@@ -551,10 +582,19 @@ class ShardRouter:
     def _gather(self, query: Query, time: int) -> QueryResult:
         """Scatter ``query`` and merge the partial answers (K > 1)."""
         if isinstance(query, JoinCountQuery):
-            return self._gather_join(query, time)
+            return self._gather_probes(
+                query,
+                join_side_probes(query),
+                lambda sides: join_count_from_histograms(*sides),
+                time,
+            )
         if isinstance(query, MultiJoinCountQuery):
-            return self._gather_multi_join(query, time)
-        results = self._map(lambda shard: shard.query(query, time=time), self._shards)
+            return self._gather_probes(
+                query, multi_join_probes(query), multi_join_count_from_histograms, time
+            )
+        results = self._scatter(
+            [(index, "query", (query, time)) for index in range(self.n_shards)]
+        )
         return QueryResult(
             query_name=query.name,
             answer=merge_partial_answers(query, [r.answer for r in results]),
@@ -567,13 +607,9 @@ class ShardRouter:
 
     @property
     def is_setup(self) -> bool:
-        """Whether Setup has run on every shard.
-
-        Cached once true: no protocol clears it, and a rebuilt shard replays
-        its journaled Setup -- so queries stop asking every shard."""
-        if not self._is_setup:
-            self._is_setup = all(shard.is_setup for shard in self._shards)
-        return self._is_setup
+        """Whether Setup has run on every shard (a mirrored value: no shard
+        is asked)."""
+        return all(shard.is_setup for shard in self._shards)
 
     @property
     def update_history(self) -> tuple[UpdateResult, ...]:
@@ -662,15 +698,12 @@ class ShardRouter:
         time: int,
     ) -> UpdateResult:
         touched = [index for index, part in enumerate(parts) if part]
-        if not touched:
-            # An empty synchronization is still one observable protocol
-            # round-trip; it travels through the first shard.
-            results = [self._shards[0].insert_many({}, time=time)]
-        else:
-            results = self._map(
-                lambda index: self._shards[index].insert_many(parts[index], time=time),
-                touched,
-            )
+        # An empty synchronization is still one observable protocol
+        # round-trip; it travels through the first shard.
+        results = self._scatter(
+            [(index, "insert_many", (parts[index], time)) for index in touched]
+            or [(0, "insert_many", ({}, time))]
+        )
         self._commit_routing(staged_ordinals, staged_counts)
         return self._aggregate(results, time)
 
@@ -688,77 +721,33 @@ class ShardRouter:
         self._update_history.append(aggregate)
         return aggregate
 
-    def _gather_join(self, query: JoinCountQuery, time: int) -> QueryResult:
+    def _gather_probes(
+        self, query: Query, probes: Sequence[Query], combine: Callable, time: int
+    ) -> QueryResult:
         """Distributed join count via per-side key histograms.
 
         Hash-partitioned sides cannot be joined shard-locally, so each shard
-        contributes one histogram per side (an ordinary dummy-aware group-by
-        through its Query protocol, left side first); the merged histograms'
-        dot product is the exact join count.  Each shard runs its two probes
-        sequentially; shards run in parallel, so the gathered QET is the
-        slowest shard's probe total.
+        contributes one histogram per join side (an ordinary dummy-aware
+        group-by through its Query protocol), one scatter round per side in
+        side order; ``combine`` turns the merged histograms into the exact
+        count (a binary join's dot product, a star join's product-sum).
+        Each shard runs its probes one after another and shards run in
+        parallel, so the gathered QET is the slowest shard's probe total.
         """
-        left_probe, right_probe = join_side_probes(query)
-        probe_pairs = self._map(
-            lambda shard: (
-                shard.query(left_probe, time=time),
-                shard.query(right_probe, time=time),
+        rounds = [
+            self._scatter(
+                [(index, "query", (probe, time)) for index in range(self.n_shards)]
+            )
+            for probe in probes
+        ]
+        merged = [merge_grouped_counts([r.answer for r in side]) for side in rounds]
+        return QueryResult(
+            query_name=query.name,
+            answer=combine(merged),
+            qet_seconds=max(
+                sum(r.qet_seconds for r in shard_results)
+                for shard_results in zip(*rounds)
             ),
-            self._shards,
-        )
-        left_parts: list[Mapping] = []
-        right_parts: list[Mapping] = []
-        shard_qets: list[float] = []
-        scanned = 0
-        noise = False
-        for left_result, right_result in probe_pairs:
-            left_parts.append(left_result.answer)
-            right_parts.append(right_result.answer)
-            shard_qets.append(left_result.qet_seconds + right_result.qet_seconds)
-            scanned += left_result.records_scanned + right_result.records_scanned
-            noise = noise or left_result.noise_injected or right_result.noise_injected
-        answer = join_count_from_histograms(
-            merge_grouped_counts(left_parts), merge_grouped_counts(right_parts)
-        )
-        return QueryResult(
-            query_name=query.name,
-            answer=answer,
-            qet_seconds=max(shard_qets),
-            records_scanned=scanned,
-            noise_injected=noise,
-        )
-
-    def _gather_multi_join(
-        self, query: MultiJoinCountQuery, time: int
-    ) -> QueryResult:
-        """Distributed multi-way star-join count via per-side key histograms.
-
-        The binary gather generalized: each shard answers one group-by probe
-        per join side (sequentially, so the per-shard QET is the probe sum),
-        the coordinator merges each side's histograms across shards and the
-        product-sum over the shared key is the exact star-join count.
-        """
-        probes = multi_join_probes(query)
-        probe_rows = self._map(
-            lambda shard: tuple(shard.query(probe, time=time) for probe in probes),
-            self._shards,
-        )
-        side_parts: list[list[Mapping]] = [[] for _ in probes]
-        shard_qets: list[float] = []
-        scanned = 0
-        noise = False
-        for results in probe_rows:
-            for side, result in enumerate(results):
-                side_parts[side].append(result.answer)
-            shard_qets.append(sum(result.qet_seconds for result in results))
-            scanned += sum(result.records_scanned for result in results)
-            noise = noise or any(result.noise_injected for result in results)
-        merged = [merge_grouped_counts(parts) for parts in side_parts]
-        answer = multi_join_count_from_histograms(merged)
-        return QueryResult(
-            query_name=query.name,
-            answer=answer,
-            qet_seconds=max(shard_qets),
-            records_scanned=scanned,
-            noise_injected=noise,
+            records_scanned=sum(r.records_scanned for side in rounds for r in side),
+            noise_injected=any(r.noise_injected for side in rounds for r in side),
         )

@@ -5,22 +5,25 @@ ciphertext arenas and RNG stream -- into its own long-lived worker
 process.  The division of labour:
 
 * :func:`shard_worker_main` is the worker loop: it owns the shard's
-  :class:`~repro.edb.base.EncryptedDatabase` and serves the declared shard
-  surface (:data:`~repro.edb.base.SHARD_SURFACE`: protocol commands, state
-  reads such as transcripts and sizes, the static facts) over one duplex
-  pipe, one command at a time; any name outside that table is refused.  The
-  shard object crosses the process boundary exactly once, at startup (by
-  fork inheritance on POSIX, one pickle on spawn platforms); afterwards only
-  commands, answers and :class:`UpdateResult`/:class:`QueryResult` payloads
-  travel the pipe -- shard state never pickles again, except as the
-  snapshot generations a supervisor asks for.
+  :class:`~repro.edb.base.EncryptedDatabase` and serves the protocol
+  commands of the declared shard surface
+  (:data:`~repro.edb.base.SHARD_SURFACE`) plus the static facts over one
+  duplex pipe, one command at a time; any name outside that table is
+  refused.  The shard object crosses the process boundary exactly once, at
+  startup (by fork inheritance on POSIX, one pickle on spawn platforms);
+  afterwards only commands, answers and
+  :class:`UpdateResult`/:class:`QueryResult` payloads travel the pipe --
+  shard state never pickles again, except as the snapshot generations a
+  supervisor asks for.
 * :class:`ShardWorkerClient` is the coordinator-side proxy.  Its forwarding
   members are derived from the same table
   (:func:`~repro.edb.base.derive_surface`), so the router's scatter-gather
   code runs unchanged over process-backed shards: the facts (scheme name,
-  cost model, leakage profile, ...) are fetched once at startup and
-  ``supports`` answers from the cached cost model; every command and read
-  is one synchronous round-trip.
+  cost model, leakage profile, ...) are fetched once at startup,
+  ``supports`` answers from the cached cost model, and the ``MIRROR``
+  values (transcript, counts, storage) come from a
+  :class:`~repro.edb.base.ShardMirror` seeded before the fork and advanced
+  by each reply.
 
 Ciphertexts written by a worker (``simulate_encryption=True``) stay in its
 own heap :class:`~repro.edb.crypto.CiphertextArena`\\ s, and its record key
@@ -52,9 +55,9 @@ from repro.edb.base import (
     CALL,
     FACT,
     MUTATE,
-    READ,
     SHARD_SURFACE,
     EncryptedDatabase,
+    ShardMirror,
     command_args,
     derive_surface,
     surface_names,
@@ -214,11 +217,6 @@ def _dispatch(shard: EncryptedDatabase, command: str, args: tuple):
         result = getattr(shard, command)(*args)
         # A re-key's new cipher stays in the worker: no key crosses the pipe.
         return None if command == "rotate_key" else result
-    if command == "attr":
-        (name,) = args
-        if SHARD_SURFACE.get(name) != READ:
-            raise AttributeError(f"attribute {name!r} is not remotely readable")
-        return getattr(shard, name)
     if command == "hello":
         return {name: getattr(shard, name) for name in surface_names(FACT)}
     if command == "generation":
@@ -240,30 +238,36 @@ def _forward(name: str):
     return forward
 
 
-def _read(name: str):
-    return lambda self: self._call("attr", name)
+def _mirrored(name: str):
+    return lambda self: getattr(self._mirror, name)
 
 
 def _fact(name: str):
     return lambda self: self._facts[name]
 
 
-@derive_surface(mutate=_forward, call=_forward, read=_read, fact=_fact)
+@derive_surface(mutate=_forward, call=_forward, mirror=_mirrored, fact=_fact)
 class ShardWorkerClient:
     """Coordinator-side proxy for one shard living in a worker process.
 
     Its :data:`~repro.edb.base.SHARD_SURFACE` members are derived: each
-    command and read is one synchronous pipe round-trip, each fact is read
-    from the reply to the startup ``hello``.  The proxy is
-    thread-compatible with the router's fan-out pool (a lock serializes pipe
-    use; concurrent calls target *different* shards, so the lock is never
-    contended on the scatter path).
+    command is one pipe round trip, each ``MIRROR`` value is read from the
+    coordinator-side :class:`~repro.edb.base.ShardMirror`, each fact from the
+    reply to the startup ``hello``.
+
+    A round trip is :meth:`send` then :meth:`receive`.  :meth:`send` takes
+    the pipe lock and :meth:`receive` releases it, so one command is in
+    flight per worker, and a round trip from another thread waits until the
+    reply to the one in flight has been read: the pipe never carries two
+    replies whose order a reader could confuse.
 
     Measured-wall-clock bookkeeping: ``busy_seconds`` accumulates the
     worker-reported execution time (true shard compute), and
-    ``overhead_seconds`` the remainder of each round trip (pickling,
-    transport, scheduling) -- the serialization-overhead counter
-    :class:`~repro.edb.router.WallClockStats` surfaces per shard.
+    ``overhead_seconds`` the remainder of each round trip, from the send to
+    the read reply (pickling, transport, scheduling, and in a pipelined
+    scatter the time spent reading sibling shards' replies first) -- the
+    serialization-overhead counter :class:`~repro.edb.router.WallClockStats`
+    surfaces per shard.
     """
 
     def __init__(
@@ -281,6 +285,11 @@ class ShardWorkerClient:
         # round-trips, the shutdown handshake and process joins.
         self._timeout_s = default_shard_timeout() if timeout_s is None else timeout_s
         self._lock = threading.Lock()
+        self._in_flight = ""
+        self._sent_at = 0.0
+        self._send_error: BaseException | None = None
+        # Seeded before the fork, from the very object the worker inherits.
+        self._mirror = ShardMirror(shard)
         parent_conn, child_conn = context.Pipe()
         self._conn = parent_conn
         self._process = context.Process(
@@ -295,12 +304,32 @@ class ShardWorkerClient:
 
     # -- pipe plumbing --------------------------------------------------------
 
-    def _call(self, command: str, *args):
-        with self._lock:
-            started = _time.perf_counter()
+    def send(self, command: str, *args) -> None:
+        """Write one command to the worker without waiting for its reply.
+
+        Takes the pipe lock that :meth:`receive` releases.  Never raises: a
+        failed write is kept for :meth:`receive`, so every send is answered
+        by exactly one receive and the pipe stays in step.
+        """
+        self._lock.acquire()
+        self._in_flight = command
+        self._send_error = None
+        self._sent_at = _time.perf_counter()
+        try:
+            self._conn.send((command, args))
+        except BaseException as exc:  # noqa: BLE001 - raised by receive()
+            self._send_error = exc
+
+    def receive(self):
+        """Read the reply to the command :meth:`send` wrote, and fold it into
+        the mirror.  The deadline counts from the send."""
+        command = self._in_flight
+        try:
             try:
-                self._conn.send((command, args))
-                if not self._conn.poll(self._timeout_s):
+                if self._send_error is not None:
+                    raise self._send_error
+                remaining = self._timeout_s - (_time.perf_counter() - self._sent_at)
+                if not self._conn.poll(max(0.0, remaining)):
                     # The worker is wedged (or a chaos fault ate the message).
                     # Its state is unknown; a late reply would desynchronize
                     # the pipe, so the proxy is poisoned until closed/replaced.
@@ -308,17 +337,25 @@ class ShardWorkerClient:
                         self.shard_index, command, self._timeout_s
                     )
                 status, payload, busy = self._conn.recv()
-            except (EOFError, BrokenPipeError, ConnectionResetError, OSError):
+            except (EOFError, OSError):
                 raise ShardWorkerDied(
                     self.shard_index, command, exit_code=self._process.exitcode
                 ) from None
-            wall = _time.perf_counter() - started
+            wall = _time.perf_counter() - self._sent_at
             self.busy_seconds += busy
             self.overhead_seconds += max(0.0, wall - busy)
             self.commands += 1
+            if status == "ok":
+                self._mirror.fold(payload)
+        finally:
+            self._lock.release()
         if status == "error":
             raise payload
         return payload
+
+    def _call(self, command: str, *args):
+        self.send(command, *args)
+        return self.receive()
 
     @property
     def process(self):
@@ -327,14 +364,17 @@ class ShardWorkerClient:
 
     def close(self) -> None:
         """Shut the worker down (idempotent; never hangs on a dead worker)."""
-        if self._process.is_alive():
+        # A command still in flight holds the pipe lock: skip the handshake;
+        # closing the pipe ends the worker loop all the same.
+        if self._process.is_alive() and self._lock.acquire(blocking=False):
             try:
-                with self._lock:
-                    self._conn.send(("shutdown", ()))
-                    if self._conn.poll(self._timeout_s):
-                        self._conn.recv()
+                self._conn.send(("shutdown", ()))
+                if self._conn.poll(self._timeout_s):
+                    self._conn.recv()
             except (EOFError, BrokenPipeError, ConnectionResetError, OSError):
                 pass
+            finally:
+                self._lock.release()
         try:
             self._conn.close()
         except OSError:  # pragma: no cover - already closed

@@ -879,7 +879,7 @@ def _apply_delta(edb: "EncryptedDatabase", cls: str, payload: dict) -> None:
     for table, tail in payload["rows"].items():
         executor.tables.setdefault(table, []).extend(tail)
     for table, tail in payload["columns"].items():
-        executor._store(table).extend(tail)
+        executor._writable_store(table).extend(tail)
 
 
 def snapshot_router(router: "ShardRouter") -> bytes:

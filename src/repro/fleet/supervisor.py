@@ -34,8 +34,14 @@ chain whose deltas have grown to its base's size
 
 The wrapper's members are derived from the declared shard surface
 (:data:`~repro.edb.base.SHARD_SURFACE`): every ``MUTATE`` command runs
-through the choke point and is journaled, every ``CALL`` and ``READ`` runs
-through it unjournaled, and every ``FACT`` is cached once per shard.
+through the choke point and is journaled, every ``CALL`` runs through it
+unjournaled, every ``MIRROR`` value is read from the live shard (a worker
+proxy answers it from its coordinator-side mirror, without a round trip),
+and every ``FACT`` is cached once per shard.
+
+The choke point is split in two, :meth:`SupervisedShard.begin` and
+:meth:`SupervisedShard.finish`, so the router can send every shard its
+command before it collects any reply; a call is ``finish(begin(...))``.
 
 The recovery invariant -- pinned by ``tests/test_chaos_recovery.py`` -- is
 that a recovered run is *byte-identical* to a fault-free run in every
@@ -212,8 +218,8 @@ def _supervised(name: str):
     return invoke
 
 
-def _supervised_read(name: str):
-    return lambda self: self._invoke("attr", name)
+def _live_mirror(name: str):
+    return lambda self: getattr(self._live, name)
 
 
 def _cached_fact(name: str):
@@ -221,7 +227,7 @@ def _cached_fact(name: str):
 
 
 @derive_surface(
-    mutate=_supervised, call=_supervised, read=_supervised_read, fact=_cached_fact
+    mutate=_supervised, call=_supervised, mirror=_live_mirror, fact=_cached_fact
 )
 class SupervisedShard:
     """One shard behind the supervisor's retry / rebuild loop.
@@ -281,19 +287,43 @@ class SupervisedShard:
     # -- the choke point ------------------------------------------------------
 
     def _invoke(self, command: str, *args):
-        mutating = SHARD_SURFACE.get(command) == MUTATE
+        return self.finish(self.begin(command, *args))
+
+    def begin(self, command: str, *args) -> tuple:
+        """First half of a call: count a mutation, pop its fault and, on a
+        worker with no fault due, send the command.  Never raises; what the
+        send met surfaces from :meth:`finish`.  A command that carries a
+        fault is not sent: :meth:`finish` runs it synchronously."""
         fault: Fault | None = None
-        if mutating:
+        if SHARD_SURFACE.get(command) == MUTATE:
             self._mutation_count += 1
             if self._schedule is not None:
                 fault = self._schedule.pop(self.shard_index, self._mutation_count)
+        sent = (
+            fault is None
+            and command in SHARD_SURFACE
+            and hasattr(self._live, "send")
+        )
+        if sent:
+            self._live.send(command, *args)
+        return command, args, fault, sent
+
+    def finish(self, pending: tuple):
+        """Second half of a call: collect the reply (retrying and rebuilding
+        on a transient failure), journal a mutation, keep the snapshot
+        cadence."""
+        command, args, fault, sent = pending
         attempt = 0
         while True:
             try:
-                if fault is not None:
-                    pending, fault = fault, None
-                    self._fire_fault(pending, command, args)
-                result = self._apply(command, args)
+                if sent:
+                    sent = False
+                    result = self._live.receive()
+                else:
+                    if fault is not None:
+                        firing, fault = fault, None
+                        self._fire_fault(firing, command, args)
+                    result = self._apply(command, args)
                 break
             except TransientShardError as exc:
                 if attempt >= self._config.max_retries:
@@ -304,7 +334,7 @@ class SupervisedShard:
                 attempt += 1
                 self._backoff(attempt)
                 self._recover(exc)
-        if mutating:
+        if SHARD_SURFACE.get(command) == MUTATE:
             if command in ("setup", "rotate_key"):
                 # Setup fills the near-empty generation-0 shard: a delta of
                 # it would outgrow its base and force a fold right after.
@@ -324,9 +354,6 @@ class SupervisedShard:
         return result
 
     def _apply(self, command: str, args: tuple):
-        if command == "attr":
-            (name,) = args
-            return getattr(self._live, name)
         if command == "snapshot":
             return self._generation(None)[0]
         return getattr(self._live, command)(*args)
@@ -501,7 +528,7 @@ class SupervisedShard:
                 torn = {t: rows[: max(1, len(rows) // 2)] for t, rows in batches.items()}
                 self._live.insert_many(torn, time)
             elif command == "query":
-                self._live.query(args[0], args[1], args[2])
+                self._live.query(*args)
         except Exception:  # noqa: BLE001 - a torn apply may legally fail too
             pass
 

@@ -278,6 +278,11 @@ class _ColumnarTable:
         return self._dummy_buffer[start : self._built]
 
 
+#: What a read sees of a table never written: reads never change an empty
+#: store (consolidating zero rows is a no-op), so one instance serves all.
+_EMPTY_TABLE = _ColumnarTable()
+
+
 @dataclass
 class _Fold:
     """One plan's aggregate over the rows it has folded in so far.
@@ -338,7 +343,7 @@ class ColumnarExecutor(PlaintextExecutor):
     def append(self, table: str, records: Iterable[Record]) -> int:
         rows = list(records)
         self.tables.setdefault(table, []).extend(rows)
-        return self._store(table).append(rows)
+        return self._writable_store(table).append(rows)
 
     # -- execution ----------------------------------------------------------
 
@@ -463,6 +468,12 @@ class ColumnarExecutor(PlaintextExecutor):
         raise _Unsupported(f"source shape {type(plan).__name__}")
 
     def _store(self, table: str) -> _ColumnarTable:
+        """``table``'s column store for a read: a table nothing was written
+        to reads as the shared empty view and is not created."""
+        return self._columnar.get(table, _EMPTY_TABLE)
+
+    def _writable_store(self, table: str) -> _ColumnarTable:
+        """``table``'s column store for a write, created on the first."""
         store = self._columnar.get(table)
         if store is None:
             store = self._columnar[table] = _ColumnarTable()

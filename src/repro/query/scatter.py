@@ -27,9 +27,9 @@ sharding is not accuracy-free there the way it is on exact back-ends.
 
 Because the merges are deterministic functions of the per-shard partials
 taken in shard-index order, the same gather runs unchanged on every router
-executor -- sequential loop, thread pool, or persistent worker processes
-(:mod:`repro.edb.shard_worker`); only where the partials are *computed*
-moves, never what the coordinator gathers.
+executor -- sequential loop, thread pool, or pipelined persistent worker
+processes (:mod:`repro.edb.shard_worker`); only where the partials are
+*computed* moves, never what the coordinator gathers.
 """
 
 from __future__ import annotations
@@ -52,54 +52,32 @@ __all__ = [
     "join_side_probes",
     "multi_join_count_from_histograms",
     "multi_join_probes",
-    "scatter_map",
-    "drain_futures",
+    "drain",
 ]
 
-_T = TypeVar("_T")
 _R = TypeVar("_R")
 
 
-def scatter_map(
-    executor_map: "Callable[[Callable[[_T], _R], Sequence[_T]], list[_R]] | None",
-    fn: Callable[[_T], _R],
-    items: Sequence[_T],
-) -> list[_R]:
-    """Apply ``fn`` to every item, preserving item order in the result.
-
-    ``executor_map`` is the pluggable scatter primitive (e.g. a thread pool's
-    ``map`` wrapped to return a list); ``None`` means sequential execution.
-    Because each item is an independent shard and the gather step merges the
-    returned partials *in item order*, the merged result is identical however
-    the executor interleaves the calls -- the property the concurrency
-    equivalence tests pin.
-    """
-    if executor_map is None or len(items) <= 1:
-        return [fn(item) for item in items]
-    return executor_map(fn, items)
-
-
-def drain_futures(futures: Sequence) -> list:
-    """Gather every scatter future, then raise the first failure (if any).
+def drain(collects: Sequence[Callable[[], _R]]) -> list[_R]:
+    """Call every collect in order, then raise the first failure (if any).
 
     The fan-out failure-propagation contract: when one shard call raises
     (e.g. :class:`~repro.edb.shard_worker.ShardWorkerDied` from a killed
-    worker), the sibling calls are *drained* -- waited to completion --
-    before the error propagates, instead of being abandoned mid-pipe the
-    way a bare ``Executor.map`` would.  That guarantees no scatter thread
-    is still touching a shard or its pipe when the caller starts recovery
-    or teardown, and it makes the raised error deterministic: the first
-    failure in item (shard) order, not in wall-clock completion order.
+    worker), the sibling calls are *drained* -- a pool future waited to
+    completion, a pipelined command's reply read -- before the error
+    propagates.  That guarantees no scatter thread is still touching a
+    shard, and no pipe holds an unread reply, when the caller starts
+    recovery or teardown, and it makes the raised error deterministic: the
+    first failure in item (shard) order, not in wall-clock completion order.
     """
     error: BaseException | None = None
     results: list = []
-    for future in futures:
+    for collect in collects:
         try:
-            results.append(future.result())
+            results.append(collect())
         except BaseException as exc:  # noqa: BLE001 - re-raised after drain
             if error is None:
                 error = exc
-            results.append(None)
     if error is not None:
         raise error
     return results

@@ -18,10 +18,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.edb.base import MIRROR, surface_names
 from repro.edb.router import ShardRouter
 from repro.edb.records import Record
+from repro.edb.store import (
+    restore_backend,
+    restore_router,
+    snapshot_backend,
+    snapshot_router,
+)
 from repro.fleet.supervisor import SupervisorConfig
-from repro.query.ast import CountQuery
+from repro.query.ast import CountQuery, JoinCountQuery
 from repro.simulation.runner import CellSpec, make_backend
 from repro.testing.chaos import (
     PROCESS_ONLY_KINDS,
@@ -187,6 +194,78 @@ def test_supervision_without_faults_is_free_of_observable_effects(backend):
     finally:
         reference.close()
         supervised.close()
+
+
+# -- coordinator-held shard counters -------------------------------------------
+
+
+def _own_values(shard) -> dict:
+    """A shard's ``MIRROR`` values as the shard itself holds them: read from
+    a full snapshot of its live state, never from the coordinator's mirror."""
+    blob = shard.snapshot() if hasattr(shard, "snapshot") else snapshot_backend(shard)
+    edb = restore_backend(blob)
+    return {name: getattr(edb, name) for name in surface_names(MIRROR)}
+
+
+def _assert_mirrored(router: ShardRouter) -> None:
+    own = [_own_values(shard) for shard in router.shards]
+    for shard, values in zip(router.shards, own):
+        assert {name: getattr(shard, name) for name in values} == values
+    assert router.is_setup == all(values["is_setup"] for values in own)
+    for name in ("outsourced_count", "dummy_count", "real_count", "storage_bytes"):
+        assert getattr(router, name) == sum(values[name] for values in own), name
+
+
+_JOIN = JoinCountQuery(
+    left_table="events",
+    right_table="events",
+    left_attribute="key",
+    right_attribute="key",
+    label="Q3",
+)
+
+
+@pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+def test_every_mirror_equals_the_shards_own_value(executor):
+    """After every command -- through a kill and a raise recovery and a
+    restore_router -- each shard's coordinator-held counters and transcript
+    equal what the shard holds, and the router's sums equal their sums (the
+    float storage bytes bit for bit)."""
+    router = _router(
+        "oblidb",
+        2,
+        executor=executor,
+        supervisor=CHAOS_CONFIG,
+        faults="raise:0@3,kill:1@4",
+        simulate_encryption=True,
+    )
+    commands = [lambda r: r.setup(_records(10, time=0))]
+    for t in range(1, 4):
+        commands += [
+            lambda r, t=t: r.update(_records(4, start=10 * t, time=t), t),
+            lambda r, t=t: r.insert_many(
+                {"events": _records(5, start=10 * t + 4, time=t)}, t
+            ),
+            lambda r, t=t: r.query(QUERY, time=t),
+            lambda r, t=t: r.query(_JOIN, time=t),
+        ]
+    commands.append(lambda r: r.rotate_key(None))
+    try:
+        _assert_mirrored(router)
+        for command in commands[:7]:
+            command(router)
+            _assert_mirrored(router)
+        expected = 2 if executor == "processes" else 1
+        assert router.measured.health()["recoveries"] == expected
+        restored = restore_router(snapshot_router(router))
+        router.close()
+        router = restored
+        _assert_mirrored(router)
+        for command in commands[7:]:
+            command(router)
+            _assert_mirrored(router)
+    finally:
+        router.close()
 
 
 # -- schedule plumbing ---------------------------------------------------------

@@ -12,14 +12,19 @@ is pinned by ``tests/test_scatter_concurrency.py``; this suite covers what is
   the inserted records when read out of its snapshot generation, and a live
   process router puts nothing in ``/dev/shm`` but supervisor scratch;
 * workers are torn down by ``close()`` (idempotent);
-* the single-CPU footgun warning fires exactly once per concurrent executor.
+* the single-CPU footgun warning fires exactly once per concurrent executor;
+* the pipelined fan-out (send to every shard, then collect) drains every
+  sibling's reply through a shard's failure and recovery, and a reply's
+  deadline counts from its send.
 """
 
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import os
 import signal
+import time as _time
 
 import pytest
 
@@ -27,9 +32,14 @@ from repro.edb import router as router_module
 from repro.edb.oblidb import ObliDB
 from repro.edb.records import Record, Schema
 from repro.edb.router import ShardRouter, resolve_shard_executor
-from repro.edb.shard_worker import ShardWorkerClient, ShardWorkerDied
+from repro.edb.shard_worker import (
+    ShardWorkerClient,
+    ShardWorkerDied,
+    ShardWorkerTimeout,
+)
 from repro.edb.store import restore_backend
-from repro.query.ast import CountQuery
+from repro.fleet.supervisor import SupervisorConfig
+from repro.query.ast import CountQuery, JoinCountQuery
 
 SCHEMA = Schema(name="events", attributes=("key", "value"))
 
@@ -66,10 +76,11 @@ def test_killed_worker_raises_shard_worker_died_without_hanging():
             router.query(CountQuery(table="events", label="Q1"), time=2)
         assert excinfo.value.shard_index == 1
         # The recorded command is whatever was in flight when the death was
-        # discovered -- here the router's pre-query is_setup sweep.
-        assert excinfo.value.command == "attr"
+        # discovered -- here the scattered query (is_setup is mirrored, so
+        # no read precedes it).
+        assert excinfo.value.command == "query"
         assert "shard 1" in str(excinfo.value)
-        assert "'attr'" in str(excinfo.value)
+        assert "'query'" in str(excinfo.value)
         # The error carries the dead worker's exit code (SIGKILL = -9) so a
         # crash is distinguishable from an OOM kill or a clean exit.
         assert excinfo.value.exit_code == -signal.SIGKILL
@@ -79,9 +90,13 @@ def test_killed_worker_raises_shard_worker_died_without_hanging():
             victim.query(CountQuery(table="events", label="Q1"), time=2)
         assert direct.value.command == "query"
         assert direct.value.exit_code == -signal.SIGKILL
-        # The surviving worker is still responsive; the router as a whole
-        # keeps failing loudly rather than silently gathering partials.
+        # The surviving worker's reply was drained, so its pipe is in step
+        # and it still answers; the router as a whole keeps failing loudly
+        # rather than silently gathering partials.
         assert router.shards[0].is_setup
+        assert router.shards[0].table_size("events") == router.table_shard_counts(
+            "events"
+        )[0]
     finally:
         router.close()
 
@@ -216,8 +231,8 @@ def test_no_warning_on_multi_cpu_host(monkeypatch, caplog):
 
 
 def test_queries_after_setup_send_one_worker_command_per_shard():
-    """The router caches ``is_setup`` once every shard has reported it (no
-    protocol clears it), so N queries cost exactly N x K worker commands."""
+    """``is_setup`` is mirrored on the coordinator, so N queries cost exactly
+    N x K worker commands."""
     router = _process_router(n_shards=3)
     try:
         router.setup(_records(30))
@@ -229,3 +244,137 @@ def test_queries_after_setup_send_one_worker_command_per_shard():
         assert after - before == 5 * 3
     finally:
         router.close()
+
+
+# -- the pipelined fan-out -----------------------------------------------------
+
+#: Short deadline: a delay fault waits it out.  Near-zero backoff.
+_PIPE_CONFIG = SupervisorConfig(timeout_s=1.0, backoff_base_s=0.01)
+
+_JOIN = JoinCountQuery(
+    left_table="events",
+    right_table="events",
+    left_attribute="key",
+    right_attribute="key",
+    label="Q3",
+)
+
+
+def _pipelined_run(router: ShardRouter, kill_before_tick: int | None = None):
+    """Setup, then per tick one insert_many touching both shards and two
+    queries; every answer and transcript, verbatim."""
+    observed = [router.setup(_records(20, time=0))]
+    try:
+        for t in range(1, 5):
+            if t == kill_before_tick:
+                victim = router.shards[0].process
+                victim.kill()
+                victim.join(timeout=5.0)
+            observed.append(
+                router.insert_many({"events": _records(12, start=20 * t, time=t)}, t)
+            )
+            observed.append(router.query(CountQuery(table="events", label="Q1"), t))
+            observed.append(router.query(_JOIN, t))
+        observed.append((router.update_history, router.per_shard_observables()))
+        return observed, router.measured.health()
+    finally:
+        router.close()
+
+
+@pytest.mark.parametrize(
+    "faults",
+    # Shard 0's commands: 1 setup, then per tick insert_many, the count
+    # query and the join's two probes (2-5 at tick 1, 6-9 at tick 2).
+    [
+        "kill:0@6",  # an insert_many
+        "delay:0@7",  # a count query
+        "kill:0@4",  # a join's left probe
+        "delay:0@9",  # a join's right probe
+    ],
+)
+def test_pipelined_scatter_drains_the_sibling_through_a_recovery(faults):
+    """Shard 0 fails mid-scatter while shard 1's command is in flight: shard
+    1's reply is still read (no spurious deadline, though it waited out
+    shard 0's recovery), shard 0 alone is rebuilt, and the run equals the
+    fault-free one."""
+    reference, _ = _pipelined_run(_process_router())
+    chaotic, health = _pipelined_run(
+        ShardRouter(
+            [ObliDB() for _ in range(2)],
+            route_seed=3,
+            executor="processes",
+            supervisor=_PIPE_CONFIG,
+            faults=faults,
+        )
+    )
+    assert chaotic == reference
+    assert health["recoveries"] == 1
+    assert health["retries"] == 1
+
+
+def test_a_worker_that_died_between_scatters_is_rebuilt_in_the_next_one():
+    """The scatter sends to the dead worker and to its sibling; the death
+    surfaces when shard 0's reply is collected, the supervisor rebuilds it,
+    and shard 1's reply is drained after."""
+    reference, _ = _pipelined_run(_process_router())
+    chaotic, health = _pipelined_run(
+        ShardRouter(
+            [ObliDB() for _ in range(2)],
+            route_seed=3,
+            executor="processes",
+            supervisor=_PIPE_CONFIG,
+        ),
+        kill_before_tick=2,
+    )
+    assert chaotic == reference
+    assert health["recoveries"] == 1
+
+
+def test_an_unsupervised_failure_is_raised_after_the_sibling_is_drained():
+    """Without a supervisor the failure propagates, but only once shard 1's
+    reply was read: its pipe stays in step and it keeps answering."""
+    router = _process_router()
+    try:
+        router.setup(_records(20))
+        victim = router.shards[0].process
+        victim.kill()
+        victim.join(timeout=5.0)
+        with pytest.raises(ShardWorkerDied) as excinfo:
+            router.insert_many({"events": _records(12, start=20, time=1)}, 1)
+        assert excinfo.value.shard_index == 0
+        assert excinfo.value.command == "insert_many"
+        # Shard 1 applied its part (the mirror folded its reply) ...
+        applied = router.shards[1].outsourced_count
+        assert applied > 0
+        # ... and its pipe is in step: the next command gets its own reply.
+        assert router.shards[1].table_size("events") == applied
+    finally:
+        router.close()
+
+
+def test_a_reply_deadline_counts_from_its_send():
+    """Two commands sent back to back: the first reply takes 0.6 s, and the
+    second worker oversleeps.  The second deadline fires 1 s after *its
+    send*, not 1 s after the first reply was read."""
+    context = multiprocessing.get_context("fork")
+    clients = [
+        ShardWorkerClient(ObliDB(), index, context, timeout_s=1.0) for index in (0, 1)
+    ]
+    try:
+        for client in clients:
+            client.setup(_records(5))
+        clients[0].chaos_delay(0.6)
+        clients[1].chaos_delay(5.0)
+        query = CountQuery(table="events", label="Q1")
+        sent = _time.perf_counter()
+        for client in clients:
+            client.send("query", query, 1)
+        assert clients[0].receive().answer == 5
+        with pytest.raises(ShardWorkerTimeout):
+            clients[1].receive()
+        waited = _time.perf_counter() - sent
+        assert 1.0 <= waited < 1.4
+    finally:
+        for client in clients:
+            client.process.kill()
+            client.close()

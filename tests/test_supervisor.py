@@ -33,8 +33,8 @@ import pytest
 from repro.edb.base import (
     CALL,
     FACT,
+    MIRROR,
     MUTATE,
-    READ,
     SHARD_SURFACE,
     EncryptedDatabase,
     surface_names,
@@ -409,6 +409,29 @@ def test_recovery_replays_journal_and_counts_health(tmp_path, monkeypatch):
         shard.close()
 
 
+def test_a_raise_fault_on_a_query_tears_the_live_shard(tmp_path, monkeypatch):
+    """The ``raise`` fault half-applies its command before raising: for a
+    query that is one extra query on the live shard (a torn RNG stream on an
+    L-DP back-end), which the rebuild then discards."""
+    monkeypatch.setattr("repro.fleet.supervisor._time.sleep", lambda s: None)
+    shard = _supervised(tmp_path, schedule=parse_fault_schedule("raise@3"))
+    twin = _edb()
+    try:
+        for target in (shard, twin):
+            target.setup(_records(10))
+            target.update(_records(3, start=10), 1)
+        torn = shard.live
+        ran = []
+        real_query = torn.query
+        torn.query = lambda *args: ran.append(args) or real_query(*args)
+        assert shard.query(QUERY, time=2).answer == twin.query(QUERY, time=2).answer
+        assert ran == [(QUERY, 2)]
+        assert shard.live is not torn
+        assert shard.update_history == twin.update_history
+    finally:
+        shard.close()
+
+
 def test_snapshot_cadence_bounds_replay(tmp_path, monkeypatch):
     """With snapshot_every=2 the rebuild replays at most ~2 batches, not the
     whole history."""
@@ -593,7 +616,7 @@ def test_every_surface_entry_is_declared_on_the_edb_with_its_kind():
         if kind in (MUTATE, CALL):
             assert inspect.isfunction(member), name
         else:
-            assert kind in (READ, FACT)
+            assert kind in (MIRROR, FACT)
             assert isinstance(member, property), name
 
 
@@ -620,9 +643,11 @@ def test_worker_refuses_names_outside_the_surface():
             client._call("ciphertexts", "events")
         with pytest.raises(ValueError, match="unknown shard-worker command"):
             client._call("cipher_key")
-        with pytest.raises(AttributeError, match="not remotely readable"):
+        # No attribute is readable through the pipe: mirrored values are
+        # kept coordinator-side, so the worker serves no generic read.
+        with pytest.raises(ValueError, match="unknown shard-worker command"):
             client._call("attr", "cipher")
-        with pytest.raises(AttributeError, match="not remotely readable"):
+        with pytest.raises(ValueError, match="unknown shard-worker command"):
             client._call("attr", "_rng")
         # The worker survives a refusal and keeps serving the surface.
         assert client.outsourced_count == 5
@@ -649,7 +674,7 @@ def test_supervisor_journals_exactly_the_mutating_entries(tmp_path):
         shard.rotate_key(None)
         shard.table_size("events")
         shard.table_dummy_count("events")
-        for name in surface_names(READ) + surface_names(FACT):
+        for name in surface_names(MIRROR) + surface_names(FACT):
             getattr(shard, name)
         shard.supports(QUERY)
         shard.snapshot()
