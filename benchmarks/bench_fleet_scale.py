@@ -19,8 +19,11 @@ unsharded run) defaults to 2x; CI smoke runs at a lower scale override it via
 
 3. **measured_qet** -- the *measured* counterpart of the simulated model: a
    large hash-partitioned table is queried through **process-executor**
-   routers (persistent per-shard worker processes) at K in {1, 2, 4} and the
-   section records real wall-clock per gathered query, the router's
+   routers (persistent per-shard worker processes) at K in {1, 2, 4}.  Each
+   timed round first inserts a fresh chunk of rows, outside the timer, so
+   every query folds real rows (an executor's tail fold answers a repeated
+   query over an unchanged table without scanning a row).  The section
+   records real wall-clock per gathered query, the router's
    :class:`~repro.edb.router.WallClockStats` ledger (per-shard worker busy
    seconds and the serialization overhead of the process boundary), and a
    thread-executor contrast at K=4 -- with gathered answers asserted
@@ -186,7 +189,10 @@ def test_measured_concurrent_query_wall_clock(bench_settings):
     sequential execution first, and records a thread-executor contrast at
     K=4 so the GIL cost of in-process fan-out stays visible.
     """
-    records = _measured_records(MEASURED_ROWS)
+    chunk = 2048
+    records = _measured_records(MEASURED_ROWS + MEASURED_REPEATS * chunk)
+    fresh = records[MEASURED_ROWS:]
+    records = records[:MEASURED_ROWS]
     queries = [
         parse_query(
             "SELECT COUNT(*) FROM Users WHERE value BETWEEN 10 AND 70", label="Q1"
@@ -206,7 +212,6 @@ def test_measured_concurrent_query_wall_clock(bench_settings):
     threads_contrast = _build_router(4, "threads")
     everyone = (*routers.values(), *serial_checks.values(), threads_contrast)
     try:
-        chunk = 2048
         for start in range(0, len(records), chunk):
             batch = {"Users": records[start : start + chunk]}
             for router in everyone:
@@ -231,16 +236,33 @@ def test_measured_concurrent_query_wall_clock(bench_settings):
             for k in SHARD_COUNTS
         }
 
-        def _measure(router) -> float:
+        def _measure(router) -> tuple[float, dict, float]:
+            """Wall clock, per-shard worker busy seconds and serialization
+            seconds of the timed queries; each round's fresh chunk is
+            inserted before its timer starts."""
             router.measured.reset()
-            start = time.perf_counter()
-            for _ in range(MEASURED_REPEATS):
+            ledger = router.measured
+            wall, busy, serialization = 0.0, {}, 0.0
+            first_time = len(records) // chunk + 2
+            for repeat in range(MEASURED_REPEATS):
+                batch = fresh[repeat * chunk : (repeat + 1) * chunk]
+                router.insert_many({"Users": batch}, time=first_time + repeat)
+                busy_before = dict(ledger.per_shard_busy_seconds)
+                serialization_before = ledger.serialization_seconds
+                start = time.perf_counter()
                 for query in queries:
                     router.query(query, time=0)
-            return time.perf_counter() - start
+                wall += time.perf_counter() - start
+                for index, seconds in ledger.per_shard_busy_seconds.items():
+                    busy[index] = (
+                        busy.get(index, 0.0) + seconds - busy_before.get(index, 0.0)
+                    )
+                serialization += ledger.serialization_seconds - serialization_before
+            return wall, busy, serialization
 
-        wall = {k: _measure(router) for k, router in routers.items()}
-        threads_wall = _measure(threads_contrast)
+        measured = {k: _measure(router) for k, router in routers.items()}
+        wall = {k: measured[k][0] for k in SHARD_COUNTS}
+        threads_wall = _measure(threads_contrast)[0]
 
         per_query = {
             k: wall[k] / (MEASURED_REPEATS * len(queries)) for k in SHARD_COUNTS
@@ -253,13 +275,14 @@ def test_measured_concurrent_query_wall_clock(bench_settings):
             else "skipped_single_cpu"  # workers cannot overlap on one CPU;
             # the measured numbers are still recorded honestly below.
         )
-        ledger = routers[4].measured
+        _, busy_at_4, serialization_at_4 = measured[4]
         payload = {
             "benchmark": "measured_concurrent_qet",
             "backend": "oblidb",
             "shard_executor": "processes",
             "affinity_cpus": cpus,
             "records": len(records),
+            "fresh_rows_per_round": chunk,
             "repeats": MEASURED_REPEATS,
             "queries": [q.name for q in queries],
             "answers_byte_identical_to_sequential": True,
@@ -274,15 +297,14 @@ def test_measured_concurrent_query_wall_clock(bench_settings):
                 for k in SHARD_COUNTS
             },
             "router_protocol_calls_before_timing": protocol_calls,
-            # K=4 boundary accounting: how much of the coordinator's wait was
-            # worker compute vs pickling/transport across the process boundary.
+            # K=4 boundary accounting: how much of the coordinator's wait
+            # for the timed queries was worker compute vs pickling/transport
+            # across the process boundary.
             "worker_busy_seconds_by_shard_at_4": {
                 str(index): round(busy, 4)
-                for index, busy in sorted(ledger.per_shard_busy_seconds.items())
+                for index, busy in sorted(busy_at_4.items())
             },
-            "serialization_overhead_seconds_at_4": round(
-                ledger.serialization_seconds, 4
-            ),
+            "serialization_overhead_seconds_at_4": round(serialization_at_4, 4),
             "threads_contrast_wall_seconds_at_4": round(threads_wall, 4),
             "measured_qet_speedup_4_shards": round(measured_speedup, 2),
             "measured_floor": floor,
@@ -293,7 +315,8 @@ def test_measured_concurrent_query_wall_clock(bench_settings):
         emit_report(
             "fleet_measured_qet",
             f"Measured scatter-gather wall clock ({len(records)} rows, "
-            f"{MEASURED_REPEATS}x{len(queries)} queries, process executor)\n\n"
+            f"{MEASURED_REPEATS}x{len(queries)} queries each after {chunk} fresh "
+            "rows, process executor)\n\n"
             + "\n".join(
                 f"{k} shard(s): {per_query[k] * 1e3:8.3f} ms/query measured"
                 for k in SHARD_COUNTS

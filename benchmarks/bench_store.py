@@ -16,9 +16,9 @@ Emits ``BENCH_store.json`` at the repository root with one section:
     simulation pays;
   - ``full_generation_seconds`` / ``full_generation_bytes`` and
     ``delta_generation_seconds`` / ``delta_generation_bytes``: a supervisor
-    generation (serialize + unsealed save, as the supervisor's scratch
-    store writes it) of the whole shard, and of only the
-    ``DELTA_ROWS`` rows appended since its parent;
+    generation (serialized and kept in memory, as the supervisor keeps it)
+    of the whole shard, and of only the ``DELTA_ROWS`` rows appended since
+    its parent;
   - ``rotation_seconds`` / ``rotation_rows_per_s``: in-place key rotation
     over every arena row (verify old tag, re-key, re-tag).
 
@@ -70,29 +70,20 @@ def _records(n: int, start: int = 0) -> list[Record]:
     ]
 
 
-def _generations(edb, directory: Path) -> dict:
+def _generations(edb) -> dict:
     """Time a full supervisor generation of ``edb`` and a delta of it
     holding ``DELTA_ROWS`` new rows; check the chain restores the shard."""
-    store = SnapshotStore(directory)
-
-    def generation(since=None, parent=None):
-        blob, marks = snapshot_generation(edb, since)
-        return store.save({"edb.pkl": blob}, parent=parent), len(blob), marks
-
-    (base, full_bytes, marks), full_s = _timed(generation)
+    (base, marks), full_s = _timed(lambda: snapshot_generation(edb))
     for offset in range(DELTA_ROWS):
         edb.insert_many({"events": _records(1, start=N_RECORDS + offset)}, 501)
-    (_, delta_bytes, _), delta_s = _timed(lambda: generation(marks, base))
-    chain = [link.read_blob("edb.pkl") for link in store.load_chain()]
-    assert len(chain) == 2
-    assert restore_backend(*chain).outsourced_count == edb.outsourced_count
-    store.clear()
+    (delta, _), delta_s = _timed(lambda: snapshot_generation(edb, marks))
+    assert restore_backend(base, delta).outsourced_count == edb.outsourced_count
     return {
         "full_generation_seconds": full_s,
-        "full_generation_bytes": full_bytes,
+        "full_generation_bytes": len(base),
         "delta_rows": DELTA_ROWS,
         "delta_generation_seconds": delta_s,
-        "delta_generation_bytes": delta_bytes,
+        "delta_generation_bytes": len(delta),
     }
 
 
@@ -148,8 +139,7 @@ def _run() -> dict:
     assert edb.cipher.decrypt(edb.ciphertexts("events")[0]).values == payload_before
 
     rows = edb.outsourced_count
-    with tempfile.TemporaryDirectory(prefix="bench-store-") as tmp:
-        generations = _generations(edb, Path(tmp))
+    generations = _generations(edb)
     return {
         "records": N_RECORDS,
         "outsourced_rows": rows,

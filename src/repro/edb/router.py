@@ -115,10 +115,10 @@ def _release_router_resources(resources: dict) -> None:
 
     Module-level over a shared mutable box (no reference back to the router)
     so it can double as a ``weakref.finalize`` callback: worker processes
-    and supervisor scratch are reaped deterministically when the router
-    is garbage collected or the interpreter exits, instead of depending
-    on ``__del__`` timing.  Safe to call repeatedly --
-    ``client.close()`` is idempotent and the pool slot is cleared.
+    are reaped deterministically when the router is garbage collected or
+    the interpreter exits, instead of depending on ``__del__`` timing.
+    Safe to call repeatedly -- ``client.close()`` is idempotent and the
+    pool slot is cleared.
     """
     pool = resources.get("pool")
     if pool is not None:
@@ -371,7 +371,7 @@ class ShardRouter:
             )
             #: In-process wrappers report constant (0, 0, 0) worker stats, so
             #: the delta absorption below skips them; they still live in the
-            #: resource box so close()/finalize tears down their scratch.
+            #: resource box so close()/finalize drops their recovery state.
             shards = self._clients = self._supervisor.wrap(shards)
         self._shards: list = list(shards)
         #: Process shards: each one's (send, collect) halves, for the

@@ -28,17 +28,14 @@ Layers, bottom up:
   be reopened under a new passphrase.
 * **:class:`SnapshotStore`** -- generational kill-safe snapshots for
   mid-run persistence: each :meth:`SnapshotStore.save` lands in its own
-  ``snapshots/<seq>/`` :class:`EncryptedStore` whose manifest names its
-  ``parent`` (``None`` for a full generation, else the generation a delta
-  extends), and an atomic ``LATEST`` pointer is advanced only after the
-  manifest is durable.  Restore applies a chain from its full base; the
-  prune keeps the newest two valid heads and every generation their
-  chains reference.  A SIGKILL at any instant leaves either the previous
-  complete head or the new one reachable; torn leftovers, and deltas
-  whose chain they break, are skipped by the newest-valid scan.
-* **:class:`ReplayLog`** -- the supervisor's journal of commands routed
-  since a generation: one fsync'd segment file per flush, ``HEAD.json``
-  written last, pruned a whole segment at a time.
+  ``snapshots/<seq>/`` :class:`EncryptedStore`, and an atomic ``LATEST``
+  pointer is advanced only after the manifest is durable; the prune keeps
+  the newest two valid generations.  A SIGKILL at any instant leaves
+  either the previous complete generation or the new one reachable; torn
+  leftovers are skipped by the newest-valid scan.
+* **:class:`ReplayLog`** -- the supervisor's in-memory journal of commands
+  routed since a generation, closed into one segment per snapshot and
+  pruned a whole segment at a time.
 * **Snapshot codecs** -- :func:`snapshot_backend` / :func:`restore_backend`
   serialize one :class:`~repro.edb.base.EncryptedDatabase` (arenas as raw
   row/handle bytes, everything else in a single pickle so an object the
@@ -97,8 +94,8 @@ __all__ = [
 ]
 
 #: On-disk format version stamped into every manifest.  Version 7: a
-#: manifest names its ``parent`` generation (``None`` for a full one),
-#: records and sealed blobs are AES-256-GCM (284-byte arena rows),
+#: manifest carries a ``parent`` key (``None``: every stored generation is
+#: full), records and sealed blobs are AES-256-GCM (284-byte arena rows),
 #: ciphertexts live only in arenas (a delta carries no per-record object
 #: tails), every shard is flat and append-only (a full generation carries
 #: no ORAM position maps), only a Crypt-epsilon shard's state carries an
@@ -244,15 +241,11 @@ class EncryptedStore:
             "size": len(payload),
         }
 
-    def commit(self, meta: Mapping | None = None, parent: int | None = None) -> dict:
-        """Write the manifest (last, atomically) sealing the snapshot.
-
-        ``parent`` names the generation a delta snapshot extends (see
-        :class:`SnapshotStore`); ``None`` marks a full snapshot.
-        """
+    def commit(self, meta: Mapping | None = None) -> dict:
+        """Write the manifest (last, atomically) sealing the snapshot."""
         manifest = {
             "version": STORE_VERSION,
-            "parent": parent,
+            "parent": None,
             "sealed": self.sealed,
             "kdf": (
                 {"name": "scrypt", **_SCRYPT_PARAMS, "salt": self._salt.hex()}
@@ -351,28 +344,21 @@ class EncryptedStore:
         self._manifest = None
         for name, data in plaintext.items():
             self.write_blob(name, data)
-        self.commit(meta, parent=manifest.get("parent"))
+        self.commit(meta)
 
 
 # -- generational snapshots for kill-and-resume -------------------------------
 
 
 class SnapshotStore:
-    """Kill-safe generational snapshots: ``snapshots/<seq>/`` directories,
-    an atomic ``LATEST`` pointer, and chains of delta generations.
-
-    A generation is *full* (``parent`` ``None``) or a *delta* naming the
-    generation it extends; a chain runs from its full base to its head, and
-    restoring a head applies the whole chain (:meth:`load_chain`).  A chain
-    is valid only when every manifest along it is: a delta whose parent is
-    missing or torn is never restored on its own.
+    """Kill-safe generational snapshots: ``snapshots/<seq>/`` directories
+    and an atomic ``LATEST`` pointer.
 
     A writer killed mid-:meth:`save` leaves a directory without a manifest
     (invalid by construction) and a ``LATEST`` pointer still naming the
-    previous complete head; :meth:`latest_sequence` additionally falls back
-    to a newest-valid scan, so even a torn pointer cannot poison resume.
-    Pruning keeps the newest :attr:`keep` valid heads and every generation
-    their chains reference.
+    previous complete generation; :meth:`latest_sequence` additionally falls
+    back to a newest-valid scan, so even a torn pointer cannot poison
+    resume.  Pruning keeps the newest :attr:`keep` valid generations.
     """
 
     _LATEST = "LATEST"
@@ -395,9 +381,6 @@ class SnapshotStore:
         #: The at-rest key, derived on first use and shared by every
         #: generation this store opens (scrypt is deliberately slow).
         self._key: bytes | None = None
-        #: Parent of every generation whose manifest was verified (or written)
-        #: here, so pruning walks chains without re-reading manifests.
-        self._parents: dict[int, int | None] = {}
 
     @property
     def path(self) -> Path:
@@ -421,63 +404,26 @@ class SnapshotStore:
                 numbers.append(int(entry.name))
         return sorted(numbers)
 
-    def save(
-        self,
-        blobs: Mapping[str, bytes],
-        meta: Mapping | None = None,
-        parent: int | None = None,
-    ) -> int:
-        """Write one generation -- full, or a delta of ``parent`` -- and
-        make it the newest head; returns its sequence."""
-        if parent is not None:
-            self._chain(parent)  # a delta must extend a valid chain
+    def save(self, blobs: Mapping[str, bytes], meta: Mapping | None = None) -> int:
+        """Write one generation and make it the newest; returns its
+        sequence."""
         existing = self._sequence_numbers()
         seq = (existing[-1] if existing else 0) + 1
         store = self._open(seq)
         for name, data in blobs.items():
             store.write_blob(name, data)
-        store.commit(dict(meta or {}, sequence=seq), parent=parent)
+        store.commit(dict(meta or {}, sequence=seq))
         atomic_write_text(self._dir / self._LATEST, f"{seq}\n")
-        self._parents[seq] = parent
         self._prune(existing + [seq])
         return seq
 
-    def _chain(self, seq: int, verify: bool = False) -> list[int]:
-        """The sequences from ``seq``'s full base to ``seq``, base first.
-
-        Raises :class:`StoreIntegrityError` when any manifest on the chain
-        is missing or torn.  ``verify`` re-reads every manifest from disk
-        instead of trusting the ones already checked.
-        """
-        chain = [seq]
-        parent = self._parent(seq, verify)
-        while parent is not None:
-            if parent >= chain[-1]:
-                raise StoreIntegrityError(
-                    f"generation {chain[-1]} names a later parent {parent}"
-                )
-            chain.append(parent)
-            parent = self._parent(parent, verify)
-        return chain[::-1]
-
-    def _parent(self, seq: int, verify: bool) -> int | None:
-        if not verify and seq in self._parents:
-            return self._parents[seq]
-        try:
-            parent = self._open(seq).manifest().get("parent")
-        except StoreIntegrityError:
-            self._parents.pop(seq, None)
-            raise
-        self._parents[seq] = parent
-        return parent
-
     def latest_sequence(self) -> int | None:
-        """Sequence of the newest head whose whole chain is valid (``None``
-        when there is none).
+        """Sequence of the newest valid generation (``None`` when there is
+        none).
 
-        Trusts the ``LATEST`` pointer when its chain verifies; otherwise
+        Trusts the ``LATEST`` pointer when its manifest verifies; otherwise
         scans generations newest-first, skipping torn or incomplete
-        directories and deltas whose chain is broken.
+        directories.
         """
         try:
             pointed = [int((self._dir / self._LATEST).read_text().strip())]
@@ -489,18 +435,9 @@ class SnapshotStore:
         return None
 
     def load_latest(self) -> EncryptedStore | None:
-        """Open the newest valid head (``None`` when none exists)."""
+        """Open the newest valid generation (``None`` when none exists)."""
         seq = self.latest_sequence()
         return None if seq is None else self._open(seq)
-
-    def load_chain(self, seq: int | None = None) -> list[EncryptedStore]:
-        """Open every generation of ``seq``'s chain (default: the newest
-        valid head), full base first; empty when the store holds none."""
-        if seq is None:
-            seq = self.latest_sequence()
-            if seq is None:
-                return []
-        return [self._open(link) for link in self._chain(seq, verify=True)]
 
     def clear(self) -> None:
         """Remove the whole store (crash-recovery data no longer needed)."""
@@ -508,25 +445,17 @@ class SnapshotStore:
 
     def _is_valid(self, seq: int) -> bool:
         try:
-            self._chain(seq, verify=True)
+            self._open(seq).manifest()
         except StoreIntegrityError:
             return False
         return True
 
     def _prune(self, existing: list[int]) -> None:
-        live: set[int] = set()
-        heads = 0
+        kept = 0
         for seq in reversed(existing):
-            if heads == self._keep:
-                break
-            try:
-                live.update(self._chain(seq))
-            except StoreIntegrityError:
-                continue
-            heads += 1
-        for seq in existing:
-            if seq not in live:
-                self._parents.pop(seq, None)
+            if kept < self._keep and self._is_valid(seq):
+                kept += 1
+            else:
                 shutil.rmtree(self._snapshot_dir(seq), ignore_errors=True)
 
 
@@ -534,180 +463,67 @@ class SnapshotStore:
 
 
 class ReplayLog:
-    """Crash-safe append-only journal of routed shard commands.
+    """The supervisor's journal of routed shard commands, in memory.
 
-    The supervisor's second half of durability: snapshots capture a shard
-    at generation boundaries, the replay log records every mutating command
-    routed *since*, so a dead worker rebuilds as snapshot + replay.  The
-    write protocol is the store's manifest-last discipline in miniature:
-
-    * each :meth:`flush` writes the entries staged since the previous one
-      as one ``segments/<first serial>.pkl`` file through the fsync'd
-      atomic-write helper (optionally sealed at rest),
-    * ``HEAD.json`` -- ``{"start", "stop"}`` live-range pointers -- is
-      rewritten atomically *after* the segment file is durable.
-
-    A crash between the two leaves an orphan segment at ``stop``: invisible
-    to readers (the live range never covered it) and atomically overwritten
-    by the next flush.  A crash mid-write leaves only a ``*.tmp`` file the
-    naming scheme never resolves.  Either way no torn entry can enter a
-    replay, which is what the recovery differential (byte-identical
-    transcripts) depends on.
+    Snapshots capture a shard at generation boundaries; the replay log
+    holds every mutating command routed *since*, so a dead worker rebuilds
+    as snapshot + replay.  Both live in the coordinator, which outlives its
+    workers; nothing recovers a shard after the coordinator itself is gone,
+    so neither is written at rest.
 
     Entries are dicts carrying at least ``tag`` (the snapshot sequence that
     was current when the command was journaled, nondecreasing across
-    appends); :meth:`prune` drops the whole segments older than a given tag
+    stages).  :meth:`stage` appends one; :meth:`flush` closes the entries
+    staged since the last flush into one segment at a snapshot boundary;
+    :meth:`prune` drops the whole closed segments older than a given tag
     once a newer snapshot generation makes them unreachable.
     """
 
-    _HEAD = "HEAD.json"
-
-    def __init__(
-        self, directory: str | os.PathLike, passphrase: str | None = None
-    ) -> None:
-        self._dir = Path(directory)
-        (self._dir / "segments").mkdir(parents=True, exist_ok=True)
-        if passphrase is not None:
-            salt = get_or_create_salt(self._dir / _SALT_NAME)
-            self._key: bytes | None = derive_key(passphrase, salt)
-        else:
-            self._key = None
-        self._start, stop = self._read_head()
-        #: Live entries, serials ``start ..``; the durable ones come first.
+    def __init__(self) -> None:
         self._entries: list[dict] = []
-        #: First serial of every durable live segment, ascending.
+        #: Lengths of the closed segments, oldest first; staged entries
+        #: follow them.
         self._segments: list[int] = []
-        for first in self._segment_firsts():
-            if self._start <= first < stop:
-                if first != self._start + len(self._entries):
-                    raise StoreIntegrityError(
-                        f"journal {self._dir} is missing entries before "
-                        f"serial {first}"
-                    )
-                self._segments.append(first)
-                self._entries.extend(self._read_segment(first))
-        if self._start + len(self._entries) != stop:
-            raise StoreIntegrityError(
-                f"journal {self._dir} does not cover its live range"
-            )
-        self._durable = stop
-
-    @property
-    def path(self) -> Path:
-        """The journal's root directory."""
-        return self._dir
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _segment_path(self, first: int) -> Path:
-        return self._dir / "segments" / f"{first:010d}.pkl"
-
-    def _segment_firsts(self) -> list[int]:
-        return sorted(
-            int(path.stem)
-            for path in (self._dir / "segments").glob("*.pkl")
-            if path.stem.isdigit()
-        )
-
-    def _read_head(self) -> tuple[int, int]:
-        try:
-            head = json.loads((self._dir / self._HEAD).read_text())
-            return int(head["start"]), int(head["stop"])
-        except (OSError, KeyError, TypeError, ValueError):
-            return 0, 0
-
-    def _write_head(self) -> None:
-        atomic_write_text(
-            self._dir / self._HEAD,
-            json.dumps({"start": self._start, "stop": self._durable}) + "\n",
-        )
-
-    def _read_segment(self, first: int) -> list[dict]:
-        payload = self._segment_path(first).read_bytes()
-        if self._key is not None:
-            payload = unseal_bytes(payload, self._key)
-        return pickle.loads(payload)
-
-    def append(self, entry: Mapping) -> int:
-        """Durably journal one entry; returns its serial number."""
-        serial = self.stage(entry)
-        self.flush()
-        return serial
-
-    def stage(self, entry: Mapping) -> int:
-        """Journal one entry in memory only; returns its serial number.
-
-        Staged entries are immediately visible to :meth:`entries` -- a
-        live coordinator replays from memory -- but die with the process
-        until :meth:`flush` makes them durable.  The supervisor's hot
-        path stages and lets snapshot boundaries flush, so the
-        fault-free per-command cost is a list append rather than an
-        fsync.
-        """
-        self._entries.append(dict(entry))
-        return self._start + len(self._entries) - 1
+    def stage(self, entry: dict) -> None:
+        """Journal one entry; :meth:`entries` returns it at once."""
+        self._entries.append(entry)
 
     def flush(self) -> int:
-        """Make every staged entry durable; returns how many were written.
-
-        One segment file holds them all (through the fsync'd atomic-write
-        helper), and the ``HEAD.json`` manifest is written last: a crash
-        mid-flush leaves an orphan segment at the durable ``stop`` --
-        invisible to readers and atomically overwritten by the next flush
-        -- never a torn or half-visible entry.
-        """
-        staged = self._entries[self._durable - self._start :]
-        if not staged:
-            return 0
-        payload = pickle.dumps(staged)
-        if self._key is not None:
-            payload = seal_bytes(payload, self._key)
-        atomic_write_bytes(self._segment_path(self._durable), payload, mode=0o600)
-        self._segments.append(self._durable)
-        self._durable += len(staged)
-        self._write_head()
-        return len(staged)
+        """Close every staged entry into one segment; returns how many."""
+        staged = len(self._entries) - sum(self._segments)
+        if staged:
+            self._segments.append(staged)
+        return staged
 
     def entries(self, min_tag: int | None = None) -> list[dict]:
         """Live entries in append order, optionally only ``tag >= min_tag``."""
         if min_tag is None:
             return list(self._entries)
-        return [entry for entry in self._entries if entry.get("tag", 0) >= min_tag]
+        return [entry for entry in self._entries if entry["tag"] >= min_tag]
 
     def prune(self, min_tag: int) -> int:
-        """Drop the leading durable segments whose entries all have
+        """Drop the leading closed segments whose entries all have
         ``tag < min_tag``; returns how many entries went.
 
         A segment survives while any of its entries may still be replayed,
-        and staged entries are never pruned.  The head advances (atomically)
-        before the segment files are removed, so a crash mid-prune strands
-        at most a few unreferenced files -- never a live entry.
+        and staged entries are never pruned.
         """
-        bounds = self._segments + [self._durable]
-        dropped = 0
-        while dropped < len(self._segments) and (
-            self._entries[bounds[dropped + 1] - 1 - self._start].get("tag", 0)
-            < min_tag
+        count = 0
+        while self._segments and (
+            self._entries[count + self._segments[0] - 1]["tag"] < min_tag
         ):
-            dropped += 1
-        if not dropped:
-            return 0
-        gone, self._segments = self._segments[:dropped], self._segments[dropped:]
-        count = bounds[dropped] - self._start
+            count += self._segments.pop(0)
         del self._entries[:count]
-        self._start = bounds[dropped]
-        self._write_head()
-        for first in gone:
-            try:
-                self._segment_path(first).unlink()
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
         return count
 
     def clear(self) -> None:
-        """Remove the whole journal directory."""
-        shutil.rmtree(self._dir, ignore_errors=True)
+        """Drop every entry."""
+        self._entries.clear()
+        self._segments.clear()
 
 
 # -- EDB snapshot codecs ------------------------------------------------------
@@ -933,9 +749,9 @@ def restore_router(blob: bytes) -> "ShardRouter":
     extra: dict = {}
     supervisor_meta = payload.get("supervisor")
     if supervisor_meta is not None:
-        # The restored fleet supervises again with the same policy but a
-        # fresh scratch directory (and no fault schedule -- faults are a
-        # test harness, not deployment state).
+        # The restored fleet supervises again with the same policy, from
+        # new snapshot chains (and no fault schedule -- faults are a test
+        # harness, not deployment state).
         from repro.fleet.supervisor import SupervisorConfig
 
         extra["supervisor"] = SupervisorConfig.from_meta(supervisor_meta)

@@ -361,8 +361,7 @@ class Deployment:
 
         Required for routers running the process shard executor, whose
         worker processes outlive the deployment object unless explicitly
-        shut down, and for supervised routers, whose recovery scratch does;
-        a no-op for plain in-process back-ends.
+        shut down; a no-op for plain in-process back-ends.
         """
         close = getattr(self._edb, "close", None)
         if close is not None:

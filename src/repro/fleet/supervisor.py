@@ -11,10 +11,9 @@ router call through one choke point that
   bounded, *deterministic* exponential backoff -- the jitter stream is
   ``SeedSequence([seed, shard_index])``-derived, so a chaos run's timing
   decisions replay from the seed alone;
-* rebuilds a dead shard from its newest valid chain of durable
-  :class:`~repro.edb.store.SnapshotStore` generations plus the
-  coordinator's :class:`~repro.edb.store.ReplayLog` of every mutating
-  command journaled since -- queries included, because an L-DP back-end
+* rebuilds a dead shard from the chain of its newest snapshot generation
+  plus the :class:`~repro.edb.store.ReplayLog` of every mutating command
+  journaled since -- queries included, because an L-DP back-end
   draws noise per query, and the rebuilt RNG stream must resume exactly
   where the dead worker's was.  Under the process executor the replayed
   shard is handed to a fresh worker (fork inheritance) with its heap
@@ -23,13 +22,17 @@ router call through one choke point that
   fails fast on the first transient error).  There is no mode that keeps
   serving without a shard: an answer is either complete or an error.
 
-Every ``snapshot_every`` mutating commands the wrapper writes one
-generation and flushes the journal's staged commands as one segment.  A
-generation costs O(rows since its parent): the worker ships only the rows
-appended since the chain head (a delta generation), and a full generation
-is written where no delta can express the shard or none would pay --
-generation 0, after Setup, ``rotate_key`` or a recovery -- or to fold a
-chain whose deltas have grown to its base's size
+Both halves of that recovery state -- the generations and the journal --
+live in coordinator memory.  The coordinator outlives its workers, and
+nothing rebuilds a shard once the coordinator itself is gone (a restored
+deployment starts new chains), so recovery writes no file and leaves
+nothing at rest.  Every ``snapshot_every`` mutating commands the wrapper
+keeps one generation and closes the journal's staged commands into one
+segment.  A generation costs O(rows since its parent): the worker ships
+only the rows appended since the chain head (a delta generation), and a
+full generation is taken where no delta can express the shard or none
+would pay -- generation 0, after Setup, ``rotate_key`` or a recovery -- or
+to fold a chain whose deltas have grown to its base's size
 (:meth:`SupervisedShard._snapshot_now`).
 
 The wrapper's members are derived from the declared shard surface
@@ -67,12 +70,9 @@ and surfaced through ``Deployment.health``.
 
 from __future__ import annotations
 
-import os
-import shutil
-import tempfile
+import itertools
 import time as _time
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -91,12 +91,7 @@ from repro.edb.shard_worker import (
     TransientShardError,
     default_shard_timeout,
 )
-from repro.edb.store import (
-    ReplayLog,
-    SnapshotStore,
-    restore_backend,
-    snapshot_generation,
-)
+from repro.edb.store import ReplayLog, restore_backend, snapshot_generation
 from repro.testing.chaos import (
     PROCESS_ONLY_KINDS,
     ChaosWorkerFault,
@@ -114,35 +109,6 @@ __all__ = [
     "resolve_supervisor_mode",
 ]
 
-_SHARD_BLOB = "shard.pkl"
-
-#: Name prefix of a default scratch directory; the coordinator's pid and a
-#: random suffix follow it (``repro-supervisor-<pid>-<random>``).
-_SCRATCH_PREFIX = "repro-supervisor-"
-
-
-def _reap_dead_scratch(root: str) -> None:
-    """Remove every ``repro-supervisor-<pid>-*`` directory under ``root``
-    whose coordinator process is gone.
-
-    A run stopped by a signal (SIGTERM, SIGKILL) never reaches its close or
-    finalizer, so its tmpfs scratch would hold memory until reboot.  The
-    next supervisor sweeps it by pid: ``os.kill(pid, 0)`` failing with
-    ``ProcessLookupError`` means the process is gone, and ``PermissionError``
-    means it is alive under another user.
-    """
-    for entry in os.listdir(root):
-        pid, sep, _ = entry[len(_SCRATCH_PREFIX) :].partition("-")
-        if not (entry.startswith(_SCRATCH_PREFIX) and sep and pid.isdigit()):
-            continue
-        try:
-            os.kill(int(pid), 0)
-        except ProcessLookupError:
-            shutil.rmtree(os.path.join(root, entry), ignore_errors=True)
-        except PermissionError:
-            pass
-
-
 def resolve_supervisor_mode(mode: str) -> str:
     """Validate (and normalize) a supervisor grid flag (``"off"``/``"on"``)."""
     normalized = str(mode).lower()
@@ -157,9 +123,8 @@ class SupervisorConfig:
 
     ``timeout_s=None`` defers to the process-wide deadline
     (``REPRO_SHARD_TIMEOUT_S``, default 60s).  ``seed`` feeds the
-    deterministic backoff jitter.  ``directory=None`` puts the per-shard
-    snapshot/journal scratch in a fresh temp directory removed on close;
-    pass a path to keep recovery state somewhere durable.
+    deterministic backoff jitter.  Each shard keeps the snapshot chains of
+    its ``keep`` newest generations.
     """
 
     timeout_s: float | None = None
@@ -168,7 +133,6 @@ class SupervisorConfig:
     backoff_cap_s: float = 2.0
     seed: int = 0
     snapshot_every: int = 32
-    directory: "str | None" = None
     keep: int = 2
 
     def __post_init__(self) -> None:
@@ -184,20 +148,18 @@ class SupervisorConfig:
         return default_shard_timeout() if self.timeout_s is None else self.timeout_s
 
     def to_meta(self) -> dict:
-        """Persistable policy (scratch directory excluded: restore gets a
-        fresh one -- recovery scratch is machine-local, not deployment
-        state)."""
-        meta = asdict(self)
-        meta.pop("directory")
-        return meta
+        """Persistable policy."""
+        return asdict(self)
 
     @classmethod
     def from_meta(cls, meta: Mapping) -> "SupervisorConfig":
         """Rebuild a config from :meth:`to_meta` output.
 
-        Older metadata carries an ``on_shard_failure`` policy: ``"recover"``
-        is the only behaviour left, ``"raise"`` is ``max_retries=0``, and
-        ``"degrade"`` (answering for a lost shard with zeros) is refused.
+        Older metadata may carry a recovery scratch ``directory``, which is
+        ignored (recovery state lives in memory), and an
+        ``on_shard_failure`` policy: ``"recover"`` is the only behaviour
+        left, ``"raise"`` is ``max_retries=0``, and ``"degrade"`` (answering
+        for a lost shard with zeros) is refused.
         """
         fields = {k: v for k, v in dict(meta).items() if k != "directory"}
         policy = fields.pop("on_shard_failure", "recover")
@@ -246,9 +208,7 @@ class SupervisedShard:
         executor: str,
         health: "WallClockStats",
         health_lock,
-        directory: str | Path,
         context=None,
-        cleanup_base: bool = False,
     ) -> None:
         self.shard_index = index
         self._live = live
@@ -258,11 +218,11 @@ class SupervisedShard:
         self._health = health
         self._health_lock = health_lock
         self._context = context
-        self._base_dir = Path(directory)
-        self._cleanup_base = cleanup_base
-        self._dir = self._base_dir / f"shard-{index:03d}"
-        self._store = SnapshotStore(self._dir / "snapshots", keep=config.keep)
-        self._journal = ReplayLog(self._dir / "journal")
+        #: ``seq -> (parent, blob)``: full generations (``parent`` ``None``)
+        #: and the deltas extending them, numbered in save order.
+        self._generations: dict[int, tuple[int | None, bytes]] = {}
+        self._sequences = itertools.count(1)
+        self._journal = ReplayLog()
         self._rng = np.random.default_rng(
             np.random.SeedSequence([int(config.seed), int(index)])
         )
@@ -341,10 +301,6 @@ class SupervisedShard:
                 # rotate_key rewrites every row in place: no delta can
                 # express it.  Either way the next generation is full.
                 self._marks = None
-            # Staged, not fsync'd: recovery replays from the in-memory
-            # journal (the coordinator outlives its workers), and the next
-            # snapshot boundary flushes the backlog durably in one batch --
-            # keeping the fault-free hot path at dictionary-insert cost.
             self._journal.stage(
                 {"tag": self._snapshot_seq, "command": command, "args": args}
             )
@@ -369,20 +325,20 @@ class SupervisedShard:
 
     def _recover(self, cause: TransientShardError) -> None:
         """Discard the (possibly half-mutated) live shard and rebuild it
-        from the newest durable snapshot plus the replay journal."""
+        from the newest snapshot generation plus the replay journal."""
         started = _time.perf_counter()
         with self._health_lock:
             self._health.retries += 1
         self._kill_worker()
         self._teardown_live()
-        seq = self._store.latest_sequence()
-        if seq is None:  # pragma: no cover - generation 0 is written eagerly
+        if not self._generations:
             raise RuntimeError(
-                f"shard {self.shard_index} has no valid snapshot to recover "
-                f"from (after {cause})"
+                f"shard {self.shard_index} has no snapshot to recover from "
+                f"(after {cause})"
             )
+        seq = max(self._generations)
         edb = restore_backend(
-            *(link.read_blob(_SHARD_BLOB) for link in self._store.load_chain(seq))
+            *(self._generations[link][1] for link in self._chain(seq))
         )
         # Replay everything journaled at or after the restored generation,
         # coordinator-side, against the restored EDB -- faults and journaling
@@ -437,9 +393,9 @@ class SupervisedShard:
     # -- snapshots -------------------------------------------------------------
 
     def _snapshot_now(self) -> int:
-        """Write one durable generation of the live shard and make it the
-        chain head; prunes the journal prefix no valid fallback generation
-        can need any more.
+        """Keep one generation of the live shard and make it the chain
+        head; prunes the generations outside the newest ``keep`` chains and
+        the journal prefix no kept generation can need any more.
 
         A generation is a delta of the head -- the rows appended since it
         -- unless there is no head to extend (generation 0, after Setup, a
@@ -452,9 +408,13 @@ class SupervisedShard:
         head = self._snapshot_seq
         since = self._marks if self._chain_bytes < self._base_bytes else None
         blob, self._marks = self._generation(since)
-        seq = self._store.save(
-            {_SHARD_BLOB: blob}, parent=None if since is None else head
-        )
+        seq = next(self._sequences)
+        self._generations[seq] = (None if since is None else head, blob)
+        live: set[int] = set()
+        for kept in sorted(self._generations)[-max(1, self._config.keep) :]:
+            live.update(self._chain(kept))
+        for stale in self._generations.keys() - live:
+            del self._generations[stale]
         if since is None:
             self._base_bytes, self._chain_bytes = len(blob), 0
         else:
@@ -468,6 +428,13 @@ class SupervisedShard:
             # strictly older segments go.
             self._journal.prune(min_tag=head)
         return seq
+
+    def _chain(self, seq: int) -> list[int]:
+        """The generations from ``seq``'s full base to ``seq``, base first."""
+        chain = [seq]
+        while (parent := self._generations[chain[-1]][0]) is not None:
+            chain.append(parent)
+        return chain[::-1]
 
     def _generation(self, since: dict | None) -> tuple[bytes, dict]:
         if hasattr(self._live, "generation"):
@@ -491,12 +458,10 @@ class SupervisedShard:
             self._live.chaos_drop()
             return  # the swallowed command never gets a reply -> timeout
         if fault.kind == "tornsnap":
-            seq = self._snapshot_now()
-            # Tear the fresh generation: without its manifest it is an
-            # aborted write by construction, so recovery must fall back to
-            # the previous generation and a longer replay.
-            manifest = self._store._snapshot_dir(seq) / "MANIFEST.json"
-            manifest.unlink(missing_ok=True)
+            # Drop the fresh generation, as an aborted snapshot leaves it:
+            # recovery must fall back to the previous generation and a
+            # longer replay.
+            del self._generations[self._snapshot_now()]
             self._crash_live(command)
             return
         if fault.kind == "raise":
@@ -564,25 +529,21 @@ class SupervisedShard:
         return self._stats_base
 
     def close(self) -> None:
-        """Tear down the live shard and remove the recovery scratch."""
+        """Tear down the live shard and drop its recovery state."""
         if self._closed:
             return
         self._closed = True
         self._teardown_live()
-        shutil.rmtree(self._dir, ignore_errors=True)
-        if self._cleanup_base:
-            try:
-                self._base_dir.rmdir()
-            except OSError:
-                pass
+        self._generations.clear()
+        self._journal.clear()
 
 
 class ShardSupervisor:
     """Builds and owns the fleet's :class:`SupervisedShard` wrappers.
 
-    One supervisor per router: it resolves the scratch directory, shares the
-    health sink (the router's measured ledger) and its lock across shards,
-    and hands each wrapper its slice of the fault schedule.
+    One supervisor per router: it shares the health sink (the router's
+    measured ledger) and its lock across shards, and hands each wrapper its
+    slice of the fault schedule.
     """
 
     def __init__(
@@ -601,34 +562,7 @@ class ShardSupervisor:
         self._health = health
         self._health_lock = threading.Lock()
         self._context = context
-        if config.directory is not None:
-            self._directory = Path(config.directory)
-            self._directory.mkdir(parents=True, exist_ok=True)
-            self._cleanup_base = False
-        else:
-            # Recovery scratch is machine-local and process-lifetime: it only
-            # has to survive *worker* deaths, never a host reboot, so a tmpfs
-            # (when the platform has one) takes the fsync of every journal
-            # append out of the ingest path -- the difference between a ~free
-            # supervision layer and a measurable one.  A tmpfs holds memory
-            # until reboot, so the scratch a killed coordinator left there is
-            # swept first.
-            scratch_root = None
-            if os.path.isdir("/dev/shm"):
-                scratch_root = "/dev/shm"
-                _reap_dead_scratch(scratch_root)
-            self._directory = Path(
-                tempfile.mkdtemp(
-                    prefix=f"{_SCRATCH_PREFIX}{os.getpid()}-", dir=scratch_root
-                )
-            )
-            self._cleanup_base = True
         self.shards: list[SupervisedShard] = []
-
-    @property
-    def directory(self) -> Path:
-        """The supervisor's recovery scratch root."""
-        return self._directory
 
     def wrap(self, shards: Sequence) -> list[SupervisedShard]:
         """Wrap already-built shards (proxies or EDBs) for supervision."""
@@ -641,22 +575,13 @@ class ShardSupervisor:
                 self._executor,
                 self._health,
                 self._health_lock,
-                self._directory,
                 context=self._context,
-                cleanup_base=self._cleanup_base,
             )
             for index, live in enumerate(shards)
         ]
         return self.shards
 
     def close(self) -> None:
-        """Close every wrapper (idempotent; wrappers remove their scratch),
-        then the default scratch root, which is left behind otherwise when
-        no shard was wrapped or ``wrap`` failed part-way."""
+        """Close every wrapper (idempotent)."""
         for shard in self.shards:
             shard.close()
-        if self._cleanup_base:
-            try:
-                self._directory.rmdir()
-            except OSError:
-                pass

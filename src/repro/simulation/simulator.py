@@ -217,7 +217,7 @@ class Simulation:
 
     @staticmethod
     def _close_edb(ctx: "_RunContext") -> None:
-        """Release EDB resources after a run (workers, supervisor scratch).
+        """Release EDB resources after a run (shard worker processes).
 
         In-process back-ends make this a cheap no-op, but a run over a
         process-executor :class:`~repro.edb.router.ShardRouter` must always

@@ -30,9 +30,9 @@ Fault kinds (``FAULT_KINDS``):
     :class:`ChaosWorkerFault` -- a worker failing *mid-batch* with torn
     in-memory state.  Works on every executor.
 ``tornsnap``
-    Force a snapshot, tear it (delete its manifest), then crash the shard
-    -- recovery must fall back to the previous durable generation and a
-    longer replay.
+    Force a snapshot, drop it as an aborted snapshot would leave it, then
+    crash the shard -- recovery must fall back to the previous generation
+    and a longer replay.
 
 ``kill``/``delay``/``drop`` need a worker process: a grid cell
 (:class:`~repro.simulation.runner.CellSpec`) refuses them on the in-process

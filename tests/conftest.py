@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import gc
-import os
-
 import numpy as np
 import pytest
 
@@ -12,38 +9,6 @@ from repro.core.strategies.flush import FlushPolicy
 from repro.edb.records import Record, Schema, make_dummy_record
 from repro.workload.generator import build_growing_database, poisson_arrivals
 from repro.workload.stream import GrowingDatabase
-
-
-def _supervisor_scratch() -> list[str]:
-    """Supervisor recovery scratch directories currently under /dev/shm."""
-    shm = "/dev/shm"
-    if not os.path.isdir(shm):  # pragma: no cover - non-Linux
-        return []
-    return sorted(
-        name for name in os.listdir(shm) if name.startswith("repro-supervisor-")
-    )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def no_leaked_supervisor_scratch():
-    """Fail the session if any supervisor scratch directory outlives it.
-
-    A supervised router without a configured directory keeps its snapshots
-    and journal in ``/dev/shm/repro-supervisor-<pid>-*``, which holds memory
-    until it is removed; leaking one would fill ``/dev/shm`` across CI runs.
-    Every test that builds a supervised router must close it -- this
-    fixture is the backstop that keeps that contract honest.
-
-    A ``gc.collect()`` runs before the final scan: router teardown is
-    ``weakref.finalize``-based, so a dropped-but-uncollected router is not a
-    leak -- only scratch that survives both an explicit close *and* a
-    collection is.
-    """
-    before = _supervisor_scratch()
-    yield
-    gc.collect()
-    leaked = [name for name in _supervisor_scratch() if name not in before]
-    assert not leaked, f"leaked supervisor scratch directories: {leaked}"
 
 
 @pytest.fixture

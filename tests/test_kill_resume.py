@@ -30,6 +30,7 @@ from repro.edb.router import ShardRouter
 from repro.edb.shard_worker import ShardWorkerClient, ShardWorkerDied
 from repro.edb.store import StoreIntegrityError, restore_backend
 from repro.fleet import Deployment
+from repro.fleet.supervisor import SupervisorConfig
 from repro.query.ast import CountQuery
 from repro.simulation.simulator import Simulation
 
@@ -168,6 +169,52 @@ def test_supervised_worker_kill_heals_in_place_and_restores(tmp_path):
         twin_tail = _drive(twin, 17, 25)
         assert _drive(restored, 9, 25)[2:] == twin_tail
         assert _transcripts(restored) == _transcripts(twin)
+    finally:
+        restored.close()
+        twin.close()
+
+
+def test_a_deployment_saved_with_a_scratch_directory_resumes(tmp_path):
+    """A deployment saved while supervisors kept their recovery state in a
+    scratch directory carries that path in its supervisor metadata: it
+    resumes supervised under the same policy, and nothing is written
+    there."""
+    config = SupervisorConfig(snapshot_every=4, seed=5)
+
+    def build(supervisor) -> Deployment:
+        router = ShardRouter(
+            [ObliDB(simulate_encryption=True) for _ in range(2)],
+            route_seed=9,
+            executor="serial",
+            supervisor=supervisor,
+        )
+        deployment = Deployment.build(
+            SCHEMA, router, n_owners=2, strategy="dp-timer", period=5, seed=21
+        )
+        deployment.start(
+            {name: [_record(0, salt=i)] for i, name in enumerate(deployment.owners)}
+        )
+        return deployment
+
+    twin = build(None)
+    saved = build(config)
+    scratch = tmp_path / "scratch"
+    try:
+        assert _drive(saved, 1, 9) == _drive(twin, 1, 9)
+        saved.edb._supervisor_meta = {
+            **saved.edb._supervisor_meta,
+            "directory": str(scratch),
+        }
+        saved.save(tmp_path / "snap")
+    finally:
+        saved.close()
+
+    restored = Deployment.restore(tmp_path / "snap")
+    try:
+        assert restored.edb.supervisor.config == config
+        assert _drive(restored, 9, 17) == _drive(twin, 9, 17)
+        assert _transcripts(restored) == _transcripts(twin)
+        assert not scratch.exists()
     finally:
         restored.close()
         twin.close()

@@ -9,8 +9,8 @@ is pinned by ``tests/test_scatter_concurrency.py``; this suite covers what is
 * the measured ledger splits coordinator wall clock into per-shard worker
   busy time and serialization overhead, and only for the process executor;
 * ciphertexts written by a worker stay in its heap arenas: they decrypt to
-  the inserted records when read out of its snapshot generation, and a live
-  process router puts nothing in ``/dev/shm`` but supervisor scratch;
+  the inserted records when read out of its snapshot generation, and a
+  supervised process router writes no file, not even while it recovers;
 * workers are torn down by ``close()`` (idempotent);
 * the single-CPU footgun warning fires exactly once per concurrent executor;
 * the pipelined fan-out (send to every shard, then collect) drains every
@@ -24,6 +24,7 @@ import logging
 import multiprocessing
 import os
 import signal
+import tempfile
 import time as _time
 
 import pytest
@@ -173,26 +174,30 @@ def test_coordinator_reads_worker_ciphertexts_zero_copy():
         router.close()
 
 
-@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
-def test_live_process_router_puts_only_supervisor_scratch_in_dev_shm():
-    """Workers keep their ciphertexts in heap arenas: while an encrypting,
-    supervised process router is live, the only ``/dev/shm`` entry it has
-    made is its supervisor's recovery scratch."""
-    before = set(os.listdir("/dev/shm"))
+def test_a_supervised_process_run_with_recoveries_writes_no_file():
+    """Workers keep their ciphertexts in heap arenas and the supervisor its
+    snapshot chains and journal in coordinator memory: an encrypting,
+    supervised process router that heals a killed worker and a torn
+    snapshot creates no entry in ``/dev/shm`` or the temp directory."""
+    roots = [
+        root for root in ("/dev/shm", tempfile.gettempdir()) if os.path.isdir(root)
+    ]
+    before = {root: set(os.listdir(root)) for root in roots}
     router = ShardRouter(
         [ObliDB(simulate_encryption=True) for _ in range(2)],
         route_seed=3,
         executor="processes",
-        supervisor="on",
+        supervisor=SupervisorConfig(timeout_s=10.0, backoff_base_s=0.01),
+        faults="kill:0@3,tornsnap:1@4",
     )
     try:
         router.setup(_records(200))
-        router.update(_records(100, start=200, time=2), time=2)
-        made = set(os.listdir("/dev/shm")) - before
-        assert made == {router.supervisor.directory.name}
-        assert router.supervisor.directory.name.startswith(
-            f"repro-supervisor-{os.getpid()}-"
-        )
+        for time in range(2, 6):
+            router.update(_records(20, start=200 + 20 * time, time=time), time=time)
+            router.query(CountQuery(table="events", label="Q1"), time=time)
+        assert router.measured.recoveries == 2
+        made = {root: set(os.listdir(root)) - before[root] for root in roots}
+        assert made == {root: set() for root in roots}
     finally:
         router.close()
 

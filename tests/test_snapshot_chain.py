@@ -14,7 +14,6 @@ dtypes.  A deterministic size check pins the O(rows since the parent) cost.
 from __future__ import annotations
 
 import pickle
-import tempfile
 import threading
 from dataclasses import replace
 
@@ -190,49 +189,44 @@ def test_chain_restore_equals_full_restore(
         parse_fault_schedule(f"tornsnap@{torn_at}") if torn_at is not None else None
     )
     config = SupervisorConfig(snapshot_every=snapshot_every, backoff_base_s=0.0)
-    with tempfile.TemporaryDirectory() as scratch:
-        shard = SupervisedShard(
-            BACKENDS[backend](seed),
-            0,
-            config,
-            schedule,
-            "serial",
-            WallClockStats(),
-            threading.Lock(),
-            scratch,
+    shard = SupervisedShard(
+        BACKENDS[backend](seed),
+        0,
+        config,
+        schedule,
+        "serial",
+        WallClockStats(),
+        threading.Lock(),
+    )
+    twin = BACKENDS[backend](seed)
+    try:
+        setup_rows = _rows(0, 6, "int")
+        assert shard.setup(setup_rows, 0) == twin.setup(setup_rows, 0)
+        counter = [len(setup_rows)]
+        for time, operation in enumerate(operations, start=1):
+            if operation[0] == "fold":
+                # Fold at the next generation, wherever the chain is.
+                shard._chain_bytes = shard._base_bytes
+                continue
+            on_shard, on_twin = _apply((shard, twin), operation, time, counter)
+            assert on_shard == on_twin
+        # One last generation makes the chain head the live state.
+        head = shard._snapshot_now()
+        chain = shard._chain(head)
+        assert shard._generations[chain[0]][0] is None
+        chain_edb = restore_backend(*(shard._generations[seq][1] for seq in chain))
+        full_edb = restore_backend(snapshot_backend(shard.live))
+        # A full generation alone restores the live shard's whole state.
+        assert _state(full_edb) == _state(shard.live)
+        assert full_edb.outsourced_count == shard.live.outsourced_count
+        _assert_equivalent(chain_edb, full_edb)
+        # The supervised shard itself never diverged from the twin,
+        # through any fold, rotation and torn-generation recovery.
+        assert _state(shard.live, ciphertexts=False) == _state(
+            twin, ciphertexts=False
         )
-        twin = BACKENDS[backend](seed)
-        try:
-            setup_rows = _rows(0, 6, "int")
-            assert shard.setup(setup_rows, 0) == twin.setup(setup_rows, 0)
-            counter = [len(setup_rows)]
-            for time, operation in enumerate(operations, start=1):
-                if operation[0] == "fold":
-                    # Fold at the next generation, wherever the chain is.
-                    shard._chain_bytes = shard._base_bytes
-                    continue
-                on_shard, on_twin = _apply((shard, twin), operation, time, counter)
-                assert on_shard == on_twin
-            # One last generation makes the chain head the live state.
-            shard._snapshot_now()
-            chain = shard._store.load_chain()
-            assert chain, "the head's chain must be restorable"
-            assert chain[0].manifest()["parent"] is None
-            chain_edb = restore_backend(
-                *(link.read_blob("shard.pkl") for link in chain)
-            )
-            full_edb = restore_backend(snapshot_backend(shard.live))
-            # A full generation alone restores the live shard's whole state.
-            assert _state(full_edb) == _state(shard.live)
-            assert full_edb.outsourced_count == shard.live.outsourced_count
-            _assert_equivalent(chain_edb, full_edb)
-            # The supervised shard itself never diverged from the twin,
-            # through any fold, rotation and torn-generation recovery.
-            assert _state(shard.live, ciphertexts=False) == _state(
-                twin, ciphertexts=False
-            )
-        finally:
-            shard.close()
+    finally:
+        shard.close()
 
 
 def _fleet_edb(n: int) -> ObliDB:

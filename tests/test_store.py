@@ -2,8 +2,8 @@
 
 Covers the :mod:`repro.edb.store` layers bottom-up -- blob sealing, the
 atomic :class:`EncryptedStore` directory with its write-manifest-last
-protocol, the generational :class:`SnapshotStore` -- plus the durability
-bugfixes that ride along in the same PR:
+protocol, the generational :class:`SnapshotStore`, and the supervisor's
+in-memory generation chains -- plus the durability bugfixes that ride along:
 
 * the grid runner's checkpoint writes are fsync'd-atomic, and a torn
   leftover ``.tmp`` (or a torn checkpoint itself) is skipped cleanly on
@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import os
 import pickle
-import shutil
 import stat
 import threading
 
@@ -115,18 +114,27 @@ def test_atomic_write_mode_applies_to_a_leftover_temp_file(tmp_path):
 
 
 @pytest.mark.parametrize("passphrase", [None, "pw"])
-def test_salt_blobs_and_journal_records_are_owner_only(tmp_path, passphrase):
+def test_salt_blobs_and_journal_records_are_owner_only(
+    tmp_path, monkeypatch, passphrase
+):
+    """Stored blobs and salts are 0600; the supervisor's journal records
+    never leave the coordinator's memory, so no file holds one."""
+    monkeypatch.chdir(tmp_path)
     store = EncryptedStore(tmp_path / "store", passphrase=passphrase)
     store.write_blob("owners.pkl", b"plaintext client state")
     store.commit()
-    journal = ReplayLog(tmp_path / "journal", passphrase=passphrase)
-    journal.append({"command": "insert_many", "tag": 1})
+    journal = ReplayLog()
+    journal.stage({"command": "insert_many", "tag": 1, "args": ("secret",)})
+    journal.flush()
     written = [tmp_path / "store" / "owners.pkl"]
-    written += list((tmp_path / "journal" / "segments").iterdir())
     if passphrase is not None:
-        written += [tmp_path / "store" / "salt.bin", tmp_path / "journal" / "salt.bin"]
+        written.append(tmp_path / "store" / "salt.bin")
         store.change_passphrase("new")
-    assert written and all(_private(path) for path in written)
+    assert all(_private(path) for path in written)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["store"]
+    assert sorted(p.name for p in (tmp_path / "store").iterdir()) == sorted(
+        ["MANIFEST.json"] + [p.name for p in written]
+    )
 
 
 # -- EncryptedStore -----------------------------------------------------------
@@ -296,70 +304,19 @@ def test_sealed_snapshot_store_derives_its_key_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(store_module, "derive_key", counting_derive_key)
     store = SnapshotStore(tmp_path, passphrase="pw", keep=2)
-    head = store.save({"state.bin": b"base"})
-    for delta in range(3):
-        head = store.save({"state.bin": bytes([delta])}, parent=head)
+    for generation in range(4):
+        head = store.save({"state.bin": bytes([generation])})
     assert store.latest_sequence() == head
-    assert [s.read_blob("state.bin") for s in store.load_chain()] == [
-        b"base", b"\x00", b"\x01", b"\x02",
-    ]
+    assert store.load_latest().read_blob("state.bin") == b"\x03"
     assert len(calls) == 1
     # A second store over the same directory derives its own key, once.
     reopened = SnapshotStore(tmp_path, passphrase="pw")
     assert reopened.latest_sequence() == head
-    assert len(reopened.load_chain()) == 4
+    assert reopened.load_latest().read_blob("state.bin") == b"\x03"
     assert len(calls) == 2
 
 
-def _parents(store: SnapshotStore) -> dict:
-    return {
-        seq: store._open(seq).manifest()["parent"]
-        for seq in store._sequence_numbers()
-    }
-
-
-def test_snapshot_store_keeps_every_generation_a_kept_head_references(tmp_path):
-    store = SnapshotStore(tmp_path, keep=2)
-    head = store.save({"state.bin": b"base"})
-    for delta in range(4):
-        head = store.save({"state.bin": bytes([delta])}, parent=head)
-    # Heads 5 and 4 both extend the chain from full generation 1.
-    assert _parents(store) == {1: None, 2: 1, 3: 2, 4: 3, 5: 4}
-    assert [s.read_blob("state.bin") for s in store.load_chain()] == [
-        b"base", b"\x00", b"\x01", b"\x02", b"\x03",
-    ]
-    # A fold starts a new chain; once two heads sit on it, the old one goes.
-    store.save({"state.bin": b"fold"})
-    assert sorted(_parents(store)) == [1, 2, 3, 4, 5, 6]
-    store.save({"state.bin": b"next"}, parent=6)
-    assert _parents(store) == {6: None, 7: 6}
-    assert [s.read_blob("state.bin") for s in store.load_chain()] == [
-        b"fold", b"next",
-    ]
-
-
-def test_delta_with_missing_or_torn_parent_is_never_restored(tmp_path):
-    store = SnapshotStore(tmp_path, keep=3)
-    store.save({"state.bin": b"one"})
-    store.save({"state.bin": b"two"}, parent=1)
-    store.save({"state.bin": b"three"}, parent=2)
-    assert store.latest_sequence() == 3
-    # Tear the middle generation: head 3 loses its chain, and so does 2.
-    (tmp_path / "snapshots" / "00000002" / "MANIFEST.json").unlink()
-    assert store.latest_sequence() == 1
-    assert [s.read_blob("state.bin") for s in store.load_chain()] == [b"one"]
-    with pytest.raises(StoreIntegrityError):
-        store.load_chain(3)
-    with pytest.raises(StoreIntegrityError):
-        store.save({"state.bin": b"orphan"}, parent=2)
-    # A missing base is as fatal as a torn one.
-    store.save({"state.bin": b"four"}, parent=1)
-    shutil.rmtree(tmp_path / "snapshots" / "00000001")
-    assert store.latest_sequence() is None
-    assert store.load_chain() == []
-
-
-def _supervised_shard(tmp_path, edb, snapshot_every=1, schedule=None):
+def _supervised_shard(edb, snapshot_every=1, schedule=None):
     return SupervisedShard(
         edb,
         0,
@@ -368,51 +325,80 @@ def _supervised_shard(tmp_path, edb, snapshot_every=1, schedule=None):
         "serial",
         WallClockStats(),
         threading.Lock(),
-        tmp_path,
     )
 
 
-def test_setup_starts_a_new_chain(tmp_path):
+def _parents(shard: SupervisedShard) -> dict:
+    return {seq: parent for seq, (parent, _) in shard._generations.items()}
+
+
+def _head_chain(shard: SupervisedShard) -> list[bytes]:
+    return [shard._generations[seq][1] for seq in shard._chain(max(shard._generations))]
+
+
+def test_snapshot_store_keeps_every_generation_a_kept_head_references():
+    """A supervised shard keeps its newest ``keep`` (2) generations and
+    every generation their delta chains reference."""
+    shard = _supervised_shard(ObliDB(simulate_encryption=True))
+    try:
+        shard.setup(_records(200))  # generation 2: full
+        for time in range(1, 5):  # 3..6: deltas
+            shard.query(CountQuery(table="events"), time=time)
+        # Heads 6 and 5 both extend the chain from full generation 2.
+        assert _parents(shard) == {2: None, 3: 2, 4: 3, 5: 4, 6: 5}
+        # A fold starts a new chain; once two heads sit on it, the old one goes.
+        shard._chain_bytes = shard._base_bytes
+        shard.query(CountQuery(table="events"), time=5)
+        assert sorted(_parents(shard)) == [2, 3, 4, 5, 6, 7]
+        assert _parents(shard)[7] is None
+        shard.query(CountQuery(table="events"), time=6)
+        assert _parents(shard) == {7: None, 8: 7}
+        assert restore_backend(*_head_chain(shard)).update_history == (
+            shard.update_history
+        )
+    finally:
+        shard.close()
+
+
+def test_setup_starts_a_new_chain():
     """Setup fills the near-empty generation 0, so the generation after it
     is full and the next one a delta of it -- not a delta that outgrows its
     base and forces a fold right after."""
     edb = ObliDB(simulate_encryption=True)
-    shard = _supervised_shard(tmp_path, edb)
+    shard = _supervised_shard(edb)
     try:
         shard.setup(_records(40))  # generation 2: full
-        assert _parents(shard._store) == {1: None, 2: None}
+        assert _parents(shard) == {1: None, 2: None}
         shard.insert_many({"events": _records(2, start=40)}, 1)  # 3: a delta
-        assert _parents(shard._store) == {2: None, 3: 2}
-        chain = [s.read_blob("shard.pkl") for s in shard._store.load_chain()]
+        assert _parents(shard) == {2: None, 3: 2}
+        chain = _head_chain(shard)
         assert restore_backend(*chain).update_history == shard.update_history
     finally:
         shard.close()
 
 
-def test_rotated_and_recovered_shards_start_a_new_chain(tmp_path):
+def test_rotated_and_recovered_shards_start_a_new_chain():
     """After rotate_key every row was rewritten, and after a recovery the
     shard has replayed past its head: either way the next generation is
     full, and the chain restores the live shard exactly."""
     edb = ObliDB(simulate_encryption=True)
-    shard = _supervised_shard(
-        tmp_path, edb, schedule=parse_fault_schedule("tornsnap@5")
-    )
+    shard = _supervised_shard(edb, schedule=parse_fault_schedule("tornsnap@5"))
     try:
         shard.setup(_records(40))  # generation 2: full
         # 3: a delta as large as its base, so 4 folds the chain.
         shard.insert_many({"events": _records(80, start=40)}, 1)
         shard.insert_many({"events": _records(2, start=120)}, 2)
-        assert _parents(shard._store) == {2: None, 3: 2, 4: None}
+        assert _parents(shard) == {2: None, 3: 2, 4: None}
         shard.rotate_key(b"k" * 32)  # 5: full
-        assert _parents(shard._store) == {4: None, 5: None}
-        # 6 is written and torn, the live shard crashes and is rebuilt from
-        # 5 plus the journal, and the retried insert writes full 7.
+        assert _parents(shard) == {4: None, 5: None}
+        # 6 is taken and dropped, the live shard crashes and is rebuilt
+        # from 5 plus the journal, and the retried insert takes full 7.
         shard.insert_many({"events": _records(2, start=122)}, 3)
-        assert shard._store.latest_sequence() == 7
-        assert _parents(shard._store) == {5: None, 7: None}
+        assert max(shard._generations) == 7
+        assert _parents(shard) == {5: None, 7: None}
         shard.insert_many({"events": _records(2, start=124)}, 4)  # 8: a delta
-        assert _parents(shard._store) == {7: None, 8: 7}
-        chain = [s.read_blob("shard.pkl") for s in shard._store.load_chain()]
+        assert _parents(shard) == {7: None, 8: 7}
+        chain = _head_chain(shard)
         assert restore_backend(*chain).update_history == shard.update_history
     finally:
         shard.close()

@@ -6,12 +6,15 @@ The byte-identity of supervised recovery against fault-free twins lives in
 * the unified per-command pipe deadline (``REPRO_SHARD_TIMEOUT_S`` /
   constructor arg) and the typed timeout it produces;
 * deterministic backoff jitter (same seed => same sleep schedule);
-* the crash-safe :class:`~repro.edb.store.ReplayLog` write protocol
-  (orphan records past HEAD are invisible; torn tmp files never resolve);
+* the in-memory :class:`~repro.edb.store.ReplayLog` (one segment per
+  flush, pruned a whole segment at a time, staged entries never pruned);
 * the retry budget (``max_retries=0`` fails fast, a spent budget
   re-raises) and the health counters it moves;
 * monotonic worker stats across rebuild generations, and a graceful
   ``close()`` that leaves nothing for the resource tracker to clean up;
+* bounded recovery state: a shard keeps only the generations of its
+  ``keep`` newest chains and the journal its oldest fallback can replay,
+  and a supervised run writes no file;
 * the declared shard surface: every wrapper exposes exactly its entries,
   the worker refuses any other name, the supervisor journals exactly the
   mutating ones.
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import inspect
 import os
-import shutil
 import subprocess
 import sys
 import threading
@@ -49,7 +51,7 @@ from repro.edb.shard_worker import (
     TransientShardError,
     default_shard_timeout,
 )
-from repro.edb.store import ReplayLog, StoreIntegrityError
+from repro.edb.store import ReplayLog
 from repro.fleet.supervisor import (
     ShardSupervisor,
     SupervisedShard,
@@ -79,7 +81,6 @@ def _edb(seed: int = 7) -> ObliDB:
 
 
 def _supervised(
-    tmp_path,
     config: SupervisorConfig | None = None,
     schedule: FaultSchedule | None = None,
     executor: str = "serial",
@@ -94,7 +95,6 @@ def _supervised(
         executor,
         health if health is not None else WallClockStats(),
         threading.Lock(),
-        tmp_path,
     )
 
 
@@ -138,7 +138,7 @@ def test_wedged_worker_times_out_with_typed_error():
         client.close()
 
 
-def test_supervisor_config_validation_and_meta_roundtrip(tmp_path):
+def test_supervisor_config_validation_and_meta_roundtrip():
     with pytest.raises(ValueError):
         SupervisorConfig(max_retries=-1)
     with pytest.raises(ValueError):
@@ -146,12 +146,13 @@ def test_supervisor_config_validation_and_meta_roundtrip(tmp_path):
     with pytest.raises(ValueError):
         resolve_supervisor_mode("maybe")
     assert resolve_supervisor_mode("ON") == "on"
-    config = SupervisorConfig(
-        timeout_s=1.5, max_retries=5, seed=3, directory=str(tmp_path)
-    )
+    config = SupervisorConfig(timeout_s=1.5, max_retries=5, seed=3)
     rebuilt = SupervisorConfig.from_meta(config.to_meta())
-    # The scratch directory is machine-local and never round-trips.
-    assert rebuilt == SupervisorConfig(timeout_s=1.5, max_retries=5, seed=3)
+    assert rebuilt == config
+    # Metadata saved while recovery state lived in a scratch directory
+    # still carries its path, which is ignored.
+    scratch = {**config.to_meta(), "directory": "/dev/shm/repro-supervisor-1-x"}
+    assert SupervisorConfig.from_meta(scratch) == config
     # Metadata persisted with the retired on_shard_failure policy: "recover"
     # is the only behaviour left, "raise" means no retries, and "degrade"
     # (zeros for a lost shard) is refused by name.
@@ -193,14 +194,14 @@ def test_backoff_schedule_is_deterministic_per_seed_and_shard():
         assert 0.5 * delay <= sleep < delay
 
 
-def test_wrapper_backoff_draws_from_the_seeded_stream(tmp_path, monkeypatch):
+def test_wrapper_backoff_draws_from_the_seeded_stream(monkeypatch):
     config = SupervisorConfig(seed=11, backoff_base_s=0.05, backoff_cap_s=2.0)
     slept: list[float] = []
     monkeypatch.setattr(
         "repro.fleet.supervisor._time.sleep", lambda s: slept.append(s)
     )
     schedule = parse_fault_schedule("raise@1,raise@2,raise@3")
-    shard = _supervised(tmp_path, config=config, schedule=schedule)
+    shard = _supervised(config=config, schedule=schedule)
     try:
         shard.setup(_records(6))  # fault 1 -> one backoff + recovery
         shard.update(_records(3, start=6), 1)  # fault 2
@@ -212,13 +213,14 @@ def test_wrapper_backoff_draws_from_the_seeded_stream(tmp_path, monkeypatch):
     assert slept == expected
 
 
-# -- ReplayLog crash safety ----------------------------------------------------
+# -- the in-memory replay journal -----------------------------------------------
 
 
-def test_replay_log_append_entries_prune(tmp_path):
-    log = ReplayLog(tmp_path / "journal")
+def test_replay_log_append_entries_prune():
+    log = ReplayLog()
     for tag, command in [(0, "setup"), (0, "update"), (1, "update"), (2, "query")]:
-        log.append({"tag": tag, "command": command, "args": ()})
+        log.stage({"tag": tag, "command": command, "args": ()})
+        log.flush()
     assert len(log) == 4
     assert [e["command"] for e in log.entries()] == [
         "setup", "update", "update", "query",
@@ -226,74 +228,32 @@ def test_replay_log_append_entries_prune(tmp_path):
     assert [e["command"] for e in log.entries(min_tag=1)] == ["update", "query"]
     assert log.prune(min_tag=1) == 2
     assert len(log) == 2
-    # A fresh reader sees exactly the live range.
-    reread = ReplayLog(tmp_path / "journal")
-    assert [e["tag"] for e in reread.entries()] == [1, 2]
+    assert [e["tag"] for e in log.entries()] == [1, 2]
 
 
-def test_replay_log_orphan_record_past_head_is_invisible(tmp_path):
-    """A crash after a segment write but before the HEAD update leaves an
-    orphan segment the live range never covers; the next flush atomically
-    overwrites it."""
-    log = ReplayLog(tmp_path / "journal")
-    log.append({"tag": 0, "command": "setup", "args": ()})
-    # Simulate the torn second flush: segment durable, HEAD never updated.
-    import pickle
-
-    orphan = log._segment_path(1)
-    orphan.write_bytes(pickle.dumps([{"tag": 9, "command": "garbage", "args": ()}] * 3))
-
-    reread = ReplayLog(tmp_path / "journal")
-    assert len(reread) == 1
-    assert [e["command"] for e in reread.entries()] == ["setup"]
-    serial = reread.append({"tag": 1, "command": "update", "args": ()})
-    assert serial == 1  # the orphan's slot, overwritten atomically
-    assert [e["command"] for e in reread.entries()] == ["setup", "update"]
-    assert [e["command"] for e in ReplayLog(tmp_path / "journal").entries()] == [
-        "setup", "update",
-    ]
-
-
-def test_replay_log_tmp_files_never_resolve(tmp_path):
-    log = ReplayLog(tmp_path / "journal")
-    log.append({"tag": 0, "command": "setup", "args": ()})
-    segments = tmp_path / "journal" / "segments"
-    (segments / "0000000001.pkl.tmp").write_bytes(b"torn")
-    (segments / "0000000007.pkl.tmp").write_bytes(b"torn")
-    reread = ReplayLog(tmp_path / "journal")
-    assert [e["command"] for e in reread.entries()] == ["setup"]
-
-
-def test_replay_log_staged_entries_are_visible_but_not_durable(tmp_path):
-    """stage() feeds the live coordinator's replay immediately; only
-    flush() makes entries survive a process restart -- one segment per
-    flush, HEAD manifest last."""
-    log = ReplayLog(tmp_path / "journal")
-    log.append({"tag": 0, "command": "setup", "args": ()})
+def test_replay_log_staged_entries_are_visible_but_not_durable():
+    """stage() feeds the live coordinator's replay immediately; flush()
+    closes the entries staged since the last one into one segment, the unit
+    prune drops.  Nothing is written at rest: the journal dies with the
+    coordinator."""
+    log = ReplayLog()
+    log.stage({"tag": 0, "command": "setup", "args": ()})
+    assert log.flush() == 1
     for command in ("update", "query"):
         log.stage({"tag": 0, "command": command, "args": ()})
-    # Staged entries replay from memory...
     assert [e["command"] for e in log.entries()] == ["setup", "update", "query"]
-    # ...but a fresh reader (coordinator restart) only sees the durable prefix.
-    assert [e["command"] for e in ReplayLog(tmp_path / "journal").entries()] == [
-        "setup"
-    ]
     assert log.flush() == 2
     assert log.flush() == 0  # idempotent once drained
-    segments = sorted(p.name for p in (tmp_path / "journal" / "segments").iterdir())
-    assert segments == ["0000000000.pkl", "0000000001.pkl"]
-    assert [e["command"] for e in ReplayLog(tmp_path / "journal").entries()] == [
-        "setup", "update", "query",
-    ]
+    assert log._segments == [1, 2]
 
 
-def test_replay_log_prune_of_staged_entries_keeps_head_well_formed(tmp_path):
-    """Prune drops whole durable segments only: a segment survives while any
+def test_replay_log_prune_of_staged_entries_keeps_head_well_formed():
+    """Prune drops whole closed segments only: a segment survives while any
     of its entries may be replayed, and staged entries are never pruned."""
-    log = ReplayLog(tmp_path / "journal")
+    log = ReplayLog()
     log.stage({"tag": 0, "command": "setup", "args": ()})
     log.stage({"tag": 1, "command": "update", "args": ()})
-    assert log.prune(min_tag=1) == 0  # nothing durable yet
+    assert log.prune(min_tag=1) == 0  # nothing closed yet
     log.flush()  # one segment holding tags 0 and 1
     log.stage({"tag": 2, "command": "query", "args": ()})
     log.flush()
@@ -304,43 +264,18 @@ def test_replay_log_prune_of_staged_entries_keeps_head_well_formed(tmp_path):
     assert log.prune(min_tag=3) == 1  # the staged tag-2 entry stays
     assert [e["tag"] for e in log.entries()] == [2]
     log.flush()
-    reread = ReplayLog(tmp_path / "journal")
-    assert [e["tag"] for e in reread.entries()] == [2]
-    assert len(reread) == 1
-    assert sorted(p.name for p in (tmp_path / "journal" / "segments").iterdir()) == [
-        "0000000003.pkl"
-    ]
-
-
-def test_replay_log_missing_segment_is_an_integrity_error(tmp_path):
-    log = ReplayLog(tmp_path / "journal")
-    for tag in range(3):
-        log.append({"tag": tag, "command": "update", "args": ()})
-    log._segment_path(1).unlink()
-    with pytest.raises(StoreIntegrityError, match="missing entries"):
-        ReplayLog(tmp_path / "journal")
-
-
-def test_replay_log_sealed_at_rest(tmp_path):
-    log = ReplayLog(tmp_path / "journal", passphrase="pw")
-    log.stage({"tag": 0, "command": "setup", "args": ("secret",)})
-    log.stage({"tag": 0, "command": "update", "args": ("hidden",)})
-    assert log.flush() == 2
-    raw = log._segment_path(0).read_bytes()
-    assert b"secret" not in raw and b"hidden" not in raw
-    reread = ReplayLog(tmp_path / "journal", passphrase="pw")
-    assert [e["args"] for e in reread.entries()] == [("secret",), ("hidden",)]
+    assert len(log) == 1
+    assert log._segments == [1]
 
 
 # -- retry budget --------------------------------------------------------------
 
 
-def test_raise_policy_fails_fast(tmp_path):
+def test_raise_policy_fails_fast():
     """max_retries=0: the first transient error propagates, no rebuild."""
     schedule = parse_fault_schedule("raise@2")
     health = WallClockStats()
     shard = _supervised(
-        tmp_path,
         config=SupervisorConfig(max_retries=0),
         schedule=schedule,
         health=health,
@@ -355,7 +290,7 @@ def test_raise_policy_fails_fast(tmp_path):
         shard.close()
 
 
-def test_recover_policy_reraises_after_retry_budget(tmp_path, monkeypatch):
+def test_recover_policy_reraises_after_retry_budget(monkeypatch):
     monkeypatch.setattr("repro.fleet.supervisor._time.sleep", lambda s: None)
 
     def poisoned(self, records, time=0):
@@ -364,7 +299,6 @@ def test_recover_policy_reraises_after_retry_budget(tmp_path, monkeypatch):
     monkeypatch.setattr(ObliDB, "setup", poisoned)
     health = WallClockStats()
     shard = _supervised(
-        tmp_path,
         config=SupervisorConfig(max_retries=2),
         health=health,
     )
@@ -380,15 +314,13 @@ def test_recover_policy_reraises_after_retry_budget(tmp_path, monkeypatch):
 # -- recovery bookkeeping ------------------------------------------------------
 
 
-def test_recovery_replays_journal_and_counts_health(tmp_path, monkeypatch):
+def test_recovery_replays_journal_and_counts_health(monkeypatch):
     """An injected mid-batch fault rebuilds the shard from snapshot+journal;
     the observables match an unfaulted twin and the health ledger records
     exactly one recovery with the replayed batch count."""
     monkeypatch.setattr("repro.fleet.supervisor._time.sleep", lambda s: None)
     health = WallClockStats()
-    shard = _supervised(
-        tmp_path, schedule=parse_fault_schedule("raise@4"), health=health
-    )
+    shard = _supervised(schedule=parse_fault_schedule("raise@4"), health=health)
     twin = _edb(seed=7)
     try:
         for target in (shard, twin):
@@ -409,12 +341,12 @@ def test_recovery_replays_journal_and_counts_health(tmp_path, monkeypatch):
         shard.close()
 
 
-def test_a_raise_fault_on_a_query_tears_the_live_shard(tmp_path, monkeypatch):
+def test_a_raise_fault_on_a_query_tears_the_live_shard(monkeypatch):
     """The ``raise`` fault half-applies its command before raising: for a
     query that is one extra query on the live shard (a torn RNG stream on an
     L-DP back-end), which the rebuild then discards."""
     monkeypatch.setattr("repro.fleet.supervisor._time.sleep", lambda s: None)
-    shard = _supervised(tmp_path, schedule=parse_fault_schedule("raise@3"))
+    shard = _supervised(schedule=parse_fault_schedule("raise@3"))
     twin = _edb()
     try:
         for target in (shard, twin):
@@ -432,13 +364,12 @@ def test_a_raise_fault_on_a_query_tears_the_live_shard(tmp_path, monkeypatch):
         shard.close()
 
 
-def test_snapshot_cadence_bounds_replay(tmp_path, monkeypatch):
+def test_snapshot_cadence_bounds_replay(monkeypatch):
     """With snapshot_every=2 the rebuild replays at most ~2 batches, not the
     whole history."""
     monkeypatch.setattr("repro.fleet.supervisor._time.sleep", lambda s: None)
     health = WallClockStats()
     shard = _supervised(
-        tmp_path,
         config=SupervisorConfig(snapshot_every=2),
         schedule=parse_fault_schedule("raise@6"),
         health=health,
@@ -481,56 +412,59 @@ def test_supervised_stats_stay_monotonic_across_rebuilds(monkeypatch):
         router.close()
 
 
-def test_supervisor_scratch_directory_lifecycle(tmp_path):
-    config = SupervisorConfig(directory=str(tmp_path / "scratch"))
+def test_supervisor_close_drops_every_shards_recovery_state():
+    """Each wrapper keeps its generation chain and journal in memory from
+    the moment it is supervised; close() tears the live shard down and
+    drops both."""
     supervisor = ShardSupervisor(
-        config, None, "serial", WallClockStats(), context=None
+        SupervisorConfig(), None, "serial", WallClockStats(), context=None
     )
     wrapped = supervisor.wrap([_edb(seed=1), _edb(seed=2)])
-    assert (tmp_path / "scratch" / "shard-000" / "snapshots").is_dir()
-    assert (tmp_path / "scratch" / "shard-001" / "journal").is_dir()
+    wrapped[0].setup(_records(4))
+    assert all(list(s._generations) == [1] for s in wrapped)
+    assert len(wrapped[0]._journal) == 1
     supervisor.close()
-    # Per-shard scratch is removed; a user-supplied base directory is kept.
-    assert not (tmp_path / "scratch" / "shard-000").exists()
-    assert (tmp_path / "scratch").exists()
     assert all(s.live is None for s in wrapped)
-
-
-@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no tmpfs scratch")
-def test_default_scratch_sweeps_dead_coordinators_only():
-    """A default-scratch supervisor removes the ``/dev/shm`` scratch of a
-    coordinator that died without closing (SIGTERM skips close), keeps a
-    live coordinator's, and names its own after its pid."""
-    finished = subprocess.Popen([sys.executable, "-c", "pass"])
-    finished.wait(timeout=30)
-    dead = Path("/dev/shm") / f"repro-supervisor-{finished.pid}-leftover"
-    live = Path("/dev/shm") / f"repro-supervisor-{os.getpid()}-sibling"
-    (dead / "shard-000").mkdir(parents=True)
-    live.mkdir()
-    supervisor = ShardSupervisor(SupervisorConfig(), None, "serial", WallClockStats())
-    try:
-        assert not dead.exists()
-        assert live.is_dir()
-        assert supervisor.directory.parent == Path("/dev/shm")
-        assert supervisor.directory.name.startswith(
-            f"repro-supervisor-{os.getpid()}-"
-        )
-    finally:
-        supervisor.close()
-        shutil.rmtree(dead, ignore_errors=True)
-        live.rmdir()
-        shutil.rmtree(supervisor.directory, ignore_errors=True)
-
-
-def test_close_removes_the_default_scratch_root_with_no_shard_wrapped():
-    """A supervisor that wrapped no shard still removes its own default
-    scratch root on close."""
-    supervisor = ShardSupervisor(SupervisorConfig(), None, "serial", WallClockStats())
-    directory = supervisor.directory
-    assert directory.is_dir()
-    supervisor.close()
-    assert not directory.exists()
+    assert all(not s._generations and not len(s._journal) for s in wrapped)
     supervisor.close()  # idempotent
+
+
+@pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+def test_recovery_state_is_bounded_by_keep_and_the_previous_head(
+    executor, monkeypatch
+):
+    """After 10 x snapshot_every mutating commands and one recovery, every
+    shard holds only the generations of its ``keep`` newest chains and the
+    journal entries its oldest fallback, the previous head, can replay."""
+    monkeypatch.setattr("repro.fleet.supervisor._time.sleep", lambda s: None)
+    config = SupervisorConfig(timeout_s=10.0, snapshot_every=4, keep=2)
+    router = ShardRouter(
+        [_edb() for _ in range(2)],
+        route_seed=3,
+        executor=executor,
+        supervisor=config,
+        faults="raise:0@17",
+    )
+    try:
+        router.setup(_records(20))
+        for time in range(1, 10 * config.snapshot_every + 1):
+            router.query(QUERY, time=time)
+            if time % 3 == 0:
+                router.update(_records(2, start=20 + time, time=time), time)
+        assert router.measured.recoveries == 1
+        for shard in router.shards:
+            assert shard._mutation_count >= 10 * config.snapshot_every
+            seqs = sorted(shard._generations)
+            assert seqs[-1] > 10  # a generation per snapshot_every commands
+            kept = set()
+            for head in seqs[-config.keep :]:
+                kept.update(shard._chain(head))
+            assert set(seqs) == kept
+            previous = seqs[-2]
+            tags = [entry["tag"] for entry in shard._journal.entries()]
+            assert tags and min(tags) >= previous
+    finally:
+        router.close()
 
 
 def test_supervised_close_shuts_workers_down_gracefully():
@@ -655,7 +589,7 @@ def test_worker_refuses_names_outside_the_surface():
         client.close()
 
 
-def test_supervisor_journals_exactly_the_mutating_entries(tmp_path):
+def test_supervisor_journals_exactly_the_mutating_entries():
     shard = SupervisedShard(
         ObliDB(simulate_encryption=True),
         0,
@@ -664,7 +598,6 @@ def test_supervisor_journals_exactly_the_mutating_entries(tmp_path):
         "serial",
         WallClockStats(),
         threading.Lock(),
-        tmp_path,
     )
     try:
         shard.setup(_records(6))
