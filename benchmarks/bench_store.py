@@ -6,7 +6,7 @@ Emits ``BENCH_store.json`` at the repository root with one section:
   ``REPRO_BENCH_STORE_RECORDS`` outsourced ciphertexts:
 
   - ``snapshot_seconds`` / ``snapshot_mb_s``: serializing the back-end
-    (arenas as raw bytes, position maps checksummed) plus the sealed,
+    (arenas as raw bytes) plus the sealed,
     fsync'd, atomically-committed :class:`~repro.edb.store.EncryptedStore`
     write;
   - ``restore_seconds``: cold recovery -- manifest + checksum verification,
@@ -14,11 +14,10 @@ Emits ``BENCH_store.json`` at the repository root with one section:
   - ``generation_save_seconds``: one :class:`~repro.edb.store.SnapshotStore`
     generation (write + prune), the per-checkpoint cost a persisted
     simulation pays;
-  - ``full_generation_seconds`` / ``full_generation_bytes`` and
-    ``delta_generation_seconds`` / ``delta_generation_bytes``: a supervisor
+  - ``full_generation_seconds`` / ``full_generation_bytes``: a supervisor
     generation (serialized and kept in memory, as the supervisor keeps it)
-    of the whole shard, and of only the ``DELTA_ROWS`` rows appended since
-    its parent;
+    of the whole shard once ``GENERATION_UPDATES`` single-record updates
+    have grown its update history;
   - ``rotation_seconds`` / ``rotation_rows_per_s``: in-place key rotation
     over every arena row (verify old tag, re-key, re-tag).
 
@@ -46,7 +45,6 @@ from repro.edb.store import (
     SnapshotStore,
     restore_backend,
     snapshot_backend,
-    snapshot_generation,
 )
 
 SCHEMA = Schema(name="events", attributes=("key", "value"))
@@ -54,9 +52,9 @@ N_RECORDS = int(os.environ.get("REPRO_BENCH_STORE_RECORDS", "4000"))
 N_GENERATIONS = int(os.environ.get("REPRO_BENCH_STORE_GENERATIONS", "3"))
 OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_store.json"
 
-#: Rows a delta generation carries: one 32-command checkpoint window of
-#: single-record updates.
-DELTA_ROWS = 32
+#: Single-record updates applied before the supervisor generation is timed,
+#: so its update history is as long as a streaming shard's.
+GENERATION_UPDATES = 1500
 
 
 def _records(n: int, start: int = 0) -> list[Record]:
@@ -70,20 +68,19 @@ def _records(n: int, start: int = 0) -> list[Record]:
     ]
 
 
-def _generations(edb) -> dict:
-    """Time a full supervisor generation of ``edb`` and a delta of it
-    holding ``DELTA_ROWS`` new rows; check the chain restores the shard."""
-    (base, marks), full_s = _timed(lambda: snapshot_generation(edb))
-    for offset in range(DELTA_ROWS):
+def _generation(edb) -> dict:
+    """Time a supervisor generation of ``edb`` after ``GENERATION_UPDATES``
+    single-record updates; check it restores the shard."""
+    for offset in range(GENERATION_UPDATES):
         edb.insert_many({"events": _records(1, start=N_RECORDS + offset)}, 501)
-    (delta, _), delta_s = _timed(lambda: snapshot_generation(edb, marks))
-    assert restore_backend(base, delta).outsourced_count == edb.outsourced_count
+    blob, full_s = _timed(lambda: snapshot_backend(edb))
+    restored = restore_backend(blob)
+    assert restored.update_history == edb.update_history
     return {
+        "generation_rows": edb.outsourced_count,
+        "generation_updates": GENERATION_UPDATES,
         "full_generation_seconds": full_s,
-        "full_generation_bytes": len(base),
-        "delta_rows": DELTA_ROWS,
-        "delta_generation_seconds": delta_s,
-        "delta_generation_bytes": len(delta),
+        "full_generation_bytes": len(blob),
     }
 
 
@@ -139,7 +136,7 @@ def _run() -> dict:
     assert edb.cipher.decrypt(edb.ciphertexts("events")[0]).values == payload_before
 
     rows = edb.outsourced_count
-    generations = _generations(edb)
+    generation = _generation(edb)
     return {
         "records": N_RECORDS,
         "outsourced_rows": rows,
@@ -152,7 +149,7 @@ def _run() -> dict:
         "load_latest_seconds": load_s,
         "rotation_seconds": rotation_s,
         "rotation_rows_per_s": rows / rotation_s if rotation_s else None,
-        **generations,
+        **generation,
     }
 
 
@@ -168,11 +165,9 @@ def test_store_snapshot_restore_rotation(benchmark):
         f"  cold recovery (verify + rebuild)      {outcome['restore_seconds'] * 1e3:9.1f} ms",
         f"  checkpoint generation (keep=2 prune)  {outcome['generation_save_seconds'] * 1e3:9.1f} ms",
         f"  load latest generation                {outcome['load_latest_seconds'] * 1e3:9.1f} ms",
-        f"  supervisor full generation            {outcome['full_generation_seconds'] * 1e3:9.1f} ms"
+        f"  {'supervisor generation (%d rows)' % outcome['generation_rows']:<38}"
+        f"{outcome['full_generation_seconds'] * 1e3:9.1f} ms"
         f"  ({outcome['full_generation_bytes'] / 1e3:.0f} kB)",
-        f"  supervisor delta generation ({outcome['delta_rows']} rows)"
-        f" {outcome['delta_generation_seconds'] * 1e3:8.1f} ms"
-        f"  ({outcome['delta_generation_bytes'] / 1e3:.1f} kB)",
         f"  in-place key rotation                 {outcome['rotation_seconds'] * 1e3:9.1f} ms"
         f"  ({outcome['rotation_rows_per_s']:.0f} rows/s)",
     ]

@@ -28,9 +28,9 @@ process.  The division of labour:
 Ciphertexts written by a worker (``simulate_encryption=True``) stay in its
 own heap :class:`~repro.edb.crypto.CiphertextArena`\\ s, and its record key
 never leaves it: as in DP-Sync, the server holds the ciphertexts and no
-coordinator-side party reads them back.  Only a snapshot generation (the
-``generation`` command) carries the arenas out, as bytes for the durable
-store.
+coordinator-side party reads them back.  Only a snapshot (the ``snapshot``
+command) carries the arenas out, as bytes for the durable store or a
+supervisor's generation.
 
 Determinism: the worker executes commands strictly in arrival order against
 the very shard object (including its RNG stream state) the in-process
@@ -219,15 +219,14 @@ def _dispatch(shard: EncryptedDatabase, command: str, args: tuple):
         return None if command == "rotate_key" else result
     if command == "hello":
         return {name: getattr(shard, name) for name in surface_names(FACT)}
-    if command == "generation":
+    if command == "snapshot":
         # Serialized worker-side so the bytes carry the authoritative shard
-        # state (RNG stream, arenas) -- only the blob crosses the pipe, and
-        # for a delta only the rows appended since the marks it is given.
+        # state (RNG stream, arenas) -- only the blob crosses the pipe.
         # Imported lazily: the worker loop must not pay for the store
         # module unless durability is in use.
-        from repro.edb.store import snapshot_generation
+        from repro.edb.store import snapshot_backend
 
-        return snapshot_generation(shard, *args)
+        return snapshot_backend(shard)
     raise ValueError(f"unknown shard-worker command {command!r}")
 
 
@@ -391,12 +390,7 @@ class ShardWorkerClient:
 
     def snapshot(self) -> bytes:
         """Worker-side :func:`repro.edb.store.snapshot_backend` bytes."""
-        return self.generation()[0]
-
-    def generation(self, since: dict | None = None) -> tuple[bytes, dict]:
-        """Worker-side :func:`repro.edb.store.snapshot_generation`: only the
-        rows appended since ``since`` cross the pipe."""
-        return self._call("generation", since)
+        return self._call("snapshot")
 
     # -- chaos hooks (deterministic fault injection) ---------------------------
 

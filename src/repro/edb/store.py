@@ -37,14 +37,12 @@ Layers, bottom up:
   routed since a generation, closed into one segment per snapshot and
   pruned a whole segment at a time.
 * **Snapshot codecs** -- :func:`snapshot_backend` / :func:`restore_backend`
-  serialize one :class:`~repro.edb.base.EncryptedDatabase` (arenas as raw
-  row/handle bytes, everything else in a single pickle so an object the
-  state references twice stays one object).  Because every shard is
-  append-only -- nothing is ever deleted or moved in the outsourced store
-  -- a generation can be a *delta* (``since=<marks>``,
-  :func:`snapshot_marks`): the tails of the append-only components plus
-  the small mutable state, O(rows since the parent) instead of O(|D|).
-  :func:`snapshot_router` / :func:`restore_router` serialize a
+  serialize one :class:`~repro.edb.base.EncryptedDatabase` whole (arenas as
+  raw row/handle bytes, the update history as plain tuples, everything else
+  in a single pickle so an object the state references twice stays one
+  object).  Every generation is full: what a shard gained since its last
+  generation is the supervisor's replay journal, not a second snapshot
+  kind.  :func:`snapshot_router` / :func:`restore_router` serialize a
   :class:`~repro.edb.router.ShardRouter` plus its routing state in full,
   pulling each process-backed shard's snapshot over the worker pipe.
 """
@@ -64,6 +62,7 @@ import numpy as np
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
+from repro.edb.base import UpdateResult
 from repro.edb.crypto import NONCE_SIZE, TAG_SIZE, CiphertextArena
 from repro.util.io import atomic_write_bytes, atomic_write_text
 
@@ -83,9 +82,7 @@ __all__ = [
     "manifest_fingerprint",
     "arena_to_bytes",
     "arena_from_bytes",
-    "snapshot_marks",
     "snapshot_backend",
-    "snapshot_generation",
     "restore_backend",
     "snapshot_router",
     "restore_router",
@@ -93,16 +90,15 @@ __all__ = [
     "restore_edb",
 ]
 
-#: On-disk format version stamped into every manifest.  Version 7: a
-#: manifest carries a ``parent`` key (``None``: every stored generation is
-#: full), records and sealed blobs are AES-256-GCM (284-byte arena rows),
-#: ciphertexts live only in arenas (a delta carries no per-record object
-#: tails), every shard is flat and append-only (a full generation carries
-#: no ORAM position maps), only a Crypt-epsilon shard's state carries an
-#: RNG, the update history pickles as named tuples, and no generation
-#: carries maintained-view state, view queries or the executor's plan
-#: cache.  Stores of earlier versions are refused rather than misread.
-STORE_VERSION: int = 7
+#: On-disk format version stamped into every manifest.  Version 8: every
+#: generation is full (a manifest carries no ``parent`` key) and the update
+#: history pickles as plain tuples; records and sealed blobs are AES-256-GCM
+#: (284-byte arena rows), ciphertexts live only in arenas, every shard is
+#: flat and append-only (no ORAM position maps), only a Crypt-epsilon
+#: shard's state carries an RNG, and no generation carries maintained-view
+#: state, view queries or the executor's plan cache.  Stores of earlier
+#: versions are refused rather than misread.
+STORE_VERSION: int = 8
 
 #: Random salt length for the at-rest key derivation.
 SALT_SIZE: int = 32
@@ -245,7 +241,6 @@ class EncryptedStore:
         """Write the manifest (last, atomically) sealing the snapshot."""
         manifest = {
             "version": STORE_VERSION,
-            "parent": None,
             "sealed": self.sealed,
             "kdf": (
                 {"name": "scrypt", **_SCRYPT_PARAMS, "salt": self._salt.hex()}
@@ -529,80 +524,37 @@ class ReplayLog:
 # -- EDB snapshot codecs ------------------------------------------------------
 
 
-def arena_to_bytes(
-    arena: CiphertextArena, start: int = 0
-) -> tuple[bytes, bytes, int]:
-    """Serialize an arena's used rows and handles from row ``start`` on
-    (backend-agnostic)."""
+def arena_to_bytes(arena: CiphertextArena) -> tuple[bytes, bytes, int]:
+    """Serialize an arena's used rows and handles (backend-agnostic)."""
     size = len(arena)
-    return (
-        arena._data[start:size].tobytes(),
-        arena._handles[start:size].tobytes(),
-        size - start,
-    )
+    return arena._data[:size].tobytes(), arena._handles[:size].tobytes(), size
 
 
 def arena_from_bytes(
-    row_bytes: bytes,
-    handle_bytes: bytes,
-    size: int,
-    arena: CiphertextArena | None = None,
+    row_bytes: bytes, handle_bytes: bytes, size: int
 ) -> CiphertextArena:
-    """Rebuild a process-local arena with rows/handles/indices verbatim, or
-    append them to ``arena``."""
-    if arena is None:
-        arena = CiphertextArena(initial_capacity=max(size, 1))
+    """Rebuild a process-local arena with rows/handles/indices verbatim."""
+    arena = CiphertextArena(initial_capacity=max(size, 1))
     if size:
-        start = len(arena)
         rows = arena.reserve(size)
         rows[:] = np.frombuffer(row_bytes, dtype=np.uint8).reshape(size, -1)
-        arena.set_handles(start, np.frombuffer(handle_bytes, dtype=np.int64))
+        arena.set_handles(0, np.frombuffer(handle_bytes, dtype=np.int64))
     return arena
 
 
-def snapshot_marks(edb: "EncryptedDatabase") -> dict:
-    """Lengths of ``edb``'s append-only state: the ``since`` of a later
-    delta generation (:func:`snapshot_backend`)."""
-    executor = edb._executor
-    return {
-        "history": len(edb._update_history),
-        "arenas": {table: len(arena) for table, arena in edb._arenas.items()},
-        "rows": {table: len(rows) for table, rows in executor.tables.items()},
-        "columns": {
-            table: store.marks() for table, store in executor._columnar.items()
-        },
-    }
+def snapshot_backend(edb: "EncryptedDatabase") -> bytes:
+    """Serialize one EDB back-end to bytes: one full generation.
 
-
-#: Components a delta generation ships as tails; the rest of an EDB's
-#: ``__dict__`` is the small mutable state (RNG, cipher, counters, table
-#: totals) every generation ships whole.
-_APPEND_ONLY = ("_arenas", "_update_history", "_executor")
-
-
-def snapshot_backend(
-    edb: "EncryptedDatabase", since: Mapping | None = None
-) -> bytes:
-    """Serialize one EDB back-end to bytes.
-
-    ``since=None`` writes a *full* generation.  The whole non-arena state
-    travels in a *single* pickle, which memoizes by identity: an object two
-    parts of the state reference comes back as one object, where pickling
-    the parts separately would silently restore two copies.  Arenas are
-    serialized as raw row/handle bytes.
-
-    ``since=<marks>`` (:func:`snapshot_marks` of an earlier generation)
-    writes a *delta*: the tails appended since -- arena rows and handles,
-    executor rows and columns, the update history -- plus the small mutable
-    state whole.  Its size is O(rows since the marks).  It relies on the
-    shard being append-only since then: a
-    :meth:`~repro.edb.base.EncryptedDatabase.rotate_key` rewrites every row
-    in place, so the generation after one must be full.
+    The whole non-arena state travels in a *single* pickle, which memoizes
+    by identity: an object two parts of the state reference comes back as
+    one object, where pickling the parts separately would silently restore
+    two copies.  Arenas are serialized as raw row/handle bytes, and the
+    update history as plain tuples (a named tuple pickles as a constructor
+    call per entry).
     """
-    if since is not None:
-        return pickle.dumps(_delta_payload(edb, since))
     state = dict(edb.__dict__)
     arenas = state.pop("_arenas", {})
+    state["_update_history"] = list(map(tuple, state["_update_history"]))
     payload = {
         "class": f"{type(edb).__module__}:{type(edb).__qualname__}",
         "state": state,
@@ -613,89 +565,19 @@ def snapshot_backend(
     return pickle.dumps(payload)
 
 
-def _delta_payload(edb: "EncryptedDatabase", since: Mapping) -> dict:
-    state = {
-        key: value
-        for key, value in edb.__dict__.items()
-        if key not in _APPEND_ONLY
-    }
-    executor = edb._executor
-    executor_state = {
-        key: value
-        for key, value in executor.__getstate__().items()
-        if key not in ("tables", "_columnar")
-    }
-    empty = (0, 0, {})
-    return {
-        "class": f"{type(edb).__module__}:{type(edb).__qualname__}",
-        "since": dict(since),
-        "state": state,
-        "executor": executor_state,
-        "history": edb._update_history[since["history"] :],
-        "arenas": {
-            table: arena_to_bytes(arena, since["arenas"].get(table, 0))
-            for table, arena in edb._arenas.items()
-        },
-        "rows": {
-            table: rows[since["rows"].get(table, 0) :]
-            for table, rows in executor.tables.items()
-        },
-        "columns": {
-            table: store.tail(since["columns"].get(table, empty))
-            for table, store in executor._columnar.items()
-        },
-    }
-
-
-def snapshot_generation(
-    edb: "EncryptedDatabase", since: Mapping | None = None
-) -> tuple[bytes, dict]:
-    """One generation of ``edb`` -- full, or a delta ``since`` earlier
-    marks -- together with the marks its own successor deltas start from."""
-    return snapshot_backend(edb, since), snapshot_marks(edb)
-
-
-def restore_backend(blob: bytes, *deltas: bytes) -> "EncryptedDatabase":
-    """Rebuild an EDB from a full :func:`snapshot_backend` generation and
-    the deltas of its chain, oldest first.
-
-    Each delta must extend exactly the state restored so far, and a delta is
-    never restored without its base.
-    """
+def restore_backend(blob: bytes) -> "EncryptedDatabase":
+    """Rebuild an EDB from a :func:`snapshot_backend` generation."""
     payload = pickle.loads(blob)
-    if payload.get("since") is not None:
-        raise StoreIntegrityError(
-            "a delta generation cannot be restored without its parent chain"
-        )
     module_name, _, qualname = payload["class"].partition(":")
     cls = getattr(importlib.import_module(module_name), qualname)
     edb = cls.__new__(cls)
     edb.__dict__.update(payload["state"])
+    edb._update_history = list(map(UpdateResult._make, edb._update_history))
     edb._arenas = {
         table: arena_from_bytes(*serialized)
         for table, serialized in payload["arenas"].items()
     }
-    for delta in deltas:
-        _apply_delta(edb, payload["class"], pickle.loads(delta))
     return edb
-
-
-def _apply_delta(edb: "EncryptedDatabase", cls: str, payload: dict) -> None:
-    """Extend a restored EDB by one delta."""
-    if payload.get("since") is None or payload["class"] != cls:
-        raise StoreIntegrityError("chain link is not a delta of this back-end")
-    if snapshot_marks(edb) != payload["since"]:
-        raise StoreIntegrityError("delta generation does not extend its parent")
-    edb.__dict__.update(payload["state"])
-    executor = edb._executor
-    executor.__dict__.update(payload["executor"])
-    edb._update_history.extend(payload["history"])
-    for table, tail in payload["arenas"].items():
-        edb._arenas[table] = arena_from_bytes(*tail, edb._arenas.get(table))
-    for table, tail in payload["rows"].items():
-        executor.tables.setdefault(table, []).extend(tail)
-    for table, tail in payload["columns"].items():
-        executor._writable_store(table).extend(tail)
 
 
 def snapshot_router(router: "ShardRouter") -> bytes:

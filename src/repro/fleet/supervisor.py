@@ -11,9 +11,9 @@ router call through one choke point that
   bounded, *deterministic* exponential backoff -- the jitter stream is
   ``SeedSequence([seed, shard_index])``-derived, so a chaos run's timing
   decisions replay from the seed alone;
-* rebuilds a dead shard from the chain of its newest snapshot generation
-  plus the :class:`~repro.edb.store.ReplayLog` of every mutating command
-  journaled since -- queries included, because an L-DP back-end
+* rebuilds a dead shard from its newest snapshot generation plus the
+  :class:`~repro.edb.store.ReplayLog` of every mutating command journaled
+  since -- queries included, because an L-DP back-end
   draws noise per query, and the rebuilt RNG stream must resume exactly
   where the dead worker's was.  Under the process executor the replayed
   shard is handed to a fresh worker (fork inheritance) with its heap
@@ -25,15 +25,16 @@ router call through one choke point that
 Both halves of that recovery state -- the generations and the journal --
 live in coordinator memory.  The coordinator outlives its workers, and
 nothing rebuilds a shard once the coordinator itself is gone (a restored
-deployment starts new chains), so recovery writes no file and leaves
-nothing at rest.  Every ``snapshot_every`` mutating commands the wrapper
-keeps one generation and closes the journal's staged commands into one
-segment.  A generation costs O(rows since its parent): the worker ships
-only the rows appended since the chain head (a delta generation), and a
-full generation is taken where no delta can express the shard or none
-would pay -- generation 0, after Setup, ``rotate_key`` or a recovery -- or
-to fold a chain whose deltas have grown to its base's size
-(:meth:`SupervisedShard._snapshot_now`).
+deployment starts new generations), so recovery writes no file and leaves
+nothing at rest.  Every generation is a full snapshot of the shard; what
+the shard gained since is the journal, so there is no delta kind.  The
+wrapper takes a generation (and closes the journal's staged commands into
+one segment) once the mutating commands journaled since the head reach
+max(``snapshot_every``, rows the head holds): a generation costs O(rows)
+and at least that many commands pass between two, so snapshot work stays
+amortized O(1) a command, a shard takes O(log |D|) generations once it
+outgrows ``snapshot_every``, and a rebuild replays at most that many
+commands (:meth:`SupervisedShard._snapshot_now`).
 
 The wrapper's members are derived from the declared shard surface
 (:data:`~repro.edb.base.SHARD_SURFACE`): every ``MUTATE`` command runs
@@ -91,7 +92,7 @@ from repro.edb.shard_worker import (
     TransientShardError,
     default_shard_timeout,
 )
-from repro.edb.store import ReplayLog, restore_backend, snapshot_generation
+from repro.edb.store import ReplayLog, restore_backend, snapshot_backend
 from repro.testing.chaos import (
     PROCESS_ONLY_KINDS,
     ChaosWorkerFault,
@@ -123,8 +124,10 @@ class SupervisorConfig:
 
     ``timeout_s=None`` defers to the process-wide deadline
     (``REPRO_SHARD_TIMEOUT_S``, default 60s).  ``seed`` feeds the
-    deterministic backoff jitter.  Each shard keeps the snapshot chains of
-    its ``keep`` newest generations.
+    deterministic backoff jitter.  Each shard keeps its ``keep`` newest
+    generations, and takes the next one once the mutating commands journaled
+    since its head reach max(``snapshot_every``, rows the head holds):
+    ``snapshot_every`` is the cadence's floor.
     """
 
     timeout_s: float | None = None
@@ -218,9 +221,8 @@ class SupervisedShard:
         self._health = health
         self._health_lock = health_lock
         self._context = context
-        #: ``seq -> (parent, blob)``: full generations (``parent`` ``None``)
-        #: and the deltas extending them, numbered in save order.
-        self._generations: dict[int, tuple[int | None, bytes]] = {}
+        #: ``seq -> blob``: full generations, numbered in save order.
+        self._generations: dict[int, bytes] = {}
         self._sequences = itertools.count(1)
         self._journal = ReplayLog()
         self._rng = np.random.default_rng(
@@ -234,12 +236,10 @@ class SupervisedShard:
         self._stats_base = (0.0, 0.0, 0)
         # Facts are invariant across rebuilds (same scheme, same cost model).
         self._facts = {name: getattr(live, name) for name in surface_names(FACT)}
-        # The chain head, the marks its successor delta starts from (None:
-        # the next generation is full), and the chain's sizes for the fold.
+        # The newest generation, and how many mutating commands are
+        # journaled after it before the next one is taken.
         self._snapshot_seq: int | None = None
-        self._marks: dict | None = None
-        self._base_bytes = 0
-        self._chain_bytes = 0
+        self._cadence = config.snapshot_every
         # Generation 0 baseline: every shard is recoverable from the instant
         # it is supervised, even before its first cadence snapshot.
         self._snapshot_now()
@@ -295,23 +295,17 @@ class SupervisedShard:
                 self._backoff(attempt)
                 self._recover(exc)
         if SHARD_SURFACE.get(command) == MUTATE:
-            if command in ("setup", "rotate_key"):
-                # Setup fills the near-empty generation-0 shard: a delta of
-                # it would outgrow its base and force a fold right after.
-                # rotate_key rewrites every row in place: no delta can
-                # express it.  Either way the next generation is full.
-                self._marks = None
             self._journal.stage(
                 {"tag": self._snapshot_seq, "command": command, "args": args}
             )
             self._since_snapshot += 1
-            if self._since_snapshot >= self._config.snapshot_every:
+            if self._since_snapshot >= self._cadence:
                 self._snapshot_now()
         return result
 
     def _apply(self, command: str, args: tuple):
         if command == "snapshot":
-            return self._generation(None)[0]
+            return self._snapshot_blob()
         return getattr(self._live, command)(*args)
 
     # -- retry / backoff / rebuild --------------------------------------------
@@ -337,9 +331,7 @@ class SupervisedShard:
                 f"(after {cause})"
             )
         seq = max(self._generations)
-        edb = restore_backend(
-            *(self._generations[link][1] for link in self._chain(seq))
-        )
+        edb = restore_backend(self._generations[seq])
         # Replay everything journaled at or after the restored generation,
         # coordinator-side, against the restored EDB -- faults and journaling
         # are *not* re-entered here, so replay never recurses or re-fires.
@@ -347,8 +339,6 @@ class SupervisedShard:
         for entry in entries:
             getattr(edb, entry["command"])(*entry["args"])
         self._snapshot_seq = seq
-        # The replayed shard is ahead of the head's marks: start a new chain.
-        self._marks = None
         if self._executor == "processes":
             # Fork inheritance carries the replayed state into a fresh worker.
             self._live = ShardWorkerClient(
@@ -393,34 +383,21 @@ class SupervisedShard:
     # -- snapshots -------------------------------------------------------------
 
     def _snapshot_now(self) -> int:
-        """Keep one generation of the live shard and make it the chain
-        head; prunes the generations outside the newest ``keep`` chains and
-        the journal prefix no kept generation can need any more.
+        """Keep one full generation of the live shard and make it the head;
+        prunes the generations older than the newest ``keep`` and the
+        journal prefix no kept generation can need any more.
 
-        A generation is a delta of the head -- the rows appended since it
-        -- unless there is no head to extend (generation 0, after Setup, a
-        recovery or a ``rotate_key``) or the fold is due: once a chain's
-        deltas add up to its base's bytes, the next generation is full
-        again.  Bases at least double in size from fold to fold, so a shard
-        folds O(log |D|) times and each command costs amortized O(1)
-        snapshot work.
+        The next generation is due once max(``snapshot_every``, rows this
+        one holds) mutating commands are journaled after it.
         """
         head = self._snapshot_seq
-        since = self._marks if self._chain_bytes < self._base_bytes else None
-        blob, self._marks = self._generation(since)
         seq = next(self._sequences)
-        self._generations[seq] = (None if since is None else head, blob)
-        live: set[int] = set()
-        for kept in sorted(self._generations)[-max(1, self._config.keep) :]:
-            live.update(self._chain(kept))
-        for stale in self._generations.keys() - live:
+        self._generations[seq] = self._snapshot_blob()
+        for stale in sorted(self._generations)[: -max(1, self._config.keep)]:
             del self._generations[stale]
-        if since is None:
-            self._base_bytes, self._chain_bytes = len(blob), 0
-        else:
-            self._chain_bytes += len(blob)
         self._snapshot_seq = seq
         self._since_snapshot = 0
+        self._cadence = max(self._config.snapshot_every, self._live.outsourced_count)
         self._journal.flush()
         if head is not None:
             # keep-2 means the oldest reachable fallback is the previous
@@ -429,17 +406,10 @@ class SupervisedShard:
             self._journal.prune(min_tag=head)
         return seq
 
-    def _chain(self, seq: int) -> list[int]:
-        """The generations from ``seq``'s full base to ``seq``, base first."""
-        chain = [seq]
-        while (parent := self._generations[chain[-1]][0]) is not None:
-            chain.append(parent)
-        return chain[::-1]
-
-    def _generation(self, since: dict | None) -> tuple[bytes, dict]:
-        if hasattr(self._live, "generation"):
-            return self._live.generation(since)
-        return snapshot_generation(self._live, since)
+    def _snapshot_blob(self) -> bytes:
+        if hasattr(self._live, "snapshot"):
+            return self._live.snapshot()
+        return snapshot_backend(self._live)
 
     # -- fault injection -------------------------------------------------------
 

@@ -123,63 +123,6 @@ class _ColumnarTable:
     def __len__(self) -> int:
         return len(self.dummies)
 
-    # -- delta snapshots -----------------------------------------------------
-
-    def marks(self) -> tuple[int, int, dict]:
-        """Where a later :meth:`tail` starts: rows, consolidated rows and
-        the column buffers' dtypes."""
-        return (
-            len(self.dummies),
-            self._built,
-            {attr: buffer.dtype for attr, buffer in self._buffers.items()},
-        )
-
-    def tail(self, marks: tuple[int, int, dict]) -> dict:
-        """Everything this table gained since ``marks`` (:meth:`extend`
-        applies it): the value and dummy tails, the consolidated buffer
-        tails, and the small rest whole.
-
-        A buffer promoted since ``marks`` was rewritten by ``astype``, so
-        it travels whole; a column frozen by a non-uniform row is never
-        longer than the row count of ``marks``, so its tail is empty.
-        """
-        rows, built, dtypes = marks
-        buffers = {}
-        for attr, buffer in self._buffers.items():
-            start = built if dtypes.get(attr) == buffer.dtype else 0
-            buffers[attr] = (start, buffer[start : self._built])
-        dummy = self._dummy_buffer
-        return {
-            "attributes": self.attributes,
-            "uniform": self.uniform,
-            "values": {attr: column[rows:] for attr, column in self.values.items()},
-            "dummies": self.dummies[rows:],
-            "kinds": self._kinds,
-            "built": self._built,
-            "buffers": buffers,
-            "dummy_buffer": None if dummy is None else dummy[built : self._built],
-        }
-
-    def extend(self, tail: dict) -> None:
-        """Apply a :meth:`tail` taken at this table's current marks."""
-        self.attributes = tail["attributes"]
-        self.uniform = tail["uniform"]
-        for attr, values in tail["values"].items():
-            self.values.setdefault(attr, []).extend(values)
-        self.dummies.extend(tail["dummies"])
-        self._kinds = tail["kinds"]
-        for attr, (start, part) in tail["buffers"].items():
-            prefix = self._buffers.get(attr)
-            self._buffers[attr] = (
-                np.concatenate((prefix[:start], part)) if start else part
-            )
-        dummy = tail["dummy_buffer"]
-        if dummy is not None:
-            if self._dummy_buffer is not None:
-                dummy = np.concatenate((self._dummy_buffer[: self._built], dummy))
-            self._dummy_buffer = dummy
-        self._built = tail["built"]
-
     def _consolidate(self) -> None:
         """Convert only the tail appended since the last query into buffers.
 

@@ -468,8 +468,8 @@ def test_resume_refuses_mismatched_configuration(tmp_path):
 
 
 def _worker_shard(client: ShardWorkerClient) -> ObliDB:
-    """The worker's shard, rows and key included, out of its generation."""
-    return restore_backend(client.generation()[0])
+    """The worker's shard, rows and key included, out of its snapshot."""
+    return restore_backend(client.snapshot())
 
 
 def _golden(shard: ObliDB, cipher) -> list:

@@ -161,7 +161,7 @@ def test_coordinator_reads_worker_ciphertexts_zero_copy():
         decrypted = []
         for client in router.shards:
             assert isinstance(client, ShardWorkerClient)
-            shard = restore_backend(client.generation()[0])
+            shard = restore_backend(client.snapshot())
             views = shard.ciphertexts("events")
             assert len(views) == client.table_size("events")
             assert shard.cipher is not None
@@ -176,7 +176,7 @@ def test_coordinator_reads_worker_ciphertexts_zero_copy():
 
 def test_a_supervised_process_run_with_recoveries_writes_no_file():
     """Workers keep their ciphertexts in heap arenas and the supervisor its
-    snapshot chains and journal in coordinator memory: an encrypting,
+    snapshot generations and journal in coordinator memory: an encrypting,
     supervised process router that heals a killed worker and a torn
     snapshot creates no entry in ``/dev/shm`` or the temp directory."""
     roots = [

@@ -1,14 +1,15 @@
-"""Delta snapshot chains restore exactly what one full snapshot restores.
+"""A full generation plus the journal replay restores the live shard.
 
-A supervisor generation ships only the rows appended since its parent
-(:func:`repro.edb.store.snapshot_backend` with ``since=<marks>``), and
-restore applies the chain from its full base.  The contract is a
+A supervisor generation is a full snapshot of its shard
+(:func:`repro.edb.store.snapshot_backend`); what the shard gained since is
+the replay journal, so a rebuild is restore-then-replay.  The contract is a
 differential: for random sequences of ``setup``, ``insert_many``,
-``query`` and ``rotate_key`` -- with random snapshot
-cadences, random fold points and a random torn generation -- restoring the
-chain must equal restoring one full snapshot of the same shard in arena
-bytes, handles, transcripts, answers, the next 16 RNG draws and column
-dtypes.  A deterministic size check pins the O(rows since the parent) cost.
+``query`` and ``rotate_key`` -- with random snapshot cadences and a random
+torn generation -- the newest generation plus the journal after it must
+equal the live shard in transcripts, rows, columns and the next 16 RNG
+draws, and a full generation alone must equal it in arena bytes and
+handles too.  A mid-stream restore must then answer exactly like the EDB
+that never stopped.
 """
 
 from __future__ import annotations
@@ -26,12 +27,7 @@ from repro.edb.crypte import CryptEpsilon
 from repro.edb.oblidb import ObliDB
 from repro.edb.records import Record
 from repro.edb.router import WallClockStats
-from repro.edb.store import (
-    StoreIntegrityError,
-    restore_backend,
-    snapshot_backend,
-    snapshot_generation,
-)
+from repro.edb.store import restore_backend, snapshot_backend
 from repro.fleet.supervisor import SupervisedShard, SupervisorConfig
 from repro.query.ast import (
     CountQuery,
@@ -92,7 +88,6 @@ _operations = st.lists(
         ),
         st.tuples(st.just("query"), st.integers(0, len(QUERIES) - 1)),
         st.tuples(st.just("rotate")),
-        st.tuples(st.just("fold")),
     ),
     max_size=30,
 )
@@ -162,12 +157,14 @@ def _state(edb, ciphertexts: bool = True) -> dict:
     }
 
 
-def _assert_equivalent(chain_edb, full_edb) -> None:
-    assert _state(chain_edb) == _state(full_edb)
-    for query in QUERIES:
-        assert chain_edb.query(query, 99) == full_edb.query(query, 99)
-    if isinstance(full_edb, CryptEpsilon):  # the only back-end that draws
-        assert chain_edb._rng.random(16).tolist() == full_edb._rng.random(16).tolist()
+def _replayed(shard: SupervisedShard):
+    """What a rebuild of ``shard`` would start from right now: its newest
+    generation plus the journal entries tagged at or after it."""
+    seq = max(shard._generations)
+    edb = restore_backend(shard._generations[seq])
+    for entry in shard._journal.entries(min_tag=seq):
+        getattr(edb, entry["command"])(*entry["args"])
+    return edb
 
 
 @settings(
@@ -182,7 +179,7 @@ def _assert_equivalent(chain_edb, full_edb) -> None:
     torn_at=st.one_of(st.none(), st.integers(1, 30)),
     seed=st.integers(0, 2**16),
 )
-def test_chain_restore_equals_full_restore(
+def test_newest_generation_plus_replay_restores_the_live_shard(
     backend, operations, snapshot_every, torn_at, seed
 ):
     schedule = (
@@ -204,92 +201,32 @@ def test_chain_restore_equals_full_restore(
         assert shard.setup(setup_rows, 0) == twin.setup(setup_rows, 0)
         counter = [len(setup_rows)]
         for time, operation in enumerate(operations, start=1):
-            if operation[0] == "fold":
-                # Fold at the next generation, wherever the chain is.
-                shard._chain_bytes = shard._base_bytes
-                continue
             on_shard, on_twin = _apply((shard, twin), operation, time, counter)
             assert on_shard == on_twin
-        # One last generation makes the chain head the live state.
-        head = shard._snapshot_now()
-        chain = shard._chain(head)
-        assert shard._generations[chain[0]][0] is None
-        chain_edb = restore_backend(*(shard._generations[seq][1] for seq in chain))
-        full_edb = restore_backend(snapshot_backend(shard.live))
-        # A full generation alone restores the live shard's whole state.
-        assert _state(full_edb) == _state(shard.live)
-        assert full_edb.outsourced_count == shard.live.outsourced_count
-        _assert_equivalent(chain_edb, full_edb)
-        # The supervised shard itself never diverged from the twin,
-        # through any fold, rotation and torn-generation recovery.
+        # The supervised shard itself never diverged from the twin, through
+        # any rotation and torn-generation recovery.
         assert _state(shard.live, ciphertexts=False) == _state(
             twin, ciphertexts=False
         )
+        rebuilt = _replayed(shard)
+        assert _state(rebuilt, ciphertexts=False) == _state(
+            shard.live, ciphertexts=False
+        )
+        # A full generation alone restores the live shard's whole state.
+        full = restore_backend(snapshot_backend(shard.live))
+        assert _state(full) == _state(shard.live)
+        assert full.outsourced_count == shard.live.outsourced_count
+        for query in QUERIES:
+            first, *rest = [edb.query(query, 99) for edb in (rebuilt, full, shard.live)]
+            assert all(result == first for result in rest), query.name
+        if isinstance(twin, CryptEpsilon):  # the only back-end that draws
+            draws = {
+                tuple(edb._rng.random(16).tolist())
+                for edb in (rebuilt, full, shard.live)
+            }
+            assert len(draws) == 1
     finally:
         shard.close()
-
-
-def _fleet_edb(n: int) -> ObliDB:
-    edb = ObliDB(simulate_encryption=True)
-    edb.setup(_rows(0, n, "int"))
-    for query in QUERIES[:3]:
-        edb.query(query, 1)
-    return edb
-
-
-def _delta_bytes(n: int) -> int:
-    """Bytes of a 32-command delta (16 inserts of 4 rows, 16 queries) on a
-    shard already holding ``n`` rows."""
-    edb = _fleet_edb(n)
-    _, marks = snapshot_generation(edb)
-    for step in range(16):
-        edb.insert_many({"events": _rows(n + 4 * step, 4, "int")}, 2 + step)
-        edb.query(QUERIES[step % 3], 2 + step)
-    blob, _ = snapshot_generation(edb, marks)
-    return len(blob)
-
-
-def test_delta_size_does_not_grow_with_the_shard():
-    small, large = _delta_bytes(1_000), _delta_bytes(8_000)
-    assert abs(large - small) <= 0.10 * small, (small, large)
-    # ...while a full generation does grow with the shard.
-    assert len(snapshot_backend(_fleet_edb(8_000))) > 4 * len(
-        snapshot_backend(_fleet_edb(1_000))
-    )
-
-
-def test_a_column_promoted_twice_in_one_delta_restores_exactly():
-    """int64 -> float64 -> object inside one delta: the live buffer holds
-    floats that went through float64, which only a whole-buffer tail
-    reproduces (a prefix cast straight to object would hold ints)."""
-    edb = ObliDB(simulate_encryption=True)
-    edb.setup(_rows(0, 4, "int"))
-    edb.query(QUERIES[1], 1)  # consolidates an int64 "value" column
-    base, marks = snapshot_generation(edb)
-    for step, kind in enumerate(("float", "huge"), start=2):
-        edb.insert_many({"events": _rows(4 * step, 4, kind)}, step)
-        edb.query(QUERIES[1], step)
-    delta, _ = snapshot_generation(edb, marks)
-    column = edb._executor._columnar["events"]._buffers["value"]
-    assert column.dtype == object and type(column[0]) is float
-    assert _state(restore_backend(base, delta)) == _state(edb)
-
-
-def test_a_delta_is_never_restored_without_its_base():
-    edb = _fleet_edb(20)
-    base, marks = snapshot_generation(edb)
-    edb.insert_many({"events": _rows(20, 3, "int")}, 2)
-    delta, _ = snapshot_generation(edb, marks)
-    assert pickle.loads(delta)["since"] == marks
-    restored = restore_backend(base, delta)
-    assert _state(restored) == _state(edb)
-    with pytest.raises(StoreIntegrityError, match="parent chain"):
-        restore_backend(delta)
-    # A delta applied to a base it does not extend is refused too.
-    edb.insert_many({"events": _rows(23, 2, "int")}, 3)
-    later, _ = snapshot_generation(edb, marks)
-    with pytest.raises(StoreIntegrityError, match="does not extend"):
-        restore_backend(base, delta, later)
 
 
 #: Queries whose answers the executor folds from per-plan aggregate state.
@@ -328,16 +265,18 @@ MID_STREAM_QUERIES = FOLDED_QUERIES + (
 def test_a_chain_restored_mid_stream_answers_like_the_uninterrupted_edb(
     backend, cut
 ):
-    """Restore a full generation plus its deltas while queries are running:
-    the restored EDB rebuilds its per-plan aggregate state on each plan's
-    first query and then answers exactly like the EDB that never stopped --
+    """Take a full generation mid-stream, journal every command after it,
+    and rebuild from generation plus replay while queries are running: the
+    rebuilt EDB rebuilds its per-plan aggregate state on each plan's first
+    query and then answers exactly like the EDB that never stopped --
     modulo and windowed counts over late arrivals included, and through
-    dtype promotions after the restore too.  No generation carries
-    that state, nor the executor's lowered-plan cache."""
+    dtype promotions after the rebuild too -- with the same transcript.  No
+    generation carries that state, nor the executor's lowered-plan cache."""
     live = BACKENDS[backend](5)
     live.setup(_rows(0, 6, "int") + _rows(6, 4, "int", "other"))
     kinds = ["int", "bool", "int", "int", "float", "int", "int", "float", "int"]
-    blobs, marks, counter, restored = [], None, 10, None
+    taken_at = (cut + 1) // 2
+    blob, journal, counter, rebuilt = None, [], 10, None
     for time, kind in enumerate(kinds, start=1):
         table = "other" if time % 3 == 0 else "events"
         # Arrivals up to two ticks late, so the windows move.
@@ -348,23 +287,30 @@ def test_a_chain_restored_mid_stream_answers_like_the_uninterrupted_edb(
             ]
         }
         counter += 5
-        targets = [live] if restored is None else [live, restored]
-        first, *rest = [target.insert_many(batch, time) for target in targets]
-        assert all(result == first for result in rest)
-        for query in filter(live.supports, MID_STREAM_QUERIES):
-            first, *rest = [target.query(query, time) for target in targets]
-            assert all(result == first for result in rest), query.name
-        if restored is None:
-            blob, marks = snapshot_generation(live, marks)
-            blobs.append(blob)
+        commands = [("insert_many", (batch, time))] + [
+            ("query", (query, time))
+            for query in filter(live.supports, MID_STREAM_QUERIES)
+        ]
+        targets = [live] if rebuilt is None else [live, rebuilt]
+        for command, args in commands:
+            first, *rest = [getattr(target, command)(*args) for target in targets]
+            assert all(result == first for result in rest), (command, args)
+        if blob is not None and rebuilt is None:
+            journal.extend(commands)
+        if time == taken_at:
+            blob = snapshot_backend(live)
             for derived in (b"_folds", b"_Fold", b"_plan_cache"):
                 assert derived not in blob, derived
         if time == cut:
             assert live._executor._folds, "the live EDB keeps fold states"
-            restored = restore_backend(*blobs)
-            assert restored._executor._folds == {}
-            assert restored._executor._plan_cache == {}
+            rebuilt = restore_backend(blob)
+            assert rebuilt._executor._folds == {}
+            assert rebuilt._executor._plan_cache == {}
+            for command, args in journal:
+                getattr(rebuilt, command)(*args)
+            assert rebuilt.update_history == live.update_history
             if isinstance(live, CryptEpsilon):  # the only back-end that draws
-                assert restored._rng.random(4).tolist() == live._rng.random(4).tolist()
-    assert len(blobs) == cut
-    assert _state(restored, ciphertexts=False) == _state(live, ciphertexts=False)
+                assert rebuilt._rng.random(4).tolist() == live._rng.random(4).tolist()
+    assert len(journal) == (cut - taken_at) * len(commands)
+    assert rebuilt.update_history == live.update_history
+    assert _state(rebuilt, ciphertexts=False) == _state(live, ciphertexts=False)

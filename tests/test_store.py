@@ -3,7 +3,7 @@
 Covers the :mod:`repro.edb.store` layers bottom-up -- blob sealing, the
 atomic :class:`EncryptedStore` directory with its write-manifest-last
 protocol, the generational :class:`SnapshotStore`, and the supervisor's
-in-memory generation chains -- plus the durability bugfixes that ride along:
+in-memory generations -- plus the durability bugfixes that ride along:
 
 * the grid runner's checkpoint writes are fsync'd-atomic, and a torn
   leftover ``.tmp`` (or a torn checkpoint itself) is skipped cleanly on
@@ -204,27 +204,27 @@ def test_torn_manifest_and_torn_blob_are_detected(tmp_path):
         EncryptedStore(tmp_path, passphrase="pw").manifest()
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
 def test_earlier_manifest_versions_are_refused(tmp_path, version):
     """Stores of an earlier format are refused with their version named, not
-    misread: version 1 predates AES-GCM, version 2 delta generations (no
-    ``parent``), version 3 arena-only ciphertexts (its deltas carry
-    per-record object tails), version 4 flat-only shards (its full
-    generations still carry ORAM position maps), version 5 RNG-free ObliDB
-    shards and named-tuple update histories (its ObliDB states still carry
-    an unused RNG), version 6 view-free EDB states (its generations still
-    carry maintained-view state, view queries and the plan cache)."""
+    misread: version 1 predates AES-GCM, version 2 delta generations,
+    version 3 arena-only ciphertexts (its deltas carry per-record object
+    tails), version 4 flat-only shards (its full generations still carry
+    ORAM position maps), version 5 RNG-free ObliDB shards and named-tuple
+    update histories (its ObliDB states still carry an unused RNG), version
+    6 view-free EDB states (its generations still carry maintained-view
+    state, view queries and the plan cache), version 7 full-only
+    generations with plain-tuple update histories (its manifests carry a
+    ``parent`` key and its histories pickle as named tuples)."""
     store = EncryptedStore(tmp_path)
     store.write_blob("a.bin", b"alpha")
     manifest = store.commit()
-    assert manifest["version"] == STORE_VERSION == 7
-    assert manifest["parent"] is None
+    assert manifest["version"] == STORE_VERSION == 8
+    assert "parent" not in manifest
     manifest["version"] = version
-    if version < 3:
-        del manifest["parent"]
     (tmp_path / "MANIFEST.json").write_text(json.dumps(manifest))
     with pytest.raises(
-        StoreIntegrityError, match=f"manifest version {version} is not 7"
+        StoreIntegrityError, match=f"manifest version {version} is not 8"
     ):
         EncryptedStore(tmp_path).manifest()
 
@@ -328,78 +328,56 @@ def _supervised_shard(edb, snapshot_every=1, schedule=None):
     )
 
 
-def _parents(shard: SupervisedShard) -> dict:
-    return {seq: parent for seq, (parent, _) in shard._generations.items()}
-
-
-def _head_chain(shard: SupervisedShard) -> list[bytes]:
-    return [shard._generations[seq][1] for seq in shard._chain(max(shard._generations))]
-
-
 def test_snapshot_store_keeps_every_generation_a_kept_head_references():
-    """A supervised shard keeps its newest ``keep`` (2) generations and
-    every generation their delta chains reference."""
+    """A supervised shard keeps exactly its newest ``keep`` (2)
+    generations.  Each is full, so a kept head references only itself and
+    restores alone; the next one is due after max(``snapshot_every``, rows
+    the head holds) mutating commands."""
     shard = _supervised_shard(ObliDB(simulate_encryption=True))
     try:
-        shard.setup(_records(200))  # generation 2: full
-        for time in range(1, 5):  # 3..6: deltas
+        assert sorted(shard._generations) == [1]  # generation 0: no rows
+        shard.setup(_records(3))  # 2: holds 3 rows, so 3 is due 3 later
+        assert sorted(shard._generations) == [1, 2]
+        for time in range(1, 3):
             shard.query(CountQuery(table="events"), time=time)
-        # Heads 6 and 5 both extend the chain from full generation 2.
-        assert _parents(shard) == {2: None, 3: 2, 4: 3, 5: 4, 6: 5}
-        # A fold starts a new chain; once two heads sit on it, the old one goes.
-        shard._chain_bytes = shard._base_bytes
-        shard.query(CountQuery(table="events"), time=5)
-        assert sorted(_parents(shard)) == [2, 3, 4, 5, 6, 7]
-        assert _parents(shard)[7] is None
-        shard.query(CountQuery(table="events"), time=6)
-        assert _parents(shard) == {7: None, 8: 7}
-        assert restore_backend(*_head_chain(shard)).update_history == (
+        assert sorted(shard._generations) == [1, 2]
+        shard.query(CountQuery(table="events"), time=3)
+        assert sorted(shard._generations) == [2, 3]
+        for seq, blob in shard._generations.items():
+            assert restore_backend(blob).outsourced_count == 3
+        assert restore_backend(shard._generations[3]).update_history == (
             shard.update_history
         )
     finally:
         shard.close()
 
 
-def test_setup_starts_a_new_chain():
-    """Setup fills the near-empty generation 0, so the generation after it
-    is full and the next one a delta of it -- not a delta that outgrows its
-    base and forces a fold right after."""
+def test_a_rotated_shard_recovers_from_the_generation_before_a_torn_one():
+    """``rotate_key`` rewrites every row in place and is journaled like any
+    command: a recovery from the generation before a torn one replays it
+    (with its key) and the rest of the journal, and the rebuilt shard
+    matches an unfaulted twin: transcript, key and decrypted rows."""
     edb = ObliDB(simulate_encryption=True)
-    shard = _supervised_shard(edb)
-    try:
-        shard.setup(_records(40))  # generation 2: full
-        assert _parents(shard) == {1: None, 2: None}
-        shard.insert_many({"events": _records(2, start=40)}, 1)  # 3: a delta
-        assert _parents(shard) == {2: None, 3: 2}
-        chain = _head_chain(shard)
-        assert restore_backend(*chain).update_history == shard.update_history
-    finally:
-        shard.close()
-
-
-def test_rotated_and_recovered_shards_start_a_new_chain():
-    """After rotate_key every row was rewritten, and after a recovery the
-    shard has replayed past its head: either way the next generation is
-    full, and the chain restores the live shard exactly."""
-    edb = ObliDB(simulate_encryption=True)
+    twin = ObliDB(simulate_encryption=True)
     shard = _supervised_shard(edb, schedule=parse_fault_schedule("tornsnap@5"))
     try:
-        shard.setup(_records(40))  # generation 2: full
-        # 3: a delta as large as its base, so 4 folds the chain.
-        shard.insert_many({"events": _records(80, start=40)}, 1)
-        shard.insert_many({"events": _records(2, start=120)}, 2)
-        assert _parents(shard) == {2: None, 3: 2, 4: None}
-        shard.rotate_key(b"k" * 32)  # 5: full
-        assert _parents(shard) == {4: None, 5: None}
-        # 6 is taken and dropped, the live shard crashes and is rebuilt
-        # from 5 plus the journal, and the retried insert takes full 7.
-        shard.insert_many({"events": _records(2, start=122)}, 3)
-        assert max(shard._generations) == 7
-        assert _parents(shard) == {5: None, 7: None}
-        shard.insert_many({"events": _records(2, start=124)}, 4)  # 8: a delta
-        assert _parents(shard) == {7: None, 8: 7}
-        chain = _head_chain(shard)
-        assert restore_backend(*chain).update_history == shard.update_history
+        for target in (shard, twin):
+            target.setup(_records(4))  # generation 2: 4 rows, 4 due next
+            target.insert_many({"events": _records(4, start=4)}, 1)
+            target.rotate_key(b"k" * 32)
+            target.insert_many({"events": _records(2, start=8)}, 2)
+        assert sorted(shard._generations) == [1, 2]
+        # At mutation 5 generation 3 is taken and dropped, the live shard
+        # crashes, and the rebuild replays mutations 2-4 onto generation 2
+        # before the retried insert runs.
+        shard.insert_many({"events": _records(2, start=10)}, 3)
+        twin.insert_many({"events": _records(2, start=10)}, 3)
+        assert 3 not in shard._generations
+        assert shard.update_history == tuple(twin.update_history)
+        assert shard.live.cipher.key == twin.cipher.key == b"k" * 32
+        assert [r.values for r in shard.live.cipher.decrypt_many(
+            shard.live.ciphertexts("events")
+        )] == [r.values for r in _records(12)]
     finally:
         shard.close()
 

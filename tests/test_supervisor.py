@@ -12,9 +12,12 @@ The byte-identity of supervised recovery against fault-free twins lives in
   re-raises) and the health counters it moves;
 * monotonic worker stats across rebuild generations, and a graceful
   ``close()`` that leaves nothing for the resource tracker to clean up;
-* bounded recovery state: a shard keeps only the generations of its
-  ``keep`` newest chains and the journal its oldest fallback can replay,
-  and a supervised run writes no file;
+* bounded recovery state: a shard keeps only its ``keep`` newest (full)
+  generations and the journal its oldest fallback can replay, takes the
+  next generation after max(``snapshot_every``, rows the head holds)
+  mutating commands -- so a rebuild replays at most that many and the
+  generation count grows with the log of the rows -- and a supervised run
+  writes no file;
 * the declared shard surface: every wrapper exposes exactly its entries,
   the worker refuses any other name, the supervisor journals exactly the
   mutating ones.
@@ -23,6 +26,7 @@ The byte-identity of supervised recovery against fault-free twins lives in
 from __future__ import annotations
 
 import inspect
+import math
 import os
 import subprocess
 import sys
@@ -364,27 +368,57 @@ def test_a_raise_fault_on_a_query_tears_the_live_shard(monkeypatch):
         shard.close()
 
 
-def test_snapshot_cadence_bounds_replay(monkeypatch):
-    """With snapshot_every=2 the rebuild replays at most ~2 batches, not the
-    whole history."""
-    monkeypatch.setattr("repro.fleet.supervisor._time.sleep", lambda s: None)
-    health = WallClockStats()
-    shard = _supervised(
-        config=SupervisorConfig(snapshot_every=2),
-        schedule=parse_fault_schedule("raise@6"),
-        health=health,
+EXECUTORS = ("serial", "threads", "processes")
+
+
+def _recording_restores(monkeypatch) -> list:
+    """Every EDB a recovery restores from a generation, before its replay."""
+    from repro.fleet import supervisor
+
+    restored = []
+    real_restore = supervisor.restore_backend
+    monkeypatch.setattr(
+        supervisor,
+        "restore_backend",
+        lambda blob: restored.append(real_restore(blob)) or restored[-1],
     )
-    twin = _edb(seed=7)
-    try:
-        for target in (shard, twin):
-            target.setup(_records(10))
-            for t in range(1, 6):
-                target.update(_records(2, start=10 + 2 * t), t)
-        assert shard.update_history == tuple(twin.update_history)
-        assert health.recoveries == 1
-        assert health.replayed_batches <= 2
-    finally:
-        shard.close()
+    return restored
+
+
+def test_snapshot_cadence_bounds_replay(monkeypatch):
+    """A rebuild replays the journal since the newest generation, which is
+    at most max(snapshot_every, rows that generation holds) commands -- not
+    the whole history -- on every executor."""
+    monkeypatch.setattr("repro.fleet.supervisor._time.sleep", lambda s: None)
+    restored = _recording_restores(monkeypatch)
+    config = SupervisorConfig(timeout_s=10.0, snapshot_every=2)
+    for executor in EXECUTORS:
+        restored.clear()
+        twin = ShardRouter([_edb() for _ in range(2)], route_seed=3)
+        router = ShardRouter(
+            [_edb() for _ in range(2)],
+            route_seed=3,
+            executor=executor,
+            supervisor=config,
+            faults="raise:0@90",
+        )
+        try:
+            for target in (router, twin):
+                target.setup(_records(10))
+                for t in range(1, 60):
+                    target.update(_records(2, start=10 + 2 * t, time=t), t)
+                    target.query(QUERY, time=t)
+            assert router.query(QUERY, time=60) == twin.query(QUERY, time=60)
+            assert router.update_history == twin.update_history
+            health = router.measured
+            assert health.recoveries == 1 and len(restored) == 1, executor
+            head_rows = restored[0].outsourced_count
+            assert head_rows > config.snapshot_every  # the cadence has grown
+            assert 1 <= health.replayed_batches <= head_rows, executor
+            assert health.replayed_batches < router.shards[0]._mutation_count
+        finally:
+            router.close()
+            twin.close()
 
 
 def test_supervised_stats_stay_monotonic_across_rebuilds(monkeypatch):
@@ -413,7 +447,7 @@ def test_supervised_stats_stay_monotonic_across_rebuilds(monkeypatch):
 
 
 def test_supervisor_close_drops_every_shards_recovery_state():
-    """Each wrapper keeps its generation chain and journal in memory from
+    """Each wrapper keeps its generations and journal in memory from
     the moment it is supervised; close() tears the live shard down and
     drops both."""
     supervisor = ShardSupervisor(
@@ -429,13 +463,13 @@ def test_supervisor_close_drops_every_shards_recovery_state():
     supervisor.close()  # idempotent
 
 
-@pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("executor", EXECUTORS)
 def test_recovery_state_is_bounded_by_keep_and_the_previous_head(
     executor, monkeypatch
 ):
-    """After 10 x snapshot_every mutating commands and one recovery, every
-    shard holds only the generations of its ``keep`` newest chains and the
-    journal entries its oldest fallback, the previous head, can replay."""
+    """After a long run and one recovery, every shard holds only its
+    ``keep`` newest generations -- the head last -- and the journal entries
+    its oldest fallback, the previous head, can replay."""
     monkeypatch.setattr("repro.fleet.supervisor._time.sleep", lambda s: None)
     config = SupervisorConfig(timeout_s=10.0, snapshot_every=4, keep=2)
     router = ShardRouter(
@@ -447,22 +481,55 @@ def test_recovery_state_is_bounded_by_keep_and_the_previous_head(
     )
     try:
         router.setup(_records(20))
-        for time in range(1, 10 * config.snapshot_every + 1):
+        for time in range(1, 25 * config.snapshot_every + 1):
             router.query(QUERY, time=time)
             if time % 3 == 0:
                 router.update(_records(2, start=20 + time, time=time), time)
         assert router.measured.recoveries == 1
         for shard in router.shards:
-            assert shard._mutation_count >= 10 * config.snapshot_every
+            assert shard._mutation_count >= 25 * config.snapshot_every
             seqs = sorted(shard._generations)
-            assert seqs[-1] > 10  # a generation per snapshot_every commands
-            kept = set()
-            for head in seqs[-config.keep :]:
-                kept.update(shard._chain(head))
-            assert set(seqs) == kept
+            assert len(seqs) == config.keep
+            assert seqs[-1] == shard._snapshot_seq > config.keep
             previous = seqs[-2]
             tags = [entry["tag"] for entry in shard._journal.entries()]
             assert tags and min(tags) >= previous
+            # The journal is no longer than the two cadences it spans.
+            assert len(tags) <= 2 * max(
+                config.snapshot_every, shard.outsourced_count
+            )
+    finally:
+        router.close()
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_generations_grow_logarithmically_with_rows(executor):
+    """At the default cadence floor of 32, a shard whose rows keep growing
+    takes O(log rows) generations over a long run -- each one is due only
+    once as many commands as the head holds rows have passed -- where a
+    fixed every-32-commands cadence would take one per 32 commands."""
+    config = SupervisorConfig(timeout_s=10.0)
+    assert config.snapshot_every == 32
+    router = ShardRouter(
+        [_edb() for _ in range(2)],
+        route_seed=3,
+        executor=executor,
+        supervisor=config,
+    )
+    try:
+        router.setup(_records(8))
+        for time in range(1, 1201):
+            router.update(_records(6, start=8 + 6 * time, time=time), time)
+            router.query(QUERY, time=time)
+            if time % 300 == 0:
+                for shard in router.shards:
+                    generations = shard._snapshot_seq  # generation 0 is 1
+                    rows = shard.outsourced_count
+                    assert generations <= 2 * math.log2(rows), (time, rows)
+        for shard in router.shards:
+            commands = shard._mutation_count
+            assert commands > 2000
+            assert shard._snapshot_seq < commands / 32 / 4
     finally:
         router.close()
 
