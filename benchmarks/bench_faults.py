@@ -26,9 +26,12 @@ Emits ``BENCH_faults.json`` at the repository root with two sections:
 * ``recovery_latency`` -- per fault kind (kill, delay, drop, raise,
   tornsnap) against persistent worker processes: wall-clock spent
   inside recovery (teardown, snapshot restore, journal replay, worker
-  respawn) per heal.  Informational -- absolute numbers depend on the
-  container -- with correctness pinned: every kind heals, answers match
-  the fault-free twin's.
+  respawn) per heal.  Each kind fires at shard 0's 3rd mutating command,
+  before its first cadence generation, so it replays from generation 0;
+  one more ``kill`` row fires on a longer drive past that generation, so
+  it shows what a late recovery replays.  Informational -- absolute
+  numbers depend on the container -- with correctness pinned: every
+  fault heals, answers match the fault-free twin's.
 
 Knobs: ``REPRO_BENCH_MAX_FAULT_OVERHEAD`` (default 1.05),
 ``REPRO_BENCH_FAULT_ROUNDS`` (lockstep passes per attempt, default 5),
@@ -65,6 +68,15 @@ QUERY = CountQuery(table="events", label="Q1")
 #: checkpoint cadence, so the measured tax is pure supervision (dispatch,
 #: fault-point check, staged journaling), not the amortized checkpoint.
 SETUP_N, TICKS, BATCH = 2000, 24, 800
+
+#: Recovery drives: (kind, schedule, ticks of 50 records).  A drive of
+#: ``t`` ticks gives shard 0 ``1 + t + t // 4`` mutating commands; the
+#: first cadence generation is taken after its 32nd (the default
+#: ``snapshot_every``), at tick 25, so the late kill at command 40 (tick 32)
+#: restores that generation and replays what followed it.
+RECOVERY_CASES = [(kind, f"{kind}:0@3", 6) for kind in sorted(FAULT_KINDS)] + [
+    ("kill", "kill:0@40", 40)
+]
 
 
 def _records(n: int, start: int = 0, t: int = 0) -> list[Record]:
@@ -194,28 +206,30 @@ def _overhead() -> dict:
 
 def _recovery_latency() -> list[dict]:
     config = SupervisorConfig(timeout_s=TIMEOUT_S, backoff_base_s=0.01)
-    reference = _router(executor="processes")
-    try:
-        expected = _drive(reference, ticks=6, batch=50)
-    finally:
-        reference.close()
+    expected = {}
+    for ticks in sorted({ticks for _, _, ticks in RECOVERY_CASES}):
+        reference = _router(executor="processes")
+        try:
+            expected[ticks] = _drive(reference, ticks=ticks, batch=50)
+        finally:
+            reference.close()
     results = []
-    for kind in sorted(FAULT_KINDS):
-        chaotic = _router(
-            executor="processes", supervisor=config, faults=f"{kind}:0@3"
-        )
+    for kind, faults, ticks in RECOVERY_CASES:
+        chaotic = _router(executor="processes", supervisor=config, faults=faults)
         try:
             start = time.perf_counter()
-            observed = _drive(chaotic, ticks=6, batch=50)
+            observed = _drive(chaotic, ticks=ticks, batch=50)
             elapsed = time.perf_counter() - start
             health = chaotic.measured.health()
         finally:
             chaotic.close()
-        assert observed == expected, f"{kind} recovery changed an observable"
-        assert health["recoveries"] == 1, f"{kind} did not heal exactly once"
+        assert observed == expected[ticks], f"{faults} recovery changed an observable"
+        assert health["recoveries"] == 1, f"{faults} did not heal exactly once"
         results.append(
             {
                 "kind": kind,
+                "faults": faults,
+                "ticks": ticks,
                 "recovery_seconds": health["recovery_seconds"],
                 "replayed_batches": health["replayed_batches"],
                 "run_seconds": elapsed,
@@ -262,7 +276,7 @@ def test_recovery_latency_per_fault_kind(benchmark):
     ]
     for row in results:
         lines.append(
-            f"  {row['kind']:<9} heal {row['recovery_seconds'] * 1e3:8.1f} ms"
+            f"  {row['faults']:<12} heal {row['recovery_seconds'] * 1e3:8.1f} ms"
             f"  ({row['replayed_batches']} batches replayed,"
             f" run {row['run_seconds'] * 1e3:7.1f} ms)"
         )

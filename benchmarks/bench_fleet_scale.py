@@ -25,15 +25,15 @@ unsharded run) defaults to 2x; CI smoke runs at a lower scale override it via
    query over an unchanged table without scanning a row).  The section
    records real wall-clock per gathered query, the router's
    :class:`~repro.edb.router.WallClockStats` ledger (per-shard worker busy
-   seconds and the serialization overhead of the process boundary), and a
-   thread-executor contrast at K=4 -- with gathered answers asserted
-   byte-identical to sequential execution first.  The acceptance floor
-   (``REPRO_BENCH_MIN_MEASURED_QET_SPEEDUP``; the default 2x assumes >= 4
-   CPUs, CI runners with fewer cores override it) is only meaningful when
-   workers can actually run in parallel, so it is enforced on >= 2 usable
-   CPUs and recorded as ``"skipped_single_cpu"`` otherwise -- the numbers
-   themselves are always recorded honestly, and ``affinity_cpus`` is stamped
-   into the payload so a reader can judge the scaling context at a glance.
+   seconds and the serialization overhead of the process boundary) -- with
+   gathered answers asserted byte-identical to sequential execution first.
+   The acceptance floor (``REPRO_BENCH_MIN_MEASURED_QET_SPEEDUP``; the
+   default 2x assumes >= 4 CPUs, CI runners with fewer cores override it)
+   is only meaningful when workers can actually run in parallel, so it is
+   enforced on >= 2 usable CPUs and recorded as ``"skipped_single_cpu"``
+   otherwise -- the numbers themselves are always recorded honestly, and
+   ``affinity_cpus`` is stamped into the payload so a reader can judge the
+   scaling context at a glance.
 """
 
 from __future__ import annotations
@@ -185,9 +185,8 @@ def test_measured_concurrent_query_wall_clock(bench_settings):
     The end-to-end section's QET speedup is *simulated* (max over shards);
     this section measures what the coordinator actually waits per gathered
     query with the **process executor** -- per-shard worker processes with
-    no GIL in common -- pins the gathered answers byte-identical to
-    sequential execution first, and records a thread-executor contrast at
-    K=4 so the GIL cost of in-process fan-out stays visible.
+    no GIL in common -- and pins the gathered answers byte-identical to
+    sequential execution first.
     """
     chunk = 2048
     records = _measured_records(MEASURED_ROWS + MEASURED_REPEATS * chunk)
@@ -209,8 +208,7 @@ def test_measured_concurrent_query_wall_clock(bench_settings):
 
     routers = {k: _build_router(k, "processes") for k in SHARD_COUNTS}
     serial_checks = {k: _build_router(k, "serial") for k in SHARD_COUNTS}
-    threads_contrast = _build_router(4, "threads")
-    everyone = (*routers.values(), *serial_checks.values(), threads_contrast)
+    everyone = (*routers.values(), *serial_checks.values())
     try:
         for start in range(0, len(records), chunk):
             batch = {"Users": records[start : start + chunk]}
@@ -262,7 +260,6 @@ def test_measured_concurrent_query_wall_clock(bench_settings):
 
         measured = {k: _measure(router) for k, router in routers.items()}
         wall = {k: measured[k][0] for k in SHARD_COUNTS}
-        threads_wall = _measure(threads_contrast)[0]
 
         per_query = {
             k: wall[k] / (MEASURED_REPEATS * len(queries)) for k in SHARD_COUNTS
@@ -305,7 +302,6 @@ def test_measured_concurrent_query_wall_clock(bench_settings):
                 for index, busy in sorted(busy_at_4.items())
             },
             "serialization_overhead_seconds_at_4": round(serialization_at_4, 4),
-            "threads_contrast_wall_seconds_at_4": round(threads_wall, 4),
             "measured_qet_speedup_4_shards": round(measured_speedup, 2),
             "measured_floor": floor,
             "min_measured_speedup": MIN_MEASURED_QET_SPEEDUP,
@@ -321,8 +317,6 @@ def test_measured_concurrent_query_wall_clock(bench_settings):
                 f"{k} shard(s): {per_query[k] * 1e3:8.3f} ms/query measured"
                 for k in SHARD_COUNTS
             )
-            + f"\nthreads contrast at 4 shards: "
-            f"{threads_wall / (MEASURED_REPEATS * len(queries)) * 1e3:8.3f} ms/query"
             + f"\nmeasured QET speedup at 4 shards: {measured_speedup:.2f}x "
             f"(floor {MIN_MEASURED_QET_SPEEDUP}x, {floor}; {cpus} usable CPUs)\n"
             "answers byte-identical to sequential execution at every K",

@@ -27,32 +27,27 @@ router exactly as they would to one EDB; the router
   deployment to the same ``(time, volume)`` leakage as an unsharded one,
   while :meth:`per_shard_observables` gives the finer per-shard view.
 
-Shard fan-out runs on a **pluggable executor** (``executor="threads"`` by
-default): Setup, per-shard batched Updates and scatter queries execute
-concurrently on a thread pool sized to the shard count -- the columnar /
-ndarray shard work spends its time in NumPy kernels and hash primitives that
-release the GIL, so on multi-core hardware the per-shard *simulated* QET
-model (max over shards) is matched by a real wall-clock speedup, which
-:attr:`measured` records.  ``executor="serial"`` keeps the original
-sequential loop.  ``executor="processes"`` escapes the GIL entirely: each
-shard moves into a persistent worker process
-(:mod:`repro.edb.shard_worker`) that owns the shard's EDB, arenas and RNG
-stream; ciphertexts stay in each worker's own arenas, and the coordinator
-never reads them.  There the fan-out is **pipelined** and uses no threads:
-the router writes every touched shard's command to its pipe, then collects
-the replies in shard order, so the workers compute in parallel while the
-coordinator waits on the first reply.  Each worker has one command in flight
-(the proxy's pipe lock is held from send to reply), and every sent command's
-reply is read before the first failure in shard order is raised, so no pipe
-is left out of step.  A gather that asks each shard several probes (a join's
-sides) sends them one round per probe, so each shard sees its probes, and
-draws their noise, in the order the in-process executors use.
+Shard fan-out runs on one of two executors.  ``executor="serial"`` (the
+default) visits the shards in a plain loop in the coordinator.
+``executor="processes"`` escapes the GIL: each shard moves into a
+persistent worker process (:mod:`repro.edb.shard_worker`) that owns the
+shard's EDB, arenas and RNG stream; ciphertexts stay in each worker's own
+arenas, and the coordinator never reads them.  There the fan-out is
+**pipelined**: the router writes every touched shard's command to its pipe,
+then collects the replies in shard order, so the workers compute in parallel
+while the coordinator waits on the first reply.  Each worker has one command
+in flight (the proxy's pipe lock is held from send to reply), and every sent
+command's reply is read before the first failure in shard order is raised,
+so no pipe is left out of step.  A gather that asks each shard several
+probes (a join's sides) sends them one round per probe, so each shard sees
+its probes, and draws their noise, in the order the serial loop uses.
+:attr:`ShardRouter.measured` records the wall clock the coordinator spent.
 
 Only protocol calls cross a worker pipe: the router's sums of shard
 counters read each proxy's :class:`~repro.edb.base.ShardMirror`.
 Shards are mutated only by their own call and partials are merged in
 shard-index order, so answers, transcripts and per-shard state are
-byte-identical under every executor (``tests/test_scatter_concurrency.py``
+byte-identical under both executors (``tests/test_scatter_concurrency.py``
 pins this).
 
 With ``K = 1`` every call is forwarded verbatim to the single shard, so a
@@ -67,7 +62,6 @@ import hashlib
 import logging
 import time as _time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -98,51 +92,51 @@ __all__ = ["SHARD_EXECUTORS", "WallClockStats", "ShardRouter", "resolve_shard_ex
 
 logger = logging.getLogger(__name__)
 
-#: Supported shard fan-out executors: ``"threads"`` scatters protocol calls
-#: across a pool with one worker per shard; ``"serial"`` visits shards in a
-#: plain loop; ``"processes"`` moves each shard into a persistent worker
-#: process (true parallelism; each worker keeps its shard's arenas).  Observables
-#: are identical across all three; only wall clock moves.
-SHARD_EXECUTORS = ("threads", "serial", "processes")
+#: Supported shard fan-out executors: ``"serial"`` visits shards in a plain
+#: loop; ``"processes"`` moves each shard into a persistent worker process
+#: (true parallelism; each worker keeps its shard's arenas).  Observables are
+#: identical under both; only wall clock moves.
+SHARD_EXECUTORS = ("serial", "processes")
 
-#: Concurrent executors already warned about on a single-CPU host, so the
-#: footgun warning fires once per executor per process, not once per cell.
+#: Set once the single-CPU footgun warning has fired, so it fires once per
+#: process, not once per cell.
 _warned_single_cpu: set[str] = set()
 
 
-def _release_router_resources(resources: dict) -> None:
-    """Shut down a router's fan-out pool and worker clients.
+def _release_router_resources(clients: Sequence) -> None:
+    """Close a router's worker clients.
 
-    Module-level over a shared mutable box (no reference back to the router)
-    so it can double as a ``weakref.finalize`` callback: worker processes
-    are reaped deterministically when the router is garbage collected or
-    the interpreter exits, instead of depending on ``__del__`` timing.
-    Safe to call repeatedly -- ``client.close()`` is idempotent and the
-    pool slot is cleared.
+    Module-level over the router's client list (no reference back to the
+    router) so it can double as a ``weakref.finalize`` callback: worker
+    processes are reaped deterministically when the router is garbage
+    collected or the interpreter exits, instead of depending on ``__del__``
+    timing.  Safe to call repeatedly -- ``client.close()`` is idempotent.
     """
-    pool = resources.get("pool")
-    if pool is not None:
-        resources["pool"] = None
-        pool.shutdown(wait=False, cancel_futures=True)
-    for client in resources.get("clients", ()):
+    for client in clients:
         client.close()
 
 
-def _resolve_supervision(supervisor, faults):
+def _resolve_supervision(supervisor, faults, executor: str):
     """Normalize the router's ``(supervisor, faults)`` inputs.
 
     Returns ``(SupervisorConfig | None, FaultSchedule | None)``.  A
     non-empty fault schedule implies supervision with the default config --
-    injecting faults into an unsupervised fleet would just be crashing it.
+    injecting faults into an unsupervised fleet would just be crashing it --
+    and is refused if it needs a worker process ``executor`` does not have.
     Imports lazily so unsupervised routers never pay for the fleet modules.
     """
     schedule = None
     if faults:
-        from repro.testing.chaos import FaultSchedule, parse_fault_schedule
+        from repro.testing.chaos import (
+            FaultSchedule,
+            check_fault_executor,
+            parse_fault_schedule,
+        )
 
         schedule = (
             faults if isinstance(faults, FaultSchedule) else parse_fault_schedule(faults)
         )
+        check_fault_executor(schedule, executor)
         if len(schedule) == 0:
             schedule = None
     config = None
@@ -163,11 +157,11 @@ def _resolve_supervision(supervisor, faults):
 def resolve_shard_executor(executor: str) -> str:
     """Validate (and normalize) a shard-executor flag.
 
-    Choosing a concurrent executor on a host with one usable CPU is a
-    footgun -- fan-out adds coordination cost with no cores to spread the
-    work over -- so that combination logs a one-time warning: simulated QET
-    is unaffected (it is model-derived), but *measured* wall clock will not
-    improve and may regress.
+    Choosing ``processes`` on a host with one usable CPU is a footgun --
+    fan-out adds pipe round trips with no cores to spread the work over --
+    so that combination logs a one-time warning: simulated QET is unaffected
+    (it is model-derived), but *measured* wall clock will not improve and
+    may regress.
     """
     normalized = executor.lower()
     if normalized not in SHARD_EXECUTORS:
@@ -175,7 +169,7 @@ def resolve_shard_executor(executor: str) -> str:
             f"shard executor must be one of {SHARD_EXECUTORS}, got {executor!r}"
         )
     if (
-        normalized in ("threads", "processes")
+        normalized == "processes"
         and normalized not in _warned_single_cpu
         and usable_cpus() == 1
     ):
@@ -208,7 +202,7 @@ class WallClockStats:
     :attr:`serialization_seconds` the remainder of the pipe round-trips --
     argument/result pickling, transport and scheduling, i.e. what the
     process boundary costs over an in-process call.  Both stay zero for the
-    in-process executors, where no boundary exists.
+    serial executor, where no boundary exists.
     """
 
     setup_calls: int = 0
@@ -303,13 +297,12 @@ class ShardRouter:
         Seed folded into the routing hash; two routers with equal seeds and
         shard counts route identically.
     executor:
-        Shard fan-out executor: ``"threads"`` (default) runs per-shard
-        protocol work on a thread pool with one worker per shard,
-        ``"serial"`` visits shards sequentially, ``"processes"`` moves each
-        shard into a persistent worker process at construction time (the
-        shard object crosses the process boundary exactly once; afterwards
-        only commands and results travel the pipes).  Gathered answers and
-        all transcripts are byte-identical across executors.
+        Shard fan-out executor: ``"serial"`` (default) visits shards in a
+        loop, ``"processes"`` moves each shard into a persistent worker
+        process at construction time (the shard object crosses the process
+        boundary exactly once; afterwards only commands and results travel
+        the pipes).  Gathered answers and all transcripts are byte-identical
+        across executors.
     supervisor:
         ``None``/``"off"`` (default) leaves shard failures terminal exactly
         as before; ``"on"`` (or a pre-built
@@ -329,7 +322,7 @@ class ShardRouter:
         self,
         shards: Sequence[EncryptedDatabase],
         route_seed: int = 0,
-        executor: str = "threads",
+        executor: str = "serial",
         supervisor=None,
         faults="",
     ) -> None:
@@ -341,7 +334,9 @@ class ShardRouter:
         #: Measured ledger first: the supervisor wrappers built below share
         #: it as their health sink.
         self.measured = WallClockStats()
-        supervisor_config, fault_schedule = _resolve_supervision(supervisor, faults)
+        supervisor_config, fault_schedule = _resolve_supervision(
+            supervisor, faults, self._executor
+        )
         self._supervisor_meta = (
             supervisor_config.to_meta() if supervisor_config is not None else None
         )
@@ -363,11 +358,7 @@ class ShardRouter:
             from repro.fleet.supervisor import ShardSupervisor
 
             self._supervisor = ShardSupervisor(
-                supervisor_config,
-                fault_schedule,
-                self._executor,
-                self.measured,
-                context=context,
+                supervisor_config, fault_schedule, self.measured, context=context
             )
             #: In-process wrappers report constant (0, 0, 0) worker stats, so
             #: the delta absorption below skips them; they still live in the
@@ -385,12 +376,8 @@ class ShardRouter:
         #: absorb only the *delta* each protocol call produced -- keeping
         #: ``measured.reset()`` meaningful across benchmark phases.
         self._client_marks = [client.stats() for client in self._clients]
-        self._pool: ThreadPoolExecutor | None = None
-        #: Mutable box shared with the finalizer: the pool is created lazily
-        #: by :meth:`_scatter`, so the box is updated there as well.
-        self._resources: dict = {"pool": None, "clients": self._clients}
         self._finalizer = weakref.finalize(
-            self, _release_router_resources, self._resources
+            self, _release_router_resources, self._clients
         )
         self._ordinals: dict[str, int] = {}
         #: Partition metadata: per table, how many records were routed to
@@ -419,31 +406,20 @@ class ShardRouter:
 
     def _scatter(self, calls: Sequence[tuple[int, str, tuple]]) -> list:
         """Run ``(shard index, command, args)`` calls, gathering results in
-        call order; the first failure in call order is raised after every
-        call has finished, so no shard is still working (and no pipe holds
-        an unread reply) when the caller acts on it.
+        call order.
 
-        ``threads`` runs the calls on a pool (in-process NumPy/hashing
-        kernels release the GIL); ``processes`` writes every call to its
-        worker's pipe, then collects the replies; ``serial`` loops and stops
-        at the first failure.
+        ``processes`` writes every call to its worker's pipe, then collects
+        the replies; the first failure in call order is raised after every
+        reply is read, so no pipe holds an unread reply when the caller acts
+        on it.  ``serial`` loops and stops at the first failure.
         """
-        if len(calls) <= 1 or self._executor == "serial":
+        if len(calls) <= 1 or self._split is None:
             return [self._call(call) for call in calls]
-        if self._split is not None:
-            collects = []
-            for index, command, args in calls:
-                begin, finish = self._split[index]
-                sent = begin(command, *command_args(command, args, {}))
-                collects.append(functools.partial(finish, sent))
-        else:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=len(self._shards),
-                    thread_name_prefix="shard-router",
-                )
-                self._resources["pool"] = self._pool
-            collects = [self._pool.submit(self._call, call).result for call in calls]
+        collects = []
+        for index, command, args in calls:
+            begin, finish = self._split[index]
+            sent = begin(command, *command_args(command, args, {}))
+            collects.append(functools.partial(finish, sent))
         return drain(collects)
 
     def _call(self, call: tuple[int, str, tuple]):
@@ -467,9 +443,8 @@ class ShardRouter:
             self.measured.worker_commands += commands - commands0
 
     def close(self) -> None:
-        """Shut down the fan-out pool and any worker processes (idempotent)."""
-        self._pool = None
-        _release_router_resources(self._resources)
+        """Shut down any worker processes (idempotent)."""
+        _release_router_resources(self._clients)
 
     # -- topology -----------------------------------------------------------
 

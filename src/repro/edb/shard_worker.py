@@ -34,8 +34,8 @@ supervisor's generation.
 
 Determinism: the worker executes commands strictly in arrival order against
 the very shard object (including its RNG stream state) the in-process
-executors would have used, so answers, transcripts, leakage and
-``QueryResult`` payloads are byte-identical to ``serial``/``threads`` --
+``serial`` executor would have used, so answers, transcripts, leakage and
+``QueryResult`` payloads are byte-identical to ``serial`` --
 ``tests/test_scatter_concurrency.py`` pins this for every checkpoint.
 
 Failure model: a worker that dies (crash, OOM kill) closes its pipe, so the

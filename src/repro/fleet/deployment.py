@@ -330,11 +330,12 @@ class Deployment:
         """Measured wall-clock of the shared EDB's protocol surface.
 
         A :class:`~repro.edb.router.WallClockStats` when the fleet outsources
-        through a :class:`~repro.edb.router.ShardRouter` (whose pluggable
-        executor makes the per-shard fan-out genuinely concurrent), ``None``
-        for a plain back-end.  This is the *measured* side of the ledger; the
-        simulated QET/ingest durations in protocol results stay model-derived
-        so they remain hardware independent and bit-reproducible.
+        through a :class:`~repro.edb.router.ShardRouter` (under the
+        ``processes`` executor its shards run concurrently in worker
+        processes), ``None`` for a plain back-end.  This is the *measured*
+        side of the ledger; the simulated QET/ingest durations in protocol
+        results stay model-derived so they remain hardware independent and
+        bit-reproducible.
         """
         return getattr(self._edb, "measured", None)
 

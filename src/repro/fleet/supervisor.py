@@ -93,12 +93,7 @@ from repro.edb.shard_worker import (
     default_shard_timeout,
 )
 from repro.edb.store import ReplayLog, restore_backend, snapshot_backend
-from repro.testing.chaos import (
-    PROCESS_ONLY_KINDS,
-    ChaosWorkerFault,
-    Fault,
-    FaultSchedule,
-)
+from repro.testing.chaos import ChaosWorkerFault, Fault, FaultSchedule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.edb.router import WallClockStats
@@ -208,7 +203,6 @@ class SupervisedShard:
         index: int,
         config: SupervisorConfig,
         schedule: FaultSchedule | None,
-        executor: str,
         health: "WallClockStats",
         health_lock,
         context=None,
@@ -217,9 +211,9 @@ class SupervisedShard:
         self._live = live
         self._config = config
         self._schedule = schedule
-        self._executor = executor
         self._health = health
         self._health_lock = health_lock
+        #: The mp context of a worker shard; ``None`` for an in-process one.
         self._context = context
         #: ``seq -> blob``: full generations, numbered in save order.
         self._generations: dict[int, bytes] = {}
@@ -339,7 +333,7 @@ class SupervisedShard:
         for entry in entries:
             getattr(edb, entry["command"])(*entry["args"])
         self._snapshot_seq = seq
-        if self._executor == "processes":
+        if self._context is not None:
             # Fork inheritance carries the replayed state into a fresh worker.
             self._live = ShardWorkerClient(
                 edb,
@@ -414,8 +408,6 @@ class SupervisedShard:
     # -- fault injection -------------------------------------------------------
 
     def _fire_fault(self, fault: Fault, command: str, args: tuple) -> None:
-        if fault.kind in PROCESS_ONLY_KINDS and self._executor != "processes":
-            return
         if fault.kind == "kill":
             self._crash_live(command)
             return  # the command itself now raises ShardWorkerDied
@@ -520,7 +512,6 @@ class ShardSupervisor:
         self,
         config: SupervisorConfig,
         schedule: FaultSchedule | None,
-        executor: str,
         health: "WallClockStats",
         context=None,
     ) -> None:
@@ -528,7 +519,6 @@ class ShardSupervisor:
 
         self.config = config
         self.schedule = schedule
-        self._executor = executor
         self._health = health
         self._health_lock = threading.Lock()
         self._context = context
@@ -542,7 +532,6 @@ class ShardSupervisor:
                 index,
                 self.config,
                 self.schedule,
-                self._executor,
                 self._health,
                 self._health_lock,
                 context=self._context,

@@ -27,9 +27,9 @@ sharding is not accuracy-free there the way it is on exact back-ends.
 
 Because the merges are deterministic functions of the per-shard partials
 taken in shard-index order, the same gather runs unchanged on every router
-executor -- sequential loop, thread pool, or pipelined persistent worker
-processes (:mod:`repro.edb.shard_worker`); only where the partials are
-*computed* moves, never what the coordinator gathers.
+executor -- the sequential loop or pipelined persistent worker processes
+(:mod:`repro.edb.shard_worker`); only where the partials are *computed*
+moves, never what the coordinator gathers.
 """
 
 from __future__ import annotations
@@ -63,12 +63,11 @@ def drain(collects: Sequence[Callable[[], _R]]) -> list[_R]:
 
     The fan-out failure-propagation contract: when one shard call raises
     (e.g. :class:`~repro.edb.shard_worker.ShardWorkerDied` from a killed
-    worker), the sibling calls are *drained* -- a pool future waited to
-    completion, a pipelined command's reply read -- before the error
-    propagates.  That guarantees no scatter thread is still touching a
-    shard, and no pipe holds an unread reply, when the caller starts
-    recovery or teardown, and it makes the raised error deterministic: the
-    first failure in item (shard) order, not in wall-clock completion order.
+    worker), the sibling calls are *drained* -- each pipelined command's
+    reply read -- before the error propagates.  That guarantees no pipe
+    holds an unread reply when the caller starts recovery or teardown, and
+    it makes the raised error deterministic: the first failure in item
+    (shard) order, not in wall-clock completion order.
     """
     error: BaseException | None = None
     results: list = []

@@ -54,7 +54,7 @@ from repro.core.strategies.flush import FlushPolicy
 from repro.edb.base import EncryptedDatabase
 from repro.edb.crypte import CryptEpsilon
 from repro.edb.oblidb import ObliDB
-from repro.edb.router import ShardRouter, resolve_shard_executor
+from repro.edb.router import SHARD_EXECUTORS, ShardRouter, resolve_shard_executor
 from repro.query.ast import JoinCountQuery, MultiJoinCountQuery, Query
 from repro.simulation.results import RunResult
 from repro.simulation.simulator import Simulation, SimulationConfig, derive_schema
@@ -118,7 +118,7 @@ def make_sharded_backend(
     seed: int = 0,
     crypte_query_epsilon: float = DEFAULT_CRYPTE_QUERY_EPSILON,
     simulate_encryption: bool = False,
-    shard_executor: str = "threads",
+    shard_executor: str = "serial",
     supervisor: str = "off",
     faults: str = "",
 ) -> Callable[[], ShardRouter]:
@@ -129,10 +129,10 @@ def make_sharded_backend(
     one-shard router is byte-identical to the plain back-end); later shards
     draw their seeds from ``SeedSequence([seed, shard_index])`` -- adding a
     shard never disturbs the noise streams of the existing ones.
-    ``shard_executor`` selects the fan-out executor (``"threads"`` runs
-    per-shard protocol work concurrently, ``"serial"`` sequentially,
-    ``"processes"`` in persistent per-shard worker processes; results are
-    byte-identical in every case).  ``supervisor="on"`` wraps every shard in the self-healing supervisor
+    ``shard_executor`` selects the fan-out executor (``"serial"`` runs
+    per-shard protocol work in a loop, ``"processes"`` in persistent
+    per-shard worker processes; results are byte-identical either way).
+    ``supervisor="on"`` wraps every shard in the self-healing supervisor
     (:mod:`repro.fleet.supervisor`: snapshot + replay-log recovery), and
     ``faults`` injects a deterministic fault schedule
     (:func:`repro.testing.chaos.parse_fault_schedule` syntax) -- recovery is
@@ -195,10 +195,9 @@ class CellSpec:
     the single-owner, single-EDB paper setup exactly.
 
     Hot-path fields: ``shard_executor`` picks the router's fan-out executor
-    (``"threads"`` scatters Setup/Update/Query across the shards
-    concurrently; ``"serial"`` keeps the sequential loop; ``"processes"``
-    moves each shard into a persistent worker process -- cell results are
-    byte-identical in every case, only wall clock moves), and
+    (``"serial"`` visits the shards in a loop; ``"processes"`` moves each
+    shard into a persistent worker process -- cell results are
+    byte-identical either way, only wall clock moves), and
     ``simulate_encryption`` runs every outsourced record through the real
     record cipher into a contiguous ciphertext arena per table.
 
@@ -209,9 +208,9 @@ class CellSpec:
     :func:`repro.testing.chaos.parse_fault_schedule` syntax (a non-empty
     schedule implies supervision; the kinds in
     :data:`~repro.testing.chaos.PROCESS_ONLY_KINDS` need
-    ``shard_executor="processes"``).  Recovery is byte-invisible in every
-    paper-level observable; only measured wall clock and the health
-    counters move.
+    ``shard_executor="processes"``, as on a router built directly).
+    Recovery is byte-invisible in every paper-level observable; only
+    measured wall clock and the health counters move.
     """
 
     strategy: str
@@ -234,7 +233,7 @@ class CellSpec:
     n_owners: int = 1
     n_shards: int = 1
     fleet_scenario: str = ""
-    shard_executor: str = "threads"
+    shard_executor: str = "serial"
     supervisor: str = "off"
     faults: str = ""
     simulate_encryption: bool = False
@@ -255,19 +254,12 @@ class CellSpec:
         object.__setattr__(self, "supervisor", supervisor)
         faults = str(self.faults or "")
         if faults:
-            from repro.testing.chaos import PROCESS_ONLY_KINDS, parse_fault_schedule
+            from repro.testing.chaos import check_fault_executor, parse_fault_schedule
 
             # Validate (and normalize) the schedule at cell-build time so a
             # malformed --faults axis fails before any cell runs.
             schedule = parse_fault_schedule(faults)
-            needs_worker = sorted(
-                {fault.kind for fault in schedule.pending} & PROCESS_ONLY_KINDS
-            )
-            if needs_worker and self.shard_executor != "processes":
-                raise ValueError(
-                    f"fault kinds {needs_worker} need a worker process: use "
-                    f"shard_executor='processes', not {self.shard_executor!r}"
-                )
+            check_fault_executor(schedule, self.shard_executor)
             faults = schedule.spec()
         object.__setattr__(self, "faults", faults)
         if self.queries is not None:
@@ -939,11 +931,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument(
         "--shard-executor",
-        default="threads",
-        choices=["threads", "serial", "processes"],
-        help="shard fan-out executor: concurrent thread pool (default), the "
-        "sequential loop, or persistent per-shard worker processes; cell "
-        "results are byte-identical in every case",
+        default="serial",
+        choices=list(SHARD_EXECUTORS),
+        help="shard fan-out executor: the sequential loop (default) or "
+        "persistent per-shard worker processes; cell results are "
+        "byte-identical either way",
     )
     parser.add_argument(
         "--supervisor",

@@ -35,9 +35,10 @@ Fault kinds (``FAULT_KINDS``):
     and a longer replay.
 
 ``kill``/``delay``/``drop`` need a worker process: a grid cell
-(:class:`~repro.simulation.runner.CellSpec`) refuses them on the in-process
-executors, and a router built directly skips them there; ``raise`` and
-``tornsnap`` exercise every executor.
+(:class:`~repro.simulation.runner.CellSpec`) and a router built directly
+both refuse them on the ``serial`` executor
+(:func:`check_fault_executor`); ``raise`` and ``tornsnap`` exercise every
+executor.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ __all__ = [
     "ChaosWorkerFault",
     "Fault",
     "FaultSchedule",
+    "check_fault_executor",
     "parse_fault_schedule",
     "random_fault_schedule",
 ]
@@ -68,7 +70,7 @@ FAULT_KINDS: tuple[str, ...] = (
     "tornsnap",
 )
 
-#: Kinds that require a worker process (skipped on threads/serial executors).
+#: Kinds that require a worker process (refused on the serial executor).
 PROCESS_ONLY_KINDS: frozenset[str] = frozenset({"kill", "delay", "drop"})
 
 
@@ -157,6 +159,23 @@ class FaultSchedule:
     def spec(self) -> str:
         """The pending schedule in ``--faults`` grid syntax."""
         return ",".join(fault.spec() for fault in self._pending)
+
+
+def check_fault_executor(schedule: FaultSchedule, executor: str) -> None:
+    """Refuse a schedule whose kinds need a worker process ``executor`` lacks.
+
+    The one rule for both entry points: a grid cell is refused when it is
+    built, and so is a router built directly, rather than silently skipping
+    a scheduled fault.
+    """
+    needs_worker = sorted(
+        {fault.kind for fault in schedule.pending} & PROCESS_ONLY_KINDS
+    )
+    if needs_worker and executor != "processes":
+        raise ValueError(
+            f"fault kinds {needs_worker} need a worker process: use "
+            f"shard_executor='processes', not {executor!r}"
+        )
 
 
 def parse_fault_schedule(spec: str) -> FaultSchedule:

@@ -167,12 +167,15 @@ def test_all_six_fault_kinds_heal_on_the_process_executor(backend):
     assert health["recoveries"] == 5
 
 
-def test_process_only_kinds_are_skipped_in_process_less_executors():
-    """kill/delay/drop need a worker process; on a router built with
-    threads they are skipped while raise/tornsnap still fire and heal."""
-    faults = "kill:0@2,delay:1@3,drop:0@4,raise:1@6,tornsnap:0@7"
-    health = _differential("oblidb", 2, faults, executor="threads")
-    assert health["recoveries"] == 2  # raise + tornsnap only
+def test_a_serial_router_refuses_process_only_kinds():
+    """kill/delay/drop need a worker process: a router built directly on
+    the serial executor refuses them, as a grid cell does, rather than
+    skipping them; raise/tornsnap still fire and heal there."""
+    for kind in sorted(PROCESS_ONLY_KINDS):
+        with pytest.raises(ValueError, match="worker process"):
+            _router("oblidb", 2, faults=f"raise:1@6,{kind}:0@2")
+    health = _differential("oblidb", 2, "raise:1@6,tornsnap:0@7")
+    assert health["recoveries"] == 2
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -225,18 +228,20 @@ _JOIN = JoinCountQuery(
 )
 
 
-@pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("executor", ["serial", "processes"])
 def test_every_mirror_equals_the_shards_own_value(executor):
-    """After every command -- through a kill and a raise recovery and a
-    restore_router -- each shard's coordinator-held counters and transcript
-    equal what the shard holds, and the router's sums equal their sums (the
-    float storage bytes bit for bit)."""
+    """After every command -- through two recoveries (a raise, then a worker
+    kill, or on serial a torn snapshot) and a restore_router -- each
+    shard's coordinator-held counters and transcript equal what the shard
+    holds, and the router's sums equal their sums (the float storage bytes
+    bit for bit)."""
+    second = "kill" if executor == "processes" else "tornsnap"
     router = _router(
         "oblidb",
         2,
         executor=executor,
         supervisor=CHAOS_CONFIG,
-        faults="raise:0@3,kill:1@4",
+        faults=f"raise:0@3,{second}:1@4",
         simulate_encryption=True,
     )
     commands = [lambda r: r.setup(_records(10, time=0))]
@@ -255,8 +260,7 @@ def test_every_mirror_equals_the_shards_own_value(executor):
         for command in commands[:7]:
             command(router)
             _assert_mirrored(router)
-        expected = 2 if executor == "processes" else 1
-        assert router.measured.health()["recoveries"] == expected
+        assert router.measured.health()["recoveries"] == 2
         restored = restore_router(snapshot_router(router))
         router.close()
         router = restored
@@ -310,7 +314,7 @@ def test_cellspec_validates_the_robustness_axes():
 
 
 @pytest.mark.parametrize("kind", sorted(PROCESS_ONLY_KINDS))
-@pytest.mark.parametrize("executor", ["threads", "serial"])
+@pytest.mark.parametrize("executor", ["serial"])
 def test_cellspec_rejects_process_only_faults_without_worker_processes(
     kind, executor
 ):

@@ -1,7 +1,7 @@
 """Process shard executor: worker lifecycle, crash robustness, worker-held rows.
 
-The byte-identity of ``executor="processes"`` against ``serial``/``threads``
-is pinned by ``tests/test_scatter_concurrency.py``; this suite covers what is
+The byte-identity of ``executor="processes"`` against ``serial`` is pinned
+by ``tests/test_scatter_concurrency.py``; this suite covers what is
 *specific* to the process boundary:
 
 * a killed worker surfaces as a clear :class:`ShardWorkerDied` naming the
@@ -12,7 +12,7 @@ is pinned by ``tests/test_scatter_concurrency.py``; this suite covers what is
   the inserted records when read out of its snapshot generation, and a
   supervised process router writes no file, not even while it recovers;
 * workers are torn down by ``close()`` (idempotent);
-* the single-CPU footgun warning fires exactly once per concurrent executor;
+* the single-CPU footgun warning fires exactly once, for ``processes``;
 * the pipelined fan-out (send to every shard, then collect) drains every
   sibling's reply through a shard's failure and recovery, and a reply's
   deadline counts from its send.
@@ -129,21 +129,16 @@ def test_measured_ledger_splits_worker_busy_and_serialization():
 
 
 def test_in_process_executors_report_no_worker_counters():
-    """Threads/serial have no process boundary, so those counters stay zero."""
-    for executor in ("threads", "serial"):
-        router = ShardRouter(
-            [ObliDB() for _ in range(2)],
-            route_seed=3,
-            executor=executor,
-        )
-        try:
-            router.setup(_records(10))
-            router.query(CountQuery(table="events", label="Q1"), time=1)
-            assert router.measured.per_shard_busy_seconds == {}
-            assert router.measured.serialization_seconds == 0.0
-            assert router.measured.worker_commands == 0
-        finally:
-            router.close()
+    """Serial has no process boundary, so those counters stay zero."""
+    router = ShardRouter([ObliDB() for _ in range(2)], route_seed=3, executor="serial")
+    try:
+        router.setup(_records(10))
+        router.query(CountQuery(table="events", label="Q1"), time=1)
+        assert router.measured.per_shard_busy_seconds == {}
+        assert router.measured.serialization_seconds == 0.0
+        assert router.measured.worker_commands == 0
+    finally:
+        router.close()
 
 
 def test_coordinator_reads_worker_ciphertexts_zero_copy():
@@ -213,24 +208,24 @@ def test_close_is_idempotent_and_unlinks_segments():
 
 
 def test_single_cpu_footgun_warns_once(monkeypatch, caplog):
-    """Concurrent executors on a 1-CPU host warn exactly once per executor."""
+    """The process executor on a 1-CPU host warns exactly once; the serial
+    loop never does."""
     monkeypatch.setattr(router_module, "usable_cpus", lambda: 1)
     monkeypatch.setattr(router_module, "_warned_single_cpu", set())
     with caplog.at_level(logging.WARNING, logger="repro.edb.router"):
-        resolve_shard_executor("threads")
-        resolve_shard_executor("threads")
+        resolve_shard_executor("processes")
         resolve_shard_executor("processes")
         resolve_shard_executor("serial")
     warnings = [r for r in caplog.records if "single-CPU" in r.message]
-    assert len(warnings) == 2
-    assert {w.args[0] for w in warnings} == {"threads", "processes"}
+    assert len(warnings) == 1
+    assert warnings[0].args[0] == "processes"
 
 
 def test_no_warning_on_multi_cpu_host(monkeypatch, caplog):
     monkeypatch.setattr(router_module, "usable_cpus", lambda: 4)
     monkeypatch.setattr(router_module, "_warned_single_cpu", set())
     with caplog.at_level(logging.WARNING, logger="repro.edb.router"):
-        resolve_shard_executor("threads")
+        resolve_shard_executor("serial")
         resolve_shard_executor("processes")
     assert not [r for r in caplog.records if "single-CPU" in r.message]
 

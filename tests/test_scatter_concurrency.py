@@ -1,17 +1,15 @@
-"""Concurrent scatter-gather equivalence: threads/processes vs the loop.
+"""Concurrent scatter-gather equivalence: worker processes vs the loop.
 
-The :class:`~repro.edb.router.ShardRouter` claims its pluggable executor is
-purely a wall-clock knob: with ``executor="threads"`` the per-shard Setup /
-Update / Query work runs concurrently on a pool, and with
-``executor="processes"`` inside persistent per-shard worker processes, yet
-every observable -- gathered answers, the aggregated and per-shard
+The :class:`~repro.edb.router.ShardRouter` claims its executor is purely a
+wall-clock knob: with ``executor="processes"`` the per-shard Setup / Update
+/ Query work runs concurrently inside persistent per-shard worker processes,
+yet every observable -- gathered answers, the aggregated and per-shard
 ``(t, |γ|)`` transcripts, per-shard sizes, storage and the simulated QET --
 is byte-identical to ``executor="serial"`` at a fixed seed.  This suite pins
 that claim for K ∈ {1, 2, 4}, including under mid-query shard-size skew
 (heavily unbalanced per-table batches arriving between query checkpoints, so
 some shards are busy while others idle) and for every query shape the
-scatter plan supports.  For the process executor the equivalence is the
-stronger statement: each shard's EDB *and RNG stream* live in a forked
+scatter plan supports.  Each shard's EDB *and RNG stream* live in a forked
 worker, so identical transcripts prove the noise streams and ingest order
 survived the process boundary untouched.
 """
@@ -135,15 +133,15 @@ def _drive(router: ShardRouter, batches) -> tuple[list, list]:
     return answers, transcripts
 
 
-@pytest.mark.parametrize("executor", ["threads", "processes"])
+@pytest.mark.parametrize("executor", ["processes"])
 @pytest.mark.parametrize("backend", [ObliDB, CryptEpsilon], ids=["oblidb", "crypte"])
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
 def test_concurrent_scatter_gather_equals_sequential(executor, backend, n_shards):
     """Answers and (t, |γ|) transcripts identical across executors.
 
-    For ``processes`` the per-shard state assertions below run *through the
-    worker proxies* (pipe round-trips), pinning that the remote observable
-    surface matches the in-process one exactly.
+    The per-shard state assertions below run *through the worker proxies*
+    (pipe round-trips), pinning that the remote observable surface matches
+    the in-process one exactly.
     """
     batches = _skewed_batches()
     concurrent = _make_router(backend, n_shards, executor)
@@ -171,7 +169,7 @@ def test_concurrent_scatter_gather_equals_sequential(executor, backend, n_shards
 def test_measured_wall_clock_is_recorded_without_touching_observables():
     """The measured ledger fills in while simulated QET stays model-derived."""
     batches = _skewed_batches(seed=3, rounds=3)
-    router = _make_router(ObliDB, 2, "threads")
+    router = _make_router(ObliDB, 2, "serial")
     try:
         answers, _ = _drive(router, batches)
     finally:
@@ -206,14 +204,13 @@ def test_fleet_cell_results_identical_across_executors():
         workload_seed=7,
     )
     payloads = {}
-    for executor in ("threads", "serial", "processes"):
+    for executor in ("serial", "processes"):
         result = run_cell(dataclasses.replace(base, shard_executor=executor))
         payload = result.to_dict()
         # The spec parameters record which executor ran; everything the run
         # *observed* must match.
         payload["parameters"].pop("shard_executor", None)
         payloads[executor] = payload
-    assert payloads["threads"] == payloads["serial"]
     assert payloads["processes"] == payloads["serial"]
 
 
@@ -224,3 +221,18 @@ def test_unknown_executor_rejected():
         ShardRouter([ObliDB()], executor="gpu")
     with pytest.raises(ValueError):
         CellSpec(strategy="dp-timer", shard_executor="gpu")
+
+
+def test_threads_executor_is_gone_and_serial_is_the_default():
+    """The thread-pool fan-out lost to the plain loop and was deleted: its
+    name is refused, and every default is the loop."""
+    with pytest.raises(ValueError, match="'serial', 'processes'"):
+        resolve_shard_executor("threads")
+    with pytest.raises(ValueError):
+        CellSpec(strategy="dp-timer", shard_executor="threads")
+    assert CellSpec(strategy="dp-timer").shard_executor == "serial"
+    router = ShardRouter([ObliDB(), ObliDB()])
+    try:
+        assert router.shard_executor == "serial"
+    finally:
+        router.close()

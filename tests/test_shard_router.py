@@ -408,9 +408,9 @@ def test_crypte_group_noise_order_matches_the_row_interpreter_fleet():
         assert folded_answer == rows_answer
 
 
-@pytest.mark.parametrize("executor", ["threads", "processes"])
+@pytest.mark.parametrize("executor", ["processes"])
 def test_every_shape_agrees_across_executors(executor):
-    """The serial, threaded and process fleets agree observable for observable."""
+    """The serial and process fleets agree observable for observable."""
     queries = _shape_queries()
     stream = _shape_stream(seed=11, ticks=8)
     assert _observe(_shape_router(2, executor=executor), queries, stream) == _observe(
@@ -483,7 +483,7 @@ def _routing_snapshot(router: ShardRouter) -> list[dict[str, int]]:
     ]
 
 
-@pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("executor", ["serial", "processes"])
 def test_failed_update_leaves_ordinals_unchanged(executor):
     """Update before Setup fails on every shard -- and must not advance
     routing state: a retry after Setup routes identically to a run that
@@ -491,19 +491,8 @@ def test_failed_update_leaves_ordinals_unchanged(executor):
     records = [_record("Alpha", i % 5, i, False, 1) for i in range(24)] + [
         _record("Beta", i % 3, i, False, 1) for i in range(11)
     ]
-    router = _make_router(2)
-    clean = _make_router(2)
-    if executor != "threads":
-        router = ShardRouter(
-            [ObliDB() for _ in range(2)],
-            route_seed=0,
-            executor=executor,
-        )
-        clean = ShardRouter(
-            [ObliDB() for _ in range(2)],
-            route_seed=0,
-            executor=executor,
-        )
+    router = ShardRouter([ObliDB() for _ in range(2)], executor=executor)
+    clean = ShardRouter([ObliDB() for _ in range(2)], executor=executor)
     try:
         with pytest.raises(RuntimeError):
             router.update(records, time=1)

@@ -191,7 +191,6 @@ def test_newest_generation_plus_replay_restores_the_live_shard(
         0,
         config,
         schedule,
-        "serial",
         WallClockStats(),
         threading.Lock(),
     )

@@ -322,7 +322,6 @@ def _supervised_shard(edb, snapshot_every=1, schedule=None):
         0,
         SupervisorConfig(snapshot_every=snapshot_every, backoff_base_s=0.0),
         schedule,
-        "serial",
         WallClockStats(),
         threading.Lock(),
     )
@@ -411,6 +410,17 @@ def test_router_payload_with_a_planner_key_still_restores():
     assert restored.table_shard_counts("events") == router.table_shard_counts(
         "events"
     )
+
+
+def test_router_payload_naming_the_threads_executor_is_refused():
+    """The thread-pool executor was deleted; a stored router that names it
+    fails to restore with an error that names the two executors left."""
+    router = ShardRouter([ObliDB() for _ in range(2)], route_seed=5)
+    router.setup(_records(12))
+    payload = pickle.loads(snapshot_router(router))
+    payload["executor"] = "threads"
+    with pytest.raises(ValueError, match=r"\('serial', 'processes'\).*'threads'"):
+        restore_router(pickle.dumps(payload))
 
 
 # -- EDB snapshot codecs ------------------------------------------------------

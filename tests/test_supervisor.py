@@ -87,7 +87,6 @@ def _edb(seed: int = 7) -> ObliDB:
 def _supervised(
     config: SupervisorConfig | None = None,
     schedule: FaultSchedule | None = None,
-    executor: str = "serial",
     health: WallClockStats | None = None,
     seed: int = 7,
 ) -> SupervisedShard:
@@ -96,7 +95,6 @@ def _supervised(
         0,
         config or SupervisorConfig(),
         schedule,
-        executor,
         health if health is not None else WallClockStats(),
         threading.Lock(),
     )
@@ -368,7 +366,7 @@ def test_a_raise_fault_on_a_query_tears_the_live_shard(monkeypatch):
         shard.close()
 
 
-EXECUTORS = ("serial", "threads", "processes")
+EXECUTORS = ("serial", "processes")
 
 
 def _recording_restores(monkeypatch) -> list:
@@ -451,7 +449,7 @@ def test_supervisor_close_drops_every_shards_recovery_state():
     the moment it is supervised; close() tears the live shard down and
     drops both."""
     supervisor = ShardSupervisor(
-        SupervisorConfig(), None, "serial", WallClockStats(), context=None
+        SupervisorConfig(), None, WallClockStats(), context=None
     )
     wrapped = supervisor.wrap([_edb(seed=1), _edb(seed=2)])
     wrapped[0].setup(_records(4))
@@ -662,7 +660,6 @@ def test_supervisor_journals_exactly_the_mutating_entries():
         0,
         SupervisorConfig(),
         None,
-        "serial",
         WallClockStats(),
         threading.Lock(),
     )
