@@ -50,37 +50,24 @@ class Analyst:
     edb:
         The encrypted database to query.
     truth_source:
-        Optional :class:`~repro.query.incremental.IncrementalTruth` holding
-        maintained per-table aggregates.  Covered queries read the maintained
-        state in O(1) instead of rescanning the logical tables; maintainable
-        but unregistered queries are registered on first sight (bootstrapped
-        from the provided logical tables).  Uncovered shapes fall back to a
-        full rescan.
-    maintained_tables:
-        Optional set of table names (or a zero-argument callable producing
-        one) whose inserts actually flow into ``truth_source``.  A query
-        referencing any table outside this set is never lazily registered on
-        the maintained state: registration would bootstrap it correctly but
-        then miss every later insert of the foreign table, silently freezing
-        part of the ground truth (the multi-table-join facade bug).  Such
-        queries always take the full-rescan path over the provided logical
-        tables instead.  ``None`` (the default) places no restriction.
+        Optional :class:`~repro.query.incremental.IncrementalTruth` over the
+        owners' logical tables.  A query it covers (one registered with it)
+        is answered by its tail fold instead of a rescan of the logical
+        tables; any other query is rescanned.
     """
 
     def __init__(
         self,
         edb: EncryptedDatabase,
         truth_source: IncrementalTruth | None = None,
-        maintained_tables: Callable[[], set[str]] | set[str] | None = None,
     ) -> None:
         self._edb = edb
         self._truth_source = truth_source
-        self._maintained_tables = maintained_tables
         self._observations: list[AnalystObservation] = []
 
     @property
     def truth_source(self) -> IncrementalTruth | None:
-        """The maintained-aggregate source, when incremental truth is enabled."""
+        """The incremental ground truth, when enabled."""
         return self._truth_source
 
     def query(
@@ -129,27 +116,10 @@ class Analyst:
         tables = logical_tables() if callable(logical_tables) else logical_tables
         if tables is None:
             raise ValueError(
-                f"query {query.name!r} is not covered by the maintained "
-                "aggregates and no logical tables were provided"
+                f"query {query.name!r} is not covered by the incremental "
+                "truth and no logical tables were provided"
             )
-        if (
-            source is not None
-            and source.can_maintain(query)
-            and self._covers_maintained_tables(query)
-        ):
-            # First sight of a maintainable query: bootstrap from the current
-            # logical state, then maintain deltas from here on.
-            source.register(query, tables)
-            return source.answer(query, time=time)
         return ground_truth(query, tables, time=time)
-
-    def _covers_maintained_tables(self, query: Query) -> bool:
-        restriction = self._maintained_tables
-        if restriction is None:
-            return True
-        if callable(restriction):
-            restriction = restriction()
-        return set(query.tables) <= set(restriction)
 
     @property
     def observations(self) -> tuple[AnalystObservation, ...]:

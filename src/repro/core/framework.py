@@ -92,9 +92,9 @@ class DPSync:
                 theta=theta,
                 flush=flush,
             )
-        # Ground-truth aggregates are maintained incrementally: each received
-        # record applies an O(1) delta, so query() never rescans the logical
-        # table for the paper's count/group-by/join shapes.
+        # Ground truth is incremental: each received record is appended to
+        # the truth's columns, and query() folds in only the records received
+        # since the query last ran instead of rescanning the logical table.
         self._deployment = Deployment(edb, truth_source=IncrementalTruth())
         self._owner = self._deployment.add_owner(
             schema.name, schema, self._strategy
@@ -152,8 +152,8 @@ class DPSync:
         records -- so a join query's logical answer would see a partial
         database.  Registering the sibling makes its live logical table part
         of this instance's ground-truth view; join queries then rescan the
-        complete logical database instead of freezing on a one-sided
-        maintained aggregate.
+        complete logical database instead of reading this instance's
+        incremental truth, which holds only its own table.
         """
         if sibling is self:
             raise ValueError("an instance cannot be its own sibling")

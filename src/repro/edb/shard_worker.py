@@ -287,6 +287,9 @@ class ShardWorkerClient:
         self._in_flight = ""
         self._sent_at = 0.0
         self._send_error: BaseException | None = None
+        #: The process that owns the worker handle and the pipe; a process
+        #: forked later inherits a copy of this client it must not close.
+        self._pid = os.getpid()
         # Seeded before the fork, from the very object the worker inherits.
         self._mirror = ShardMirror(shard)
         parent_conn, child_conn = context.Pipe()
@@ -362,7 +365,14 @@ class ShardWorkerClient:
         return self._process
 
     def close(self) -> None:
-        """Shut the worker down (idempotent; never hangs on a dead worker)."""
+        """Shut the worker down (idempotent; never hangs on a dead worker).
+
+        A no-op outside the process that started the worker: a forked child
+        closing its inherited copy (explicitly or through the router's
+        finalizer) would otherwise send ``shutdown`` down the parent's pipe.
+        """
+        if os.getpid() != self._pid:
+            return
         # A command still in flight holds the pipe lock: skip the handshake;
         # closing the pipe ends the worker loop all the same.
         if self._process.is_alive() and self._lock.acquire(blocking=False):

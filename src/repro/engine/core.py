@@ -12,8 +12,8 @@ interval (the query schedule) and at the horizon.  For each segment it
 3. merges the owners' ``(time, γ_t)`` synchronizations by
    ``(time, owner index)`` and runs each through the Update protocol
    (:meth:`~repro.core.owner.Owner.outsource`);
-4. feeds the segment's arrivals to the incrementally maintained ground
-   truth, one block per table, in that same merged order;
+4. feeds the segment's arrivals to the incremental ground truth, one
+   block per table, in that same merged order;
 5. fires the periodic callbacks due at the segment's end, in registration
    order.
 

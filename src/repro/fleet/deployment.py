@@ -14,9 +14,9 @@ The deployment also hosts the fleet-level analyst: ground truth is computed
 over the union of the members' logical databases plus any table sources
 registered with :meth:`register_table_source` (sibling deployments sharing
 the same EDB -- the multi-table join setup).  Queries whose tables are not
-all ingested by this deployment's own members bypass the incrementally
-maintained aggregates and rescan the provided sources, which keeps join
-ground truth correct when a foreign table grows outside this deployment.
+all ingested by this deployment's own members bypass the incremental
+truth and rescan the provided sources, which keeps join ground truth
+correct when a foreign table grows outside this deployment.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ class Deployment:
     truth_source:
         Optional :class:`~repro.query.incremental.IncrementalTruth`; when
         given, every record delivered through :meth:`receive` (and the
-        initial databases passed to :meth:`start`) feeds the maintained
-        ground-truth aggregates.
+        initial databases passed to :meth:`start`) is appended to it, and
+        :meth:`query` registers each query whose tables the members own.
     """
 
     def __init__(
@@ -68,9 +68,7 @@ class Deployment:
         #: re-registered (sources are arbitrary callables the store cannot
         #: persist).  Queries touching them raise until re-registration.
         self._pending_table_sources: set[str] = set()
-        self._analyst = Analyst(
-            edb, truth_source=truth_source, maintained_tables=self._owned_tables
-        )
+        self._analyst = Analyst(edb, truth_source=truth_source)
         self._started = False
 
     # -- construction --------------------------------------------------------
@@ -187,43 +185,88 @@ class Deployment:
 
     # -- durability ------------------------------------------------------------
 
-    def save(self, directory, passphrase: str | None = None) -> dict:
-        """Write a durable snapshot of the whole deployment to ``directory``.
+    def snapshot_blobs(self) -> tuple[dict, dict[str, bytes]]:
+        """The deployment's durable state as ``(meta, blobs)``.
 
-        One :class:`~repro.edb.store.EncryptedStore` holding the shared EDB
-        (or shard router, shards snapshotted inside their workers), every
-        member's client-side state and the analyst's observation log --
-        enough for :meth:`restore` to resume with bit-identical behaviour.
-        Registered external table sources are *not* persisted (they are
-        arbitrary callables); re-register them after restoring.  Returns
-        the committed manifest.
+        ``blobs`` holds the shared EDB (or shard router, shards snapshotted
+        inside their workers), every member's client-side state and the
+        analyst's observation log; ``meta`` the manifest fields
+        :meth:`from_blobs` reads.  The incremental truth is derived from
+        the members' logical databases, so no blob carries it: ``meta``
+        records only whether there was one.
         """
         import pickle
 
         from repro.edb import store as edb_store
 
-        store = edb_store.EncryptedStore(directory, passphrase=passphrase)
-        kind, blob = edb_store.snapshot_edb(self._edb)
-        store.write_blob("edb.pkl", blob)
-        store.write_blob(
-            "owners.pkl",
-            pickle.dumps(
-                {
-                    name: owner.export_state()
-                    for name, owner in self._members.items()
-                }
+        kind, edb_blob = edb_store.snapshot_edb(self._edb)
+        blobs = {
+            "edb.pkl": edb_blob,
+            "owners.pkl": pickle.dumps(
+                {name: owner.export_state() for name, owner in self._members.items()}
             ),
+            "observations.pkl": pickle.dumps(list(self._analyst.observations)),
+        }
+        meta = {
+            "edb_kind": kind,
+            "started": self._started,
+            "members": list(self._members),
+            "truth": self._truth is not None,
+        }
+        return meta, blobs
+
+    @classmethod
+    def from_blobs(
+        cls, meta: Mapping, read_blob: Callable[[str], bytes]
+    ) -> "Deployment":
+        """Rebuild a deployment from :meth:`snapshot_blobs` output.
+
+        ``read_blob`` reads one blob by name.  Restored shard routers come
+        back under their original executor; process workers inherit their
+        restored shards by fork.  A fresh truth ingests the restored
+        members' logical databases when the saved deployment had one (a
+        manifest without the ``truth`` field counts as having one); a
+        ``truth.pkl`` left by an older store is never read.
+        """
+        import pickle
+
+        from repro.edb import store as edb_store
+
+        edb = edb_store.restore_edb(meta["edb_kind"], read_blob("edb.pkl"))
+        truth = IncrementalTruth() if meta.get("truth", True) else None
+        deployment = cls(edb, truth_source=truth)
+        owner_states = pickle.loads(read_blob("owners.pkl"))
+        for name in meta["members"]:
+            owner = deployment._members[name] = Owner.from_state(
+                owner_states[name], edb
+            )
+            if truth is not None:
+                truth.ingest(owner.table, owner.logical_database)
+        deployment._analyst._observations.extend(
+            pickle.loads(read_blob("observations.pkl"))
         )
-        store.write_blob("truth.pkl", pickle.dumps(self._truth))
-        store.write_blob(
-            "observations.pkl", pickle.dumps(list(self._analyst.observations))
-        )
+        deployment._started = meta.get("started", True)
+        return deployment
+
+    def save(self, directory, passphrase: str | None = None) -> dict:
+        """Write a durable snapshot of the whole deployment to ``directory``.
+
+        One :class:`~repro.edb.store.EncryptedStore` holding the
+        :meth:`snapshot_blobs` -- enough for :meth:`restore` to resume with
+        bit-identical behaviour.  Registered external table sources are
+        *not* persisted (they are arbitrary callables); re-register them
+        after restoring.  Returns the committed manifest.
+        """
+        from repro.edb import store as edb_store
+
+        meta, blobs = self.snapshot_blobs()
+        store = edb_store.EncryptedStore(directory, passphrase=passphrase)
+        for name, data in blobs.items():
+            store.write_blob(name, data)
         return store.commit(
             {
                 "kind": "deployment",
-                "edb_kind": kind,
-                "started": self._started,
-                "members": list(self._members),
+                **meta,
                 # Source tables are recorded by *name* so restore can demand
                 # their re-registration before join ground truth goes wrong.
                 "table_sources": sorted(self._table_sources),
@@ -235,11 +278,8 @@ class Deployment:
         """Rebuild a deployment from a :meth:`save` snapshot.
 
         Every blob is checksum-verified (and unsealed, when a passphrase
-        was used); restored shard routers come back under their original
-        executor; process workers inherit their restored shards by fork.
+        was used) as :meth:`from_blobs` reads it.
         """
-        import pickle
-
         from repro.edb import store as edb_store
 
         store = edb_store.EncryptedStore(directory, passphrase=passphrase)
@@ -248,18 +288,7 @@ class Deployment:
             raise edb_store.StoreIntegrityError(
                 f"store at {directory} does not hold a deployment snapshot"
             )
-        edb = edb_store.restore_edb(meta["edb_kind"], store.read_blob("edb.pkl"))
-        truth = pickle.loads(store.read_blob("truth.pkl"))
-        deployment = cls(edb, truth_source=truth)
-        owner_states = pickle.loads(store.read_blob("owners.pkl"))
-        for name in meta["members"]:
-            deployment._members[name] = Owner.from_state(
-                owner_states[name], edb
-            )
-        deployment._analyst._observations.extend(
-            pickle.loads(store.read_blob("observations.pkl"))
-        )
-        deployment._started = meta["started"]
+        deployment = cls.from_blobs(meta, store.read_blob)
         pending = set(meta.get("table_sources", ()))
         if pending:
             # Sources are arbitrary callables the snapshot cannot carry; warn
@@ -301,6 +330,9 @@ class Deployment:
                 "restore; call register_table_source() for each (ground "
                 "truth would silently miss their records otherwise)"
             )
+        if self._truth is not None and set(parsed.tables) <= self._owned_tables():
+            # Every table the query reads feeds the truth.
+            self._truth.register(parsed)
         at = time if time is not None else self.current_time
         return self._analyst.query(parsed, self.logical_tables, time=at)
 
@@ -375,7 +407,7 @@ class Deployment:
 
     @property
     def truth_source(self) -> IncrementalTruth | None:
-        """The maintained ground-truth aggregates, when enabled."""
+        """The incremental ground truth, when enabled."""
         return self._truth
 
     @property
@@ -417,5 +449,5 @@ class Deployment:
     # -- internals -------------------------------------------------------------
 
     def _owned_tables(self) -> set[str]:
-        """Tables whose inserts flow through this deployment's truth source."""
+        """Tables whose records the members deliver (and feed the truth)."""
         return {owner.table for owner in self._members.values()}

@@ -3,7 +3,7 @@
 Two levels of abstraction are provided:
 
 * **Query objects** (:class:`CountQuery`, :class:`GroupByCountQuery`,
-  :class:`JoinCountQuery`, plus the maintained-fragment extensions
+  :class:`JoinCountQuery`, plus the extensions
   :class:`ModCountQuery`, :class:`MultiJoinCountQuery` and
   :class:`WindowedCountQuery`) describe *what* is asked -- these are what the
   analyst submits and what the paper's Q1/Q2/Q3 map onto.
@@ -411,8 +411,7 @@ class WindowedCountQuery(Query):
     def window_bounds(self, time: int) -> tuple[int, int]:
         """Half-open-below bounds ``(start, end]`` of the window at ``time``.
 
-        The single source of window semantics, shared by the executors and
-        the analyst's maintained ring buffer.
+        The single source of window semantics, shared by every executor.
         """
         if self.mode == "sliding":
             return time - self.window, time

@@ -24,7 +24,10 @@ maintenance, Berkholz et al., PAPERS.md), which keeps self-joins exact.  A
 plan's first run folds the whole table.  A repeated query therefore costs
 O(rows since it last ran), while its :class:`ExecutionStats` still report
 the whole oblivious scan, and the cost model still charges it.  These folds
-are the server's only incremental state: nothing is maintained on Update.
+are the system's only incremental state: nothing is maintained on Update,
+and the analyst's ground truth
+(:class:`~repro.query.incremental.IncrementalTruth`) is one more executor
+over the owners' logical tables.
 
 A state starts over from row 0 when a column of a table it reads changes
 dtype (``_consolidate``'s ``astype`` promotion), and :meth:`register` drops

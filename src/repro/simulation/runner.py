@@ -246,12 +246,11 @@ class CellSpec:
         object.__setattr__(
             self, "shard_executor", resolve_shard_executor(self.shard_executor)
         )
-        supervisor = str(self.supervisor).lower()
-        if supervisor not in ("off", "on"):
-            raise ValueError(
-                f"supervisor must be 'off' or 'on', got {self.supervisor!r}"
-            )
-        object.__setattr__(self, "supervisor", supervisor)
+        from repro.fleet.supervisor import resolve_supervisor_mode
+
+        object.__setattr__(
+            self, "supervisor", resolve_supervisor_mode(self.supervisor)
+        )
         faults = str(self.faults or "")
         if faults:
             from repro.testing.chaos import check_fault_executor, parse_fault_schedule

@@ -21,10 +21,11 @@ from ``SeedSequence``-spawned noise streams.
 :meth:`Simulation.run` drives :class:`repro.engine.Engine`, which replays
 every owner one query interval at a time: each strategy advances over the
 whole interval in bulk, the owners' Updates are merged in tick order, and
-ground-truth answers are maintained incrementally instead of rescanning the
-logical tables at every query time.  The per-tick loop with full rescans
-survives as the test oracle :func:`repro.testing.reference.run_per_tick`;
-both produce bit-identical :class:`RunResult`\\ s at a fixed seed (see
+ground-truth answers fold in only the records delivered since a query last
+ran instead of rescanning the logical tables at every query time.  The
+per-tick loop with full rescans survives as the test oracle
+:func:`repro.testing.reference.run_per_tick`; both produce bit-identical
+:class:`RunResult`\\ s at a fixed seed (see
 ``tests/test_engine_equivalence.py``), and
 ``benchmarks/bench_engine_speed.py`` tracks the speedup.
 """
@@ -35,7 +36,6 @@ import hashlib
 import json
 import logging
 import os
-import pickle
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -256,29 +256,19 @@ class Simulation:
         return self._build(), 0
 
     def _persist(self, time: int, ctx: _RunContext, store) -> None:
-        """Write one durable snapshot generation (fires after ``_observe``)."""
-        from repro.edb import store as edb_store
-
-        kind, blob = edb_store.snapshot_edb(ctx.edb)
-        blobs = {
-            "edb.pkl": blob,
-            "owners.pkl": pickle.dumps(
-                {name: owner.export_state() for name, owner in ctx.owners.items()}
-            ),
-            "truth.pkl": pickle.dumps(ctx.analyst.truth_source),
-            "observations.pkl": pickle.dumps(list(ctx.analyst.observations)),
-            "result.json": json.dumps(
-                ctx.result.to_dict(), sort_keys=True
-            ).encode("utf-8"),
-        }
+        """Write one durable snapshot generation (fires after ``_observe``):
+        the deployment's :meth:`~repro.fleet.Deployment.snapshot_blobs` plus
+        the partial result."""
+        meta, blobs = ctx.deployment.snapshot_blobs()
+        result = json.dumps(ctx.result.to_dict(), sort_keys=True)
+        blobs["result.json"] = result.encode("utf-8")
         store.save(
             blobs,
             {
                 "kind": "simulation",
-                "edb_kind": kind,
+                **meta,
                 "time": time,
                 "horizon": ctx.horizon,
-                "members": list(ctx.owners),
                 "signature": self._config_signature(),
             },
         )
@@ -297,29 +287,11 @@ class Simulation:
                 f"snapshot at {snapshot.path} was written by a different "
                 "simulation configuration"
             )
-        edb = edb_store.restore_edb(meta["edb_kind"], snapshot.read_blob("edb.pkl"))
-        truth = pickle.loads(snapshot.read_blob("truth.pkl"))
-        deployment = Deployment(edb, truth_source=truth)
-        owner_states = pickle.loads(snapshot.read_blob("owners.pkl"))
-        for name in meta["members"]:
-            deployment._members[name] = Owner.from_state(owner_states[name], edb)
-        deployment._analyst._observations.extend(
-            pickle.loads(snapshot.read_blob("observations.pkl"))
-        )
-        deployment._started = True
+        deployment = Deployment.from_blobs(meta, snapshot.read_blob)
         result = RunResult.from_dict(
             json.loads(snapshot.read_blob("result.json").decode("utf-8"))
         )
-        ctx = _RunContext(
-            edb=edb,
-            analyst=deployment.analyst,
-            owners=deployment.owners,
-            deployment=deployment,
-            result=result,
-            queries=[q for q in self._queries if edb.supports(q)],
-            horizon=meta["horizon"],
-        )
-        return ctx, meta["time"]
+        return self._context(deployment, result, meta["horizon"]), meta["time"]
 
     # -- construction ---------------------------------------------------------------
 
@@ -332,18 +304,12 @@ class Simulation:
         if horizon is None:
             horizon = max(w.horizon for w in self._workloads.values())
 
-        runnable_queries = [q for q in self._queries if edb.supports(q)]
-        truth: IncrementalTruth | None = None
-        if incremental_truth:
-            truth = IncrementalTruth()
-            for query in runnable_queries:
-                if truth.can_maintain(query):
-                    truth.register(query)
-
         # One independent noise stream per owner: SeedSequence children keep
         # runs reproducible from one seed while adding or removing a stream
         # leaves every other owner's noise untouched.
-        deployment = Deployment(edb, truth_source=truth)
+        deployment = Deployment(
+            edb, truth_source=IncrementalTruth() if incremental_truth else None
+        )
         children = np.random.SeedSequence(config.seed).spawn(len(self._workloads))
         for (stream, workload), child in zip(self._workloads.items(), children):
             schema = self._schemas[stream]
@@ -375,13 +341,26 @@ class Simulation:
                 "seed": config.seed,
             },
         )
+        return self._context(deployment, result, horizon)
+
+    def _context(
+        self, deployment: Deployment, result: RunResult, horizon: int
+    ) -> _RunContext:
+        """The run context over ``deployment``: the queries its EDB can run,
+        each registered with the truth when there is one."""
+        edb = deployment.edb
+        queries = [q for q in self._queries if edb.supports(q)]
+        truth = deployment.truth_source
+        if truth is not None:
+            for query in queries:
+                truth.register(query)
         return _RunContext(
             edb=edb,
             analyst=deployment.analyst,
             owners=deployment.owners,
             deployment=deployment,
             result=result,
-            queries=runnable_queries,
+            queries=queries,
             horizon=horizon,
         )
 

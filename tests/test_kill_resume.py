@@ -28,14 +28,21 @@ from repro.edb.oblidb import ObliDB
 from repro.edb.records import Record, Schema
 from repro.edb.router import ShardRouter
 from repro.edb.shard_worker import ShardWorkerClient, ShardWorkerDied
-from repro.edb.store import StoreIntegrityError, restore_backend
+from repro.edb.store import (
+    EncryptedStore,
+    SnapshotStore,
+    StoreIntegrityError,
+    restore_backend,
+)
 from repro.fleet import Deployment
 from repro.fleet.supervisor import SupervisorConfig
-from repro.query.ast import CountQuery
+from repro.query.ast import CountQuery, GroupByCountQuery
+from repro.query.incremental import IncrementalTruth
 from repro.simulation.simulator import Simulation
 
 SCHEMA = Schema(name="events", attributes=("key", "value"))
 QUERY = CountQuery(table="events", label="Q1")
+GROUPS = GroupByCountQuery(table="events", group_attribute="key", label="Q2")
 
 
 def _record(t: int, salt: int = 0) -> Record:
@@ -53,14 +60,22 @@ def _update_for(member_index: int, t: int) -> Record | None:
     return _record(t, salt=member_index)
 
 
-def _build_deployment(executor: str = "processes") -> Deployment:
+def _build_deployment(
+    executor: str = "processes", truth: IncrementalTruth | None = None
+) -> Deployment:
     router = ShardRouter(
         [ObliDB(simulate_encryption=True) for _ in range(2)],
         route_seed=9,
         executor=executor,
     )
     deployment = Deployment.build(
-        SCHEMA, router, n_owners=2, strategy="dp-timer", period=5, seed=21
+        SCHEMA,
+        router,
+        n_owners=2,
+        strategy="dp-timer",
+        period=5,
+        seed=21,
+        truth_source=truth,
     )
     deployment.start(
         {name: [_record(0, salt=i)] for i, name in enumerate(deployment.owners)}
@@ -68,18 +83,30 @@ def _build_deployment(executor: str = "processes") -> Deployment:
     return deployment
 
 
-def _drive(deployment: Deployment, start: int, stop: int) -> list:
+def _drive(
+    deployment: Deployment, start: int, stop: int, queries=(QUERY,)
+) -> list:
     """Tick every member through [start, stop); query every 4 ticks."""
     observed = []
     for t in range(start, stop):
         for index, name in enumerate(deployment.owners):
             deployment.receive(name, t, _update_for(index, t))
         if t % 4 == 0:
-            observation = deployment.query(QUERY, time=t)
-            observed.append(
-                (t, observation.answer, observation.l1_error, observation.qet_seconds)
-            )
+            for query in queries:
+                observation = deployment.query(query, time=t)
+                observed.append(
+                    (
+                        t,
+                        observation.answer,
+                        observation.l1_error,
+                        observation.qet_seconds,
+                    )
+                )
     return observed
+
+
+def _true_answers(observations) -> list:
+    return [(o.time, o.query_name, o.true_answer) for o in observations]
 
 
 def _transcripts(deployment: Deployment):
@@ -215,6 +242,73 @@ def test_a_deployment_saved_with_a_scratch_directory_resumes(tmp_path):
         assert _drive(restored, 9, 17) == _drive(twin, 9, 17)
         assert _transcripts(restored) == _transcripts(twin)
         assert not scratch.exists()
+    finally:
+        restored.close()
+        twin.close()
+
+
+def test_a_deployment_store_holds_no_truth_and_restore_rebuilds_it(tmp_path):
+    """The incremental truth is derived from the owners' logical tables:
+    ``save`` writes no ``truth.pkl``, and ``restore`` rebuilds the truth (only
+    for a deployment that had one), whose answers match the twin's."""
+    twin = _build_deployment("serial", IncrementalTruth())
+    saved = _build_deployment("serial", IncrementalTruth())
+    plain = _build_deployment("serial")
+    try:
+        queries = (QUERY, GROUPS)
+        assert _drive(saved, 1, 9, queries) == _drive(twin, 1, 9, queries)
+        _drive(plain, 1, 9)
+        manifest = saved.save(tmp_path / "snap")
+        plain_manifest = plain.save(tmp_path / "plain")
+    finally:
+        saved.close()
+        plain.close()
+    for written in (manifest, plain_manifest):
+        assert "truth.pkl" not in written["blobs"]
+
+    restored = Deployment.restore(tmp_path / "snap")
+    try:
+        assert restored.truth_source is not None
+        assert _drive(restored, 9, 17, queries) == _drive(twin, 9, 17, queries)
+        assert restored.truth_source.covers(GROUPS)
+        assert _true_answers(restored.analyst.observations) == _true_answers(
+            twin.analyst.observations
+        )
+    finally:
+        restored.close()
+        twin.close()
+    restored_plain = Deployment.restore(tmp_path / "plain")
+    try:
+        assert restored_plain.truth_source is None
+    finally:
+        restored_plain.close()
+
+
+def test_a_store_written_with_a_truth_blob_restores_without_reading_it(tmp_path):
+    """A store written before the truth was derived holds a ``truth.pkl``
+    and no ``truth`` manifest field: it restores, the blob is never
+    unpickled, and the rebuilt truth answers like the twin's."""
+    twin = _build_deployment("serial", IncrementalTruth())
+    saved = _build_deployment("serial", IncrementalTruth())
+    try:
+        assert _drive(saved, 1, 9) == _drive(twin, 1, 9)
+        meta, blobs = saved.snapshot_blobs()
+    finally:
+        saved.close()
+    del meta["truth"]
+    store = EncryptedStore(tmp_path / "old")
+    for name, data in blobs.items():
+        store.write_blob(name, data)
+    store.write_blob("truth.pkl", b"not a pickle")
+    store.commit({"kind": "deployment", **meta, "table_sources": []})
+
+    restored = Deployment.restore(tmp_path / "old")
+    try:
+        assert restored.truth_source is not None
+        assert _drive(restored, 9, 17) == _drive(twin, 9, 17)
+        assert _true_answers(restored.analyst.observations) == _true_answers(
+            twin.analyst.observations
+        )
     finally:
         restored.close()
         twin.close()
@@ -362,6 +456,7 @@ def test_simulator_crash_resume_matches_twin_including_per_shard(tmp_path):
                 tuple(ctx.edb.update_history),
                 ctx.edb.per_shard_observables(),
             )
+            captured["truth"] = _true_answers(ctx.analyst.observations)
             Simulation._close_edb(ctx)
 
     def build():
@@ -389,6 +484,7 @@ def test_simulator_crash_resume_matches_twin_including_per_shard(tmp_path):
 
     reference = build().run()
     reference_transcripts = captured.pop("transcripts")
+    reference_truth = captured.pop("truth")
 
     class _Crash(RuntimeError):
         pass
@@ -409,11 +505,16 @@ def test_simulator_crash_resume_matches_twin_including_per_shard(tmp_path):
             build().run(persist_dir=persist_dir)
     finally:
         Simulation._persist = original
-    captured.pop("transcripts", None)
+    captured.clear()
+    # The truth is rebuilt from the owners' logical tables, never stored.
+    snapshot = SnapshotStore(persist_dir).load_latest()
+    assert "owners.pkl" in snapshot.blob_names()
+    assert "truth.pkl" not in snapshot.blob_names()
 
     resumed = build().run(persist_dir=persist_dir)
     assert resumed.to_dict() == reference.to_dict()
     assert captured.pop("transcripts") == reference_transcripts
+    assert captured.pop("truth") == reference_truth
     assert not persist_dir.exists()  # cleared on success
 
 

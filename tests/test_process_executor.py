@@ -207,6 +207,30 @@ def test_close_is_idempotent_and_unlinks_segments():
         assert not process.is_alive()
 
 
+def test_a_forked_child_closing_an_inherited_router_spares_the_parents_workers():
+    """A process forked after the router was built inherits a copy of it.
+    Closing that copy (explicitly, or through the router's finalizer when
+    the child's GC collects it) exits cleanly and sends nothing down the
+    parent's pipes: the parent's router still answers."""
+    router = _process_router(n_shards=2)
+    try:
+        router.setup(_records(20))
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the forked child
+            code = 1
+            try:
+                router.close()
+                code = 0
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        query = CountQuery(table="events", label="Q1")
+        assert router.query(query, time=2).answer == 20
+    finally:
+        router.close()
+
+
 def test_single_cpu_footgun_warns_once(monkeypatch, caplog):
     """The process executor on a 1-CPU host warns exactly once; the serial
     loop never does."""
