@@ -20,10 +20,10 @@ The base class handles the bookkeeping that is common to every atomic EDB:
   observable -- tests enable it to check the indistinguishability contract);
 * an update-history transcript (time, volume) which is exactly the
   update-pattern leakage DP-Sync reasons about;
-* per-table plaintext mirrors over which the "enclave side" of the query
-  protocol is evaluated by the vectorized
-  :class:`~repro.query.columnar.ColumnarExecutor` (which falls back to the
-  row interpreter outside its fragment);
+* per-table plaintext columns over which the "enclave side" of the query
+  protocol is evaluated by the
+  :class:`~repro.query.columnar.ColumnarExecutor`, the EDB's one plaintext
+  copy of its records;
 * cost-model charging for Setup/Update/Query.
 """
 

@@ -90,15 +90,18 @@ __all__ = [
     "restore_edb",
 ]
 
-#: On-disk format version stamped into every manifest.  Version 8: every
-#: generation is full (a manifest carries no ``parent`` key) and the update
-#: history pickles as plain tuples; records and sealed blobs are AES-256-GCM
+#: On-disk format version stamped into every manifest.  Version 9: an EDB
+#: state's executor carries each table once, as columns (value lists,
+#: arrival times and dummy flags), with no ``Record`` rows and no NumPy
+#: buffers.  As in version 8, every generation is full (a manifest carries no
+#: ``parent`` key) and the update history pickles as plain tuples; as in
+#: earlier versions, records and sealed blobs are AES-256-GCM
 #: (284-byte arena rows), ciphertexts live only in arenas, every shard is
 #: flat and append-only (no ORAM position maps), only a Crypt-epsilon
 #: shard's state carries an RNG, and no generation carries maintained-view
 #: state, view queries or the executor's plan cache.  Stores of earlier
 #: versions are refused rather than misread.
-STORE_VERSION: int = 8
+STORE_VERSION: int = 9
 
 #: Random salt length for the at-rest key derivation.
 SALT_SIZE: int = 32

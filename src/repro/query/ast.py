@@ -354,7 +354,8 @@ class MultiJoinCountQuery(Query):
         # Left-deep cascade of binary joins, each probing the first table's
         # key attribute (which the hash join preserves on the merged row), so
         # the row interpreter computes the star-join count without multi-way
-        # machinery.  The columnar executor falls back to this plan too.
+        # machinery.  The columnar executor reads the cascade as a star and
+        # folds per-side key counts instead.
         plan: PlanNode = FilterNode(
             ScanNode(self.join_tables[0]), self.predicates[0]
         )
@@ -376,9 +377,10 @@ class WindowedCountQuery(Query):
     ``arrival_time`` lies in the current window.  ``mode="sliding"`` uses the
     trailing window ``(t - window, t]``; ``mode="tumbling"`` aligns windows to
     the fixed grid ``((k-1) * window, k * window]`` and counts the one
-    containing ``t`` up to ``t`` itself.  The EDB answers it with a rescan of
-    the rows; the analyst's ground truth keeps a ring buffer of per-tick
-    bucket sums.
+    containing ``t`` up to ``t`` itself.  The EDB and the analyst's ground
+    truth, both a :class:`~repro.query.columnar.ColumnarExecutor`, answer it
+    with one mask over the table's arrival column; the row interpreter loops
+    over the rows.
     """
 
     table: str

@@ -1,56 +1,60 @@
-"""Vectorized (columnar) query execution -- the EDB fast path.
+"""Columnar query execution -- the EDB's query path and its one plaintext copy.
 
-The row-at-a-time :class:`~repro.query.executor.PlaintextExecutor` evaluates
-predicates with one Python call per record, which dominates end-to-end cost
-on Figure-2-scale runs (oblivious operators touch *every* outsourced record
-on *every* query).  :class:`ColumnarExecutor` keeps, next to the row mirror,
-one NumPy column per attribute plus an ``is_dummy`` column, and one small
-aggregate state per lowered plan for the paper's three query shapes:
+:class:`ColumnarExecutor` keeps each table as columns: one Python list per
+attribute holding the original value objects (``None`` where a row lacks
+the attribute, as :meth:`Record.get <repro.edb.records.Record.get>` reads
+it), the rows' arrival times and their dummy flags.  It keeps no
+:class:`~repro.edb.records.Record`.  NumPy copies of a list are derived on
+read, and only for lists whose values are all ``bool``, all ``int`` or all
+``float``; a predicate over any other column is evaluated per value.
 
-* ``COUNT(*) WHERE p``                  -- rows seen and the count (a
-  modulo count is this count, reduced by its query);
+Every query shape is answered from these columns, with one small aggregate
+state per lowered plan:
+
+* ``COUNT(*) WHERE p`` -- rows seen and the count (a modulo count is this
+  count, reduced by its query);
 * ``SELECT g, COUNT(*) ... GROUP BY g`` -- rows seen and a ``Counter`` of
-  the groups, which lists them in first-appearance order, so the answer dict
-  is *identical* (including iteration order, which the L-DP back-end's noise
-  draws depend on) to the row executor's ``Counter``;
-* ``COUNT(*)`` of an equi-join          -- per side the rows seen, a key
-  histogram and the filtered size, plus the running pair count.
+  the groups;
+* ``COUNT(*)`` of a binary or star equi-join -- per side the rows seen, a
+  key ``Counter`` and the filtered size, plus the star count of every
+  prefix of the sides.
 
 Tables only grow between queries, so a query evaluates its plan's
 predicates over the rows appended since the plan last ran (the *tail*) and
 folds them in: a count adds the tail's matches, a group-by counts the
-tail's keys, and a join adds ``ΔL·R' + L·ΔR`` (the insert delta of FO+MOD
-maintenance, Berkholz et al., PAPERS.md), which keeps self-joins exact.  A
-plan's first run folds the whole table.  A repeated query therefore costs
-O(rows since it last ran), while its :class:`ExecutionStats` still report
-the whole oblivious scan, and the cost model still charges it.  These folds
-are the system's only incremental state: nothing is maintained on Update,
-and the analyst's ground truth
-(:class:`~repro.query.incremental.IncrementalTruth`) is one more executor
-over the owners' logical tables.
+tail's keys, and a join side's new key adds the product of the other
+sides' counts at that key (the insert delta of FO+MOD maintenance,
+Berkholz et al., PAPERS.md), which keeps self-joins exact.  A plan's first
+run folds the whole table, so a repeated query costs O(rows since it last
+ran), while its :class:`~repro.query.executor.ExecutionStats` still report
+the whole oblivious scan.  A windowed count masks the arrival column of the
+whole table.
 
-A state starts over from row 0 when a column of a table it reads changes
-dtype (``_consolidate``'s ``astype`` promotion), and :meth:`register` drops
-every state.  States are derived: they are never pickled (nor is the
-lowered-plan cache), so no snapshot generation carries them, and a restored
-executor rebuilds each on its plan's first query.  A plan that cannot be
-hashed folds from row 0 on every run.
+Group and join keys are the stored value objects themselves, so key types,
+first-appearance order and NaN identity (the row interpreter's dicts tell
+NaN objects apart by identity) are exactly the row interpreter's, and
+answers and stats are those of
+:class:`~repro.query.executor.PlaintextExecutor` over the same records,
+which ``tests/test_edb_differential.py`` pins.  One difference is not an
+answer: a predicate that raises on some value (a string against a numeric
+range) raises here for any row of the tail, where the row interpreter
+raises only for the rows its short-circuiting reaches.
 
-Plans or predicates outside this fragment -- columns that are not plain
-numeric arrays, NaN group or join keys, unknown attributes of a non-empty
-table, star joins -- transparently fall back to the inherited row
-interpreter, and windowed counts keep its row loop, so answers and
-:class:`~repro.query.executor.ExecutionStats` are always bit-identical to
-the reference executor; only the constant factor changes.  The differential
-suite (``tests/test_edb_differential.py``) pins exactly that contract.
+Aggregate states and lowered plans are derived: they are never pickled, so
+no snapshot generation carries them, and a restored executor rebuilds each
+on its plan's first query.  A plan that cannot be hashed folds from row 0
+on every run.  These folds are the system's only incremental state: the
+analyst's ground truth (:class:`~repro.query.incremental.IncrementalTruth`)
+is one more executor over the owners' logical tables.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Iterable
+from itertools import compress, repeat
+from operator import mul, not_
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -61,9 +65,11 @@ from repro.query.ast import (
     GroupByCountNode,
     JoinNode,
     PlanNode,
+    Query,
     ScanNode,
+    WindowedCountQuery,
 )
-from repro.query.executor import Answer, ExecutionStats, PlaintextExecutor
+from repro.query.executor import Answer, ExecutionStats, lowered_plan
 from repro.query.predicates import (
     AndPredicate,
     EqualityPredicate,
@@ -77,324 +83,272 @@ from repro.query.predicates import (
 
 __all__ = ["ColumnarExecutor"]
 
-
-class _Unsupported(Exception):
-    """Internal signal: this plan/predicate/column needs the row fallback."""
+#: The value types a column may hold for a NumPy copy, and its dtype.
+_DTYPES = {bool: np.dtype(bool), int: np.dtype(np.int64), float: np.dtype(np.float64)}
 
 
 @dataclass
 class _ColumnarTable:
-    """Per-table column store maintained next to the row mirror.
+    """One table's columns, the server's plaintext copy of its records.
 
-    Attribute values are accumulated in plain lists on append (O(1) per
-    record) and consolidated into NumPy arrays lazily, on the first query
-    after a change -- flushes between query times therefore pay nothing.
-    Tables whose records disagree on their attribute set degrade to the row
-    fallback (``uniform`` is cleared) rather than guessing at missing values.
+    Appends are O(1) a record; the NumPy copies (``_derived``, each with the
+    row count it covers) are extended on the first read after a change, so
+    flushes between query times pay nothing for them.  Only the lists are
+    pickled.
     """
 
-    attributes: tuple[str, ...] | None = None
-    values: dict[str, list] = field(default_factory=dict)
+    columns: dict[str, list] = field(default_factory=dict)
+    arrivals: list = field(default_factory=list)
     dummies: list = field(default_factory=list)
-    uniform: bool = True
-    _buffers: dict[str, np.ndarray] = field(default_factory=dict)
-    _kinds: dict[str, set] = field(default_factory=dict)
-    _dummy_buffer: np.ndarray | None = None
-    _built: int = 0
+    _derived: dict[object, tuple[np.ndarray | None, int]] = field(default_factory=dict)
+
+    def __getstate__(self) -> dict:
+        return {"columns": self.columns, "arrivals": self.arrivals, "dummies": self.dummies}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._derived = {}
 
     def append(self, records: Iterable[Record]) -> int:
         """Append ``records`` in one pass; return how many are dummies."""
+        columns, arrivals, flags = self.columns, self.arrivals, self.dummies
         dummies = 0
         for record in records:
             row = record.values
-            if self.attributes is None:
-                self.attributes = tuple(row)
-                self.values = {attr: [] for attr in self.attributes}
-            if self.uniform and len(row) == len(self.attributes):
-                try:
-                    for attr in self.attributes:
-                        self.values[attr].append(row[attr])
-                except KeyError:
-                    self.uniform = False
+            if row.keys() == columns.keys():
+                for attribute, column in columns.items():
+                    column.append(row[attribute])
             else:
-                self.uniform = False
+                for attribute in row:
+                    if attribute not in columns:
+                        columns[attribute] = [None] * len(flags)
+                for attribute, column in columns.items():
+                    column.append(row.get(attribute))
+            arrivals.append(record.arrival_time)
+            flags.append(record.is_dummy)
             if record.is_dummy:
                 dummies += 1
-            self.dummies.append(record.is_dummy)
         return dummies
 
     def __len__(self) -> int:
         return len(self.dummies)
 
-    def _consolidate(self) -> None:
-        """Convert only the tail appended since the last query into buffers.
+    def column(self, attribute: str) -> list:
+        """The values of ``attribute``, one a row (``None`` for every row
+        when no row has it)."""
+        column = self.columns.get(attribute)
+        return [None] * len(self) if column is None else column
 
-        Buffers grow geometrically and are filled in place, so consolidation
-        over a whole run is O(total records), not O(records x query times).
-        A tail whose dtype does not match the buffer (e.g. floats arriving in
-        an int column) promotes the buffer via one ``astype`` copy.
-        """
-        size = len(self.dummies)
-        if self._built == size:
-            return
-        start = self._built
-        for attr, column in self.values.items():
-            self._kinds.setdefault(attr, set()).update(map(type, column[start:size]))
-            tail = np.asarray(column[start:size])
-            if tail.ndim != 1:
-                tail = np.empty(size - start, dtype=object)
-                tail[:] = column[start:size]
-            buffer = self._buffers.get(attr)
-            if buffer is None:
-                buffer = np.empty(max(size, 16), dtype=tail.dtype)
-            else:
-                merged = np.result_type(buffer.dtype, tail.dtype)
-                if merged != buffer.dtype:
-                    buffer = buffer.astype(merged)
-                if size > buffer.size:
-                    grown = np.empty(max(size, 2 * buffer.size), dtype=buffer.dtype)
-                    grown[:start] = buffer[:start]
-                    buffer = grown
-            buffer[start:size] = tail
-            self._buffers[attr] = buffer
-        dummy = self._dummy_buffer
-        if dummy is None:
-            dummy = np.empty(max(size, 16), dtype=bool)
-        elif size > dummy.size:
-            grown = np.empty(max(size, 2 * dummy.size), dtype=bool)
-            grown[:start] = dummy[:start]
-            dummy = grown
-        dummy[start:size] = self.dummies[start:size]
-        self._dummy_buffer = dummy
-        self._built = size
+    def numeric(self, attribute: str, start: int) -> np.ndarray | None:
+        """NumPy copy of ``attribute``'s values from row ``start`` on, or
+        ``None`` when the column has none."""
+        column = self.columns.get(attribute)
+        return None if column is None else self.array(attribute, column, start)
 
-    def signature(self) -> tuple | None:
-        """The column dtypes, after consolidating: a fold over this table
-        stays valid while they hold (``None`` once rows are non-uniform)."""
-        if not self.uniform:
-            return None
-        self._consolidate()
-        return tuple(buffer.dtype for buffer in self._buffers.values())
-
-    def column(self, attribute: str, start: int = 0) -> np.ndarray:
-        """Numeric column for ``attribute`` from row ``start`` on (raises
-        ``_Unsupported`` otherwise).  A table with no rows yet reads as an
-        empty column under any attribute."""
-        if not self.uniform:
-            raise _Unsupported(f"non-uniform table rows for {attribute!r}")
-        self._consolidate()
-        buffer = self._buffers.get(attribute)
-        if buffer is None:
-            if self._built:
-                raise _Unsupported(f"unknown attribute {attribute!r}")
-            return np.empty(0)
-        if buffer.dtype.kind not in "biuf":
-            raise _Unsupported(f"non-numeric column {attribute!r} ({buffer.dtype})")
-        return buffer[start : self._built]
-
-    def group_column(self, attribute: str, start: int = 0) -> np.ndarray:
-        """Column usable as *group keys*: stricter than :meth:`column`.
-
-        ``.tolist()`` on an int64/float64 array yields Python ``int``/
-        ``float`` keys; that reproduces the row executor's key objects only
-        when the source values were homogeneously integral or homogeneously
-        floating.  A column that mixes the two (``2`` and ``3.5``) would
-        promote ``2`` to ``2.0`` -- equal under ``==`` but different under
-        JSON serialization -- so mixed columns take the row fallback.
-        """
-        array = self.column(attribute, start)
-        kinds = self._kinds.get(attribute, set())
-        homogeneous = (
-            all(k is bool or issubclass(k, np.bool_) for k in kinds)
-            or all(
-                k is not bool and issubclass(k, (int, np.integer)) for k in kinds
-            )
-            or all(issubclass(k, (float, np.floating)) for k in kinds)
-        )
-        if not homogeneous:
-            raise _Unsupported(f"mixed-type group column {attribute!r}")
-        return array
-
-    def dummy_mask(self, start: int = 0) -> np.ndarray:
-        if not self.uniform:
-            raise _Unsupported("non-uniform table rows")
-        self._consolidate()
-        if self._dummy_buffer is None:
-            return np.zeros(0, dtype=bool)
-        return self._dummy_buffer[start : self._built]
+    def array(self, key: object, values: list, start: int) -> np.ndarray | None:
+        """NumPy copy of ``values[start:]``, kept under ``key``; ``None``
+        once ``values`` holds a value not of the one type (``bool``, ``int``
+        or ``float``) of all the others, or an int beyond 64 bits."""
+        size = len(values)
+        array, built = self._derived.get(key, (None, 0))
+        if built < size and (array is not None or not built):
+            array = _extended(array, built, values[built:])
+            self._derived[key] = (array, size)
+        return None if array is None else array[start:size]
 
 
-#: What a read sees of a table never written: reads never change an empty
-#: store (consolidating zero rows is a no-op), so one instance serves all.
+def _extended(array: np.ndarray | None, built: int, tail: list) -> np.ndarray | None:
+    """``array`` (``built`` rows) extended by ``tail`` in capacity-doubling
+    storage, or ``None`` when ``tail`` has no exact NumPy copy of its dtype."""
+    kinds = set(map(type, tail))
+    dtype = _DTYPES.get(kinds.pop()) if len(kinds) == 1 else None
+    if dtype is None or (array is not None and array.dtype != dtype):
+        return None
+    try:
+        converted = np.array(tail, dtype=dtype)
+    except OverflowError:
+        return None
+    size = built + len(tail)
+    if array is None or size > array.size:
+        grown = np.empty(max(size, 16, 2 * built), dtype=dtype)
+        if array is not None:
+            grown[:built] = array[:built]
+        array = grown
+    array[built:size] = converted
+    return array
+
+
+#: What a read sees of a table never written: reads of an empty store change
+#: nothing, so one instance serves all.
 _EMPTY_TABLE = _ColumnarTable()
+
+#: Cache keys of the arrival and dummy columns, apart from attribute names.
+_ARRIVALS, _DUMMIES = object(), object()
 
 
 @dataclass
 class _Fold:
     """One plan's aggregate over the rows it has folded in so far.
 
-    ``signature`` holds its source tables' :meth:`_ColumnarTable.signature`
-    and ``rows`` how many rows of each it has folded.  ``total`` is a
-    count's answer (matching rows, or join pairs); ``counts`` holds a
-    group-by's per-group counts, or each join side's key histogram, and
-    ``sizes`` each join side's filtered row count.
+    ``rows`` holds how many rows of each source it has folded.  ``total``
+    is a count's answer; ``counts`` holds a group-by's per-group counts, or
+    each join side's key counts, ``sizes`` each join side's filtered row
+    count and ``stars[m - 1]`` the star count of sides ``0..m``.
     """
 
-    signature: tuple
-    rows: tuple[int, ...]
+    rows: list[int]
     total: int = 0
-    counts: tuple[Counter, Counter] = field(
-        default_factory=lambda: (Counter(), Counter())
-    )
-    sizes: tuple[int, int] = (0, 0)
+    counts: list[Counter] = field(default_factory=list)
+    sizes: list[int] = field(default_factory=list)
+    stars: list[int] = field(default_factory=list)
+
+    @classmethod
+    def over(cls, sources: int) -> "_Fold":
+        return cls(
+            [0] * sources,
+            counts=[Counter() for _ in range(sources)],
+            sizes=[0] * sources,
+            stars=[0] * (sources - 1),
+        )
 
 
-class ColumnarExecutor(PlaintextExecutor):
-    """Drop-in :class:`PlaintextExecutor` with vectorized aggregate paths.
+class ColumnarExecutor:
+    """Answers every query shape from per-table columns, folding each
+    plan's aggregate over the rows appended since it last ran."""
 
-    The row mirror (``self.tables``) is still maintained, so any plan the
-    vectorized fragment does not cover is interpreted by the parent class
-    over exactly the same data.
-    """
-
-    def __init__(self, tables: dict[str, list[Record]] | None = None) -> None:
-        super().__init__(tables or {})
+    def __init__(self) -> None:
         self._columnar: dict[str, _ColumnarTable] = {}
         self._folds: dict[PlanNode, _Fold] = {}
-        for table, rows in self.tables.items():
-            store = self._columnar[table] = _ColumnarTable()
-            store.append(rows)
+        self._plan_cache: dict[tuple[Query, bool], PlanNode] = {}
 
     def __getstate__(self) -> dict:
         # Fold states and lowered plans are derived: no snapshot carries
         # them, and a restored executor rebuilds each on its first query.
-        state = dict(self.__dict__)
-        del state["_folds"], state["_plan_cache"]
-        return state
+        return {"_columnar": self._columnar}
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
+        self._columnar = state["_columnar"]
         self._folds = {}
         self._plan_cache = {}
 
-    # -- ingestion ----------------------------------------------------------
-
-    def register(self, table: str, records: Iterable[Record]) -> None:
-        rows = list(records)
-        super().register(table, rows)
-        store = self._columnar[table] = _ColumnarTable()
-        store.append(rows)
-        self._folds.clear()
-
     def append(self, table: str, records: Iterable[Record]) -> int:
-        rows = list(records)
-        self.tables.setdefault(table, []).extend(rows)
-        return self._writable_store(table).append(rows)
+        """Append records to ``table`` (creating it); return the dummy count."""
+        store = self._columnar.get(table)
+        if store is None:
+            store = self._columnar[table] = _ColumnarTable()
+        return store.append(records)
 
     # -- execution ----------------------------------------------------------
 
+    def execute(self, query: Query, rewrite: bool = False, time: int = 0) -> Answer:
+        """Execute ``query``, optionally applying dummy-aware rewriting."""
+        return self.execute_with_stats(query, rewrite, time)[0]
+
+    def execute_with_stats(
+        self, query: Query, rewrite: bool = False, time: int = 0
+    ) -> tuple[Answer, ExecutionStats]:
+        """Execute ``query`` and return the answer plus work counters
+        (``time`` is read by windowed queries only)."""
+        if isinstance(query, WindowedCountQuery):
+            return self._execute_windowed(query, rewrite, time)
+        answer, stats = self.execute_plan(lowered_plan(query, rewrite, self._plan_cache))
+        return query.finalize_answer(answer), stats
+
     def execute_plan(self, plan: PlanNode) -> tuple[Answer, ExecutionStats]:
-        """Vectorized interpretation, with row fallback outside the fragment."""
-        try:
-            return self._vector_plan(plan)
-        except _Unsupported:
-            return super().execute_plan(plan)
-
-    # -- vectorized fragment -------------------------------------------------
-
-    def _vector_plan(self, plan: PlanNode) -> tuple[Answer, ExecutionStats]:
-        stats = ExecutionStats()
+        """Answer a count, group-by count or join count plan."""
+        if isinstance(plan, CountNode) and isinstance(plan.child, JoinNode):
+            return self._join_count(plan, _star_sides(plan.child))
         if isinstance(plan, CountNode):
-            child = plan.child
-            if isinstance(child, JoinNode):
-                answer = self._join_count(plan, child, stats)
-            else:
-                table = _table_of(child)
-                store = self._store(table)
-                fold = self._fold(plan, store)
-                start = fold.rows[0]
-                mask = self._source(child, store, start)
-                size = len(store)
-                fold.total += (
-                    size - start if mask is None else int(np.count_nonzero(mask))
-                )
-                fold.rows = (size,)
-                stats.rows_scanned += self._table_len(table)
-                answer = fold.total
-            stats.rows_output = answer
-            return answer, stats
+            store = self._store(_table_of(plan.child))
+            fold = self._fold(plan, 1)
+            start, size = fold.rows[0], len(store)
+            mask = self._source(plan.child, store, start)
+            fold.total += size - start if mask is None else int(np.count_nonzero(mask))
+            fold.rows[0] = size
+            return fold.total, ExecutionStats(rows_scanned=size, rows_output=fold.total)
         if isinstance(plan, GroupByCountNode):
-            table = _table_of(plan.child)
-            store = self._store(table)
-            fold = self._fold(plan, store)
-            keys = self._keys(
-                plan.child, plan.group_attribute, store, fold.rows[0], group=True
-            )
+            store = self._store(_table_of(plan.child))
+            fold = self._fold(plan, 1)
             groups = fold.counts[0]
-            groups.update(keys.tolist())
-            fold.rows = (len(store),)
-            stats.rows_scanned += self._table_len(table)
-            return dict(groups), stats
-        raise _Unsupported(f"plan shape {type(plan).__name__}")
+            groups.update(self._keys(plan.child, plan.group_attribute, store, fold.rows[0]))
+            fold.rows[0] = len(store)
+            return dict(groups), ExecutionStats(rows_scanned=len(store))
+        raise TypeError(f"no columnar answer for plan {type(plan).__name__}")
 
-    def _join_count(self, plan: CountNode, join: JoinNode, stats: ExecutionStats) -> int:
-        left_table, right_table = _table_of(join.left), _table_of(join.right)
-        left, right = self._store(left_table), self._store(right_table)
-        fold = self._fold(plan, left, right)
-        left_start, right_start = fold.rows
-        left_tail = self._keys(join.left, join.left_attribute, left, left_start)
-        right_tail = self._keys(join.right, join.right_attribute, right, right_start)
-        # The join's insert delta is L·ΔR + ΔL·R', with R' = R + ΔR: exact
-        # when both sides grow, self-joins included.
-        left_tail, right_tail = left_tail.tolist(), right_tail.tolist()
-        left_counts, right_counts = fold.counts
-        fold.total += sum(map(left_counts.get, right_tail, repeat(0)))
-        right_counts.update(right_tail)
-        fold.total += sum(map(right_counts.get, left_tail, repeat(0)))
-        left_counts.update(left_tail)
-        fold.rows = (len(left), len(right))
-        fold.sizes = (
-            fold.sizes[0] + len(left_tail),
-            fold.sizes[1] + len(right_tail),
+    def _join_count(
+        self, plan: CountNode, sides: list[tuple[PlanNode, str]]
+    ) -> tuple[int, ExecutionStats]:
+        """A binary or star join count: each side's new keys fold into the
+        star count of every prefix of the sides, which is also what the
+        row plan's cascade of binary joins counts at each step."""
+        fold = self._fold(plan, len(sides))
+        stores = [self._store(_table_of(source)) for source, _ in sides]
+        tails = []
+        for side, ((source, attribute), store) in enumerate(zip(sides, stores)):
+            tail = self._keys(source, attribute, store, fold.rows[side])
+            fold.rows[side] = len(store)
+            fold.sizes[side] += len(tail)
+            tails.append(tail)
+        counts, stars = fold.counts, fold.stars
+        for side, tail in enumerate(tails):
+            # A key new on ``side`` adds, to the star count of every prefix
+            # holding that side, the product of the prefix's other sides'
+            # counts at the key; the sides before it already hold their tails.
+            weights: list[int] | None = None
+            for other, other_counts in enumerate(counts):
+                if other != side:
+                    hits = map(other_counts.get, tail, repeat(0))
+                    weights = list(hits) if weights is None else list(map(mul, weights, hits))
+                if other >= side and other:
+                    stars[other - 1] += sum(weights)
+            counts[side].update(tail)
+        sizes = fold.sizes
+        pairs = sizes[0] * sizes[1] + sum(map(mul, stars, sizes[2:]))
+        stats = ExecutionStats(
+            rows_scanned=sum(map(len, stores)), rows_output=stars[-1], join_pairs=pairs
         )
-        stats.rows_scanned += self._table_len(left_table) + self._table_len(right_table)
-        stats.join_pairs += fold.sizes[0] * fold.sizes[1]
-        return fold.total
+        return stars[-1], stats
 
-    def _fold(self, plan: PlanNode, *stores: _ColumnarTable) -> _Fold:
-        """``plan``'s aggregate state over ``stores``, started over when a
-        store's column dtypes changed since it was last extended."""
-        signature = tuple(store.signature() for store in stores)
+    def _execute_windowed(
+        self, query: WindowedCountQuery, rewrite: bool, time: int
+    ) -> tuple[int, ExecutionStats]:
+        """A windowed count: a mask over the whole arrival column."""
+        store = self._store(query.table)
+        low, high = query.window_bounds(time)
+        arrivals = store.array(_ARRIVALS, store.arrivals, 0)
+        mask = _compare(
+            arrivals, (low, high), lambda column: (column > low) & (column <= high),
+            lambda arrival: low < arrival <= high, store.arrivals, 0,
+        )
+        predicate = self._mask(query.predicate, store, 0)
+        if predicate is not None:
+            mask &= predicate
+        if rewrite:
+            mask &= self._mask(NotDummyPredicate(), store, 0)
+        count = int(np.count_nonzero(mask))
+        return count, ExecutionStats(rows_scanned=len(store), rows_output=count)
+
+    # -- folds and masks -----------------------------------------------------
+
+    def _fold(self, plan: PlanNode, sources: int) -> _Fold:
+        """``plan``'s aggregate state over its ``sources`` tables."""
         try:
             fold = self._folds.get(plan)
         except TypeError:
             # A plan holding unhashable predicate values keeps no state.
-            return _Fold(signature, (0,) * len(stores))
-        if fold is None or fold.signature != signature:
-            fold = self._folds[plan] = _Fold(signature, (0,) * len(stores))
+            return _Fold.over(sources)
+        if fold is None:
+            fold = self._folds[plan] = _Fold.over(sources)
         return fold
 
     def _keys(
-        self,
-        plan: PlanNode,
-        attribute: str,
-        store: _ColumnarTable,
-        start: int,
-        *,
-        group: bool = False,
-    ) -> np.ndarray:
-        """Key column ``attribute`` of the rows from ``start`` on that
-        ``plan``'s filters keep (checked as group keys with ``group``)."""
+        self, plan: PlanNode, attribute: str, store: _ColumnarTable, start: int
+    ) -> list:
+        """The stored ``attribute`` values of the rows from ``start`` on that
+        ``plan``'s filters keep."""
+        values = store.column(attribute)[start:]
         mask = self._source(plan, store, start)
-        keys = (store.group_column if group else store.column)(attribute, start)
-        if mask is not None:
-            keys = keys[mask]
-        if keys.dtype.kind == "f" and np.isnan(keys).any():
-            # The row executor's dicts match NaN keys by object identity
-            # (NaN != NaN): rows sharing one NaN object form one group, and a
-            # row's NaN joins itself.  Only the fallback reads those objects.
-            raise _Unsupported(f"NaN keys in column {attribute!r}")
-        return keys
+        return values if mask is None else list(compress(values, mask.tolist()))
 
     def _source(
         self, plan: PlanNode, store: _ColumnarTable, start: int
@@ -411,22 +365,12 @@ class ColumnarExecutor(PlaintextExecutor):
             if mask is not None:
                 predicate_mask = mask & predicate_mask
             return predicate_mask
-        raise _Unsupported(f"source shape {type(plan).__name__}")
+        raise TypeError(f"no columnar answer for source {type(plan).__name__}")
 
     def _store(self, table: str) -> _ColumnarTable:
         """``table``'s column store for a read: a table nothing was written
         to reads as the shared empty view and is not created."""
         return self._columnar.get(table, _EMPTY_TABLE)
-
-    def _writable_store(self, table: str) -> _ColumnarTable:
-        """``table``'s column store for a write, created on the first."""
-        store = self._columnar.get(table)
-        if store is None:
-            store = self._columnar[table] = _ColumnarTable()
-        return store
-
-    def _table_len(self, table: str) -> int:
-        return len(self.tables.get(table, ()))
 
     def _mask(
         self, predicate: Predicate, store: _ColumnarTable, start: int
@@ -436,17 +380,23 @@ class ColumnarExecutor(PlaintextExecutor):
         if isinstance(predicate, TruePredicate):
             return None
         if isinstance(predicate, NotDummyPredicate):
-            return ~store.dummy_mask(start)
+            flags = store.array(_DUMMIES, store.dummies, start)
+            return _compare(flags, (), np.logical_not, not_, store.dummies, start)
         if isinstance(predicate, RangePredicate):
-            column = store.column(predicate.attribute, start)
-            return (column >= predicate.low) & (column <= predicate.high)
+            low, high = predicate.low, predicate.high
+            return _compare(
+                store.numeric(predicate.attribute, start), (low, high),
+                lambda column: (column >= low) & (column <= high),
+                lambda value: value is not None and low <= value <= high,
+                store.column(predicate.attribute), start,
+            )
         if isinstance(predicate, EqualityPredicate):
-            column = store.column(predicate.attribute, start)
-            if not isinstance(predicate.value, (int, float, np.number)):
-                # Comparing a numeric column against a non-numeric constant
-                # is row-wise False in the reference executor.
-                return np.zeros(column.size, dtype=bool)
-            return column == predicate.value
+            constant = predicate.value
+            return _compare(
+                store.numeric(predicate.attribute, start), (constant,),
+                lambda column: column == constant, lambda value: value == constant,
+                store.column(predicate.attribute), start,
+            )
         if isinstance(predicate, AndPredicate):
             mask: np.ndarray | None = None
             for child in predicate.children:
@@ -471,7 +421,39 @@ class ColumnarExecutor(PlaintextExecutor):
             if child_mask is None:
                 return np.zeros(len(store) - start, dtype=bool)
             return ~child_mask
-        raise _Unsupported(f"predicate {type(predicate).__name__}")
+        raise TypeError(f"no columnar answer for predicate {type(predicate).__name__}")
+
+
+def _exact(kind: str, *constants: object) -> bool:
+    """Whether NumPy compares a column of dtype ``kind`` with each of
+    ``constants`` exactly as Python compares each stored value with it."""
+    for constant in constants:
+        if type(constant) is int:
+            if not -(2**63) <= constant < 2**63 or (kind == "f" and float(constant) != constant):
+                return False
+        elif type(constant) is float:
+            # An int64 column meets a float in float64, which rounds past 2**53.
+            if kind == "i":
+                return False
+        elif type(constant) is not bool:
+            return False
+    return True
+
+
+def _compare(
+    array: np.ndarray | None,
+    constants: tuple,
+    vectorized: Callable[[np.ndarray], np.ndarray],
+    per_value: Callable[[object], object],
+    values: list,
+    start: int,
+) -> np.ndarray:
+    """Boolean mask of ``values[start:]``: ``vectorized`` over ``array``,
+    their NumPy copy, when it compares exactly with ``constants``, else
+    ``per_value`` of each value."""
+    if array is not None and _exact(array.dtype.kind, *constants):
+        return vectorized(array)
+    return np.fromiter(map(per_value, values[start:]), dtype=bool, count=len(values) - start)
 
 
 def _table_of(plan: PlanNode) -> str:
@@ -480,4 +462,19 @@ def _table_of(plan: PlanNode) -> str:
         plan = plan.child
     if isinstance(plan, ScanNode):
         return plan.table
-    raise _Unsupported(f"source shape {type(plan).__name__}")
+    raise TypeError(f"no columnar answer for source {type(plan).__name__}")
+
+
+def _star_sides(join: JoinNode) -> list[tuple[PlanNode, str]]:
+    """The ``(source, key attribute)`` sides of a left-deep join cascade
+    whose every step probes the first side's key: a star join (a binary
+    join is the one-step case)."""
+    sides = []
+    node: PlanNode = join
+    while isinstance(node, JoinNode):
+        if node.left_attribute != join.left_attribute:
+            raise TypeError("no columnar answer for a join that is not a star")
+        sides.append((node.right, node.right_attribute))
+        node = node.left
+    sides.append((node, join.left_attribute))
+    return sides[::-1]

@@ -1,16 +1,20 @@
 """Plaintext query execution.
 
-The executor serves two roles:
+:class:`PlaintextExecutor` is the row-at-a-time plan interpreter over
+lists of :class:`~repro.edb.records.Record`.  It serves two roles:
 
-1. **Ground truth** -- the analyst's accuracy metric (query error, Section
-   4.5.2) is the L1 distance between the answer over the *logical* database
-   held by the owner and the answer returned by the outsourced database.  The
-   ground-truth side is computed here over plaintext records.
-2. **Enclave-side evaluation** -- the EDB simulators (ObliDB / Crypt-epsilon)
-   evaluate queries over the outsourced records.  In the real systems this
-   happens inside an enclave or under encryption; in the simulator the same
-   plan interpreter runs over the decrypted mirror while the *cost model*
-   charges for the oblivious work.
+1. **Ground truth by rescan** -- the analyst's accuracy metric (query error,
+   Section 4.5.2) is the L1 distance between the answer over the *logical*
+   database held by the owner and the answer returned by the outsourced
+   database.  :func:`ground_truth` computes the former by interpreting the
+   query over plaintext records; the per-tick reference loop
+   (:func:`repro.testing.reference.run_per_tick`) uses it at every query time.
+2. **The oracle of the columnar executor** -- the EDB simulators (ObliDB /
+   Crypt-epsilon) and the analyst's incremental truth answer through
+   :class:`~repro.query.columnar.ColumnarExecutor`, which keeps no rows.
+   Every EDB built under :func:`repro.testing.reference.row_interpreter`
+   answers through this interpreter instead, and every observable must stay
+   identical.  So this module imports nothing of the columnar code.
 
 Answers are either an ``int`` (scalar counts) or a ``dict`` mapping group keys
 to counts.  :func:`answer_l1_distance` computes the L1 error between two
@@ -44,6 +48,7 @@ __all__ = [
     "PlaintextExecutor",
     "execute_plan",
     "ground_truth",
+    "lowered_plan",
     "answer_l1_distance",
 ]
 
@@ -65,10 +70,8 @@ class PlaintextExecutor:
     """Interprets relational plans over named collections of records."""
 
     tables: dict[str, list[Record]] = field(default_factory=dict)
-    #: Lowered/rewritten plans keyed by (query, rewrite): queries are frozen
-    #: dataclasses, so the schedule's repeated issuances share one plan
-    #: instead of re-running the rewriting every query time.  Excluded from
-    #: init/repr/eq -- it is a derived cache, not executor state.
+    #: Lowered/rewritten plans keyed by (query, rewrite) (:func:`lowered_plan`).
+    #: Excluded from init/repr/eq -- it is a derived cache, not executor state.
     _plan_cache: dict[tuple[Query, bool], PlanNode] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -87,19 +90,6 @@ class PlaintextExecutor:
         """Number of rows currently registered for ``table``."""
         return len(self.tables.get(table, []))
 
-    def _plan_for(self, query: Query, rewrite: bool) -> PlanNode:
-        try:
-            plan = self._plan_cache.get((query, rewrite))
-        except TypeError:
-            # Queries holding unhashable predicate values (e.g. a list in an
-            # EqualityPredicate) executed fine before the cache existed; they
-            # simply re-lower every time.
-            return rewrite_for_dummies(query) if rewrite else query.to_plan()
-        if plan is None:
-            plan = rewrite_for_dummies(query) if rewrite else query.to_plan()
-            self._plan_cache[(query, rewrite)] = plan
-        return plan
-
     def execute(self, query: Query, rewrite: bool = False, time: int = 0) -> Answer:
         """Execute ``query``, optionally applying dummy-aware rewriting."""
         answer, _ = self.execute_with_stats(query, rewrite, time=time)
@@ -115,28 +105,12 @@ class PlaintextExecutor:
         """
         if isinstance(query, WindowedCountQuery):
             return self._execute_windowed(query, rewrite, time)
-        answer, stats = self.execute_plan(self._plan_for(query, rewrite))
+        answer, stats = self.execute_plan(lowered_plan(query, rewrite, self._plan_cache))
         return query.finalize_answer(answer), stats
 
-    def execute_rows_with_stats(
-        self, query: Query, rewrite: bool = False, time: int = 0
-    ) -> tuple[Answer, ExecutionStats]:
-        """Execute ``query`` with the row-at-a-time interpreter.
-
-        On subclasses that override :meth:`execute_plan` with a vectorized
-        pass (the columnar executor), this forces the base interpreter over
-        the row mirror instead: the differential oracle for the vectorized
-        path.  Answers and stats are identical either way; only wall clock
-        moves.
-        """
-        if isinstance(query, WindowedCountQuery):
-            # The window oracle is already a row loop; there is no vectorized
-            # variant to force away from.
-            return self._execute_windowed(query, rewrite, time)
-        answer, stats = PlaintextExecutor.execute_plan(
-            self, self._plan_for(query, rewrite)
-        )
-        return query.finalize_answer(answer), stats
+    #: The name ``perfbench/spans.py`` traces as a query-scan boundary; a
+    #: traced run fails on a missing target, so the name stays.
+    execute_rows_with_stats = execute_with_stats
 
     def _execute_windowed(
         self, query: WindowedCountQuery, rewrite: bool, time: int
@@ -255,6 +229,28 @@ class PlaintextExecutor:
             stats.rows_output = len(rows)
             return len(rows)
         raise TypeError(f"unknown plan node type: {type(plan).__name__}")
+
+
+def lowered_plan(
+    query: Query, rewrite: bool, cache: dict[tuple[Query, bool], PlanNode]
+) -> PlanNode:
+    """``query``'s plan, dummy-aware when ``rewrite``, memoized in ``cache``.
+
+    Queries are frozen dataclasses, so the schedule's repeated issuances
+    share one plan instead of re-running the rewriting every query time.
+    A query holding an unhashable predicate value (e.g. a list in an
+    :class:`~repro.query.predicates.EqualityPredicate`) is lowered anew
+    every time.
+    """
+    try:
+        plan = cache.get((query, rewrite))
+    except TypeError:
+        return rewrite_for_dummies(query) if rewrite else query.to_plan()
+    if plan is None:
+        plan = cache[(query, rewrite)] = (
+            rewrite_for_dummies(query) if rewrite else query.to_plan()
+        )
+    return plan
 
 
 def execute_plan(

@@ -11,11 +11,11 @@ synchronization work.
 the truth and the server share one incremental mechanism, the executor's
 tail fold: a repeated query folds in only the rows delivered since it last
 ran, by Berkholz et al.'s FO+MOD insert deltas ("Answering FO+MOD queries
-under updates", PAPERS.md).  Counts, group-bys, binary joins and modulo
-counts fold their tails; star joins, windowed counts and NaN keys take the
-executor's row fallback, ``O(rows)`` a query.  Answers are exactly those of
-:func:`repro.query.executor.ground_truth` over the same tables: the fold is
-pinned to the row interpreter by the EDB differential suite.
+under updates", PAPERS.md).  Counts, group-bys, modulo counts and binary
+and star joins fold their tails; a windowed count masks the arrival column,
+``O(rows)`` a query but vectorized.  Answers are exactly those of
+:func:`repro.query.executor.ground_truth` over the same tables: the executor
+is pinned to the row interpreter by the EDB differential suite.
 
 The truth is derived state: a function of the logical tables it ingested.
 It is never pickled; a restored run rebuilds it from the owners' logical

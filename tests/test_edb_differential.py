@@ -14,13 +14,16 @@ suite enforces that claim three ways:
    transcripts -- ``update_history`` and its canonical leakage projection
    (:func:`repro.edb.leakage.update_pattern_observables`) -- plus the
    post-run query protocol (answers, simulated QET, records scanned);
-3. direct executor-level checks compare every supported query shape,
-   including the dict *iteration order* of grouped answers, which the L-DP
-   back-end's per-group noise draws depend on.
+3. direct executor-level checks feed a :class:`ColumnarExecutor` and a
+   separate :class:`PlaintextExecutor` the same records and compare every
+   query shape -- answers, stats, the dict *iteration order* of grouped
+   answers (which the L-DP back-end's per-group noise draws depend on) and
+   the types of their keys.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -37,17 +40,20 @@ from repro.query.ast import (
     CountQuery,
     GroupByCountQuery,
     JoinCountQuery,
+    ModCountQuery,
+    MultiJoinCountQuery,
     WindowedCountQuery,
 )
 from repro.query.columnar import ColumnarExecutor, _ColumnarTable
-from repro.query.executor import PlaintextExecutor
+from repro.query.executor import PlaintextExecutor, lowered_plan
 from repro.query.predicates import (
+    AndPredicate,
     EqualityPredicate,
     NotPredicate,
     OrPredicate,
     RangePredicate,
 )
-from repro.simulation.runner import CellSpec, run_cell
+from repro.simulation.runner import run_cell
 from repro.simulation.simulator import Simulation, SimulationConfig
 from repro.testing.reference import row_interpreter
 from repro.workload.scenarios import build_scenario, scenario_queries
@@ -171,9 +177,14 @@ def test_arena_ciphertexts_round_trip_and_transcripts_match(backend):
     assert handles == sorted(set(handles))
     assert handles == [c.handle for c in ref_edb.ciphertexts(table)]
     assert {len(bytes(c.ciphertext)) for c in ciphertexts} == {CIPHERTEXT_SIZE}
-    assert logical(fast_edb.cipher.decrypt_many(ciphertexts)) == logical(
-        fast_edb._executor.tables[table]
-    )
+    decrypted = fast_edb.cipher.decrypt_many(ciphertexts)
+    assert logical(decrypted) == logical(ref_edb._executor.tables[table])
+    # The columns hold the same records: the server's one plaintext copy.
+    store = fast_edb._executor._columnar[table]
+    assert [
+        ({a: c[i] for a, c in store.columns.items()}, store.arrivals[i], store.dummies[i])
+        for i in range(len(store))
+    ] == [(dict(r.values), r.arrival_time, r.is_dummy) for r in decrypted]
     # The single-record decrypt reads arena views too.
     assert (
         fast_edb.cipher.decrypt(ciphertexts[0]).values
@@ -303,11 +314,6 @@ def test_executor_answers_and_stats_match(query, rewrite):
     ref_answer, ref_stats = reference.execute_with_stats(query, rewrite=rewrite)
     assert fast_answer == ref_answer
     assert fast_stats == ref_stats
-    # The columnar executor's forced row interpreter is the same oracle.
-    assert fast.execute_rows_with_stats(query, rewrite=rewrite) == (
-        ref_answer,
-        ref_stats,
-    )
 
 
 def test_grouped_answer_iteration_order_matches():
@@ -329,11 +335,9 @@ def test_mixed_int_float_group_keys_keep_reference_types():
     """A group column mixing ints and floats must not float-promote int keys.
 
     Dict equality would hide ``2`` vs ``2.0`` (they compare equal), but JSON
-    surfaces -- golden fixtures, grid checkpoints -- would diverge, so mixed
-    columns take the row fallback and reproduce the reference key objects.
+    surfaces -- golden fixtures, grid checkpoints -- would diverge.  Keys are
+    the stored value objects, so they are the reference's.
     """
-    import json
-
     rows = [
         Record(values={"g": 2}, table="T"),
         Record(values={"g": 2}, table="T"),
@@ -349,9 +353,13 @@ def test_mixed_int_float_group_keys_keep_reference_types():
     assert json.dumps(fast_answer) == json.dumps(ref_answer)
 
 
-def test_nan_group_keys_take_the_row_fallback():
-    """NaN keys: np.unique would merge them, the row dict keeps them apart."""
-    rows = [Record(values={"g": float("nan")}, table="T") for _ in range(3)]
+def test_nan_group_keys_keep_their_identity():
+    """The row interpreter's dicts tell NaN objects apart by identity: rows
+    sharing one NaN object form one group, distinct NaN objects one group
+    each.  The stored objects are the keys, so the columns agree."""
+    shared = float("nan")
+    rows = [Record(values={"g": shared}, table="T") for _ in range(3)]
+    rows += [Record(values={"g": float("nan")}, table="T") for _ in range(2)]
     fast, reference = ColumnarExecutor(), PlaintextExecutor()
     fast.append("T", rows)
     reference.append("T", rows)
@@ -359,7 +367,12 @@ def test_nan_group_keys_take_the_row_fallback():
     fast_answer = fast.execute(query)
     ref_answer = reference.execute(query)
     assert len(fast_answer) == len(ref_answer) == 3
-    assert list(fast_answer.values()) == list(ref_answer.values())
+    assert list(fast_answer.values()) == list(ref_answer.values()) == [3, 1, 1]
+    assert next(iter(fast_answer)) is shared
+    join = JoinCountQuery(
+        left_table="T", right_table="T", left_attribute="g", right_attribute="g"
+    )
+    assert fast.execute(join) == reference.execute(join) == 9 + 1 + 1
 
 
 def test_unhashable_query_skips_the_plan_cache():
@@ -381,12 +394,14 @@ def test_empty_or_predicate_rejects_all_rows():
     assert fast.execute(query) == reference.execute(query) == 0
 
 
-def test_fallback_covers_unsupported_columns():
-    """Non-numeric columns transparently fall back to the row interpreter."""
+def test_string_columns_answer_per_value():
+    """Columns that are not all bool, all int or all float -- strings,
+    None, attributes some rows lack -- answer from their value lists."""
     rows = [
         Record(values={"city": name, "n": i}, table="T")
         for i, name in enumerate(["nyc", "sf", "nyc", "la"])
     ]
+    rows.append(Record(values={"n": None}, table="T"))
     fast, reference = ColumnarExecutor(), PlaintextExecutor()
     fast.append("T", rows)
     reference.append("T", rows)
@@ -395,33 +410,89 @@ def test_fallback_covers_unsupported_columns():
         "nyc": 2,
         "sf": 1,
         "la": 1,
+        None: 1,
     }
+    for predicate in (
+        EqualityPredicate("city", "nyc"),
+        EqualityPredicate("city", None),
+        RangePredicate("n", 1, 3),
+        EqualityPredicate("n", 2.0),
+    ):
+        query = CountQuery(table="T", predicate=predicate)
+        assert fast.execute_with_stats(query) == reference.execute_with_stats(query)
+
+
+def test_numeric_columns_compare_exactly_past_float_precision():
+    """NumPy would compare an int64 column with a float, or a float column
+    with a large int, in float64, which rounds past 2**53; such constants,
+    and ints beyond 64 bits, are compared per value as Python does."""
+    big = 2**53
+    rows = [Record(values={"i": big + d, "f": float(big), "h": 2**70 + d}, table="T") for d in (0, 1)]
+    fast, reference = ColumnarExecutor(), PlaintextExecutor()
+    fast.append("T", rows)
+    reference.append("T", rows)
+    predicates = [
+        RangePredicate("i", 0, float(big)),
+        EqualityPredicate("i", float(big)),
+        EqualityPredicate("f", big + 1),
+        RangePredicate("f", big + 1, big + 2),
+        EqualityPredicate("h", 2**70 + 1),
+        EqualityPredicate("i", 2**70),
+    ]
+    answers = []
+    for predicate in predicates:
+        query = CountQuery(table="T", predicate=predicate)
+        answer = fast.execute_with_stats(query)
+        assert answer == reference.execute_with_stats(query), predicate
+        answers.append(answer[0])
+    assert answers == [1, 1, 0, 0, 1, 0]
 
 
 # ---------------------------------------------------------------------------
-# Tail folds: a repeated plan evaluates only the rows appended since its
-# last run, and must answer exactly what a full rescan would.
+# One differential across every shape: a ColumnarExecutor and a separately
+# fed PlaintextExecutor receive the same appends; after every query both
+# must give the same answer, stats, group order and key types.  A repeated
+# plan folds only the rows appended since its last run, so this also pins
+# every tail fold to a full rescan.
 # ---------------------------------------------------------------------------
 
-#: Key values per column kind, with repeats so joins and groups meet.  The
-#: float kind carries NaN (the row executor tells NaN objects apart by
-#: identity) and both signed zeros (equal keys).
-_FOLD_VALUES = {
+#: One NaN object shared by every row that draws it (one group, and it
+#: joins itself), next to NaN objects made fresh per row (distinct keys).
+_SHARED_NAN = float("nan")
+
+#: Key values per column kind, with repeats so joins and groups meet; both
+#: signed zeros are equal keys.
+_KEY_VALUES = {
     "int": st.integers(0, 4),
-    "float": st.sampled_from([0.0, -0.0, 1.0, 2.0, 2.5, float("nan")]),
+    "float": st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, 2.0, 2.5, _SHARED_NAN]),
+        st.builds(float, st.just("nan")),
+    ),
     "bool": st.booleans(),
+    "str": st.sampled_from(["a", "b", ""]),
+    "none": st.none(),
 }
+_KEY_VALUES["mixed"] = st.one_of(*_KEY_VALUES.values())
 
-_FOLD_QUERIES = [
+_SHAPES = [
     CountQuery(table="L", label="count"),
     CountQuery(table="L", predicate=RangePredicate("v", 1, 3), label="range"),
     CountQuery(
         table="R",
         predicate=OrPredicate(
-            (EqualityPredicate("v", 2), NotPredicate(RangePredicate("k", 0, 1)))
+            (EqualityPredicate("k", 2), NotPredicate(RangePredicate("v", 0, 1)))
         ),
         label="or-not",
     ),
+    CountQuery(
+        table="S",
+        predicate=AndPredicate(
+            (EqualityPredicate("k", "a"), RangePredicate("v", 0.5, 3.5))
+        ),
+        label="and-str",
+    ),
+    CountQuery(table="L", predicate=EqualityPredicate("k", None), label="eq-none"),
+    ModCountQuery(table="L", modulus=3, predicate=EqualityPredicate("k", 1.0), label="mod"),
     GroupByCountQuery(table="L", group_attribute="k", label="group"),
     GroupByCountQuery(
         table="R",
@@ -429,6 +500,7 @@ _FOLD_QUERIES = [
         predicate=RangePredicate("v", 0, 2),
         label="group-filtered",
     ),
+    GroupByCountQuery(table="S", group_attribute="x", label="group-sparse"),
     JoinCountQuery(
         left_table="L",
         right_table="R",
@@ -452,79 +524,23 @@ _FOLD_QUERIES = [
         right_attribute="k",
         label="self-join",
     ),
-]
-
-
-@st.composite
-def _fold_batch(draw):
-    table = draw(st.sampled_from(["L", "R"]))
-    kind = draw(st.sampled_from(sorted(_FOLD_VALUES)))
-    values = _FOLD_VALUES[kind]
-    rows = [
-        Record(
-            values={"k": draw(values), "v": draw(st.integers(0, 4))},
-            table=table,
-            is_dummy=draw(st.booleans()),
-        )
-        for _ in range(draw(st.integers(0, 6)))
-    ]
-    if draw(st.integers(0, 19)) == 0:
-        # An extra attribute turns the table non-uniform for good.
-        rows.append(Record(values={"k": 1, "v": 1, "x": 0}, table=table))
-    return ("append", table, rows)
-
-
-_fold_operations = st.lists(
-    st.one_of(
-        _fold_batch(),
-        st.tuples(
-            st.just("query"),
-            st.integers(0, len(_FOLD_QUERIES) - 1),
-            st.booleans(),
-        ),
+    MultiJoinCountQuery(
+        join_tables=("L", "R", "S"), attributes=("k", "k", "k"), label="star"
     ),
-    max_size=40,
-)
-
-
-def _assert_matches_row_interpreter(executor, query, rewrite, time=0) -> None:
-    fast_answer, fast_stats = executor.execute_with_stats(query, rewrite, time)
-    ref_answer, ref_stats = executor.execute_rows_with_stats(query, rewrite, time)
-    assert fast_stats == ref_stats, query.name
-    if isinstance(ref_answer, dict):
-        assert type(fast_answer) is dict
-        # Items in order: Crypt-epsilon draws its noise in group order.
-        assert list(fast_answer.items()) == list(ref_answer.items()), query.name
-        assert [type(key) for key in fast_answer] == [type(key) for key in ref_answer]
-    else:
-        assert fast_answer == ref_answer, query.name
-
-
-@given(operations=_fold_operations)
-@settings(max_examples=150, deadline=None)
-def test_tail_folds_match_the_row_interpreter(operations):
-    """Random interleavings of appends and repeated queries over int, float
-    and bool key columns -- dummies, int/bool -> float promotion part-way,
-    NaN and signed-zero keys, self-joins, both join sides growing, a table
-    turning non-uniform -- answer exactly what the row interpreter does
-    after every query, stats and group order included."""
-    executor = ColumnarExecutor()
-    for operation in operations:
-        if operation[0] == "append":
-            _, table, rows = operation
-            executor.append(table, rows)
-        else:
-            _, index, rewrite = operation
-            _assert_matches_row_interpreter(executor, _FOLD_QUERIES[index], rewrite)
-    for query in _FOLD_QUERIES:
-        _assert_matches_row_interpreter(executor, query, True)
-
-
-#: Windowed counts, with a plain count over the same filters between them.
-_WINDOWED_QUERIES = [
+    MultiJoinCountQuery(
+        join_tables=("L", "L", "R"),
+        attributes=("k", "v", "k"),
+        predicates=(
+            RangePredicate("v", 0, 3),
+            NotPredicate(EqualityPredicate("k", "a")),
+            EqualityPredicate("v", 2),
+        ),
+        label="star-filtered",
+    ),
     WindowedCountQuery(table="L", window=1, label="w1"),
-    WindowedCountQuery(table="L", window=5, predicate=RangePredicate("v", 1, 3), label="w5"),
-    WindowedCountQuery(table="L", window=6, mode="tumbling", label="t6"),
+    WindowedCountQuery(
+        table="L", window=5, predicate=RangePredicate("v", 1, 3), label="w5"
+    ),
     WindowedCountQuery(
         table="R",
         window=12,
@@ -532,21 +548,99 @@ _WINDOWED_QUERIES = [
         predicate=NotPredicate(EqualityPredicate("k", 1)),
         label="t12",
     ),
-    WindowedCountQuery(table="R", window=70, label="w70"),
-    CountQuery(table="L", predicate=RangePredicate("v", 1, 3), label="count"),
+    WindowedCountQuery(table="S", window=6, mode="tumbling", label="t6"),
+    WindowedCountQuery(table="S", window=70, label="w70"),
 ]
+
+_WINDOWED = [q for q in _SHAPES if isinstance(q, WindowedCountQuery)]
 
 
 @st.composite
-def _windowed_batch(draw):
-    _, table, rows = draw(_fold_batch())
+def _batch(draw):
+    """A batch of rows of one table whose key column draws from one kind.
+
+    ``v`` (the range-filtered attribute) is a small int or None, ``x``
+    appears on some rows only, and now and then a row lacks ``k`` or ``v``;
+    arrivals are up to 30 ticks late, in any order within the batch."""
+    table = draw(st.sampled_from(["L", "R", "S"]))
+    keys = _KEY_VALUES[draw(st.sampled_from(sorted(_KEY_VALUES)))]
     clock = draw(st.integers(0, 60))
-    # Arrivals up to 30 ticks late, in any order within a batch.
-    rows = [
-        replace(row, arrival_time=max(clock - draw(st.integers(0, 30)), 0))
-        for row in rows
-    ]
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        values = {"k": draw(keys), "v": draw(st.one_of(st.integers(0, 4), st.none()))}
+        shape = draw(st.integers(0, 9))
+        if shape == 0:
+            del values["k"]
+        elif shape == 1:
+            del values["v"]
+        elif shape == 2:
+            values["x"] = draw(st.integers(0, 2))
+        rows.append(
+            Record(
+                values=values,
+                table=table,
+                is_dummy=draw(st.booleans()),
+                arrival_time=max(clock - draw(st.integers(0, 30)), 0),
+            )
+        )
     return ("append", table, rows)
+
+
+def _operations(queries):
+    return st.lists(
+        st.one_of(
+            _batch(),
+            st.tuples(
+                st.just("query"),
+                st.integers(0, len(queries) - 1),
+                st.booleans(),
+                st.integers(-40, 100),
+            ),
+        ),
+        max_size=40,
+    )
+
+
+def _assert_same(fast, reference, query, rewrite, time=0) -> None:
+    fast_answer, fast_stats = fast.execute_with_stats(query, rewrite, time)
+    ref_answer, ref_stats = reference.execute_with_stats(query, rewrite, time)
+    assert fast_stats == ref_stats, query.name
+    if isinstance(ref_answer, dict):
+        assert type(fast_answer) is dict
+        # Items in order: Crypt-epsilon draws its noise in group order.  NaN
+        # keys compare by identity, as the dicts hold them.
+        assert len(fast_answer) == len(ref_answer), query.name
+        for (key, count), (ref_key, ref_count) in zip(
+            fast_answer.items(), ref_answer.items()
+        ):
+            assert key is ref_key or key == ref_key, query.name
+            assert type(key) is type(ref_key), query.name
+            assert count == ref_count, query.name
+    else:
+        assert type(fast_answer) is int
+        assert fast_answer == ref_answer, query.name
+
+
+@given(operations=_operations(_SHAPES))
+@settings(max_examples=200, deadline=None)
+def test_tail_folds_match_the_row_interpreter(operations):
+    """Counts, modulo counts, group-bys, binary joins (self-join included),
+    star joins and sliding and tumbling windows, over key columns of ints,
+    floats (both signed zeros, shared and distinct NaN objects), bools,
+    strings, None and all of them mixed, rows lacking attributes, dummies
+    and late arrivals, asked between appends at non-monotone query times:
+    the columns answer what the row interpreter does."""
+    fast, reference = ColumnarExecutor(), PlaintextExecutor()
+    for operation in operations:
+        if operation[0] == "append":
+            _, table, rows = operation
+            assert fast.append(table, rows) == reference.append(table, rows)
+        else:
+            _, index, rewrite, time = operation
+            _assert_same(fast, reference, _SHAPES[index], rewrite, time)
+    for query in _SHAPES:
+        for rewrite in (False, True):
+            _assert_same(fast, reference, query, rewrite, 61)
 
 
 def _in_window(query: WindowedCountQuery, arrival: int, time: int) -> bool:
@@ -558,53 +652,38 @@ def _in_window(query: WindowedCountQuery, arrival: int, time: int) -> bool:
     return arrival <= time and -(-arrival // query.window) == -(-time // query.window)
 
 
-def _assert_window_count(executor, query, rewrite, time) -> None:
-    _assert_matches_row_interpreter(executor, query, rewrite, time)
-    if not isinstance(query, WindowedCountQuery):
-        return
-    rows = executor.tables.get(query.table, [])
-    expected = sum(
-        1
-        for row in rows
-        if not (rewrite and row.is_dummy)
-        and query.predicate.evaluate(row)
-        and _in_window(query, row.arrival_time, time)
-    )
-    answer, stats = executor.execute_with_stats(query, rewrite, time)
-    assert (answer, stats.rows_scanned) == (expected, len(rows)), query.name
-
-
-@given(
-    operations=st.lists(
-        st.one_of(
-            _windowed_batch(),
-            st.tuples(
-                st.just("query"),
-                st.integers(0, len(_WINDOWED_QUERIES) - 1),
-                st.booleans(),
-                st.integers(-40, 100),
-            ),
-        ),
-        max_size=40,
-    )
-)
-@settings(max_examples=150, deadline=None)
+@given(operations=_operations(_WINDOWED))
+@settings(max_examples=100, deadline=None)
 def test_windowed_counts_match_the_row_interpreter(operations):
-    """Sliding and tumbling windows over tables with dummies, late and
-    out-of-order arrivals, promoted and non-uniform columns, asked at
-    non-monotone query times between plain counts, answer what the row
-    interpreter does and what the window's definition counts."""
-    executor = ColumnarExecutor()
+    """Sliding and tumbling windows over late and out-of-order arrivals,
+    asked at non-monotone query times, count what the window's definition
+    counts, on the columns and on the row interpreter alike."""
+    fast, reference = ColumnarExecutor(), PlaintextExecutor()
+
+    def check(query, rewrite, time):
+        _assert_same(fast, reference, query, rewrite, time)
+        rows = reference.tables.get(query.table, [])
+        expected = sum(
+            1
+            for row in rows
+            if not (rewrite and row.is_dummy)
+            and query.predicate.evaluate(row)
+            and _in_window(query, row.arrival_time, time)
+        )
+        answer, stats = fast.execute_with_stats(query, rewrite, time)
+        assert (answer, stats.rows_scanned) == (expected, len(rows)), query.name
+
     for operation in operations:
         if operation[0] == "append":
             _, table, rows = operation
-            executor.append(table, rows)
+            fast.append(table, rows)
+            reference.append(table, rows)
         else:
             _, index, rewrite, time = operation
-            _assert_window_count(executor, _WINDOWED_QUERIES[index], rewrite, time)
-    for query in _WINDOWED_QUERIES:
+            check(_WINDOWED[index], rewrite, time)
+    for query in _WINDOWED:
         for time in (-1, 0, 30, 61):
-            _assert_window_count(executor, query, True, time)
+            check(query, True, time)
 
 
 def test_a_repeated_query_reads_only_the_appended_tail(monkeypatch):
@@ -615,65 +694,62 @@ def test_a_repeated_query_reads_only_the_appended_tail(monkeypatch):
     query = CountQuery(table="L", predicate=RangePredicate("v", 10, 60))
     assert executor.execute(query, rewrite=True) == 40
     read = []
-    column = _ColumnarTable.column
+    numeric = _ColumnarTable.numeric
 
-    def recording(self, attribute, start=0):
-        result = column(self, attribute, start)
+    def recording(self, attribute, start):
+        result = numeric(self, attribute, start)
         read.append(result.size)
         return result
 
-    monkeypatch.setattr(_ColumnarTable, "column", recording)
+    monkeypatch.setattr(_ColumnarTable, "numeric", recording)
     executor.append("L", [Record(values={"k": 0, "v": 55}, table="L") for _ in range(3)])
     answer, stats = executor.execute_with_stats(query, rewrite=True)
     assert (answer, stats.rows_scanned) == (43, 53)
     assert read == [3]
 
 
-def test_promotion_and_register_start_a_fold_over():
-    """An int column promoted to float, and a table replaced by register,
-    both restart the plan's state from row 0."""
-    executor = ColumnarExecutor()
-    query = GroupByCountQuery(table="L", group_attribute="v")
-    join = JoinCountQuery(
-        left_table="L", right_table="L", left_attribute="v", right_attribute="v"
-    )
-    executor.append("L", [Record(values={"v": i % 2}, table="L") for i in range(6)])
-    for q in (query, join):
-        _assert_matches_row_interpreter(executor, q, True)
-    plan = executor._plan_for(join, True)
-    before = executor._folds[plan].signature
-    executor.append("L", [Record(values={"v": 1.0}, table="L")])
-    _assert_matches_row_interpreter(executor, join, True)
-    assert executor._folds[plan].signature != before
-    assert executor._folds[plan].rows == (7, 7)
-    executor.register("L", [Record(values={"v": 3}, table="L")])
-    assert executor._folds == {}
-    for q in (query, join):
-        _assert_matches_row_interpreter(executor, q, True)
+def test_a_fold_continues_across_a_column_type_change():
+    """A column that stops being all ints (a float, then a string) keeps its
+    plans' states: the next query folds only the new rows, per value."""
+    fast, reference = ColumnarExecutor(), PlaintextExecutor()
+    queries = [
+        GroupByCountQuery(table="L", group_attribute="v"),
+        CountQuery(table="L", predicate=EqualityPredicate("v", 1)),
+        JoinCountQuery(
+            left_table="L", right_table="L", left_attribute="v", right_attribute="v"
+        ),
+    ]
+    for batch in ([i % 2 for i in range(6)], [1.0], ["1", 1]):
+        rows = [Record(values={"v": v}, table="L") for v in batch]
+        fast.append("L", rows)
+        reference.append("L", rows)
+        for query in queries:
+            _assert_same(fast, reference, query, True)
+    plan = lowered_plan(queries[2], True, {})
+    assert fast._folds[plan].rows == [9, 9]
+    assert fast._columnar["L"].numeric("v", 0) is None
 
 
-def test_empty_tables_answer_in_the_vectorized_path(monkeypatch):
-    """A count, group-by or join over a table with no rows yet answers 0 /
-    {} / 0 without the row fallback, with the row interpreter's stats."""
-    executor = ColumnarExecutor()
-    executor.append("R", [Record(values={"k": 1}, table="R")])
-    fallbacks = []
-    monkeypatch.setattr(
-        PlaintextExecutor, "execute_plan", lambda self, plan: fallbacks.append(plan)
-    )
+def test_empty_tables_answer_in_the_vectorized_path():
+    """A count, group-by, join or star join over a table with no rows yet
+    answers 0 / {} / 0 / 0, with the row interpreter's stats."""
+    fast, reference = ColumnarExecutor(), PlaintextExecutor()
+    for executor in (fast, reference):
+        executor.append("R", [Record(values={"k": 1}, table="R")])
     queries = [
         CountQuery(table="E", predicate=RangePredicate("k", 0, 9)),
         GroupByCountQuery(table="E", group_attribute="k"),
         JoinCountQuery(
             left_table="E", right_table="R", left_attribute="k", right_attribute="k"
         ),
+        MultiJoinCountQuery(join_tables=("R", "E", "R"), attributes=("k", "k", "k")),
+        WindowedCountQuery(table="E", window=3),
     ]
-    answers = [executor.execute_with_stats(q, rewrite=True) for q in queries]
-    assert fallbacks == []
-    monkeypatch.undo()
+    answers = [fast.execute_with_stats(q, rewrite=True) for q in queries]
     for query, answer in zip(queries, answers):
-        assert answer == executor.execute_rows_with_stats(query, rewrite=True)
-    assert [a for a, _ in answers] == [0, {}, 0]
+        assert answer == reference.execute_with_stats(query, rewrite=True)
+    assert [a for a, _ in answers] == [0, {}, 0, 0, 0]
+    assert list(fast._columnar) == ["R"]
 
 
 def test_reading_an_unwritten_table_does_not_create_it():
@@ -681,7 +757,10 @@ def test_reading_an_unwritten_table_does_not_create_it():
     interpreter and leaves no column store behind, so no later snapshot
     carries the table; a later write starts it from its first row."""
     edb = ObliDB()
-    edb.setup([])
+    with row_interpreter():
+        reference = ObliDB()
+    for target in (edb, reference):
+        target.setup([])
     queries = [
         CountQuery(table="Nope", predicate=RangePredicate("k", 0, 9)),
         GroupByCountQuery(table="Nope", group_attribute="k"),
@@ -693,38 +772,29 @@ def test_reading_an_unwritten_table_does_not_create_it():
         ),
     ]
     for query in queries:
-        _assert_matches_row_interpreter(edb._executor, query, True)
+        assert edb.query(query) == reference.query(query)
         assert edb.query(query).answer in (0, {})
     assert "Nope" not in edb._executor._columnar
-    edb.update([Record(values={"k": i % 3}, table="Nope") for i in range(5)], 1)
+    rows = [Record(values={"k": i % 3}, table="Nope") for i in range(5)]
+    for target in (edb, reference):
+        target.update(rows, 1)
     for query in queries:
-        _assert_matches_row_interpreter(edb._executor, query, True)
+        assert edb.query(query) == reference.query(query)
     assert list(edb._executor._columnar) == ["Nope"]
 
 
-def test_paper_cells_never_take_the_row_fallback(monkeypatch):
-    """The five paper-oblidb strategies at scale 0.3 answer every Q1-Q3
-    vectorized -- OTO's queries over tables with no rows included.  Input
-    variant 7 starts both tables empty, variant 1 only GreenTaxi."""
-    fallbacks = []
-    row_plan = PlaintextExecutor.execute_plan
-
-    def counting(self, plan):
-        if isinstance(self, ColumnarExecutor):
-            fallbacks.append(plan)
-        return row_plan(self, plan)
-
-    monkeypatch.setattr(PlaintextExecutor, "execute_plan", counting)
-    for workload_seed in (2027, 2021):
-        for strategy in ("sur", "oto", "set", "dp-timer", "dp-ant"):
-            run_cell(
-                CellSpec(
-                    strategy=strategy,
-                    backend="oblidb",
-                    scenario="taxi-june",
-                    scale=0.3,
-                    query_interval=360,
-                    workload_seed=workload_seed,
-                )
-            )
-    assert fallbacks == []
+def test_the_columnar_executor_keeps_no_rows():
+    """The columns are the only plaintext copy: the executor is not a row
+    interpreter, holds no ``Record`` and pickles only its value lists."""
+    executor = ColumnarExecutor()
+    executor.append("T", [Record(values={"a": i}, arrival_time=i, table="T") for i in range(4)])
+    executor.execute(CountQuery(table="T", predicate=RangePredicate("a", 1, 2)))
+    assert not isinstance(executor, PlaintextExecutor)
+    assert not hasattr(executor, "tables")
+    state = executor.__getstate__()
+    assert set(state) == {"_columnar"}
+    assert state["_columnar"]["T"].__getstate__() == {
+        "columns": {"a": [0, 1, 2, 3]},
+        "arrivals": [0, 1, 2, 3],
+        "dummies": [False] * 4,
+    }

@@ -23,7 +23,8 @@ from repro.simulation.experiment import (
     taxi_workloads,
 )
 from repro.simulation.simulator import Simulation, SimulationConfig
-from repro.testing.reference import run_per_tick
+from repro.testing.reference import row_interpreter, run_per_tick
+from repro.workload.scenarios import build_scenario, scenario_queries
 
 SCALE = 0.02  # ~864 time units; large enough to hit timers, flushes, queries
 
@@ -66,6 +67,32 @@ def test_engine_reproduces_legacy_loop(workloads, queries, strategy, backend):
     engine_result = build(workloads, queries, strategy, backend).run()
     legacy_result = run_per_tick(build(workloads, queries, strategy, backend))
     assert engine_result == legacy_result
+
+
+@pytest.fixture(scope="module")
+def sessions():
+    return build_scenario("sessionized", seed=5, scale=0.2)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_windowed_cells_match_the_row_interpreter_per_tick(sessions, strategy):
+    """The sessionized scenario's sliding and tumbling windowed counts (QW1,
+    QW2) next to its whole-history counts, asked every 20 ticks: the engine
+    over the columnar EDB and truth equals the per-tick loop over a
+    row-interpreter EDB with ground truth rescanned at every query time."""
+    queries = scenario_queries("sessionized")
+    engine_result = build(sessions, queries, strategy, "oblidb", query_interval=20).run()
+    with row_interpreter():
+        reference = run_per_tick(
+            build(sessions, queries, strategy, "oblidb", query_interval=20)
+        )
+    assert engine_result == reference
+    windowed = [t for t in engine_result.query_traces if t.query_name in ("QW1", "QW2")]
+    assert len(windowed) == 2 * (engine_result.parameters["horizon"] // 20)
+    if strategy == "oto":
+        # OTO outsources nothing after Setup, so its error is the truth:
+        # the windows do count rows.
+        assert any(t.l1_error for t in windowed)
 
 
 def test_equivalence_without_query_schedule(workloads, queries):

@@ -119,7 +119,7 @@ class TestP3EventualConsistency:
     def test_records_reach_server_in_arrival_order(self, strategy):
         dpsync = DPSync(
             SCHEMA,
-            edb=ObliDB(),
+            edb=ObliDB(simulate_encryption=True),
             strategy=strategy,
             epsilon=1.0,
             period=15,
@@ -132,7 +132,8 @@ class TestP3EventualConsistency:
         edb = dpsync.edb
         # The EDB stores records in insertion order; their original arrival
         # times must be non-decreasing (FIFO upload = order preservation).
-        stored = edb._executor.tables.get("events", [])
+        stored = edb.cipher.decrypt_many(edb.ciphertexts("events"))
+        assert len(stored) == edb.table_size("events") > 0
         arrival_times = [r.arrival_time for r in stored if not r.is_dummy]
         assert arrival_times == sorted(arrival_times)
 

@@ -6,7 +6,7 @@ the replay journal, so a rebuild is restore-then-replay.  The contract is a
 differential: for random sequences of ``setup``, ``insert_many``,
 ``query`` and ``rotate_key`` -- with random snapshot cadences and a random
 torn generation -- the newest generation plus the journal after it must
-equal the live shard in transcripts, rows, columns and the next 16 RNG
+equal the live shard in transcripts, columns and the next 16 RNG
 draws, and a full generation alone must equal it in arena bytes and
 handles too.  A mid-stream restore must then answer exactly like the EDB
 that never stopped.
@@ -14,6 +14,7 @@ that never stopped.
 
 from __future__ import annotations
 
+import io
 import pickle
 import threading
 from dataclasses import replace
@@ -115,24 +116,10 @@ def _state(edb, ciphertexts: bool = True) -> dict:
     Ciphertext bytes carry random nonces, so two shards fed the same
     commands agree on them only when one is restored from the other.
     """
-    executor = edb._executor
-    columns = {}
-    for table, store in executor._columnar.items():
-        columns[table] = (
-            store.attributes,
-            store.uniform,
-            store.values,
-            store.dummies,
-            store._kinds,
-            store._built,
-            {
-                attr: pickle.dumps(buffer[: store._built])
-                for attr, buffer in store._buffers.items()
-            },
-            None
-            if store._dummy_buffer is None
-            else store._dummy_buffer[: store._built].tolist(),
-        )
+    columns = {
+        table: (store.columns, store.arrivals, store.dummies)
+        for table, store in edb._executor._columnar.items()
+    }
     if not ciphertexts:
         return {
             "handles": {
@@ -140,7 +127,6 @@ def _state(edb, ciphertexts: bool = True) -> dict:
                 for table, arena in edb._arenas.items()
             },
             "history": edb.update_history,
-            "rows": {table: list(rows) for table, rows in executor.tables.items()},
             "columns": columns,
         }
     return {
@@ -149,12 +135,30 @@ def _state(edb, ciphertexts: bool = True) -> dict:
             for table, arena in edb._arenas.items()
         },
         "history": edb.update_history,
-        "rows": {table: list(rows) for table, rows in executor.tables.items()},
         "columns": columns,
         "key": edb.cipher.key,
         "handles": edb.cipher._next_handle,
         "totals": (edb._table_totals, edb._table_dummies, edb.storage_bytes),
     }
+
+
+class _ClassRecorder(pickle.Unpickler):
+    """Loads a pickle, noting every class it names."""
+
+    def __init__(self, blob: bytes) -> None:
+        super().__init__(io.BytesIO(blob))
+        self.names: set[tuple[str, str]] = set()
+
+    def find_class(self, module: str, name: str):
+        self.names.add((module, name))
+        return super().find_class(module, name)
+
+
+def _classes(blob: bytes) -> set[tuple[str, str]]:
+    """Every ``(module, class)`` a snapshot blob's pickle names."""
+    recorder = _ClassRecorder(blob)
+    recorder.load()
+    return recorder.names
 
 
 def _replayed(shard: SupervisedShard):
@@ -211,8 +215,11 @@ def test_newest_generation_plus_replay_restores_the_live_shard(
         assert _state(rebuilt, ciphertexts=False) == _state(
             shard.live, ciphertexts=False
         )
-        # A full generation alone restores the live shard's whole state.
-        full = restore_backend(snapshot_backend(shard.live))
+        # A full generation alone restores the live shard's whole state,
+        # and carries its records only as columns and arena rows.
+        blob = snapshot_backend(shard.live)
+        assert ("repro.edb.records", "Record") not in _classes(blob)
+        full = restore_backend(blob)
         assert _state(full) == _state(shard.live)
         assert full.outsourced_count == shard.live.outsourced_count
         for query in QUERIES:
@@ -298,8 +305,9 @@ def test_a_chain_restored_mid_stream_answers_like_the_uninterrupted_edb(
             journal.extend(commands)
         if time == taken_at:
             blob = snapshot_backend(live)
-            for derived in (b"_folds", b"_Fold", b"_plan_cache"):
+            for derived in (b"_folds", b"_Fold", b"_plan_cache", b"_derived"):
                 assert derived not in blob, derived
+            assert ("repro.edb.records", "Record") not in _classes(blob)
         if time == cut:
             assert live._executor._folds, "the live EDB keeps fold states"
             rebuilt = restore_backend(blob)

@@ -204,7 +204,7 @@ def test_torn_manifest_and_torn_blob_are_detected(tmp_path):
         EncryptedStore(tmp_path, passphrase="pw").manifest()
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_earlier_manifest_versions_are_refused(tmp_path, version):
     """Stores of an earlier format are refused with their version named, not
     misread: version 1 predates AES-GCM, version 2 delta generations,
@@ -215,16 +215,18 @@ def test_earlier_manifest_versions_are_refused(tmp_path, version):
     6 view-free EDB states (its generations still carry maintained-view
     state, view queries and the plan cache), version 7 full-only
     generations with plain-tuple update histories (its manifests carry a
-    ``parent`` key and its histories pickle as named tuples)."""
+    ``parent`` key and its histories pickle as named tuples), version 8
+    row-free executors (its EDB states still carry every ``Record`` beside
+    the columns)."""
     store = EncryptedStore(tmp_path)
     store.write_blob("a.bin", b"alpha")
     manifest = store.commit()
-    assert manifest["version"] == STORE_VERSION == 8
+    assert manifest["version"] == STORE_VERSION == 9
     assert "parent" not in manifest
     manifest["version"] = version
     (tmp_path / "MANIFEST.json").write_text(json.dumps(manifest))
     with pytest.raises(
-        StoreIntegrityError, match=f"manifest version {version} is not 8"
+        StoreIntegrityError, match=f"manifest version {version} is not 9"
     ):
         EncryptedStore(tmp_path).manifest()
 
