@@ -35,10 +35,10 @@ first-appearance order and NaN identity (the row interpreter's dicts tell
 NaN objects apart by identity) are exactly the row interpreter's, and
 answers and stats are those of
 :class:`~repro.query.executor.PlaintextExecutor` over the same records,
-which ``tests/test_edb_differential.py`` pins.  One difference is not an
-answer: a predicate that raises on some value (a string against a numeric
-range) raises here for any row of the tail, where the row interpreter
-raises only for the rows its short-circuiting reaches.
+which ``tests/test_edb_differential.py`` pins.  A value compared one by one
+is compared only on the rows the row interpreter's short-circuiting reaches,
+so a comparison that raises (a string against a numeric range) raises on
+both or on neither.
 
 Aggregate states and lowered plans are derived: they are never pickled, so
 no snapshot generation carries them, and a restored executor rebuilds each
@@ -69,7 +69,7 @@ from repro.query.ast import (
     ScanNode,
     WindowedCountQuery,
 )
-from repro.query.executor import Answer, ExecutionStats, lowered_plan
+from repro.query.executor import Answer, ExecutionStats, PlaintextExecutor
 from repro.query.predicates import (
     AndPredicate,
     EqualityPredicate,
@@ -240,19 +240,15 @@ class ColumnarExecutor:
 
     # -- execution ----------------------------------------------------------
 
-    def execute(self, query: Query, rewrite: bool = False, time: int = 0) -> Answer:
-        """Execute ``query``, optionally applying dummy-aware rewriting."""
-        return self.execute_with_stats(query, rewrite, time)[0]
+    execute = PlaintextExecutor.execute
 
     def execute_with_stats(
         self, query: Query, rewrite: bool = False, time: int = 0
     ) -> tuple[Answer, ExecutionStats]:
-        """Execute ``query`` and return the answer plus work counters
-        (``time`` is read by windowed queries only)."""
-        if isinstance(query, WindowedCountQuery):
-            return self._execute_windowed(query, rewrite, time)
-        answer, stats = self.execute_plan(lowered_plan(query, rewrite, self._plan_cache))
-        return query.finalize_answer(answer), stats
+        """The row interpreter's lowering, plan cache and dispatch, run on
+        this executor; looked up per call, so a span wrapped around it
+        (``perfbench/spans.py``'s ``query.columnar.scan``) times it too."""
+        return PlaintextExecutor.execute_with_stats(self, query, rewrite, time)
 
     def execute_plan(self, plan: PlanNode) -> tuple[Answer, ExecutionStats]:
         """Answer a count, group-by count or join count plan."""
@@ -283,12 +279,10 @@ class ColumnarExecutor:
         row plan's cascade of binary joins counts at each step."""
         fold = self._fold(plan, len(sides))
         stores = [self._store(_table_of(source)) for source, _ in sides]
-        tails = []
-        for side, ((source, attribute), store) in enumerate(zip(sides, stores)):
-            tail = self._keys(source, attribute, store, fold.rows[side])
-            fold.rows[side] = len(store)
-            fold.sizes[side] += len(tail)
-            tails.append(tail)
+        tails = [
+            self._keys(source, attribute, store, start)
+            for (source, attribute), store, start in zip(sides, stores, fold.rows)
+        ]
         counts, stars = fold.counts, fold.stars
         for side, tail in enumerate(tails):
             # A key new on ``side`` adds, to the star count of every prefix
@@ -302,7 +296,10 @@ class ColumnarExecutor:
                 if other >= side and other:
                     stars[other - 1] += sum(weights)
             counts[side].update(tail)
-        sizes = fold.sizes
+        # Rows advance only now, so a key that cannot be hashed stays in the
+        # tail and raises on every run, as it does in the row interpreter.
+        fold.rows = [len(store) for store in stores]
+        sizes = fold.sizes = [size + len(tail) for size, tail in zip(fold.sizes, tails)]
         pairs = sizes[0] * sizes[1] + sum(map(mul, stars, sizes[2:]))
         stats = ExecutionStats(
             rows_scanned=sum(map(len, stores)), rows_output=stars[-1], join_pairs=pairs
@@ -318,13 +315,13 @@ class ColumnarExecutor:
         arrivals = store.array(_ARRIVALS, store.arrivals, 0)
         mask = _compare(
             arrivals, (low, high), lambda column: (column > low) & (column <= high),
-            lambda arrival: low < arrival <= high, store.arrivals, 0,
+            lambda arrival: low < arrival <= high, store.arrivals, 0, None,
         )
-        predicate = self._mask(query.predicate, store, 0)
+        if rewrite:
+            mask &= self._mask(NotDummyPredicate(), store, 0, None)
+        predicate = self._mask(query.predicate, store, 0, mask)
         if predicate is not None:
             mask &= predicate
-        if rewrite:
-            mask &= self._mask(NotDummyPredicate(), store, 0)
         count = int(np.count_nonzero(mask))
         return count, ExecutionStats(rows_scanned=len(store), rows_output=count)
 
@@ -359,12 +356,10 @@ class ColumnarExecutor:
             return None
         if isinstance(plan, FilterNode):
             mask = self._source(plan.child, store, start)
-            predicate_mask = self._mask(plan.predicate, store, start)
-            if predicate_mask is None:
-                return mask
-            if mask is not None:
-                predicate_mask = mask & predicate_mask
-            return predicate_mask
+            predicate_mask = self._mask(plan.predicate, store, start, mask)
+            if predicate_mask is None or mask is None:
+                return mask if predicate_mask is None else predicate_mask
+            return mask & predicate_mask
         raise TypeError(f"no columnar answer for source {type(plan).__name__}")
 
     def _store(self, table: str) -> _ColumnarTable:
@@ -373,51 +368,47 @@ class ColumnarExecutor:
         return self._columnar.get(table, _EMPTY_TABLE)
 
     def _mask(
-        self, predicate: Predicate, store: _ColumnarTable, start: int
+        self, predicate: Predicate, store: _ColumnarTable, start: int, live: np.ndarray | None
     ) -> np.ndarray | None:
         """Boolean mask for ``predicate`` over the rows of ``store`` from
-        ``start`` on (None = all rows)."""
+        ``start`` on (None = all rows), exact on the rows ``live`` marks
+        (None = all).  Values compared one by one are compared on those rows
+        only, and an AND child on the rows its earlier siblings accept: the
+        rows the row interpreter's short-circuiting evaluates it on."""
         if isinstance(predicate, TruePredicate):
             return None
         if isinstance(predicate, NotDummyPredicate):
             flags = store.array(_DUMMIES, store.dummies, start)
-            return _compare(flags, (), np.logical_not, not_, store.dummies, start)
+            return _compare(flags, (), np.logical_not, not_, store.dummies, start, live)
         if isinstance(predicate, RangePredicate):
             low, high = predicate.low, predicate.high
             return _compare(
                 store.numeric(predicate.attribute, start), (low, high),
                 lambda column: (column >= low) & (column <= high),
                 lambda value: value is not None and low <= value <= high,
-                store.column(predicate.attribute), start,
+                store.column(predicate.attribute), start, live,
             )
         if isinstance(predicate, EqualityPredicate):
             constant = predicate.value
             return _compare(
                 store.numeric(predicate.attribute, start), (constant,),
                 lambda column: column == constant, lambda value: value == constant,
-                store.column(predicate.attribute), start,
+                store.column(predicate.attribute), start, live,
             )
         if isinstance(predicate, AndPredicate):
-            mask: np.ndarray | None = None
+            # Exact on the rows first ``live`` marks, False on the others.
             for child in predicate.children:
-                child_mask = self._mask(child, store, start)
-                if child_mask is None:
-                    continue
-                mask = child_mask if mask is None else mask & child_mask
-            return mask
+                child_mask = self._mask(child, store, start, live)
+                if child_mask is not None:
+                    live = child_mask if live is None else live & child_mask
+            return live
         if isinstance(predicate, OrPredicate):
-            if not predicate.children:
-                # any(()) is False row-wise in the reference executor.
-                return np.zeros(len(store) - start, dtype=bool)
-            mask = None
-            for child in predicate.children:
-                child_mask = self._mask(child, store, start)
-                if child_mask is None:
-                    return None  # OR with an always-true child accepts all
-                mask = child_mask if mask is None else mask | child_mask
-            return mask
+            # any() stops at the first true child as all() of the negations
+            # stops at the first false one.
+            negations = tuple(map(NotPredicate, predicate.children))
+            return self._mask(NotPredicate(AndPredicate(negations)), store, start, live)
         if isinstance(predicate, NotPredicate):
-            child_mask = self._mask(predicate.child, store, start)
+            child_mask = self._mask(predicate.child, store, start, live)
             if child_mask is None:
                 return np.zeros(len(store) - start, dtype=bool)
             return ~child_mask
@@ -447,13 +438,20 @@ def _compare(
     per_value: Callable[[object], object],
     values: list,
     start: int,
+    live: np.ndarray | None,
 ) -> np.ndarray:
     """Boolean mask of ``values[start:]``: ``vectorized`` over ``array``,
     their NumPy copy, when it compares exactly with ``constants``, else
-    ``per_value`` of each value."""
+    ``per_value`` of each value ``live`` marks (None = all), False for the
+    others."""
     if array is not None and _exact(array.dtype.kind, *constants):
         return vectorized(array)
-    return np.fromiter(map(per_value, values[start:]), dtype=bool, count=len(values) - start)
+    tail = values[start:]
+    if live is None:
+        return np.fromiter(map(per_value, tail), dtype=bool, count=len(tail))
+    mask = np.zeros(len(tail), dtype=bool)
+    mask[live] = np.fromiter(map(per_value, compress(tail, live.tolist())), dtype=bool)
+    return mask
 
 
 def _table_of(plan: PlanNode) -> str:

@@ -101,15 +101,18 @@ class PlaintextExecutor:
         """Execute ``query`` and return the answer plus work counters.
 
         ``time`` only matters for windowed queries, whose answer is relative
-        to the query time; every other shape ignores it.
+        to the query time; every other shape ignores it.  The columnar
+        executor runs this method on itself, with its own ``execute_plan``
+        and ``_execute_windowed``, so both share one lowering and plan cache.
         """
         if isinstance(query, WindowedCountQuery):
             return self._execute_windowed(query, rewrite, time)
         answer, stats = self.execute_plan(lowered_plan(query, rewrite, self._plan_cache))
         return query.finalize_answer(answer), stats
 
-    #: The name ``perfbench/spans.py`` traces as a query-scan boundary; a
-    #: traced run fails on a missing target, so the name stays.
+    #: A name ``perfbench/spans.py`` still lists as a query-scan boundary
+    #: (the row fallback's, which is gone); a traced run fails on a missing
+    #: target, so the name stays until the benchmark drops it.
     execute_rows_with_stats = execute_with_stats
 
     def _execute_windowed(
