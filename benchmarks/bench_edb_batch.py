@@ -10,7 +10,10 @@ at the repository root:
    case runs the write path the paper cells run: one-record
    ``insert_many()`` calls (the SUR/SET Update, in µs per call) vs 64-record
    flushes (µs per record), each row sealed into the table's arena and
-   spot-checked by decryption.
+   spot-checked by decryption.  Its ``seal_floor_us`` is what sealing one
+   record costs at least, measured in the same process over the same
+   records: one serialization, one ``os.urandom`` call and one AEAD call;
+   ``per_record_us / seal_floor_us`` is the per-call overhead of an Update.
 2. **End-to-end** -- a figure-2-style dp-timer cell per back-end via the
    grid runner, once on the columnar EDB and once under the row-interpreter
    oracle (:func:`repro.testing.reference.row_interpreter`), asserting
@@ -29,6 +32,7 @@ import numpy as np
 
 from benchmarks.conftest import emit_report, merge_bench_json
 from repro.edb.crypte import CryptEpsilon
+from repro.edb.crypto import NONCE_SIZE, RecordCipher
 from repro.edb.oblidb import ObliDB
 from repro.edb.records import Record
 from repro.simulation.runner import CellSpec, run_cell
@@ -65,6 +69,17 @@ def _insert_one(edb, record: Record, t: int) -> None:
     edb.insert_many({record.table: [record]}, time=t)
 
 
+def _seal_floor_us(records: list[Record]) -> float:
+    """µs a record for sealing ``records`` with nothing around it: one
+    serialization, one ``os.urandom`` call and one AEAD call each."""
+    cipher = RecordCipher()
+    serialize, encrypt, urandom = cipher._serialize, cipher._aead.encrypt, os.urandom
+    start = time.perf_counter()
+    for record in records:
+        encrypt(urandom(NONCE_SIZE), serialize(record), None)
+    return (time.perf_counter() - start) / len(records) * 1e6
+
+
 def _ingest_benchmark(backend_name: str, make_edb, step=_update):
     per_flush = _records(FLUSH_SIZE * FLUSHES)
 
@@ -76,6 +91,7 @@ def _ingest_benchmark(backend_name: str, make_edb, step=_update):
         step(per_record, record, t)
         t += 1
     per_record_seconds = time.perf_counter() - start
+    seal_floor_us = _seal_floor_us(per_flush) if per_record.cipher is not None else None
 
     batched = make_edb()
     batched.setup([])
@@ -97,7 +113,7 @@ def _ingest_benchmark(backend_name: str, make_edb, step=_update):
             for index in (0, len(per_flush) // 2, len(per_flush) - 1):
                 decrypted = edb.cipher.decrypt(rows[index])
                 assert decrypted.values == per_flush[index].values
-    return {
+    row = {
         "backend": backend_name,
         "records": len(per_flush),
         "per_record_seconds": round(per_record_seconds, 4),
@@ -106,6 +122,9 @@ def _ingest_benchmark(backend_name: str, make_edb, step=_update):
         "per_record_us": round(per_record_seconds / len(per_flush) * 1e6, 2),
         "flush_us_per_record": round(batched_seconds / len(per_flush) * 1e6, 2),
     }
+    if seal_floor_us is not None:
+        row["seal_floor_us"] = round(seal_floor_us, 2)
+    return row
 
 
 def test_ingestion_per_record_vs_batched_both_backends():
@@ -127,6 +146,12 @@ def test_ingestion_per_record_vs_batched_both_backends():
         f"{r['backend']:16s}: per-record {r['per_record_seconds']:7.3f} s "
         f"({r['per_record_us']:6.2f} us/call), batched {r['batched_seconds']:7.3f} s "
         f"({r['flush_us_per_record']:5.2f} us/record, {r['speedup']}x)"
+        + (
+            f", seal floor {r['seal_floor_us']:.2f} us "
+            f"({r['per_record_us'] / r['seal_floor_us']:.2f}x)"
+            if "seal_floor_us" in r
+            else ""
+        )
         for r in results
     ]
     emit_report(

@@ -25,6 +25,11 @@ The base class handles the bookkeeping that is common to every atomic EDB:
   :class:`~repro.query.columnar.ColumnarExecutor`, the EDB's one plaintext
   copy of its records;
 * cost-model charging for Setup/Update/Query.
+
+An Update is one straight step per table -- seal into the table's arena,
+append to its columns, count -- then one cost-model charge and one history
+entry for the call.  A step that raises rewinds every table the call has
+stepped, so a rejected Update changes nothing.
 """
 
 from __future__ import annotations
@@ -60,7 +65,9 @@ __all__ = [
 
 class UpdateResult(NamedTuple):
     """Outcome of a Setup or Update protocol invocation (a named tuple:
-    every Update builds one, and a tuple needs no per-field ``__setattr__``)."""
+    every Update builds one, and a tuple needs no per-field ``__setattr__``;
+    the ingest builds it with ``_make``, which skips the Python frame of the
+    generated ``__new__``)."""
 
     time: int
     records_added: int
@@ -129,7 +136,7 @@ class EncryptedDatabase:
         """Run the Setup protocol with the initial record set ``γ_0``."""
         if self._is_setup:
             raise RuntimeError("Setup may only be invoked once")
-        result = self._ingest(list(records), time, is_setup=True)
+        result = self._ingest(list(records), time)
         self._is_setup = True
         return result
 
@@ -137,7 +144,7 @@ class EncryptedDatabase:
         """Run the Update protocol, appending ``γ_t`` to the outsourced data."""
         if not self._is_setup:
             raise RuntimeError("Update invoked before Setup")
-        return self._ingest(list(records), time, is_setup=False)
+        return self._ingest(list(records), time)
 
     def insert_many(
         self, batches: Mapping[str, Sequence[Record]], time: int
@@ -151,7 +158,7 @@ class EncryptedDatabase:
         """
         if not self._is_setup:
             raise RuntimeError("Update invoked before Setup")
-        return self._ingest_grouped(batches, time, is_setup=False)
+        return self._ingest_grouped(batches, time)
 
     def query(self, query: Query, time: int = 0) -> QueryResult:
         """Run the Query protocol and return the analyst-visible answer."""
@@ -288,53 +295,72 @@ class EncryptedDatabase:
 
     # -- internals -------------------------------------------------------------
 
-    def _ingest(self, records: list[Record], time: int, is_setup: bool) -> UpdateResult:
+    def _ingest(self, records: list[Record], time: int) -> UpdateResult:
         by_table: dict[str, list[Record]] = {}
         for record in records:
             table = record.table or "default"
             by_table.setdefault(table, []).append(record)
-        return self._ingest_grouped(by_table, time, is_setup)
+        return self._ingest_grouped(by_table, time)
 
     def _ingest_grouped(
-        self, by_table: Mapping[str, Sequence[Record]], time: int, is_setup: bool
+        self, by_table: Mapping[str, Sequence[Record]], time: int
     ) -> UpdateResult:
-        # Seal every table before any other state changes: encrypt_many_into
-        # validates its whole batch before it reserves a row, and a failure
-        # undoes the tables already sealed, so a rejected γ_t changes nothing.
-        if self._cipher is not None:
-            sealed, created = [], []
-            try:
-                for table, rows in by_table.items():
-                    if not rows:  # an empty batch touches no table
-                        continue
+        # One step a table: seal its rows into its arena (encrypt_many_into
+        # validates the whole batch before it writes a row), append them to
+        # its columns, count them.  If a step raises, every table stepped so
+        # far, the failing one included, is rewound, so a rejected γ_t
+        # changes nothing.
+        cipher = self._cipher
+        totals, table_dummies = self._table_totals, self._table_dummies
+        num_records = dummies = 0
+        stepped: list[tuple[str, int, int]] = []
+        try:
+            for table, rows in by_table.items():
+                if not rows:  # an empty batch touches no table
+                    continue
+                size = totals.get(table, 0)
+                before = table_dummies.get(table, 0)
+                stepped.append((table, size, before))
+                if cipher is not None:
                     arena = self._arenas.get(table)
                     if arena is None:
                         arena = self._arenas[table] = CiphertextArena()
-                        created.append(table)
-                    self._cipher.encrypt_many_into(rows, arena)
-                    sealed.append((arena, len(rows)))
-            except BaseException:
-                for arena, count in sealed:
-                    arena.truncate(len(arena) - count)
-                for table in created:
-                    del self._arenas[table]
-                raise
-        num_records = dummies = 0
-        for table, rows in by_table.items():
-            if not rows:
-                continue
-            table_dummies = self._executor.append(table, rows)
-            num_records += len(rows)
-            dummies += table_dummies
-            self._table_totals[table] = self._table_totals.get(table, 0) + len(rows)
-            self._table_dummies[table] = self._table_dummies.get(table, 0) + table_dummies
+                    cipher.encrypt_many_into(rows, arena)
+                added = self._executor.append(table, rows)
+                totals[table] = size + len(rows)
+                table_dummies[table] = before + added
+                num_records += len(rows)
+                dummies += added
+        except BaseException:
+            for table, size, before in stepped:
+                self._rewind(table, size, before)
+            raise
 
-        bytes_added = self._cost_model.storage_bytes(num_records)
+        cost = self._cost_model
+        bytes_added = cost.storage_bytes(num_records)
         self._storage_bytes += bytes_added
-        duration = self._cost_model.ingest_cost(num_records, is_setup=is_setup)
-        result = UpdateResult(time, num_records - dummies, dummies, bytes_added, duration)
+        duration = cost.ingest_cost(num_records)
+        result = UpdateResult._make(
+            (time, num_records - dummies, dummies, bytes_added, duration)
+        )
         self._update_history.append(result)
         return result
+
+    def _rewind(self, table: str, size: int, dummies: int) -> None:
+        """Put ``table`` back to its first ``size`` rows (``dummies`` of them
+        dummies): undoes one ingest step, whichever part of it ran."""
+        arena = self._arenas.get(table)
+        if arena is not None:
+            arena.truncate(size)
+            if not size:
+                del self._arenas[table]
+        self._executor.truncate(table, size)
+        if size:
+            self._table_totals[table] = size
+            self._table_dummies[table] = dummies
+        else:
+            self._table_totals.pop(table, None)
+            self._table_dummies.pop(table, None)
 
 
 # -- the shard-facing protocol surface -----------------------------------------

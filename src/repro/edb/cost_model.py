@@ -89,15 +89,7 @@ class CostModel:
 
     parameters: CostParameters
 
-    def setup_cost(self, num_records: int) -> float:
-        """Simulated seconds to run the Setup protocol on ``num_records``."""
-        return self.parameters.update_base + self.parameters.update_per_record * num_records
-
-    def update_cost(self, num_records: int) -> float:
-        """Simulated seconds to run the Update protocol on ``num_records``."""
-        return self.parameters.update_base + self.parameters.update_per_record * num_records
-
-    def ingest_cost(self, num_records: int, *, is_setup: bool = False) -> float:
+    def ingest_cost(self, num_records: int) -> float:
         """Simulated seconds of one Setup/Update invocation over ``num_records``.
 
         This is the single charging point for both the per-record and the
@@ -105,9 +97,12 @@ class CostModel:
         costs exactly what the sequential path charged for the same ``γ_t``
         (one ``update_base`` round-trip plus ``n`` per-record charges), so
         switching to ``insert_many`` can never change the simulated QET or
-        update-duration observables.
+        update-duration observables.  Setup is charged as an Update.
         """
-        return self.setup_cost(num_records) if is_setup else self.update_cost(num_records)
+        params = self.parameters
+        return params.update_base + params.update_per_record * num_records
+
+    setup_cost = update_cost = ingest_cost
 
     def storage_bytes(self, num_records: int) -> float:
         """Server-side bytes occupied by ``num_records`` encrypted records."""

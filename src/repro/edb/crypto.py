@@ -21,11 +21,13 @@ reproduction run gets near that.
 Server-side, every ciphertext of a table lives in one contiguous
 capacity-doubling ``(n, CIPHERTEXT_SIZE)`` ``uint8`` ndarray
 (:class:`CiphertextArena`).  :meth:`RecordCipher.encrypt_many_into`
-serializes a whole batch, reserves its rows once and writes each record's
-ciphertext straight into its own row.  :class:`ArenaRecord` is a zero-copy view
-(handle -> arena row) exposing the same ``ciphertext``/``handle``/
-``size_bytes`` surface as the owning :class:`EncryptedRecord` that
-:meth:`RecordCipher.encrypt` / :meth:`RecordCipher.encrypt_many` return.
+serializes a whole batch, seals it, and writes the batch's ciphertexts with
+one slice write into the arena's flat byte view and its handles with one
+store into the view of the handle array.  :class:`ArenaRecord` is a
+zero-copy view (handle -> arena row) exposing the same
+``ciphertext``/``handle``/``size_bytes`` surface as the owning
+:class:`EncryptedRecord` that :meth:`RecordCipher.encrypt` /
+:meth:`RecordCipher.encrypt_many` return.
 
 Both forms come from one AEAD call per record and are decrypted by the same
 :meth:`RecordCipher.decrypt`.  The key handling around the AEAD is a
@@ -193,19 +195,40 @@ def _allocate(capacity: int) -> tuple[np.ndarray, np.ndarray]:
 class CiphertextArena:
     """All ciphertexts of one table in a single contiguous ``uint8`` ndarray.
 
-    Rows are appended through :meth:`reserve` (amortized O(1): capacity
-    doubles when exhausted) and never mutated afterwards; handles are recorded
-    in a parallel ``int64`` array.  Growth and :meth:`compact` reallocate the
-    backing buffers but copy contents verbatim, so handles and decrypted
-    records are invariant under both -- a property the Hypothesis suite pins.
+    Rows are appended (amortized O(1): capacity doubles when exhausted) and
+    never mutated afterwards; handles are recorded in a parallel ``int64``
+    array.  Growth and :meth:`compact` reallocate the backing buffers but
+    copy contents verbatim, so handles and decrypted records are invariant
+    under both -- a property the Hypothesis suite pins.
+
+    Writers go through two views of those buffers: ``_rows``, the flat byte
+    view of ``_data`` (a batch's ciphertexts land with one slice write), and
+    ``_slots``, the view of ``_handles`` (a batch's handles land with one
+    store).  The views are rebuilt whenever the buffers are reallocated and
+    on unpickling; they are never pickled.
     """
 
     def __init__(self, initial_capacity: int = 64) -> None:
         if initial_capacity <= 0:
             raise ValueError("initial_capacity must be positive")
-        self._data, self._handles = _allocate(initial_capacity)
         self._size = 0
         self._grow_count = 0
+        self._install(*_allocate(initial_capacity))
+
+    def _install(self, data: np.ndarray, handles: np.ndarray) -> None:
+        """Make ``data``/``handles`` the backing buffers and rebuild their views."""
+        self._data, self._handles = data, handles
+        self._rows = memoryview(data).cast("B")
+        self._slots = memoryview(handles)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_rows"], state["_slots"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._install(self._data, self._handles)
 
     def __len__(self) -> int:
         return self._size
@@ -220,6 +243,18 @@ class CiphertextArena:
         """How many times the backing buffer was reallocated by growth."""
         return self._grow_count
 
+    def _grow(self, needed: int) -> None:
+        """Double the capacity until ``needed`` rows fit, keeping the rows."""
+        capacity = len(self._handles)
+        while capacity < needed:
+            capacity *= 2
+        size = self._size
+        data, handles = _allocate(capacity)
+        data[:size] = self._data[:size]
+        handles[:size] = self._handles[:size]
+        self._install(data, handles)
+        self._grow_count += 1
+
     def reserve(self, count: int) -> np.ndarray:
         """Append ``count`` uninitialized rows; return them as a 2-D view.
 
@@ -228,17 +263,10 @@ class CiphertextArena:
         """
         if count < 0:
             raise ValueError("count must be non-negative")
-        needed = self._size + count
-        if needed > len(self._data):
-            new_capacity = len(self._data)
-            while new_capacity < needed:
-                new_capacity *= 2
-            data, handles = _allocate(new_capacity)
-            data[: self._size] = self._data[: self._size]
-            handles[: self._size] = self._handles[: self._size]
-            self._data, self._handles = data, handles
-            self._grow_count += 1
         start = self._size
+        needed = start + count
+        if needed > len(self._handles):
+            self._grow(needed)
         self._size = needed
         return self._data[start:needed]
 
@@ -247,7 +275,7 @@ class CiphertextArena:
         self._handles[start : start + len(handles)] = handles
 
     def truncate(self, size: int) -> None:
-        """Drop every row from ``size`` on (undoes :meth:`reserve` calls)."""
+        """Drop every row from ``size`` on (undoes appends)."""
         self._size = min(self._size, size)
 
     def compact(self) -> None:
@@ -264,7 +292,7 @@ class CiphertextArena:
         data, handles = _allocate(size)
         data[:] = self._data[:size]
         handles[:] = self._handles[:size]
-        self._data, self._handles = data, handles
+        self._install(data, handles)
 
     def row(self, index: int) -> memoryview:
         """Read-only zero-copy view of row ``index``."""
@@ -383,32 +411,39 @@ class RecordCipher:
     def encrypt_many_into(
         self, records: Sequence[Record], arena: CiphertextArena
     ) -> list[int]:
-        """Encrypt a batch straight into reserved arena rows; return handles.
+        """Encrypt a batch straight into the arena's next rows; return handles.
 
-        Every record is serialized -- and so validated -- before any row is
-        reserved, so an oversized record leaves the arena untouched.  Then
-        each record's ``nonce || body || tag`` is written into its own row,
-        where the slice assignment checks that row's ciphertext length.
+        Every record is serialized -- and so validated -- before the arena is
+        touched, so an oversized record leaves it unchanged.  One
+        ``os.urandom`` call draws the batch's nonces and each record gets one
+        AEAD call; then the batch's ``nonce || body || tag`` rows land in the
+        arena's flat byte view with one slice write (which checks their total
+        length) and its handles with one store.
         """
-        blocks = list(map(self._serialize, records))
-        n = len(blocks)
-        if n == 0:
+        n = len(records)
+        if n == 1:
+            block = self._serialize(records[0])
+            nonce = os.urandom(NONCE_SIZE)
+            sealed = nonce + self._aead.encrypt(nonce, block, None)
+        elif n:
+            sealed = self._seal(list(map(self._serialize, records)))
+        else:
             return []
-        nonces = os.urandom(NONCE_SIZE * n)
-        encrypt = self._aead.encrypt
-        first, start = self._next_handle, len(arena)
-        self._next_handle += n
-        with arena.reserve(n).data.cast("B") as rows:
-            slots = arena._handles
-            for index, block in enumerate(blocks):
-                nonce = nonces[index * NONCE_SIZE : (index + 1) * NONCE_SIZE]
-                row = index * CIPHERTEXT_SIZE
-                rows[row : row + NONCE_SIZE] = nonce
-                rows[row + NONCE_SIZE : row + CIPHERTEXT_SIZE] = encrypt(
-                    nonce, block, None
-                )
-                slots[start + index] = first + index
-        return list(range(first, first + n))
+        first = self._next_handle
+        start = arena._size
+        stop = start + n
+        if stop > len(arena._slots):
+            arena._grow(stop)
+        arena._rows[start * CIPHERTEXT_SIZE : stop * CIPHERTEXT_SIZE] = sealed
+        if n == 1:
+            arena._slots[start] = first
+            handles = [first]
+        else:
+            arena._slots[start:stop] = np.arange(first, first + n, dtype=np.int64)
+            handles = list(range(first, first + n))
+        arena._size = stop
+        self._next_handle = first + n
+        return handles
 
     def decrypt(self, encrypted: "EncryptedRecord | ArenaRecord") -> Record:
         """Decrypt an encrypted record (either storage layout) back to a
@@ -440,13 +475,12 @@ class RecordCipher:
         n = len(arena)
         if n == 0:
             return 0
-        rows = arena._data[:n]
-        data = rows.tobytes()
+        data = arena._rows[: n * CIPHERTEXT_SIZE].tobytes()
         blocks = [
             self._open(data[index * CIPHERTEXT_SIZE : (index + 1) * CIPHERTEXT_SIZE])
             for index in range(n)
         ]
-        memoryview(rows).cast("B")[:] = new_cipher._seal(blocks)
+        arena._rows[: n * CIPHERTEXT_SIZE] = new_cipher._seal(blocks)
         return n
 
     @staticmethod

@@ -68,9 +68,23 @@ class Schema:
             raise ValueError(
                 f"key {self.key!r} is not an attribute of schema {self.name!r}"
             )
+        # Not a field: equality, hashing and repr ignore it, and pickles
+        # leave it out (``__getstate__``).
+        object.__setattr__(self, "_attribute_set", frozenset(self.attributes))
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_attribute_set"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        object.__setattr__(self, "_attribute_set", frozenset(self.attributes))
 
     def validate(self, values: Mapping[str, Any]) -> None:
         """Raise ``ValueError`` if ``values`` does not match the schema."""
+        if values.keys() == self._attribute_set:
+            return
         missing = [a for a in self.attributes if a not in values]
         if missing:
             raise ValueError(f"record is missing attributes {missing} for {self.name}")

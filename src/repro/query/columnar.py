@@ -19,16 +19,17 @@ state per lowered plan:
   key ``Counter`` and the filtered size, plus the star count of every
   prefix of the sides.
 
-Tables only grow between queries, so a query evaluates its plan's
-predicates over the rows appended since the plan last ran (the *tail*) and
-folds them in: a count adds the tail's matches, a group-by counts the
-tail's keys, and a join side's new key adds the product of the other
-sides' counts at that key (the insert delta of FO+MOD maintenance,
-Berkholz et al., PAPERS.md), which keeps self-joins exact.  A plan's first
-run folds the whole table, so a repeated query costs O(rows since it last
-ran), while its :class:`~repro.query.executor.ExecutionStats` still report
-the whole oblivious scan.  A windowed count masks the arrival column of the
-whole table.
+Tables only grow between queries (a rejected Update's rewind,
+:meth:`ColumnarExecutor.truncate`, restarts every fold), so a query
+evaluates its plan's predicates over the rows appended since the plan last
+ran (the *tail*) and folds them in: a count adds the tail's matches, a
+group-by counts the tail's keys, and a join side's new key adds the product
+of the other sides' counts at that key (the insert delta of FO+MOD
+maintenance, Berkholz et al., PAPERS.md), which keeps self-joins exact.  A
+plan's first run folds the whole table, so a repeated query costs O(rows
+since it last ran), while its :class:`~repro.query.executor.ExecutionStats`
+still report the whole oblivious scan.  A windowed count masks the arrival
+column of the whole table.
 
 Group and join keys are the stored value objects themselves, so key types,
 first-appearance order and NaN identity (the row interpreter's dicts tell
@@ -91,10 +92,10 @@ _DTYPES = {bool: np.dtype(bool), int: np.dtype(np.int64), float: np.dtype(np.flo
 class _ColumnarTable:
     """One table's columns, the server's plaintext copy of its records.
 
-    Appends are O(1) a record; the NumPy copies (``_derived``, each with the
-    row count it covers) are extended on the first read after a change, so
-    flushes between query times pay nothing for them.  Only the lists are
-    pickled.
+    :meth:`ColumnarExecutor.append` writes the lists, O(1) a record; the
+    NumPy copies (``_derived``, each with the row count it covers) are
+    extended on the first read after a change, so flushes between query
+    times pay nothing for them.  Only the lists are pickled.
     """
 
     columns: dict[str, list] = field(default_factory=dict)
@@ -108,27 +109,6 @@ class _ColumnarTable:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._derived = {}
-
-    def append(self, records: Iterable[Record]) -> int:
-        """Append ``records`` in one pass; return how many are dummies."""
-        columns, arrivals, flags = self.columns, self.arrivals, self.dummies
-        dummies = 0
-        for record in records:
-            row = record.values
-            if row.keys() == columns.keys():
-                for attribute, column in columns.items():
-                    column.append(row[attribute])
-            else:
-                for attribute in row:
-                    if attribute not in columns:
-                        columns[attribute] = [None] * len(flags)
-                for attribute, column in columns.items():
-                    column.append(row.get(attribute))
-            arrivals.append(record.arrival_time)
-            flags.append(record.is_dummy)
-            if record.is_dummy:
-                dummies += 1
-        return dummies
 
     def __len__(self) -> int:
         return len(self.dummies)
@@ -232,11 +212,46 @@ class ColumnarExecutor:
         self._plan_cache = {}
 
     def append(self, table: str, records: Iterable[Record]) -> int:
-        """Append records to ``table`` (creating it); return the dummy count."""
+        """Append records to ``table`` (creating it) in one pass; return how
+        many are dummies."""
         store = self._columnar.get(table)
         if store is None:
             store = self._columnar[table] = _ColumnarTable()
-        return store.append(records)
+        columns, arrivals, flags = store.columns, store.arrivals, store.dummies
+        dummies = 0
+        for record in records:
+            row = record.values
+            if row.keys() == columns.keys():
+                for attribute, column in columns.items():
+                    column.append(row[attribute])
+            else:
+                for attribute in row:
+                    if attribute not in columns:
+                        columns[attribute] = [None] * len(flags)
+                for attribute, column in columns.items():
+                    column.append(row.get(attribute))
+            arrivals.append(record.arrival_time)
+            flags.append(record.is_dummy)
+            if record.is_dummy:
+                dummies += 1
+        return dummies
+
+    def truncate(self, table: str, size: int) -> None:
+        """Keep the first ``size`` rows of ``table``, dropping the table when
+        that is none.  A column only the dropped rows held stays, all
+        ``None``, which reads as a missing attribute does.  Every fold and
+        NumPy copy is rebuilt from row 0 on its next read."""
+        store = self._columnar.get(table)
+        if store is None:
+            return
+        if size:
+            for column in store.columns.values():
+                del column[size:]
+            del store.arrivals[size:], store.dummies[size:]
+            store._derived.clear()
+        else:
+            del self._columnar[table]
+        self._folds.clear()
 
     # -- execution ----------------------------------------------------------
 

@@ -115,6 +115,8 @@ def _observables(edb: ObliDB) -> tuple:
         edb.dummy_count,
         edb.table_size(SCHEMA.name),
         edb.table_size(GREEN.name),
+        edb.table_dummy_count(SCHEMA.name),
+        edb.table_dummy_count(GREEN.name),
         edb.storage_bytes,
         edb.update_history,
         [None if arena is None else len(arena) for arena in arenas],
@@ -140,8 +142,32 @@ class TestRejectedIngest:
                 },
                 time=7,
             ),
+            lambda edb: edb.insert_many(
+                {
+                    GREEN.name: make_records(2, GREEN, start=7),
+                    SCHEMA.name: [
+                        make_dummy_record(SCHEMA, 7),
+                        Record(
+                            values={"pickupID": 9, "pickTime": 7, "extra": 1},
+                            arrival_time=7,
+                            table=SCHEMA.name,
+                        ),
+                    ],
+                    "BlueTaxi": [_oversized(Schema("BlueTaxi", ("pickupID",)))],
+                },
+                time=7,
+            ),
+            lambda edb: edb.insert_many({SCHEMA.name: [_oversized()]}, time=7),
+            lambda edb: edb.insert_many({GREEN.name: [_oversized(GREEN)]}, time=7),
         ],
-        ids=["update", "insert_many", "insert_many-two-tables"],
+        ids=[
+            "update",
+            "insert_many",
+            "insert_many-two-tables",
+            "insert_many-three-tables",
+            "insert_many-one-record",
+            "insert_many-one-record-no-arena",
+        ],
     )
     def test_rejected_update_leaves_every_observable(self, ingest):
         edb = ObliDB(simulate_encryption=True)
@@ -150,6 +176,7 @@ class TestRejectedIngest:
         with pytest.raises(ValueError, match="exceeds"):
             ingest(edb)
         assert _observables(edb) == before
+        assert edb.ciphertext_arena(GREEN.name) is None
         edb.insert_many({SCHEMA.name: make_records(1, start=8)}, time=8)
         assert edb.outsourced_count == len(edb.ciphertexts(SCHEMA.name)) == 4
 

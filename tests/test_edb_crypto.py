@@ -8,6 +8,7 @@ plaintext-dependent structure, round-trip correctness.
 from __future__ import annotations
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from repro.edb.crypto import (
     RecordCipher,
 )
 from repro.edb.records import Record, Schema, make_dummy_record
+from repro.edb.store import arena_from_bytes, arena_to_bytes
 
 
 @pytest.fixture
@@ -219,6 +221,59 @@ class TestArenaBulkPaths:
         arena.compact()
         assert arena.capacity == 9
         assert len(arena) == 9
+
+    @given(
+        batches=st.lists(st.integers(min_value=2, max_value=9), min_size=3, max_size=8),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_interleaved_appends_survive_growth_compaction_and_round_trips(
+        self, batches, data
+    ):
+        """One-record and batched appends, interleaved across capacity
+        doublings, a compaction and a byte round trip, keep every row:
+        each decrypts to its record under a distinct nonce, and the handles
+        ascend.  A pickled arena takes further appends."""
+        compact_at = data.draw(st.integers(0, len(batches) - 1), label="compact at")
+        trip_at = data.draw(st.integers(0, len(batches) - 1), label="round trip at")
+        cipher = RecordCipher(key=b"p" * 32)
+        arena = CiphertextArena(initial_capacity=1)
+        records: list[Record] = []
+
+        def append(count: int) -> None:
+            batch = self._records(count, start=len(records))
+            assert len(cipher.encrypt_many_into(batch, arena)) == count
+            records.extend(batch)
+
+        for step, count in enumerate(batches):
+            append(1)
+            append(count)
+            if step == compact_at:
+                arena.compact()
+                assert arena.capacity == len(arena)
+            if step == trip_at:
+                arena = arena_from_bytes(*arena_to_bytes(arena))
+        append(1)
+        append(batches[0])
+
+        def assert_intact(arena: CiphertextArena, records: list[Record]) -> None:
+            assert len(arena) == len(records)
+            assert [cipher.decrypt(view).values for view in arena.records()] == [
+                record.values for record in records
+            ]
+            handles = [arena.handle_at(index) for index in range(len(arena))]
+            assert handles == sorted(set(handles))
+            rows = arena.as_array()
+            assert len({row[:NONCE_SIZE].tobytes() for row in rows}) == len(rows)
+
+        assert_intact(arena, records)
+        restored = pickle.loads(pickle.dumps(arena))
+        assert_intact(restored, records)
+        more = self._records(3, start=len(records))
+        cipher.encrypt_many_into(more[:1], restored)
+        cipher.encrypt_many_into(more[1:], restored)
+        assert_intact(restored, records + more)
+        assert_intact(arena, records)
 
 
 class TestIndistinguishability:

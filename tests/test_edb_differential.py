@@ -784,6 +784,56 @@ def test_tail_folds_match_the_row_interpreter(operations):
             _assert_same(fast, reference, query, rewrite, 61)
 
 
+@given(operations=_operations(_SHAPES), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_truncated_append_leaves_the_answers_of_the_rows_kept(operations, data):
+    """An append undone by ``truncate`` (a rejected Update's rewind), read by
+    queries or not before it is undone, leaves every answer that of the rows
+    kept: the row interpreter never sees the undone rows."""
+    fast, reference = ColumnarExecutor(), PlaintextExecutor()
+    for operation in operations:
+        if operation[0] == "append":
+            _, table, rows = operation
+            if not data.draw(st.booleans(), label="undone"):
+                fast.append(table, rows)
+                reference.append(table, rows)
+                continue
+            size = len(reference.tables.get(table, ()))
+            fast.append(table, rows)
+            if data.draw(st.booleans(), label="read before undone"):
+                for query in _SHAPES:
+                    try:
+                        fast.execute_with_stats(query, True, 61)
+                    except TypeError:
+                        pass
+            fast.truncate(table, size)
+        else:
+            _, index, rewrite, time = operation
+            _assert_same(fast, reference, _SHAPES[index], rewrite, time)
+    for query in _SHAPES:
+        for rewrite in (False, True):
+            _assert_same(fast, reference, query, rewrite, 61)
+
+
+def test_rows_read_and_then_truncated_leave_no_trace():
+    """Rows a query read (so folded and copied into NumPy) and that were then
+    truncated away are gone from every later answer: rows appended after the
+    truncation are counted in their place."""
+    fast, reference = ColumnarExecutor(), PlaintextExecutor()
+    query = CountQuery(table="L", predicate=RangePredicate("v", 0, 10))
+    kept = [Record(values={"v": i}, table="L") for i in range(5)]
+    for executor in (fast, reference):
+        executor.append("L", kept)
+    fast.append("L", [Record(values={"v": 100 + i}, table="L") for i in range(5)])
+    assert fast.execute(query, rewrite=True) == 5
+    fast.truncate("L", len(kept))
+    later = [Record(values={"v": i}, table="L") for i in range(3)]
+    for executor in (fast, reference):
+        executor.append("L", later)
+    _assert_same(fast, reference, query, True)
+    assert fast.execute(query, rewrite=True) == 8
+
+
 def _in_window(query: WindowedCountQuery, arrival: int, time: int) -> bool:
     """Window membership from the definition, apart from ``window_bounds``:
     sliding is ``(t - w, t]``; tumbling is the grid cell ``((k-1)w, kw]``

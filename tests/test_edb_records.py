@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,6 +49,21 @@ class TestSchema:
             schema.validate({"a": 1})
         with pytest.raises(ValueError):
             schema.validate({"a": 1, "b": 2, "c": 3})
+
+    def test_validate_messages_and_the_attribute_cache_stay_out_of_pickles(self):
+        schema = Schema("t", ("a", "b"))
+        with pytest.raises(ValueError, match=r"missing attributes \['b'\] for t"):
+            schema.validate({"a": 1})
+        with pytest.raises(ValueError, match=r"unknown attributes \['c'\] for t"):
+            schema.validate({"b": 2, "a": 1, "c": 3})
+        assert repr(schema) == "Schema(name='t', attributes=('a', 'b'), key=None)"
+        blob = pickle.dumps(schema)
+        assert b"_attribute_set" not in blob
+        restored = pickle.loads(blob)
+        assert restored == schema and hash(restored) == hash(schema)
+        restored.validate({"b": 2, "a": 1})
+        with pytest.raises(ValueError, match="missing"):
+            restored.validate({"b": 2})
 
 
 class TestRecord:
